@@ -18,19 +18,19 @@ def main():
     args = ap.parse_args()
 
     total = failures = 0
-    t0 = time.time()
+    t0 = time.perf_counter()
     for name in SUITES:
-        t = time.time()
+        t = time.perf_counter()
         reports = run_suite(name, max_dim=args.max_dim, seed=args.seed)
         bad = [r for r in reports if not r.passed]
         total += len(reports)
         failures += len(bad)
         print(f"{name:10s} {len(reports):5d} cases  "
-              f"{len(bad):3d} failures  {time.time() - t:6.2f}s")
+              f"{len(bad):3d} failures  {time.perf_counter() - t:6.2f}s")
         for r in bad[:3]:
             print(f"    {r.identity} [{r.case}] -> {r.residual}")
     print(f"{'total':10s} {total:5d} cases  {failures:3d} failures  "
-          f"{time.time() - t0:6.2f}s")
+          f"{time.perf_counter() - t0:6.2f}s")
     return 1 if failures else 0
 
 

@@ -4,7 +4,13 @@ Coordinates come in groups, one per simplex factor of the underlying cell;
 each group carries the relation "sum of its variables = 1".  Forms are kept
 in the redundant variables; equality, degree and integration questions go
 through `canonicalize`, which eliminates the last variable of every group.
-All coefficients are exact rationals.
+
+All coefficients are exact rationals, stored as a Python `int` when integral
+and as a `Fraction` otherwise, never as a float.  The public `Poly(...)` and
+`Form(...)` constructors validate and normalize their input to this
+invariant; kernel operations keep it and build their results through the
+trusted `_make` constructors.  Division only ever happens through
+`Fraction`, so no float can arise.
 """
 
 from __future__ import annotations
@@ -12,9 +18,10 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, index
 from typing import Iterable, Mapping
 
-from .mesh import Prism, Simplex, StructureError
+from .mesh import Prism, Simplex, StructureError, perm_sign
 
 Q = Fraction
 
@@ -113,35 +120,94 @@ def pi_context(base: Simplex, fibers: Iterable[Simplex]) -> CoordSystem:
     return CoordSystem(tuple(groups))
 
 
+def _exponents(e) -> tuple[int, ...]:
+    """An exponent tuple as non-negative Python ints; anything else is rejected."""
+    try:
+        out = tuple(map(index, e))
+    except TypeError:
+        raise FormError(f"exponents must be integers, got {e!r}") from None
+    if any(n < 0 for n in out):
+        raise FormError(f"exponents must be non-negative, got {out!r}")
+    return out
+
+
+def _int_if_integral(c):
+    """The coefficient invariant: an int when integral, else a Fraction."""
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
+
+
+def _clean(acc: dict) -> dict:
+    """Drop the zeros of an accumulator and restore the coefficient invariant."""
+    return {e: _int_if_integral(c) for e, c in acc.items() if c}
+
+
+def _add_into(acc: dict, terms: Mapping, scale=1) -> None:
+    """acc += scale * terms, in place; `_clean` finishes the result."""
+    get = acc.get
+    for e, c in terms.items():
+        if scale != 1:
+            c = c * scale
+        prev = get(e)
+        acc[e] = c if prev is None else prev + c
+
+
+def _mul_into(acc: dict, a: Mapping, b: Mapping, scale=1) -> None:
+    """acc += scale * a * b over exponent tuples, in place."""
+    get = acc.get
+    b_items = list(b.items())
+    for e1, c1 in a.items():
+        if scale != 1:
+            c1 = c1 * scale
+        for e2, c2 in b_items:
+            e = tuple(map(add, e1, e2))
+            prev = get(e)
+            acc[e] = c1 * c2 if prev is None else prev + c1 * c2
+
+
 class Poly:
-    """Multivariate polynomial over Q in the variables of a CoordSystem."""
+    """Multivariate polynomial over Q in the variables of a CoordSystem.
+
+    `terms` maps exponent tuples of non-negative ints to nonzero
+    coefficients, each an int when integral and a Fraction otherwise.
+    """
 
     __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx: CoordSystem, terms: Mapping[tuple[int, ...], Fraction] | None = None):
         self.ctx = ctx
-        self.terms: dict[tuple[int, ...], Fraction] = {}
+        self.terms: dict[tuple[int, ...], int | Fraction] = {}
         if terms:
             for e, c in terms.items():
-                c = Q(c)
+                if type(c) is not int:
+                    c = _int_if_integral(Q(c))
                 if c:
-                    self.terms[tuple(e)] = c
+                    self.terms[_exponents(e)] = c
+
+    @classmethod
+    def _make(cls, ctx: CoordSystem, terms: dict) -> "Poly":
+        """Trusted constructor: `terms` already satisfies the invariants."""
+        p = object.__new__(cls)
+        p.ctx = ctx
+        p.terms = terms
+        return p
 
     # -- constructors -------------------------------------------------
     @classmethod
     def const(cls, ctx: CoordSystem, c) -> "Poly":
         z = (0,) * ctx.nvars
-        return cls(ctx, {z: Q(c)})
+        return cls(ctx, {z: c})
 
     @classmethod
     def zero(cls, ctx: CoordSystem) -> "Poly":
-        return cls(ctx)
+        return cls._make(ctx, {})
 
     @classmethod
     def variable(cls, ctx: CoordSystem, i: int) -> "Poly":
         e = [0] * ctx.nvars
         e[i] = 1
-        return cls(ctx, {tuple(e): Q(1)})
+        return cls._make(ctx, {tuple(e): 1})
 
     # -- ring operations ----------------------------------------------
     def _chk(self, other: "Poly"):
@@ -153,18 +219,13 @@ class Poly:
             other = Poly.const(self.ctx, other)
         self._chk(other)
         t = dict(self.terms)
-        for e, c in other.terms.items():
-            s = t.get(e, Q(0)) + c
-            if s:
-                t[e] = s
-            else:
-                t.pop(e, None)
-        return Poly(self.ctx, t)
+        _add_into(t, other.terms)
+        return Poly._make(self.ctx, _clean(t))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.ctx, {e: -c for e, c in self.terms.items()})
+        return Poly._make(self.ctx, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -176,24 +237,21 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Poly(self.ctx, {e: c * Q(other) for e, c in self.terms.items()})
+            return Poly._make(self.ctx, _clean({e: c * other for e, c in self.terms.items()}))
         self._chk(other)
         t: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = t.get(e, Q(0)) + c1 * c2
-                if s:
-                    t[e] = s
-                else:
-                    t.pop(e, None)
-        return Poly(self.ctx, t)
+        _mul_into(t, self.terms, other.terms)
+        return Poly._make(self.ctx, _clean(t))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        out = Poly.const(self.ctx, 1)
-        for _ in range(n):
+        if n < 0:
+            raise FormError("negative powers are not polynomials")
+        if n == 0:
+            return Poly.const(self.ctx, 1)
+        out = self
+        for _ in range(n - 1):
             out = out * self
         return out
 
@@ -210,18 +268,13 @@ class Poly:
 
     # -- calculus ------------------------------------------------------
     def diff(self, i: int) -> "Poly":
+        # lowering e[i] is injective on the monomials with e[i] > 0
         t: dict = {}
         for e, c in self.terms.items():
-            if e[i]:
-                e2 = list(e)
-                e2[i] -= 1
-                e2 = tuple(e2)
-                s = t.get(e2, Q(0)) + c * e[i]
-                if s:
-                    t[e2] = s
-                else:
-                    t.pop(e2, None)
-        return Poly(self.ctx, t)
+            n = e[i]
+            if n:
+                t[e[:i] + (n - 1,) + e[i + 1:]] = _int_if_integral(c * n)
+        return Poly._make(self.ctx, t)
 
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
@@ -232,7 +285,8 @@ class Poly:
 
     def substitute(self, images: Mapping[int, "Poly"], target: CoordSystem) -> "Poly":
         """Substitute every variable by its image polynomial over `target`."""
-        out = Poly.zero(target)
+        acc: dict = {}
+        one = {(0,) * target.nvars: 1}
         cache: dict[tuple[int, int], Poly] = {}
 
         def power(i, n):
@@ -241,12 +295,12 @@ class Poly:
             return cache[(i, n)]
 
         for e, c in self.terms.items():
-            term = Poly.const(target, c)
+            term = None
             for i, n in enumerate(e):
                 if n:
-                    term = term * power(i, n)
-            out = out + term
-        return out
+                    term = power(i, n) if term is None else term * power(i, n)
+            _add_into(acc, one if term is None else term.terms, c)
+        return Poly._make(target, _clean(acc))
 
     def evaluate(self, point: Iterable) -> Fraction:
         pt = [Q(x) for x in point]
@@ -275,7 +329,7 @@ class Poly:
         for e, c in self.terms.items():
             m = sum(e[i] for i in vs)
             parts.setdefault(m, {})[e] = c
-        return {m: Poly(self.ctx, t) for m, t in parts.items()}
+        return {m: Poly._make(self.ctx, t) for m, t in parts.items()}
 
     def map_context(self, target: CoordSystem) -> "Poly":
         """Reinterpret by variable name into a context containing the same names."""
@@ -286,7 +340,7 @@ class Poly:
             for i, n in enumerate(e):
                 e2[mapping[i]] = n
             t[tuple(e2)] = c
-        return Poly(target, t)
+        return Poly._make(target, t)
 
     def __repr__(self):
         if not self.terms:
@@ -318,12 +372,30 @@ class Form:
                     self.terms[dv] = p
 
     @classmethod
+    def _make(cls, ctx: CoordSystem, terms: dict) -> "Form":
+        """Trusted constructor: sorted wedge keys, nonzero Poly values."""
+        f = object.__new__(cls)
+        f.ctx = ctx
+        f.terms = terms
+        return f
+
+    @classmethod
+    def _from_acc(cls, ctx: CoordSystem, acc: dict) -> "Form":
+        """A form from per-wedge coefficient accumulators (see `_add_into`)."""
+        terms = {}
+        for dv, t in acc.items():
+            t = _clean(t)
+            if t:
+                terms[dv] = Poly._make(ctx, t)
+        return cls._make(ctx, terms)
+
+    @classmethod
     def zero(cls, ctx: CoordSystem) -> "Form":
-        return cls(ctx)
+        return cls._make(ctx, {})
 
     @classmethod
     def from_poly(cls, p: Poly) -> "Form":
-        return cls(p.ctx, {(): p})
+        return cls._make(p.ctx, {(): p} if p else {})
 
     @classmethod
     def const(cls, ctx: CoordSystem, c) -> "Form":
@@ -341,23 +413,31 @@ class Form:
         self._chk(other)
         t = dict(self.terms)
         for dv, p in other.terms.items():
-            s = t.get(dv, Poly.zero(self.ctx)) + p
-            if s:
-                t[dv] = s
+            if dv in t:
+                s = t[dv] + p
+                if s:
+                    t[dv] = s
+                else:
+                    del t[dv]
             else:
-                t.pop(dv, None)
-        return Form(self.ctx, t)
+                t[dv] = p
+        return Form._make(self.ctx, t)
 
     def __neg__(self):
-        return Form(self.ctx, {dv: -p for dv, p in self.terms.items()})
+        return Form._make(self.ctx, {dv: -p for dv, p in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, scalar):
-        if isinstance(scalar, Poly):
-            return Form(self.ctx, {dv: p * scalar for dv, p in self.terms.items()})
-        return Form(self.ctx, {dv: p * Q(scalar) for dv, p in self.terms.items()})
+        if not isinstance(scalar, Poly):
+            scalar = Q(scalar)
+        terms = {}
+        for dv, p in self.terms.items():
+            q = p * scalar
+            if q:
+                terms[dv] = q
+        return Form._make(self.ctx, terms)
 
     __rmul__ = __mul__
 
@@ -381,7 +461,7 @@ class Form:
         return degs.pop() if degs else 0
 
     def component(self, r: int) -> "Form":
-        return Form(self.ctx, {dv: p for dv, p in self.terms.items() if len(dv) == r})
+        return Form._make(self.ctx, {dv: p for dv, p in self.terms.items() if len(dv) == r})
 
     def __repr__(self):
         if not self.terms:
@@ -395,37 +475,27 @@ class Form:
         return " + ".join(bits)
 
 
-def _merge_wedge(a: tuple[int, ...], b: tuple[int, ...]):
-    """Merge two strictly increasing index tuples; None if they collide."""
-    if set(a) & set(b):
+# wedge index tuples recur across calls; the bound keeps the cache finite
+@functools.lru_cache(maxsize=1 << 16)
+def _sort_wedge(dvars: tuple[int, ...]):
+    """Sorted wedge indices and the sign of sorting them; None if one repeats."""
+    if len(set(dvars)) != len(dvars):
         return None, 0
-    merged = tuple(sorted(a + b))
-    sign = 1
-    # count transpositions needed to sort the concatenation
-    concat = a + b
-    for i in range(len(concat)):
-        for j in range(i + 1, len(concat)):
-            if concat[i] > concat[j]:
-                sign = -sign
-    return merged, sign
+    return tuple(sorted(dvars)), perm_sign(dvars)
 
 
 def wedge(x: Form, y: Form) -> Form:
     """Graded-commutative exterior product."""
     x._chk(y)
-    out: dict[tuple[int, ...], Poly] = {}
+    acc: dict[tuple[int, ...], dict] = {}
+    y_items = list(y.terms.items())
     for dv1, p1 in x.terms.items():
-        for dv2, p2 in y.terms.items():
-            merged, sign = _merge_wedge(dv1, dv2)
+        for dv2, p2 in y_items:
+            merged, sign = _sort_wedge(dv1 + dv2)
             if merged is None:
                 continue
-            contrib = p1 * p2 * sign
-            s = out.get(merged, Poly.zero(x.ctx)) + contrib
-            if s:
-                out[merged] = s
-            else:
-                out.pop(merged, None)
-    return Form(x.ctx, out)
+            _mul_into(acc.setdefault(merged, {}), p1.terms, p2.terms, sign)
+    return Form._from_acc(x.ctx, acc)
 
 
 def wedge_all(forms: Iterable[Form]) -> Form:
@@ -440,17 +510,16 @@ def wedge_all(forms: Iterable[Form]) -> Form:
 
 def d(a: Form) -> Form:
     """Formal exterior derivative, term by term."""
-    out = Form.zero(a.ctx)
+    acc: dict[tuple[int, ...], dict] = {}
     for dv, p in a.terms.items():
         for i in range(a.ctx.nvars):
-            dp = p.diff(i)
-            if not dp:
-                continue
-            merged, sign = _merge_wedge((i,), dv)
+            merged, sign = _sort_wedge((i,) + dv)
             if merged is None:
                 continue
-            out = out + Form(a.ctx, {merged: dp * sign})
-    return out
+            dp = p.diff(i)
+            if dp:
+                _add_into(acc.setdefault(merged, {}), dp.terms, sign)
+    return Form._from_acc(a.ctx, acc)
 
 
 @dataclass(frozen=True)
@@ -483,22 +552,20 @@ def pullback(m: CoordMap, a: Form) -> Form:
     if a.ctx != m.target:
         raise ContextError("form context does not match the map's target")
     images = {i: p for i, p in enumerate(m.image_list)}
-    out = Form.zero(m.source)
+    dimages = m.differential_images
+    acc: dict[tuple[int, ...], dict] = {}
     for dv, p in a.terms.items():
+        if any(dimages[i].is_zero for i in dv):
+            continue
         coeff = p.substitute(images, m.source)
         if not coeff:
             continue
         term = Form.from_poly(coeff)
-        dead = False
         for i in dv:
-            di = m.differential_images[i]
-            if di.is_zero:
-                dead = True
-                break
-            term = wedge(term, di)
-        if not dead and term:
-            out = out + term
-    return out
+            term = wedge(term, dimages[i])
+        for dv2, q in term.terms.items():
+            _add_into(acc.setdefault(dv2, {}), q.terms)
+    return Form._from_acc(m.source, acc)
 
 
 @functools.lru_cache(maxsize=None)
@@ -575,27 +642,14 @@ def group_whitney_extended(ctx: CoordSystem, group: int,
     fact = 1
     for k in range(1, q + 1):
         fact *= k
-    out = Form.zero(ctx)
+    acc: dict[tuple[int, ...], dict] = {}
     for k in range(q + 1):
-        dvars = tuple(idx[:k] + idx[k + 1:])
-        coeff = Poly.variable(ctx, idx[k]) * Q((-1) ** k * fact)
-        wedge_sorted, sign = _sort_wedge(dvars)
+        wedge_sorted, sign = _sort_wedge(tuple(idx[:k] + idx[k + 1:]))
         if wedge_sorted is None:
             continue
-        out = out + Form(ctx, {wedge_sorted: coeff * sign})
-    return out
-
-
-def _sort_wedge(dvars: tuple[int, ...]):
-    if len(set(dvars)) != len(dvars):
-        return None, 0
-    sign = 1
-    lst = list(dvars)
-    for i in range(len(lst)):
-        for j in range(i + 1, len(lst)):
-            if lst[i] > lst[j]:
-                sign = -sign
-    return tuple(sorted(lst)), sign
+        _add_into(acc.setdefault(wedge_sorted, {}), Poly.variable(ctx, idx[k]).terms,
+                  sign * (-1) ** k * fact)
+    return Form._from_acc(ctx, acc)
 
 
 def group_whitney(ctx: CoordSystem, group: int) -> Form:
@@ -664,7 +718,7 @@ def vertical_part(a: Form) -> Form:
     base = set(a.ctx.base_groups)
     keep = {dv: p for dv, p in a.terms.items()
             if not any(a.ctx.group_of[i] in base for i in dv)}
-    return Form(a.ctx, keep)
+    return Form._make(a.ctx, keep)
 
 
 def is_fiberwise_zero(a: Form) -> bool:
@@ -741,7 +795,7 @@ def integrate_fiber(a: Form) -> Poly:
     c = pullback(m, a)
     fiber_full = tuple(i for g in ctx.fiber_groups for i in ctx.group_vars[g][1:])
     base_vars = set(i for g in ctx.base_groups for i in ctx.group_vars[g])
-    total = Poly.zero(ctx)
+    acc: dict = {}
     for dv, p in c.terms.items():
         if dv != fiber_full:
             raise DegreeError("not a fiberwise top-degree vertical form")
@@ -751,9 +805,9 @@ def integrate_fiber(a: Form) -> Poly:
             block = Q(1)
             for g in ctx.fiber_groups:
                 block *= _dirichlet(e[i] for i in ctx.group_vars[g][1:])
-            mono = {tuple(n if i in base_vars else 0 for i, n in enumerate(e)): coeff * block}
-            total = total + Poly(ctx, mono)
-    return total
+            key = tuple(n if i in base_vars else 0 for i, n in enumerate(e))
+            acc[key] = acc.get(key, 0) + coeff * block
+    return Poly._make(ctx, _clean(acc))
 
 
 # ---------------------------------------------------------------------------
@@ -787,7 +841,7 @@ def poincare_primitive(a: Form, fiber_only: bool = False) -> Form:
         check = d(c)
     if not check.is_zero:
         raise FormError("form is not closed; no primitive exists")
-    out = Form.zero(ctx)
+    acc: dict[tuple[int, ...], dict] = {}
     for dv, p in c.terms.items():
         r = len([i for i in dv if i in cone_vars])
         if r == 0:
@@ -802,10 +856,9 @@ def poincare_primitive(a: Form, fiber_only: bool = False) -> Form:
                 if i not in cone_vars:
                     continue
                 rest = dv[:k] + dv[k + 1:]
-                sign = (-1) ** k
-                coeff = pm * Poly.variable(ctx, i) * scale * sign
-                out = out + Form(ctx, {rest: coeff})
-    return out
+                coeff = pm * Poly.variable(ctx, i)
+                _add_into(acc.setdefault(rest, {}), coeff.terms, scale * (-1) ** k)
+    return Form._from_acc(ctx, acc)
 
 
 def whitney_antiboundary(s: Simplex) -> Form:

@@ -30,10 +30,11 @@ def rational_from_str(s) -> Fraction:
     if isinstance(s, int):
         return Q(s)
     if isinstance(s, str):
-        if "/" in s:
-            num, den = s.split("/")
-            return Q(int(num), int(den))
-        return Q(int(s))
+        num, slash, den = s.partition("/")
+        try:
+            return Q(int(num), int(den)) if slash else Q(int(s))
+        except (ValueError, ZeroDivisionError):
+            pass
     raise ValidationError(f"expected an exact rational, got {s!r}")
 
 
@@ -111,7 +112,10 @@ def poly_from_list(ctx: CoordSystem, items: list) -> Poly:
         for name, n in item.get("exp", {}).items():
             if name not in ctx.index:
                 raise ValidationError(f"unknown variable {name!r} in polynomial")
-            e[ctx.index[name]] = int(n)
+            if type(n) is not int or n < 0:
+                raise ValidationError(
+                    f"exponent of {name!r} must be a non-negative integer, got {n!r}")
+            e[ctx.index[name]] = n
         terms[tuple(e)] = terms.get(tuple(e), Q(0)) + rational_from_str(item["c"])
     return Poly(ctx, terms)
 

@@ -279,9 +279,6 @@ class PrismalSet:
     def __len__(self):
         return len(self.cells)
 
-    def cells_of_dim(self, k: int):
-        return sorted(c for c in self.cells if c.dim == k)
-
     @property
     def dim(self):
         return max((c.dim for c in self.cells), default=-math.inf)
@@ -326,9 +323,6 @@ class SimplicialComplex:
         if key not in self._index:
             raise StructureError(f"no cell on vertices {sorted(key)}")
         return self._index[key]
-
-    def cells_of_dim(self, k: int):
-        return sorted(c for c in self.cells if c.dim == k)
 
     @property
     def dim(self) -> int:

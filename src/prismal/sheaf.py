@@ -20,7 +20,7 @@ from typing import Iterable
 
 from .mesh import (MeshError, Prism, PrismalSet, Simplex, SimplicialComplex,
                    SimplicialMorphism, join)
-from .forms import CoordMap, CoordSystem, Poly, pi_context, simplex_context
+from .forms import CoordMap, Poly, pi_context, simplex_context
 
 Q = Fraction
 
@@ -265,10 +265,6 @@ def psi_coordinate_map(f: SimplicialMorphism, sigma: Simplex) -> CoordMap:
         for v in fib.vertices:
             images[f"l:{v}"] = tj * Poly.variable(pctx, pctx.var(f"m:{j}", v))
     return CoordMap.build(pctx, sctx, images)
-
-
-def pi_cell_context(f: SimplicialMorphism, sigma: Simplex) -> CoordSystem:
-    return pi_context(f.image(sigma), f.fibers(sigma))
 
 
 # ---------------------------------------------------------------------------

@@ -300,8 +300,7 @@ def random_poly(ctx: CoordSystem, rng: random.Random, max_degree: int = 3) -> Po
     return Poly(ctx, terms)
 
 
-def verify_satrap_suite(max_p: int = 4, max_ell: int = 2, seed: int = 0,
-                        n_random: int = 20):
+def verify_satrap_suite(max_p: int = 4, max_ell: int = 2):
     reports = []
     for p in range(1, max_p + 1):
         for ell in range(0, min(max_ell, p - 1) + 1):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from prismal.mesh import Prism, Simplex, incidence_number
 from prismal.forms import (CoordMap, DegreeError,
-                           Form, Poly, canonicalize, d, de_form,
+                           Form, FormError, Poly, canonicalize, d, de_form,
                            eliminate_first, equal_mod_relations,
                            integrate_fiber,
                            integrate_top_form, is_fiberwise_zero, pi_context,
@@ -69,6 +69,19 @@ def test_d_constant_and_leibniz():
     expected = (wedge(dlam(CTX3, 0), dlam(CTX3, 2)) * lam(CTX3, 1)
                 + wedge(dlam(CTX3, 1), dlam(CTX3, 2)) * lam(CTX3, 0))
     assert d(a) == expected
+
+
+def test_poly_constructor_validates_exponents_and_coefficients():
+    ctx = simplex_context(S(0, 1))
+    for bad in ((-1, 0), (0.5, 0), ("1", 0)):
+        with pytest.raises(FormError):
+            Poly(ctx, {bad: 1})
+    p = Poly(ctx, {(True, 2): Q(6, 3), (0, 0): Q(1, 2), (1, 1): 0})
+    assert p.terms == {(1, 2): 2, (0, 0): Q(1, 2)}
+    assert [type(n) for e in p.terms for n in e] == [int] * 4
+    assert type(p.terms[(1, 2)]) is int
+    with pytest.raises(FormError):
+        lam(ctx, 0) ** -1
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,9 @@ def test_rational_strings():
     assert rational_from_str("3/4") == Q(3, 4)
     assert rational_from_str("-2") == Q(-2)
     assert rational_from_str(7) == Q(7)
-    with pytest.raises(ValidationError):
-        rational_from_str(1.5)
+    for bad in (1.5, "1/0", "abc", "1/2/3"):
+        with pytest.raises(ValidationError):
+            rational_from_str(bad)
 
 
 def test_complex_roundtrip_and_validation():
@@ -175,6 +176,23 @@ def test_cmd_primitive_validation_error(tmp_path, capsys):
     code = main(["primitive", "--complex", str(cpath), "--morphism", str(mpath),
                  "--form", str(bad), "--out", str(out)])
     assert code == 2
+
+
+@pytest.mark.parametrize("c, exp, message", [
+    ("1/0", {}, "'1/0'"), ("abc", {}, "'abc'"), ("1/2/3", {}, "'1/2/3'"),
+    ("1", {"l:0": -1}, "exponent of 'l:0'"), ("1", {"l:0": "2"}, "exponent of 'l:0'")])
+def test_cmd_primitive_malformed_polynomial_exit2(tmp_path, capsys, c, exp, message):
+    # one malformed term in an otherwise valid input: exit 2, no traceback
+    cpath, mpath, wpath = _write_fixture_files(tmp_path)
+    data = json.loads(wpath.read_text())
+    data["forms"][0]["terms"][0]["poly"].append({"c": c, "exp": exp})
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    out = tmp_path / "h.json"
+    code = main(["primitive", "--complex", str(cpath), "--morphism", str(mpath),
+                 "--form", str(bad), "--out", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_cmd_check_corrupted_fixture_exit2(tmp_path):

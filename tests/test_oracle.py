@@ -1,0 +1,188 @@
+"""Differential oracle: the exact kernel against sympy's rational arithmetic.
+
+Every kernel result is recomputed with an independent sympy implementation
+(its own substitution, exterior derivative, wedge sign and iterated
+integrals) and must agree exactly.  Every output coefficient must also obey
+the kernel's invariant: an int when integral, otherwise a Fraction.
+"""
+
+import itertools
+from fractions import Fraction as Q
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+sympy = pytest.importorskip("sympy")
+from sympy.combinatorics import Permutation  # noqa: E402
+
+from prismal.fixtures import five_over_two, triangle_fan  # noqa: E402
+from prismal.forms import (Form, Poly, canonicalize, integrate_top_form,  # noqa: E402
+                           pi_context, prism_context, pullback, simplex_context)
+from prismal.mesh import Prism, Simplex  # noqa: E402
+from prismal.sheaf import psi_coordinate_map  # noqa: E402
+
+ORACLE = settings(max_examples=30, deadline=None, derandomize=True)
+
+CTX3 = simplex_context(Simplex((0, 1, 2)))
+PCTX = pi_context(Simplex((100, 101)), (Simplex((0,)), Simplex((1, 2))))
+PRISM = prism_context(Prism((Simplex((0, 1)), Simplex((2, 3, 4)))))
+
+
+def symbols(ctx):
+    return sympy.symbols([f"x{i}" for i in range(ctx.nvars)])
+
+
+def to_sym(p: Poly):
+    xs = symbols(p.ctx)
+    return sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
+                       * sympy.Mul(*(x ** n for x, n in zip(xs, e)))
+                       for e, c in p.terms.items()))
+
+
+def form_to_sym(a: Form) -> dict:
+    return {dv: to_sym(p) for dv, p in a.terms.items()}
+
+
+def sym_equal(a: dict, b: dict) -> bool:
+    keys = set(a) | set(b)
+    return all(sympy.expand(a.get(k, 0) - b.get(k, 0)) == 0 for k in keys)
+
+
+def assert_invariant(obj):
+    polys = obj.terms.values() if isinstance(obj, Form) else [obj]
+    for p in polys:
+        for e, c in p.terms.items():
+            assert all(type(n) is int and n >= 0 for n in e)
+            assert c != 0
+            assert type(c) is int or (type(c) is Q and c.denominator != 1), repr(c)
+
+
+def sym_wedge(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for (i, p), (j, q) in itertools.product(a.items(), b.items()):
+        k = i + j
+        if len(set(k)) < len(k):
+            continue
+        order = sorted(range(len(k)), key=k.__getitem__)
+        sign = Permutation(order).signature() if len(k) > 1 else 1
+        key = tuple(sorted(k))
+        out[key] = out.get(key, 0) + sign * p * q
+    return out
+
+
+def sym_pullback(images: list, source_vars: list, target_vars: list, a: dict) -> dict:
+    """Pull back {wedge: coefficient} along target_var[i] = images[i]."""
+    subs = dict(zip(target_vars, images))
+    out: dict = {}
+    for dv, coeff in a.items():
+        term = {(): coeff.subs(subs, simultaneous=True)}
+        for i in dv:
+            term = sym_wedge(term, {(j,): sympy.diff(images[i], x)
+                                    for j, x in enumerate(source_vars)})
+        for k, v in term.items():
+            out[k] = out.get(k, 0) + v
+    return out
+
+
+def polys(ctx, max_degree=3, max_terms=4):
+    def build(items):
+        terms: dict = {}
+        for idxs, num, den in items:
+            e = [0] * ctx.nvars
+            for i in idxs:
+                e[i] += 1
+            terms[tuple(e)] = terms.get(tuple(e), 0) + Q(num, den)
+        return Poly(ctx, terms)
+    monomial = st.lists(st.integers(0, ctx.nvars - 1), max_size=max_degree)
+    return st.lists(st.tuples(monomial, st.integers(-6, 6), st.integers(1, 4)),
+                    min_size=1, max_size=max_terms).map(build)
+
+
+def forms(ctx, degree, max_degree=2):
+    combos = list(itertools.combinations(range(ctx.nvars), degree))
+    return st.lists(st.tuples(st.sampled_from(combos), polys(ctx, max_degree, 3)),
+                    min_size=1, max_size=3).map(lambda items: Form(ctx, dict(items)))
+
+
+@ORACLE
+@given(polys(PCTX), polys(PCTX))
+def test_poly_ring_operations(p, q):
+    for got, want in ((p * q, to_sym(p) * to_sym(q)),
+                      (p + q, to_sym(p) + to_sym(q)),
+                      (p - q, to_sym(p) - to_sym(q)),
+                      (p * Q(2, 3), to_sym(p) * sympy.Rational(2, 3)),
+                      (p ** 2, to_sym(p) ** 2)):
+        assert_invariant(got)
+        assert sympy.expand(to_sym(got) - want) == 0
+
+
+@ORACLE
+@given(polys(CTX3), st.lists(polys(PCTX, 2, 3), min_size=3, max_size=3))
+def test_poly_substitute(p, images):
+    got = p.substitute(dict(enumerate(images)), PCTX)
+    assert_invariant(got)
+    subs = dict(zip(symbols(CTX3), map(to_sym, images)))
+    want = to_sym(p).subs(subs, simultaneous=True)
+    assert sympy.expand(to_sym(got) - want) == 0
+
+
+def _elimination_images(ctx):
+    xs = symbols(ctx)
+    images = list(xs)
+    for gvars in ctx.group_vars:
+        images[gvars[-1]] = 1 - sum(xs[i] for i in gvars[:-1])
+    return images
+
+
+@ORACLE
+@given(st.integers(0, 3).flatmap(lambda r: forms(PCTX, r)))
+def test_canonicalize(a):
+    got = canonicalize(a)
+    assert_invariant(got)
+    xs = symbols(PCTX)
+    want = sym_pullback(_elimination_images(PCTX), xs, xs, form_to_sym(a))
+    assert sym_equal(form_to_sym(got), want)
+
+
+@pytest.mark.parametrize("f, sigma", [(triangle_fan(), Simplex((0, 2, 3))),
+                                      (five_over_two(), Simplex((0, 1, 2, 3, 4, 5)))],
+                         ids=["fan", "cube"])
+@ORACLE
+@given(data=st.data())
+def test_pullback_through_psi(f, sigma, data):
+    psi = psi_coordinate_map(f, sigma)
+    r = data.draw(st.integers(0, min(2, sigma.dim)))
+    a = data.draw(forms(psi.target, r))
+    got = pullback(psi, a)
+    assert_invariant(got)
+    images = [to_sym(p) for p in psi.image_list]
+    want = sym_pullback(images, symbols(psi.source), symbols(psi.target), form_to_sym(a))
+    assert sym_equal(form_to_sym(got), want)
+
+
+def sym_integrate(ctx, a: dict):
+    """Integral over the product of standard simplices, in the chart that
+    drops each group's first variable (vertex order gives the orientation)."""
+    xs = symbols(ctx)
+    images = list(xs)
+    for gvars in ctx.group_vars:
+        images[gvars[0]] = 1 - sum(xs[i] for i in gvars[1:])
+    reduced = sym_pullback(images, xs, xs, a)
+    full = tuple(i for gvars in ctx.group_vars for i in gvars[1:])
+    integrand = sympy.expand(reduced.get(full, 0))
+    for gvars in ctx.group_vars:
+        free = [xs[i] for i in gvars[1:]]
+        for k in reversed(range(len(free))):
+            upper = 1 - sum(free[:k])
+            integrand = sympy.integrate(integrand, (free[k], 0, upper))
+    return integrand
+
+
+@pytest.mark.parametrize("ctx", [CTX3, PRISM], ids=["simplex", "prism"])
+@ORACLE
+@given(data=st.data())
+def test_integrate_top_form_dirichlet(ctx, data):
+    a = data.draw(forms(ctx, ctx.cell_dim))
+    got = integrate_top_form(a)
+    assert type(got) in (int, Q)
+    assert sympy.Rational(got.numerator, got.denominator) == sym_integrate(ctx, form_to_sym(a))
