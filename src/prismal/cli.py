@@ -79,7 +79,10 @@ def cmd_primitive(args) -> int:
         f = _load_morphism(args)
         omega = forms_file_to_inputs(load_json(args.form), f.source)
         degrees = {deg for form in omega.values() for deg in form.degrees()}
-        r = args.degree if args.degree else (degrees.pop() if len(degrees) == 1 else 1)
+        if not args.degree and len(degrees) > 1:
+            raise ValidationError(
+                f"input forms have mixed degrees {sorted(degrees)}; pass --degree")
+        r = args.degree if args.degree else (degrees.pop() if degrees else 1)
     except (ValidationError, MeshError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2

@@ -5,6 +5,15 @@ each group carries the relation "sum of its variables = 1".  Forms are kept
 in the redundant variables; equality, degree and integration questions go
 through `canonicalize`, which eliminates the last variable of every group.
 
+Every chart of the package is "one dropped variable per group" (or none,
+for a group kept whole), and one kernel, `eliminate`, applies them all: the
+canonical chart, the first-variable chart of integration and the cone
+operator, its fiber-only variant, and the subface charts of the C
+coefficients.  The kernel scales the coefficients by their common
+denominator, accumulates the substitution x_drop = 1 - sum(rest) in
+integers with cached powers of (1 - sum(rest)), and divides once per output
+term.  The generic `pullback` remains for every other coordinate map.
+
 All coefficients are exact rationals, stored as a Python `int` when integral
 and as a `Fraction` otherwise, never as a float.  The public `Poly(...)` and
 `Form(...)` constructors validate and normalize their input to this
@@ -16,6 +25,7 @@ trusted `_make` constructors.  Division only ever happens through
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, index
@@ -568,30 +578,157 @@ def pullback(m: CoordMap, a: Form) -> Form:
     return Form._from_acc(m.source, acc)
 
 
-@functools.lru_cache(maxsize=None)
-def _elim_map(ctx: CoordSystem, drop_first: bool) -> CoordMap:
-    """Map ctx -> ctx eliminating the last (or first) variable of each group."""
-    images: dict[str, Poly] = {}
-    for gvars in ctx.group_vars:
-        drop = gvars[0] if drop_first else gvars[-1]
-        rest = [i for i in gvars if i != drop]
-        one_minus = Poly.const(ctx, 1)
+# ---------------------------------------------------------------------------
+# Elimination charts
+# ---------------------------------------------------------------------------
+#
+# A chart names, per coordinate group, the variable it drops, or None to keep
+# the group whole.  Eliminating substitutes x_drop = 1 - sum(rest) and
+# dx_drop = -sum(d rest) for each dropped variable; the one kernel below does
+# this for every chart in the package.
+
+Chart = tuple  # tuple[int | None, ...], one entry per group
+
+
+def elimination_chart(ctx: CoordSystem, drops: Iterable[int]) -> Chart:
+    """The chart dropping the given variables, at most one per group."""
+    chart: list[int | None] = [None] * len(ctx.groups)
+    for i in drops:
+        g = ctx.group_of[i]
+        if chart[g] is not None:
+            raise ContextError(f"a chart drops one variable per group; group {g} twice")
+        chart[g] = i
+    return tuple(chart)
+
+
+# bounded, because one process may meet many contexts; module-level, so that
+# `cache_clear` can reset them between independent runs
+@functools.lru_cache(maxsize=1 << 10)
+def _one_minus_power(ctx: CoordSystem, drop: int, k: int) -> dict:
+    """(1 - sum of the other variables of drop's group)^k, int coefficients.
+
+    The dropped variable fixes its group, so charts that drop the same
+    variable share these powers.  Callers must not mutate the result.
+    """
+    if k == 0:
+        return {(0,) * ctx.nvars: 1}
+    rest = [i for i in ctx.group_vars[ctx.group_of[drop]] if i != drop]
+    acc: dict = {}
+    for e, c in _one_minus_power(ctx, drop, k - 1).items():
+        acc[e] = acc.get(e, 0) + c
         for i in rest:
-            one_minus = one_minus - Poly.variable(ctx, i)
-        images[ctx.names[drop]] = one_minus
-        for i in rest:
-            images[ctx.names[i]] = Poly.variable(ctx, i)
-    return CoordMap.build(ctx, ctx, images)
+            e2 = e[:i] + (e[i] + 1,) + e[i + 1:]
+            acc[e2] = acc.get(e2, 0) - c
+    return {e: c for e, c in acc.items() if c}
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _wedge_expansion(ctx: CoordSystem, chart: Chart, dv: tuple[int, ...]
+                     ) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The wedge dv in the chart, as (sorted wedge, int coefficient) pairs."""
+    terms: dict[tuple[int, ...], int] = {(): 1}
+    for i in dv:
+        g = ctx.group_of[i]
+        if chart[g] == i:
+            factors = [(j, -1) for j in ctx.group_vars[g] if j != i]
+        else:
+            factors = [(i, 1)]
+        nxt: dict[tuple[int, ...], int] = {}
+        for w, c in terms.items():
+            for j, s in factors:
+                merged, sign = _sort_wedge(w + (j,))
+                if merged is not None:
+                    nxt[merged] = nxt.get(merged, 0) + c * s * sign
+        terms = {w: c for w, c in nxt.items() if c}
+    return tuple(terms.items())
+
+
+def _common_denominator(polys: Iterable[Poly]) -> int:
+    den = 1
+    for p in polys:
+        for c in p.terms.values():
+            if type(c) is not int:
+                den = math.lcm(den, c.denominator)
+    return den
+
+
+def _substitute_drops(ctx: CoordSystem, drops: tuple[int, ...], terms: Mapping,
+                      den: int) -> dict:
+    """den * terms with each dropped variable replaced by 1 - rest, in ints.
+
+    One dropped variable at a time, the monomials are grouped by their
+    exponent k on it, and each group meets (1 - rest)^k once.
+    """
+    cur = {e: c * den if type(c) is int else c.numerator * (den // c.denominator)
+           for e, c in terms.items()}
+    for i in drops:
+        groups: dict[int, dict] = {}
+        for e, c in cur.items():
+            k = e[i]
+            if k:
+                e = e[:i] + (0,) + e[i + 1:]
+            groups.setdefault(k, {})[e] = c
+        if len(groups) == 1 and 0 in groups:
+            continue
+        acc = groups.pop(0, {})
+        for k, mons in groups.items():
+            _mul_into(acc, mons, _one_minus_power(ctx, i, k))
+        cur = {e: c for e, c in acc.items() if c}
+    return cur
+
+
+def _unscale(acc: dict, den: int) -> dict:
+    """Divide an int accumulator by den once per term; drop the zeros."""
+    if den == 1:
+        return {e: c for e, c in acc.items() if c}
+    return {e: c // den if c % den == 0 else Fraction(c, den)
+            for e, c in acc.items() if c}
+
+
+def eliminate(a: Form, chart: Chart) -> Form:
+    """The form in the chart: each dropped variable becomes 1 - rest.
+
+    Coefficients are scaled by the common denominator of the input, so the
+    whole substitution accumulates in ints and divides once per output term.
+    """
+    ctx = a.ctx
+    drops = tuple(i for i in chart if i is not None)
+    den = _common_denominator(a.terms.values())
+    acc: dict[tuple[int, ...], dict] = {}
+    for dv, p in a.terms.items():
+        expansion = _wedge_expansion(ctx, chart, dv)
+        if not expansion:
+            continue
+        coeff = _substitute_drops(ctx, drops, p.terms, den)
+        for dv2, sign in expansion:
+            _add_into(acc.setdefault(dv2, {}), coeff, sign)
+    terms = {}
+    for dv, t in acc.items():
+        t = _unscale(t, den)
+        if t:
+            terms[dv] = Poly._make(ctx, t)
+    return Form._make(ctx, terms)
+
+
+def eliminate_poly(p: Poly, chart: Chart) -> Poly:
+    """The polynomial in the chart: each dropped variable becomes 1 - rest."""
+    den = _common_denominator((p,))
+    drops = tuple(i for i in chart if i is not None)
+    return Poly._make(p.ctx, _unscale(_substitute_drops(p.ctx, drops, p.terms, den), den))
+
+
+def _first_chart(ctx: CoordSystem, groups: Iterable[int]) -> Chart:
+    return elimination_chart(ctx, (ctx.group_vars[g][0] for g in groups))
 
 
 def canonicalize(a: Form) -> Form:
     """Normal form: substitute the last variable of each group by 1 - rest."""
-    return pullback(_elim_map(a.ctx, False), a)
+    return eliminate(a, elimination_chart(a.ctx, (gv[-1] for gv in a.ctx.group_vars)))
 
 
 def eliminate_first(a: Form) -> Form:
     """Chart used for integration and homotopy: drop each group's first variable."""
-    return pullback(_elim_map(a.ctx, True), a)
+    return eliminate(a, _first_chart(a.ctx, range(len(a.ctx.groups))))
 
 
 def equal_mod_relations(a: Form, b: Form) -> bool:
@@ -782,17 +919,7 @@ def integrate_fiber(a: Form) -> Poly:
     ctx = a.ctx
     if not ctx.base_groups:
         raise ContextError("context has no base group")
-    # eliminate first variable of fiber groups only
-    images: dict[str, Poly] = {n: Poly.variable(ctx, i) for n, i in ctx.index.items()}
-    for g in ctx.fiber_groups:
-        gvars = ctx.group_vars[g]
-        rest = gvars[1:]
-        one_minus = Poly.const(ctx, 1)
-        for i in rest:
-            one_minus = one_minus - Poly.variable(ctx, i)
-        images[ctx.names[gvars[0]]] = one_minus
-    m = CoordMap.build(ctx, ctx, images)
-    c = pullback(m, a)
+    c = eliminate(a, _first_chart(ctx, ctx.fiber_groups))
     fiber_full = tuple(i for g in ctx.fiber_groups for i in ctx.group_vars[g][1:])
     base_vars = set(i for g in ctx.base_groups for i in ctx.group_vars[g])
     acc: dict = {}
@@ -825,14 +952,7 @@ def poincare_primitive(a: Form, fiber_only: bool = False) -> Form:
     """
     ctx = a.ctx
     if fiber_only:
-        images: dict[str, Poly] = {n: Poly.variable(ctx, i) for n, i in ctx.index.items()}
-        for g in ctx.fiber_groups:
-            gvars = ctx.group_vars[g]
-            one_minus = Poly.const(ctx, 1)
-            for i in gvars[1:]:
-                one_minus = one_minus - Poly.variable(ctx, i)
-            images[ctx.names[gvars[0]]] = one_minus
-        c = pullback(CoordMap.build(ctx, ctx, images), a)
+        c = eliminate(a, _first_chart(ctx, ctx.fiber_groups))
         cone_vars = set(i for g in ctx.fiber_groups for i in ctx.group_vars[g][1:])
         check = vertical_part(canonicalize(d(c)))
     else:

@@ -38,6 +38,27 @@ def rational_from_str(s) -> Fraction:
     raise ValidationError(f"expected an exact rational, got {s!r}")
 
 
+def _field(obj, key: str, what: str):
+    """obj[key] of a JSON object, or a ValidationError naming `what`."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{what} must be an object, got {obj!r}")
+    if key not in obj:
+        raise ValidationError(f"{what} needs {key!r}")
+    return obj[key]
+
+
+def _vertex(v) -> int:
+    """A vertex label: an integer, or a string holding one."""
+    if type(v) is int:
+        return v
+    if isinstance(v, str):
+        try:
+            return int(v)
+        except ValueError:
+            pass
+    raise ValidationError(f"vertex labels must be integers, got {v!r}")
+
+
 # ---------------------------------------------------------------------------
 # Complexes and morphisms
 # ---------------------------------------------------------------------------
@@ -48,17 +69,18 @@ def complex_to_dict(cx: SimplicialComplex) -> dict:
 
 
 def complex_from_dict(dd: dict) -> SimplicialComplex:
-    if "maximal_simplices" not in dd:
-        raise ValidationError("complex file needs 'maximal_simplices'")
     cells = []
-    for raw in dd["maximal_simplices"]:
-        if len(set(raw)) != len(raw):
+    for raw in _field(dd, "maximal_simplices", "complex file"):
+        if not isinstance(raw, list):
+            raise ValidationError(f"a simplex must be a list of vertices, got {raw!r}")
+        verts = tuple(map(_vertex, raw))
+        if len(set(verts)) != len(verts):
             raise ValidationError(f"repeated vertex in simplex {raw}")
-        cells.append(Simplex(tuple(int(v) for v in raw)))
+        cells.append(Simplex(verts))
     cx = SimplicialComplex(cells)
     declared = dd.get("vertices")
-    if declared is not None and set(map(int, declared)) != set(cx.vertices):
-        missing = set(map(int, declared)) ^ set(cx.vertices)
+    if declared is not None and set(map(_vertex, declared)) != set(cx.vertices):
+        missing = set(map(_vertex, declared)) ^ set(cx.vertices)
         raise ValidationError(f"vertex list disagrees with simplices at {sorted(missing)}")
     return cx
 
@@ -67,7 +89,7 @@ def morphism_from_dict(dd: dict, source: SimplicialComplex,
                        target: SimplicialComplex) -> SimplicialMorphism:
     if "vertex_map" not in dd:
         raise ValidationError("morphism file needs 'vertex_map'")
-    vmap = {int(k): int(v) for k, v in dd["vertex_map"].items()}
+    vmap = {_vertex(k): _vertex(v) for k, v in dd["vertex_map"].items()}
     try:
         return SimplicialMorphism(source, target, vmap)
     except StructureError as exc:
@@ -108,15 +130,19 @@ def poly_to_list(p: Poly) -> list:
 def poly_from_list(ctx: CoordSystem, items: list) -> Poly:
     terms = {}
     for item in items:
+        c = rational_from_str(_field(item, "c", "polynomial term"))
+        exp = item.get("exp", {})
+        if not isinstance(exp, dict):
+            raise ValidationError(f"'exp' must be an object, got {exp!r}")
         e = [0] * ctx.nvars
-        for name, n in item.get("exp", {}).items():
+        for name, n in exp.items():
             if name not in ctx.index:
                 raise ValidationError(f"unknown variable {name!r} in polynomial")
             if type(n) is not int or n < 0:
                 raise ValidationError(
                     f"exponent of {name!r} must be a non-negative integer, got {n!r}")
             e[ctx.index[name]] = n
-        terms[tuple(e)] = terms.get(tuple(e), Q(0)) + rational_from_str(item["c"])
+        terms[tuple(e)] = terms.get(tuple(e), Q(0)) + c
     return Poly(ctx, terms)
 
 
@@ -133,14 +159,15 @@ def form_from_dict(dd: dict) -> Form:
     out = Form.zero(ctx)
     for item in dd.get("terms", []):
         dv = []
-        for name in item["dvars"]:
+        for name in _field(item, "dvars", "form term"):
             if name not in ctx.index:
                 raise ValidationError(f"unknown differential {name!r}")
             dv.append(ctx.index[name])
         if sorted(set(dv)) != dv:
             raise ValidationError(f"dvars must be strictly increasing: {item['dvars']}")
         # entries with a repeated wedge part accumulate
-        out = out + Form(ctx, {tuple(dv): poly_from_list(ctx, item["poly"])})
+        poly = poly_from_list(ctx, _field(item, "poly", "form term"))
+        out = out + Form(ctx, {tuple(dv): poly})
     return out
 
 
@@ -153,9 +180,7 @@ def forms_file_to_inputs(dd: dict, cx: SimplicialComplex) -> dict[Simplex, Form]
     entries = dd["forms"] if isinstance(dd, dict) and "forms" in dd else [dd]
     out: dict[Simplex, Form] = {}
     for entry in entries:
-        if "cell" not in entry:
-            raise ValidationError("form entry needs a 'cell'")
-        cell = Simplex(tuple(int(v) for v in entry["cell"]))
+        cell = Simplex(tuple(map(_vertex, _field(entry, "cell", "form entry"))))
         if cell not in cx:
             raise ValidationError(f"form cell {list(cell.vertices)} is not in the complex")
         ctx = CoordSystem((("l", cell.vertices),))

@@ -29,11 +29,11 @@ from typing import Iterable
 import numpy as np
 
 from .mesh import Prism, Simplex, SimplicialMorphism, reorder_sign
-from .forms import (CoordMap, CoordSystem, Form, Poly, canonicalize, d,
-                    de_form, equal_mod_relations, pi_context,
-                    poincare_primitive, pullback, restrict_to_face,
-                    simplex_context, vertical_part, wedge,
-                    whitney_relative_extended)
+from .forms import (Chart, CoordMap, CoordSystem, Form, Poly, canonicalize, d,
+                    de_form, eliminate_poly, elimination_chart,
+                    equal_mod_relations, pi_context, poincare_primitive,
+                    pullback, restrict_to_face, simplex_context,
+                    vertical_part, wedge, whitney_relative_extended)
 from .sheaf import pi_prism, psi_coordinate_map
 
 Q = Fraction
@@ -325,37 +325,27 @@ def admissible_drops(phi: RelFace) -> list[FaceDrop]:
 
 
 def _free_chart(pctx: CoordSystem, f: SimplicialMorphism, sigma: Simplex,
-                drop: "FaceDrop") -> tuple[CoordMap, list[int]]:
+                drop: "FaceDrop") -> tuple[Chart, list[int]]:
     """Chart of the trivial prism adapted to a subface pair (phi, gamma).
 
     In the removed vertex's block, that vertex's coordinate is eliminated;
     in every other fiber block a coordinate outside gamma is eliminated
-    when one exists, otherwise the block's last one.  Returns the chart map
-    and the surviving gamma coordinates (the scaling directions).
+    when one exists, otherwise the block's last one.  Returns the chart and
+    the surviving gamma coordinates (the scaling directions).
     """
-    fibers = f.fibers(sigma)
-    images: dict[str, Poly] = {n: Poly.variable(pctx, i)
-                               for n, i in pctx.index.items()}
-    eliminated: set[int] = set()
+    eliminated: list[int] = []
     gblocks = drop.gamma_blocks()
-    for j, fib in enumerate(fibers):
-        gvars = [pctx.var(f"m:{j}", v) for v in fib.vertices]
+    for j, fib in enumerate(f.fibers(sigma)):
         if j == drop.j:
-            elim = pctx.var(f"m:{j}", drop.removed)
+            v = drop.removed
         else:
             outside = [v for v in fib.vertices if v not in gblocks[j]]
-            elim = pctx.var(f"m:{j}", outside[-1] if outside else gblocks[j][-1])
-        one_minus = Poly.const(pctx, 1)
-        for i in gvars:
-            if i != elim:
-                one_minus = one_minus - Poly.variable(pctx, i)
-        images[pctx.names[elim]] = one_minus
-        eliminated.add(elim)
-    chart = CoordMap.build(pctx, pctx, images)
+            v = outside[-1] if outside else gblocks[j][-1]
+        eliminated.append(pctx.var(f"m:{j}", v))
     scaled = [pctx.var(f"m:{j}", v)
               for j, b in enumerate(gblocks) for v in b
               if pctx.var(f"m:{j}", v) not in eliminated]
-    return chart, scaled
+    return elimination_chart(pctx, eliminated), scaled
 
 
 def assemble_C(dec: FiberwiseDecomposition, f: SimplicialMorphism
@@ -385,8 +375,7 @@ def assemble_C(dec: FiberwiseDecomposition, f: SimplicialMorphism
         a_psi = compose_psi(dec.A[phi], psi)
         for drop in drops:
             chart, scaled = _free_chart(pctx, f, dec.sigma, drop)
-            flat = a_psi.substitute(
-                {i: p for i, p in enumerate(chart.image_list)}, pctx)
+            flat = eliminate_poly(a_psi, chart)
             q = drop.phi.blocks[drop.j].index(drop.removed)
             out[drop] = ode_solve(flat, r, scaled) * Q((-1) ** q, n)
     return out
@@ -532,7 +521,7 @@ def build_primitive_over(f: SimplicialMorphism, omega: dict[Simplex, Form],
     _match_across_prisms(f, tau, prisms, r)
     prim = RelativePrimitive(tau, prisms, n_counts=n_counts)
     for sigma, pd in prisms.items():
-        prim.H_S[sigma] = descend_form(pd.H, pd.pctx)
+        prim.H_S[sigma] = descend_form(pd.H, pd.psi.target)
     return prim
 
 
@@ -652,33 +641,34 @@ def _verify_overlaps(f, tau, prisms, edges) -> None:
                 "the input is not fiberwise exact over the open base cell")
 
 
-def assemble_H(cpart: Form, correction: Form) -> tuple[Form, tuple[Form, tuple[int, ...]]]:
+def assemble_H(cpart: Form, correction: Form, sctx: CoordSystem
+               ) -> tuple[Form, tuple[Form, tuple[int, ...]]]:
     """Full primitive on one trivial prism plus its descent data.
 
     The primitive is the C part plus the gluing correction; the second
-    return value is the cleared-denominator form on the simplex side whose
-    blow-down pullback reproduces it.
+    return value is the cleared-denominator form on the simplex side
+    (`sctx`) whose blow-down pullback reproduces it.
     """
     H = cpart + correction
-    return H, descend_form(H, H.ctx)
+    return H, descend_form(H, sctx)
 
 
 # ---------------------------------------------------------------------------
 # Descent to the raw sheaf
 # ---------------------------------------------------------------------------
 
-def descend_form(H: Form, pctx: CoordSystem) -> tuple[Form, tuple[int, ...]]:
+def descend_form(H: Form, sctx: CoordSystem) -> tuple[Form, tuple[int, ...]]:
     """Clear the blow-down substitution mu = lambda/u, t = u.
 
-    Returns (numerator N over the simplex context, exponents m per fiber
-    group) with pullback(psi, N) = t^m * H modulo the relations: the
-    simplex-side form N / prod u_j^{m_j} pulls back to H.
+    Returns (numerator N over the simplex context `sctx` of the source
+    cell, exponents m per fiber group) with pullback(psi, N) = t^m * H
+    modulo the relations: the simplex-side form N / prod u_j^{m_j} pulls
+    back to H.
     """
+    pctx = H.ctx
     groups = pctx.groups
     base_tag, base_verts = groups[0]
     fiber_groups = groups[1:]
-    all_vertices = tuple(v for _, verts in fiber_groups for v in verts)
-    sctx = simplex_context(Simplex(all_vertices))
 
     def u_poly(j: int) -> Poly:
         out = Poly.zero(sctx)
@@ -813,16 +803,15 @@ class HorizontalReport:
         return all(self.matches.values())
 
 
-def check_horizontal(f: SimplicialMorphism, omega: dict[Simplex, Form],
-                     prim: RelativePrimitive, tau_face: Simplex,
-                     r: int = 1) -> HorizontalReport:
-    """Compare the specialized primitive with the one built over the face.
+def check_horizontal(f: SimplicialMorphism, prim: RelativePrimitive,
+                     prim_face: RelativePrimitive) -> HorizontalReport:
+    """Compare the specialized primitive with the one built over a face.
 
+    `prim_face` is the primitive over a face of `prim`'s base simplex.
     Terms whose t-monomial involves a lost vertex vanish on the face; the
     surviving part must coincide with the face pipeline's primitive.
     """
-    tau = prim.tau
-    prim_face = build_primitive_over(f, omega, tau_face, r)
+    tau, tau_face = prim.tau, prim_face.tau
     vanished = surviving = 0
     matches: dict[Simplex, bool] = {}
     for sigma, pd in prim.prisms.items():
@@ -905,8 +894,7 @@ def build_relative_primitive(f: SimplicialMorphism, omega: dict[Simplex, Form],
         for tau, prim in prims.items():
             for tau_face in sorted(f.target.cells):
                 if tau_face.vset < tau.vset and tau_face in prims:
-                    horizontal.append(
-                        check_horizontal(f, omega, prim, tau_face, r))
+                    horizontal.append(check_horizontal(f, prim, prims[tau_face]))
     return PrimitiveResult(prims, horizontal)
 
 

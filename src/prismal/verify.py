@@ -17,7 +17,8 @@ from fractions import Fraction
 from .mesh import (Prism, Simplex, SimplicialComplex, SimplicialMorphism,
                    incidence_number, prism_incidence)
 from .forms import (CoordSystem, Form, Poly, canonicalize, d, de_form,
-                    group_whitney, group_whitney_extended, integrate_fiber,
+                    eliminate_poly, elimination_chart, group_whitney,
+                    group_whitney_extended, integrate_fiber,
                     pi_context, prism_context, pullback, restrict_to_face,
                     simplex_context, wedge, wedge_all, whitney,
                     whitney_antiboundary, whitney_extended, whitney_prism,
@@ -262,13 +263,7 @@ def _satrapaz_rhs(ctx: CoordSystem, p: int, ell: int, E: Poly) -> Form:
     rhs = Form.zero(ctx)
     for h in range(ell + 1, p + 1):
         # substitute the h-th coordinate by 1 - sum(others)
-        one_minus = Poly.const(ctx, 1)
-        for i in range(p + 1):
-            if i != h:
-                one_minus = one_minus - Poly.variable(ctx, i)
-        images = {i: (one_minus if i == h else Poly.variable(ctx, i))
-                  for i in range(p + 1)}
-        Eh = E.substitute(images, ctx)
+        Eh = eliminate_poly(E, elimination_chart(ctx, (h,)))
         coeff = Eh
         for i in range(p + 1):
             if i != h:

@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 import pytest
 
 from prismal.cli import main
-from prismal.fixtures import triangle_fan
+from prismal.fixtures import tetra_pair_over_triangle, triangle_fan
 from prismal.forms import Form, Poly, d, simplex_context
 from prismal.io import (ValidationError, complex_from_dict, complex_to_dict,
                         form_from_dict, form_to_dict, forms_file_to_inputs,
@@ -88,8 +88,9 @@ def test_forms_file_referential_integrity():
 # CLI
 # ---------------------------------------------------------------------------
 
-def _write_fixture_files(tmp_path, pairs=((2, 3), (3, 4), (0, 3), (3, 5))):
-    f = triangle_fan()
+def _write_fixture_files(tmp_path, pairs=((2, 3), (3, 4), (0, 3), (3, 5)),
+                         fixture=triangle_fan):
+    f = fixture()
     cpath = tmp_path / "c.json"
     mpath = tmp_path / "f.json"
     wpath = tmp_path / "w.json"
@@ -178,21 +179,81 @@ def test_cmd_primitive_validation_error(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("c, exp, message", [
-    ("1/0", {}, "'1/0'"), ("abc", {}, "'abc'"), ("1/2/3", {}, "'1/2/3'"),
-    ("1", {"l:0": -1}, "exponent of 'l:0'"), ("1", {"l:0": "2"}, "exponent of 'l:0'")])
-def test_cmd_primitive_malformed_polynomial_exit2(tmp_path, capsys, c, exp, message):
-    # one malformed term in an otherwise valid input: exit 2, no traceback
-    cpath, mpath, wpath = _write_fixture_files(tmp_path)
-    data = json.loads(wpath.read_text())
-    data["forms"][0]["terms"][0]["poly"].append({"c": c, "exp": exp})
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(data))
+def _poly_item(item):
+    def edit(files):
+        files["form"]["forms"][0]["terms"][0]["poly"].append(item)
+    return edit
+
+
+def _form_term(term):
+    def edit(files):
+        files["form"]["forms"][0]["terms"].append(term)
+    return edit
+
+
+def _first_vertex(v):
+    def edit(files):
+        files["complex"]["maximal_simplices"][0][0] = v
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(_poly_item({"c": "1/0", "exp": {}}), "'1/0'", id="1/0-exp0-'1/0'"),
+    pytest.param(_poly_item({"c": "abc", "exp": {}}), "'abc'", id="abc-exp1-'abc'"),
+    pytest.param(_poly_item({"c": "1/2/3", "exp": {}}), "'1/2/3'", id="1/2/3-exp2-'1/2/3'"),
+    pytest.param(_poly_item({"c": "1", "exp": {"l:0": -1}}), "exponent of 'l:0'",
+                 id="1-exp3-exponent of 'l:0'"),
+    pytest.param(_poly_item({"c": "1", "exp": {"l:0": "2"}}), "exponent of 'l:0'",
+                 id="1-exp4-exponent of 'l:0'"),
+    pytest.param(_poly_item({"exp": {"l:0": 1}}), "polynomial term needs 'c'", id="no-c"),
+    pytest.param(_form_term(["l:0"]), "form term must be an object", id="term-not-object"),
+    pytest.param(_first_vertex(0.5), "vertex labels must be integers, got 0.5",
+                 id="vertex-not-integer")])
+def test_cmd_primitive_malformed_polynomial_exit2(tmp_path, capsys, edit, message):
+    # one malformed item in an otherwise valid input: exit 2, no traceback
+    paths = dict(zip(("complex", "morphism", "form"), _write_fixture_files(tmp_path)))
+    files = {name: json.loads(path.read_text()) for name, path in paths.items()}
+    edit(files)
+    for name, path in paths.items():
+        path.write_text(json.dumps(files[name]))
     out = tmp_path / "h.json"
-    code = main(["primitive", "--complex", str(cpath), "--morphism", str(mpath),
-                 "--form", str(bad), "--out", str(out)])
+    code = main(["primitive", "--complex", str(paths["complex"]),
+                 "--morphism", str(paths["morphism"]), "--form", str(paths["form"]),
+                 "--out", str(out)])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+def test_cmd_primitive_mixed_degrees_exit2(tmp_path, capsys):
+    # a 2-form term next to the 1-form input, and no --degree to choose
+    cpath, mpath, wpath = _write_fixture_files(tmp_path)
+    data = json.loads(wpath.read_text())
+    cell = data["forms"][0]["cell"]
+    data["forms"][0]["terms"].append(
+        {"dvars": [f"l:{cell[0]}", f"l:{cell[1]}"], "poly": [{"c": "1", "exp": {}}]})
+    wpath.write_text(json.dumps(data))
+    out = tmp_path / "h.json"
+    code = main(["primitive", "--complex", str(cpath), "--morphism", str(mpath),
+                 "--form", str(wpath), "--out", str(out)])
+    assert code == 2
+    assert "mixed degrees [1, 2]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cmd_primitive_tetra_pair_descent(tmp_path):
+    # the source cell (1, 4, 2, 3) is not listed fiber by fiber; its descent
+    # numerator must live in the cell's own simplex context
+    cpath, mpath, wpath = _write_fixture_files(
+        tmp_path, pairs=((1, 2), (2, 3)), fixture=tetra_pair_over_triangle)
+    out = tmp_path / "h.json"
+    code = main(["primitive", "--complex", str(cpath), "--morphism", str(mpath),
+                 "--form", str(wpath), "--out", str(out), "--degree", "1",
+                 "--check-horizontal"])
+    assert code in (0, 1)
+    data = json.loads(out.read_text())
+    verified = [hs["descent_verified"] for cell in data["base_cells"].values()
+                for hs in cell["H_S"].values()]
+    assert verified and all(verified)
 
 
 def test_cmd_check_corrupted_fixture_exit2(tmp_path):

@@ -16,7 +16,8 @@ sympy = pytest.importorskip("sympy")
 from sympy.combinatorics import Permutation  # noqa: E402
 
 from prismal.fixtures import five_over_two, triangle_fan  # noqa: E402
-from prismal.forms import (Form, Poly, canonicalize, integrate_top_form,  # noqa: E402
+from prismal.forms import (CoordSystem, Form, Poly, canonicalize,  # noqa: E402
+                           eliminate, eliminate_poly, integrate_top_form,
                            pi_context, prism_context, pullback, simplex_context)
 from prismal.mesh import Prism, Simplex  # noqa: E402
 from prismal.sheaf import psi_coordinate_map  # noqa: E402
@@ -84,7 +85,7 @@ def sym_pullback(images: list, source_vars: list, target_vars: list, a: dict) ->
     return out
 
 
-def polys(ctx, max_degree=3, max_terms=4):
+def polys(ctx, max_degree=3, max_terms=4, dens=st.integers(1, 4)):
     def build(items):
         terms: dict = {}
         for idxs, num, den in items:
@@ -94,13 +95,13 @@ def polys(ctx, max_degree=3, max_terms=4):
             terms[tuple(e)] = terms.get(tuple(e), 0) + Q(num, den)
         return Poly(ctx, terms)
     monomial = st.lists(st.integers(0, ctx.nvars - 1), max_size=max_degree)
-    return st.lists(st.tuples(monomial, st.integers(-6, 6), st.integers(1, 4)),
+    return st.lists(st.tuples(monomial, st.integers(-6, 6), dens),
                     min_size=1, max_size=max_terms).map(build)
 
 
-def forms(ctx, degree, max_degree=2):
+def forms(ctx, degree, max_degree=2, dens=st.integers(1, 4)):
     combos = list(itertools.combinations(range(ctx.nvars), degree))
-    return st.lists(st.tuples(st.sampled_from(combos), polys(ctx, max_degree, 3)),
+    return st.lists(st.tuples(st.sampled_from(combos), polys(ctx, max_degree, 3, dens)),
                     min_size=1, max_size=3).map(lambda items: Form(ctx, dict(items)))
 
 
@@ -142,6 +143,42 @@ def test_canonicalize(a):
     xs = symbols(PCTX)
     want = sym_pullback(_elimination_images(PCTX), xs, xs, form_to_sym(a))
     assert sym_equal(form_to_sym(got), want)
+
+
+@st.composite
+def charted_forms(draw):
+    """A context of one to three groups (one-vertex groups included), a chart
+    dropping one variable or none per group, and a 0-, 1- or 2-form whose
+    coefficients mix several denominators."""
+    groups, start = [], 0
+    for g, size in enumerate(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))):
+        tag = "t" if g == 0 and draw(st.booleans()) else f"m:{g}"
+        groups.append((tag, tuple(range(start, start + size))))
+        start += size
+    ctx = CoordSystem(tuple(groups))
+    chart = tuple(draw(st.none() | st.sampled_from(gvars)) for gvars in ctx.group_vars)
+    degree = draw(st.integers(0, min(2, ctx.nvars)))
+    a = draw(forms(ctx, degree, 4, st.sampled_from((1, 2, 3, 4, 5, 6, 9, 10))))
+    return chart, a
+
+
+@ORACLE
+@given(charted_forms())
+def test_elimination_kernel(case):
+    chart, a = case
+    xs = symbols(a.ctx)
+    images = list(xs)
+    for gvars, drop in zip(a.ctx.group_vars, chart):
+        if drop is not None:
+            images[drop] = 1 - sum(xs[i] for i in gvars if i != drop)
+    got = eliminate(a, chart)
+    assert_invariant(got)
+    assert sym_equal(form_to_sym(got), sym_pullback(images, xs, xs, form_to_sym(a)))
+    for p in a.terms.values():
+        got = eliminate_poly(p, chart)
+        assert_invariant(got)
+        want = to_sym(p).subs(dict(zip(xs, images)), simultaneous=True)
+        assert sympy.expand(to_sym(got) - want) == 0
 
 
 @pytest.mark.parametrize("f, sigma", [(triangle_fan(), Simplex((0, 2, 3))),

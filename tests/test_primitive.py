@@ -323,7 +323,7 @@ def test_assemble_H_zero_input():
     dec = extract_A(Form.zero(sc), f, sigma, 1)
     C = assemble_C(dec, f)
     cp = c_part_form(dec, C, f)
-    H, descended = assemble_H(cp, Form.zero(cp.ctx))
+    H, descended = assemble_H(cp, Form.zero(cp.ctx), sc)
     assert H.is_zero and descended[0].is_zero
 
 
@@ -352,7 +352,7 @@ def test_horizontal_vanishing_and_survival_counts():
     f = triangle_fan()
     omega = global_input(f, [(2, 3)])
     prim = build_primitive_over(f, omega, S(100, 101), 1)
-    rep = check_horizontal(f, omega, prim, S(100,), 1)
+    rep = check_horizontal(f, prim, build_primitive_over(f, omega, S(100,), 1))
     assert rep.vanished_terms > 0 and rep.ok
 
 
