@@ -52,7 +52,7 @@ def main():
     result = build_relative_primitive(f, omega, r=1)
     print("\nprimitive pipeline:")
     for tau, prim in sorted(result.primitives.items()):
-        residuals = verify_theodg(f, omega, prim)
+        residuals = verify_theodg(prim)
         for sigma, pd in sorted(prim.prisms.items()):
             tag = "corrected" if not pd.correction.is_zero else "direct"
             print(f"  over {tau}, cell {sigma}: residual "

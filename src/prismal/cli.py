@@ -43,7 +43,7 @@ def cmd_check(args) -> int:
 def _load_morphism(args):
     cx = complex_from_dict(load_json(args.complex))
     morph_data = load_json(args.morphism)
-    if "target" in morph_data:
+    if isinstance(morph_data, dict) and "target" in morph_data:
         target = complex_from_dict(morph_data["target"])
     elif args.target:
         target = complex_from_dict(load_json(args.target))
@@ -79,10 +79,10 @@ def cmd_primitive(args) -> int:
         f = _load_morphism(args)
         omega = forms_file_to_inputs(load_json(args.form), f.source)
         degrees = {deg for form in omega.values() for deg in form.degrees()}
-        if not args.degree and len(degrees) > 1:
+        if args.degree is None and len(degrees) > 1:
             raise ValidationError(
                 f"input forms have mixed degrees {sorted(degrees)}; pass --degree")
-        r = args.degree if args.degree else (degrees.pop() if degrees else 1)
+        r = args.degree if args.degree is not None else (degrees.pop() if degrees else 1)
     except (ValidationError, MeshError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
@@ -100,7 +100,7 @@ def cmd_primitive(args) -> int:
     residual_failures = 0
     for tau, prim in result.primitives.items():
         cell_out = {"prisms": {}, "H_S": {}}
-        residuals = verify_theodg(f, omega, prim)
+        residuals = verify_theodg(prim)
         for sigma, pd in prim.prisms.items():
             key = ",".join(map(str, sigma.vertices))
             cdict = {}

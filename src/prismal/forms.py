@@ -12,7 +12,15 @@ operator, its fiber-only variant, and the subface charts of the C
 coefficients.  The kernel scales the coefficients by their common
 denominator, accumulates the substitution x_drop = 1 - sum(rest) in
 integers with cached powers of (1 - sum(rest)), and divides once per output
-term.  The generic `pullback` remains for every other coordinate map.
+term.
+
+Every coordinate map the package builds (the blow-down psi, face
+restrictions, horizontal specializations) is monomial: each target variable
+goes to a single term or to zero.  `Poly.substitute` maps such a monomial by
+exponent arithmetic alone, and `pullback` expands each wedge monomial of its
+input once, from the partial derivatives the map keeps per target variable,
+accumulating the products in integers scaled by a common denominator.
+Multi-term images still work, through cached powers.
 
 All coefficients are exact rationals, stored as a Python `int` when integral
 and as a `Fraction` otherwise, never as a float.  The public `Poly(...)` and
@@ -153,6 +161,29 @@ def _clean(acc: dict) -> dict:
     return {e: _int_if_integral(c) for e, c in acc.items() if c}
 
 
+def _common_denominator(term_maps: Iterable[Mapping]) -> int:
+    den = 1
+    for terms in term_maps:
+        for c in terms.values():
+            if type(c) is not int:
+                den = math.lcm(den, c.denominator)
+    return den
+
+
+def _scaled(terms: Mapping, den: int) -> dict:
+    """den * terms in ints; den must clear every denominator."""
+    return {e: c * den if type(c) is int else c.numerator * (den // c.denominator)
+            for e, c in terms.items()}
+
+
+def _unscale(acc: dict, den: int) -> dict:
+    """Divide an int accumulator by den once per term; drop the zeros."""
+    if den == 1:
+        return {e: c for e, c in acc.items() if c}
+    return {e: c // den if c % den == 0 else Fraction(c, den)
+            for e, c in acc.items() if c}
+
+
 def _add_into(acc: dict, terms: Mapping, scale=1) -> None:
     """acc += scale * terms, in place; `_clean` finishes the result."""
     get = acc.get
@@ -174,6 +205,43 @@ def _mul_into(acc: dict, a: Mapping, b: Mapping, scale=1) -> None:
             e = tuple(map(add, e1, e2))
             prev = get(e)
             acc[e] = c1 * c2 if prev is None else prev + c1 * c2
+
+
+def _monomial_images(images: Mapping[int, "Poly"]) -> dict | None:
+    """Each image as None (zero) or (sparse exponents, coefficient); None
+    when some image has more than one term."""
+    out: dict = {}
+    for i, p in images.items():
+        if len(p.terms) > 1:
+            return None
+        out[i] = None
+        for e, c in p.terms.items():
+            out[i] = (tuple((j, n) for j, n in enumerate(e) if n), c)
+    return out
+
+
+def _substitute_monomial(terms: Mapping, mono: Mapping, nvars: int) -> dict:
+    """The substitution of a monomial map, as an accumulator for `_clean`."""
+    acc: dict = {}
+    get = acc.get
+    zero = [0] * nvars
+    for e, c in terms.items():
+        out = zero[:]
+        for i, n in enumerate(e):
+            if n:
+                img = mono[i]
+                if img is None:
+                    break
+                sparse, ci = img
+                for j, k in sparse:
+                    out[j] += n * k
+                if ci != 1:
+                    c = c * ci ** n
+        else:
+            e2 = tuple(out)
+            prev = get(e2)
+            acc[e2] = c if prev is None else prev + c
+    return acc
 
 
 class Poly:
@@ -294,7 +362,15 @@ class Poly:
         return max((sum(e[i] for i in vs) for e in self.terms), default=0)
 
     def substitute(self, images: Mapping[int, "Poly"], target: CoordSystem) -> "Poly":
-        """Substitute every variable by its image polynomial over `target`."""
+        """Substitute every variable by its image polynomial over `target`.
+
+        When every image is a single term or zero (a monomial map), each
+        monomial maps by exponent arithmetic alone: e' = sum n_i e_i and
+        c' = c prod c_i^n_i.  Other images go through cached powers.
+        """
+        mono = _monomial_images(images)
+        if mono is not None:
+            return Poly._make(target, _clean(_substitute_monomial(self.terms, mono, target.nvars)))
         acc: dict = {}
         one = {(0,) * target.nvars: 1}
         cache: dict[tuple[int, int], Poly] = {}
@@ -395,6 +471,16 @@ class Form:
         terms = {}
         for dv, t in acc.items():
             t = _clean(t)
+            if t:
+                terms[dv] = Poly._make(ctx, t)
+        return cls._make(ctx, terms)
+
+    @classmethod
+    def _from_scaled(cls, ctx: CoordSystem, acc: dict, den: int) -> "Form":
+        """A form from per-wedge int accumulators holding den times it."""
+        terms = {}
+        for dv, t in acc.items():
+            t = _unscale(t, den)
             if t:
                 terms[dv] = Poly._make(ctx, t)
         return cls._make(ctx, terms)
@@ -553,29 +639,85 @@ class CoordMap:
         return tuple(p for _, p in self.images)
 
     @functools.cached_property
-    def differential_images(self) -> tuple[Form, ...]:
-        return tuple(d(Form.from_poly(p)) for p in self.image_list)
+    def monomials(self) -> dict | None:
+        """The images as `_monomial_images` reads them; None unless monomial."""
+        return _monomial_images(dict(enumerate(self.image_list)))
+
+    @functools.cached_property
+    def partials(self) -> tuple[tuple[tuple[int, dict], ...], ...]:
+        """Per target variable, (source var, terms) of each nonzero partial
+        derivative of its image: d(image) = sum of terms * d(source var)."""
+        out = []
+        for p in self.image_list:
+            present = sorted({j for e in p.terms for j, n in enumerate(e) if n})
+            out.append(tuple((j, q.terms) for j in present for q in (p.diff(j),) if q))
+        return tuple(out)
+
+
+def _wedge_of_partials(partials, dv: tuple[int, ...], memo: dict) -> dict:
+    """d(image_i1) ^ ... ^ d(image_ik) for dv = (i1, ..., ik), as
+    {sorted source wedge: coefficient terms}.
+
+    `memo` holds the expansions of the prefixes met so far in one
+    pullback, starting from {(): {(): {zero exponents: 1}}}.
+    """
+    k = len(dv)
+    while dv[:k] not in memo:
+        k -= 1
+    terms = memo[dv[:k]]
+    for n in range(k, len(dv)):
+        nxt: dict[tuple[int, ...], dict] = {}
+        for w, t in terms.items():
+            t_items = list(t.items())
+            for j, q in partials[dv[n]]:
+                merged, sign = _sort_wedge(w + (j,))
+                if merged is None:
+                    continue
+                dst = nxt.setdefault(merged, {})
+                get = dst.get
+                for e2, c2 in q.items():
+                    c2 *= sign
+                    for e1, c1 in t_items:
+                        e = tuple(map(add, e1, e2))
+                        prev = get(e)
+                        dst[e] = c1 * c2 if prev is None else prev + c1 * c2
+        terms = {}
+        for w, t in nxt.items():
+            t = {e: c for e, c in t.items() if c}
+            if t:
+                terms[w] = t
+        memo[dv[:n + 1]] = terms
+    return terms
 
 
 def pullback(m: CoordMap, a: Form) -> Form:
-    """Substitute coefficients and map each dvar to d(its image)."""
+    """Substitute the coefficients and map each dvar to d(its image).
+
+    Each wedge monomial of the input expands once, from the images' partial
+    derivatives (sharing prefixes with the monomials before it), and its
+    substituted coefficient multiplies into every output wedge of that
+    expansion in place, in ints scaled by the common denominator.
+    """
     if a.ctx != m.target:
         raise ContextError("form context does not match the map's target")
-    images = {i: p for i, p in enumerate(m.image_list)}
-    dimages = m.differential_images
-    acc: dict[tuple[int, ...], dict] = {}
+    images, mono, nvars = dict(enumerate(m.image_list)), m.monomials, m.source.nvars
+    memo = {(): {(): {(0,) * nvars: 1}}}
+    pieces = []
     for dv, p in a.terms.items():
-        if any(dimages[i].is_zero for i in dv):
-            continue
-        coeff = p.substitute(images, m.source)
-        if not coeff:
-            continue
-        term = Form.from_poly(coeff)
-        for i in dv:
-            term = wedge(term, dimages[i])
-        for dv2, q in term.terms.items():
-            _add_into(acc.setdefault(dv2, {}), q.terms)
-    return Form._from_acc(m.source, acc)
+        expansion = _wedge_of_partials(m.partials, dv, memo)
+        if expansion:
+            coeff = (_substitute_monomial(p.terms, mono, nvars) if mono is not None
+                     else p.substitute(images, m.source).terms)
+            pieces.append((coeff, expansion))
+    # both factors scale to ints, so the products accumulate in ints
+    den = _common_denominator(coeff for coeff, _ in pieces)
+    xden = _common_denominator(t for _, expansion in pieces for t in expansion.values())
+    acc: dict[tuple[int, ...], dict] = {}
+    for coeff, expansion in pieces:
+        scaled = _scaled(coeff, den)
+        for w, t in expansion.items():
+            _mul_into(acc.setdefault(w, {}), scaled, t if xden == 1 else _scaled(t, xden))
+    return Form._from_scaled(m.source, acc, den * xden)
 
 
 # ---------------------------------------------------------------------------
@@ -643,15 +785,6 @@ def _wedge_expansion(ctx: CoordSystem, chart: Chart, dv: tuple[int, ...]
     return tuple(terms.items())
 
 
-def _common_denominator(polys: Iterable[Poly]) -> int:
-    den = 1
-    for p in polys:
-        for c in p.terms.values():
-            if type(c) is not int:
-                den = math.lcm(den, c.denominator)
-    return den
-
-
 def _substitute_drops(ctx: CoordSystem, drops: tuple[int, ...], terms: Mapping,
                       den: int) -> dict:
     """den * terms with each dropped variable replaced by 1 - rest, in ints.
@@ -659,8 +792,7 @@ def _substitute_drops(ctx: CoordSystem, drops: tuple[int, ...], terms: Mapping,
     One dropped variable at a time, the monomials are grouped by their
     exponent k on it, and each group meets (1 - rest)^k once.
     """
-    cur = {e: c * den if type(c) is int else c.numerator * (den // c.denominator)
-           for e, c in terms.items()}
+    cur = _scaled(terms, den)
     for i in drops:
         groups: dict[int, dict] = {}
         for e, c in cur.items():
@@ -677,14 +809,6 @@ def _substitute_drops(ctx: CoordSystem, drops: tuple[int, ...], terms: Mapping,
     return cur
 
 
-def _unscale(acc: dict, den: int) -> dict:
-    """Divide an int accumulator by den once per term; drop the zeros."""
-    if den == 1:
-        return {e: c for e, c in acc.items() if c}
-    return {e: c // den if c % den == 0 else Fraction(c, den)
-            for e, c in acc.items() if c}
-
-
 def eliminate(a: Form, chart: Chart) -> Form:
     """The form in the chart: each dropped variable becomes 1 - rest.
 
@@ -693,7 +817,7 @@ def eliminate(a: Form, chart: Chart) -> Form:
     """
     ctx = a.ctx
     drops = tuple(i for i in chart if i is not None)
-    den = _common_denominator(a.terms.values())
+    den = _common_denominator(p.terms for p in a.terms.values())
     acc: dict[tuple[int, ...], dict] = {}
     for dv, p in a.terms.items():
         expansion = _wedge_expansion(ctx, chart, dv)
@@ -702,17 +826,12 @@ def eliminate(a: Form, chart: Chart) -> Form:
         coeff = _substitute_drops(ctx, drops, p.terms, den)
         for dv2, sign in expansion:
             _add_into(acc.setdefault(dv2, {}), coeff, sign)
-    terms = {}
-    for dv, t in acc.items():
-        t = _unscale(t, den)
-        if t:
-            terms[dv] = Poly._make(ctx, t)
-    return Form._make(ctx, terms)
+    return Form._from_scaled(ctx, acc, den)
 
 
 def eliminate_poly(p: Poly, chart: Chart) -> Poly:
     """The polynomial in the chart: each dropped variable becomes 1 - rest."""
-    den = _common_denominator((p,))
+    den = _common_denominator((p.terms,))
     drops = tuple(i for i in chart if i is not None)
     return Poly._make(p.ctx, _unscale(_substitute_drops(p.ctx, drops, p.terms, den), den))
 

@@ -47,6 +47,13 @@ def _field(obj, key: str, what: str):
     return obj[key]
 
 
+def _list(value, what: str) -> list:
+    """A JSON list, or a ValidationError naming `what`."""
+    if not isinstance(value, list):
+        raise ValidationError(f"{what} must be a list, got {value!r}")
+    return value
+
+
 def _vertex(v) -> int:
     """A vertex label: an integer, or a string holding one."""
     if type(v) is int:
@@ -70,16 +77,14 @@ def complex_to_dict(cx: SimplicialComplex) -> dict:
 
 def complex_from_dict(dd: dict) -> SimplicialComplex:
     cells = []
-    for raw in _field(dd, "maximal_simplices", "complex file"):
-        if not isinstance(raw, list):
-            raise ValidationError(f"a simplex must be a list of vertices, got {raw!r}")
-        verts = tuple(map(_vertex, raw))
+    for raw in _list(_field(dd, "maximal_simplices", "complex file"), "maximal_simplices"):
+        verts = tuple(map(_vertex, _list(raw, "a simplex")))
         if len(set(verts)) != len(verts):
             raise ValidationError(f"repeated vertex in simplex {raw}")
         cells.append(Simplex(verts))
     cx = SimplicialComplex(cells)
     declared = dd.get("vertices")
-    if declared is not None and set(map(_vertex, declared)) != set(cx.vertices):
+    if declared is not None and set(map(_vertex, _list(declared, "vertices"))) != set(cx.vertices):
         missing = set(map(_vertex, declared)) ^ set(cx.vertices)
         raise ValidationError(f"vertex list disagrees with simplices at {sorted(missing)}")
     return cx
@@ -87,9 +92,10 @@ def complex_from_dict(dd: dict) -> SimplicialComplex:
 
 def morphism_from_dict(dd: dict, source: SimplicialComplex,
                        target: SimplicialComplex) -> SimplicialMorphism:
-    if "vertex_map" not in dd:
-        raise ValidationError("morphism file needs 'vertex_map'")
-    vmap = {_vertex(k): _vertex(v) for k, v in dd["vertex_map"].items()}
+    vmap = _field(dd, "vertex_map", "morphism file")
+    if not isinstance(vmap, dict):
+        raise ValidationError(f"'vertex_map' must be an object, got {vmap!r}")
+    vmap = {_vertex(k): _vertex(v) for k, v in vmap.items()}
     try:
         return SimplicialMorphism(source, target, vmap)
     except StructureError as exc:
@@ -110,12 +116,14 @@ def context_to_dict(ctx: CoordSystem) -> dict:
 
 
 def context_from_dict(dd: dict) -> CoordSystem:
-    try:
-        groups = tuple((g["tag"], tuple(int(v) for v in g["vertices"]))
-                       for g in dd["groups"])
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed context: {exc}") from exc
-    return CoordSystem(groups)
+    groups = []
+    for g in _list(_field(dd, "groups", "context"), "context groups"):
+        tag = _field(g, "tag", "context group")
+        if not isinstance(tag, str):
+            raise ValidationError(f"a context tag must be a string, got {tag!r}")
+        verts = _list(_field(g, "vertices", "context group"), "context vertices")
+        groups.append((tag, tuple(map(_vertex, verts))))
+    return CoordSystem(tuple(groups))
 
 
 def poly_to_list(p: Poly) -> list:
@@ -129,7 +137,7 @@ def poly_to_list(p: Poly) -> list:
 
 def poly_from_list(ctx: CoordSystem, items: list) -> Poly:
     terms = {}
-    for item in items:
+    for item in _list(items, "a polynomial"):
         c = rational_from_str(_field(item, "c", "polynomial term"))
         exp = item.get("exp", {})
         if not isinstance(exp, dict):
@@ -155,12 +163,12 @@ def form_to_dict(form: Form) -> dict:
 
 
 def form_from_dict(dd: dict) -> Form:
-    ctx = context_from_dict(dd["context"])
+    ctx = context_from_dict(_field(dd, "context", "form"))
     out = Form.zero(ctx)
-    for item in dd.get("terms", []):
+    for item in _list(dd.get("terms", []), "form terms"):
         dv = []
-        for name in _field(item, "dvars", "form term"):
-            if name not in ctx.index:
+        for name in _list(_field(item, "dvars", "form term"), "dvars"):
+            if not isinstance(name, str) or name not in ctx.index:
                 raise ValidationError(f"unknown differential {name!r}")
             dv.append(ctx.index[name])
         if sorted(set(dv)) != dv:
@@ -177,10 +185,10 @@ def forms_file_to_inputs(dd: dict, cx: SimplicialComplex) -> dict[Simplex, Form]
     Each entry's context is the simplex context of its cell; an explicit
     "context" is honored but must match.
     """
-    entries = dd["forms"] if isinstance(dd, dict) and "forms" in dd else [dd]
+    entries = _list(dd["forms"], "forms") if isinstance(dd, dict) and "forms" in dd else [dd]
     out: dict[Simplex, Form] = {}
     for entry in entries:
-        cell = Simplex(tuple(map(_vertex, _field(entry, "cell", "form entry"))))
+        cell = Simplex(tuple(map(_vertex, _list(_field(entry, "cell", "form entry"), "cell"))))
         if cell not in cx:
             raise ValidationError(f"form cell {list(cell.vertices)} is not in the complex")
         ctx = CoordSystem((("l", cell.vertices),))

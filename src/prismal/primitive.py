@@ -30,7 +30,7 @@ import numpy as np
 
 from .mesh import Prism, Simplex, SimplicialMorphism, reorder_sign
 from .forms import (Chart, CoordMap, CoordSystem, Form, Poly, canonicalize, d,
-                    de_form, eliminate_poly, elimination_chart,
+                    de_form, eliminate, eliminate_poly, elimination_chart,
                     equal_mod_relations, pi_context, poincare_primitive,
                     pullback, restrict_to_face, simplex_context,
                     vertical_part, wedge, whitney_relative_extended)
@@ -264,11 +264,10 @@ def compose_psi(poly: Poly, psi: CoordMap) -> Poly:
     return poly.substitute(images, psi.source)
 
 
-def whitney_combination(dec: FiberwiseDecomposition, f: SimplicialMorphism) -> Form:
+def whitney_combination(dec: FiberwiseDecomposition, psi: CoordMap) -> Form:
     """The t-weighted relative Whitney combination of a coefficient family,
-    as a form on the trivial prism of sigma."""
-    sigma, tau = dec.sigma, dec.tau
-    psi = psi_coordinate_map(f, sigma)
+    as a form on the trivial prism of sigma (`psi` is sigma's blow-down)."""
+    tau = dec.tau
     pctx = psi.source
     out = Form.zero(pctx)
     for phi in dec.faces:
@@ -282,11 +281,10 @@ def whitney_combination(dec: FiberwiseDecomposition, f: SimplicialMorphism) -> F
 
 
 def decomposition_residual(eta: Form, dec: FiberwiseDecomposition,
-                    f: SimplicialMorphism) -> Form:
+                           psi: CoordMap) -> Form:
     """base volume ^ (pullback(eta) - Whitney combination), canonicalized."""
-    psi = psi_coordinate_map(f, dec.sigma)
     lhs = pullback(psi, eta)
-    combo = whitney_combination(dec, f)
+    combo = whitney_combination(dec, psi)
     return canonicalize(wedge(de_form(psi.source), lhs - combo))
 
 
@@ -348,8 +346,8 @@ def _free_chart(pctx: CoordSystem, f: SimplicialMorphism, sigma: Simplex,
     return elimination_chart(pctx, eliminated), scaled
 
 
-def assemble_C(dec: FiberwiseDecomposition, f: SimplicialMorphism
-               ) -> dict[FaceDrop, Poly]:
+def assemble_C(dec: FiberwiseDecomposition, f: SimplicialMorphism,
+               psi: CoordMap) -> dict[FaceDrop, Poly]:
     """Homothety solutions C~ per (phi, gamma), on the trivial prism.
 
     Each C~ is a polynomial in the base variables and the fiber coordinates
@@ -360,7 +358,6 @@ def assemble_C(dec: FiberwiseDecomposition, f: SimplicialMorphism
     r = dec.degree
     if r < 1:
         raise PrimitiveError("relative degree must be >= 1")
-    psi = psi_coordinate_map(f, dec.sigma)
     pctx = psi.source
     out: dict[FaceDrop, Poly] = {}
     for phi in dec.faces:
@@ -382,9 +379,8 @@ def assemble_C(dec: FiberwiseDecomposition, f: SimplicialMorphism
 
 
 def c_part_form(dec: FiberwiseDecomposition, C: dict[FaceDrop, Poly],
-                f: SimplicialMorphism) -> Form:
+                psi: CoordMap) -> Form:
     """sum over (phi, gamma) of t^{|phi|} C~ w(pi(gamma); pi(sigma))."""
-    psi = psi_coordinate_map(f, dec.sigma)
     pctx = psi.source
     out = Form.zero(pctx)
     for drop, ctil in C.items():
@@ -466,6 +462,7 @@ class RelativePrimitive:
     n_counts: dict[RelFace, int] = field(default_factory=dict)
 
     def residuals(self) -> dict[Simplex, Form]:
+        """The closing residual base-volume ^ (psi* omega - dH) per prism."""
         out = {}
         for sig, pd in self.prisms.items():
             out[sig] = canonicalize(
@@ -495,17 +492,17 @@ def build_primitive_over(f: SimplicialMorphism, omega: dict[Simplex, Form],
     n_counts: dict[RelFace, int] = {}
     for sigma in sigmas:
         eta = restrict_input(omega, sigma)
+        psi = psi_coordinate_map(f, sigma)
         dec = extract_A(eta, f, sigma, r)
-        res = decomposition_residual(eta, dec, f)
+        res = decomposition_residual(eta, dec, psi)
         if not res.is_zero:
             raise DecompositionError(
                 f"input on {sigma} has mixed fiber degree; residual {res}")
-        C = assemble_C(dec, f)
+        C = assemble_C(dec, f, psi)
         for phi in dec.faces:
             n_counts[phi] = len(admissible_drops(phi))
-        psi = psi_coordinate_map(f, sigma)
-        omega1 = whitney_combination(dec, f)
-        cpart = c_part_form(dec, C, f)
+        omega1 = whitney_combination(dec, psi)
+        cpart = c_part_form(dec, C, psi)
         delta = fiber_defect(omega1, cpart)
         if delta.is_zero:
             corr = Form.zero(psi.source)
@@ -664,98 +661,111 @@ def descend_form(H: Form, sctx: CoordSystem) -> tuple[Form, tuple[int, ...]]:
     cell, exponents m per fiber group) with pullback(psi, N) = t^m * H
     modulo the relations: the simplex-side form N / prod u_j^{m_j} pulls
     back to H.
+
+    A term c t^a mu^b dv of H becomes c u^a lambda^b W_dv / u^den, where
+    W_dv wedges du_j for each dt_j and u_j dlambda - lambda du_j (the
+    cleared d(lambda/u_j), den 2) for each dmu.  Over the common
+    denominator u^m, the terms are grouped by dv and by their leftover
+    power u^(a + m - den), so each power of u expands once per group; the
+    products run in ints, scaled by the common denominator of H.
     """
     pctx = H.ctx
-    groups = pctx.groups
-    base_tag, base_verts = groups[0]
-    fiber_groups = groups[1:]
-
-    def u_poly(j: int) -> Poly:
-        out = Poly.zero(sctx)
-        for v in fiber_groups[j][1]:
-            out = out + Poly.variable(sctx, sctx.var("l", v))
-        return out
-
-    def du_form(j: int) -> Form:
-        out = Form.zero(sctx)
-        for v in fiber_groups[j][1]:
-            out = out + Form.d_var(sctx, sctx.var("l", v))
-        return out
-
-    us = [u_poly(j) for j in range(len(fiber_groups))]
-    dus = [du_form(j) for j in range(len(fiber_groups))]
+    base_tag, base_verts = pctx.groups[0]
+    fiber_groups = pctx.groups[1:]
     nfib = len(fiber_groups)
-
-    # var index in pctx -> (kind, data)
-    kind: dict[int, tuple[str, int]] = {}
-    for j, y in enumerate(base_verts):
-        kind[pctx.var(base_tag, y)] = ("t", j)
+    t_group = {pctx.var(base_tag, y): j for j, y in enumerate(base_verts)}
+    lam: dict[int, tuple[int, int]] = {}  # mu var -> (fiber group, lambda var)
     for j, (tag, verts) in enumerate(fiber_groups):
         for v in verts:
-            kind[pctx.index[f"{tag}:{v}"]] = ("mu", j)
+            lam[pctx.index[f"{tag}:{v}"]] = (j, sctx.var("l", v))
+    us = [Poly.zero(sctx) for _ in range(nfib)]
+    dus = [Form.zero(sctx) for _ in range(nfib)]
+    for j, x in lam.values():
+        us[j] = us[j] + Poly.variable(sctx, x)
+        dus[j] = dus[j] + Form.d_var(sctx, x)
 
-    mu_vertex: dict[int, int] = {}
-    for j, (tag, verts) in enumerate(fiber_groups):
-        for v in verts:
-            mu_vertex[pctx.index[f"{tag}:{v}"]] = v
+    def cleared_d(i: int) -> Form:
+        if i in t_group:
+            return dus[t_group[i]]
+        j, x = lam[i]
+        return Form.d_var(sctx, x) * us[j] - dus[j] * Poly.variable(sctx, x)
 
-    by_denominator: dict[tuple[int, ...], Form] = {}
-
-    def add(den: tuple[int, ...], form: Form):
-        if den in by_denominator:
-            by_denominator[den] = by_denominator[den] + form
-        elif form:
-            by_denominator[den] = form
-
+    scale = math.lcm(1, *(c.denominator for p in H.terms.values() for c in p.terms.values()))
+    wedges: dict[tuple[int, ...], Form] = {}
+    terms = []  # (dv, den, a, lambda exponents, scale * c)
     for dv, p in H.terms.items():
+        w = Form.const(sctx, 1)
+        dv_den = [0] * nfib
+        for i in dv:
+            w = wedge(w, cleared_d(i))
+            if i in lam:
+                dv_den[lam[i][0]] += 2
+        if w.is_zero:
+            continue
+        wedges[dv] = w
         for e, c in p.terms.items():
-            den = [0] * nfib
-            num = Poly.const(sctx, c)
+            den, a, b = dv_den[:], [0] * nfib, [0] * sctx.nvars
             for i, n in enumerate(e):
                 if not n:
                     continue
-                k, j = kind[i]
-                if k == "t":
-                    num = num * us[j] ** n
+                if i in t_group:
+                    a[t_group[i]] += n
                 else:
-                    num = num * Poly.variable(sctx, sctx.var("l", mu_vertex[i])) ** n
+                    j, x = lam[i]
                     den[j] += n
-            term_form = Form.from_poly(num)
-            for i in dv:
-                k, j = kind[i]
-                if k == "t":
-                    term_form = wedge(term_form, dus[j])
-                else:
-                    lam = Poly.variable(sctx, sctx.var("l", mu_vertex[i]))
-                    dlam = Form.d_var(sctx, sctx.var("l", mu_vertex[i]))
-                    piece = dlam * us[j] - dus[j] * lam
-                    den[j] += 2
-                    term_form = wedge(term_form, piece)
-            add(tuple(den), term_form)
+                    b[x] += n
+            terms.append((dv, den, a, tuple(b), c.numerator * (scale // c.denominator)))
 
-    if not by_denominator:
+    if not terms:
         return Form.zero(sctx), (0,) * nfib
-    m = tuple(max(dd[j] for dd in by_denominator) for j in range(nfib))
+    m = tuple(max(den[j] for _, den, _, _, _ in terms) for j in range(nfib))
+    groups: dict[tuple[int, ...], dict[tuple[int, ...], dict]] = {}
+    for dv, den, a, b, c in terms:
+        k = tuple(a[j] + m[j] - den[j] for j in range(nfib))
+        mons = groups.setdefault(dv, {}).setdefault(k, {})
+        mons[b] = mons.get(b, 0) + c
+
+    powers: dict[tuple[int, int], Poly] = {}
+
+    def u_power(k: tuple[int, ...]) -> Poly:
+        out = Poly.const(sctx, 1)
+        for j, n in enumerate(k):
+            if n:
+                if (j, n) not in powers:
+                    powers[(j, n)] = us[j] ** n
+                out = out * powers[(j, n)]
+        return out
+
     out = Form.zero(sctx)
-    for den, form in by_denominator.items():
-        scale = Poly.const(sctx, 1)
-        for j in range(nfib):
-            scale = scale * us[j] ** (m[j] - den[j])
-        out = out + form * scale
-    return out, m
+    for dv, by_k in groups.items():
+        coeff = Poly.zero(sctx)
+        for k, mons in by_k.items():
+            coeff = coeff + Poly(sctx, mons) * u_power(k)
+        out = out + wedges[dv] * coeff
+    return (out if scale == 1 else out * Q(1, scale)), m
 
 
 def check_descent(H: Form, pctx: CoordSystem, psi: CoordMap,
                   descended: tuple[Form, tuple[int, ...]]) -> bool:
-    """pullback of the descended numerator equals t^m * H, canonically."""
+    """pullback of the descended numerator equals t^m * H, canonically.
+
+    The blow-down uses only the fiber relations (the block sum u_j pulls
+    back to t_j times sum mu_j = 1), so the difference is reduced in the
+    chart dropping the last variable of each fiber group first: there it
+    already cancels, before the base group's (1 - rest)^k expansions would
+    blow up terms about to vanish.  The canonical chart drops the same
+    variables (and the base one), so this is the literal-zero test of
+    `equal_mod_relations`.
+    """
     N, m = descended
     lhs = pullback(psi, N)
     t_mon = Poly.const(pctx, 1)
     base_tag, base_verts = pctx.groups[0]
-    # the block sum u_j pulls back to t_j (times a relation unit)
     for j, mj in enumerate(m):
         t_mon = t_mon * Poly.variable(pctx, pctx.var(base_tag, base_verts[j])) ** mj
-    return equal_mod_relations(lhs, H * t_mon)
+    fiber_chart = elimination_chart(
+        pctx, (pctx.group_vars[g][-1] for g in pctx.fiber_groups))
+    return canonicalize(eliminate(lhs - H * t_mon, fiber_chart)).is_zero
 
 
 # ---------------------------------------------------------------------------
@@ -863,22 +873,25 @@ class PrimitiveResult:
         return all(rep.ok for rep in self.horizontal)
 
 
-def verify_theodg(f: SimplicialMorphism, omega: dict[Simplex, Form],
-                  prim: RelativePrimitive) -> dict[Simplex, Form]:
-    """Residual base-volume ^ (psi*omega - dH) per prism; empty = success."""
-    out = {}
-    for sigma, pd in prim.prisms.items():
-        res = canonicalize(wedge(de_form(pd.pctx),
-                                 pullback(pd.psi, pd.eta) - d(pd.H)))
-        if not res.is_zero:
-            out[sigma] = res
-    return out
+def verify_theodg(prim: RelativePrimitive) -> dict[Simplex, Form]:
+    """The nonzero closing residuals of `prim`, per prism; empty = success."""
+    return {sigma: res for sigma, res in prim.residuals().items() if not res.is_zero}
 
 
 def build_relative_primitive(f: SimplicialMorphism, omega: dict[Simplex, Form],
                              r: int = 1, check_horizontal_faces: bool = True
                              ) -> PrimitiveResult:
-    """Run the pipeline over every base simplex with sources over it."""
+    """Run the pipeline over every base simplex with sources over it.
+
+    The degree must lie between 1 and the largest relative dimension of a
+    source cell; otherwise no base cell would carry the primitive.
+    """
+    if r < 1:
+        raise PrimitiveError(f"degree {r}: a relative primitive needs degree >= 1")
+    top = max(s.dim - f.image(s).dim for s in f.source.maximal)
+    if r > top:
+        raise PrimitiveError(
+            f"degree {r} exceeds the largest relative dimension {top} of the morphism")
     validate_input_family(omega)
     prims: dict[Simplex, RelativePrimitive] = {}
     for tau in sorted(f.target.cells):

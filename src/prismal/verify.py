@@ -22,7 +22,8 @@ from .forms import (CoordSystem, Form, Poly, canonicalize, d, de_form,
                     pi_context, prism_context, pullback, restrict_to_face,
                     simplex_context, wedge, wedge_all, whitney,
                     whitney_antiboundary, whitney_extended, whitney_prism,
-                    whitney_relative, whitney_relative_extended)
+                    whitney_prism_extended, whitney_relative,
+                    whitney_relative_extended)
 from .sheaf import psi_coordinate_map
 from . import fixtures as fixture_mod
 
@@ -86,14 +87,9 @@ def verify_lemcod_simplex(s: Simplex, face: Simplex) -> IdentityReport:
     return _report("lemcod.a", f"{s} face {face}", delta)
 
 
-def prism_whitney_extended(p: Prism, q: Prism) -> Form:
-    ctx = prism_context(p)
-    return wedge_all(group_whitney_extended(ctx, j, q.factors[j].vertices)
-                     for j in range(len(p.factors)))
-
-
 def verify_lemcod_prism(p: Prism, q: Prism) -> IdentityReport:
-    delta = canonicalize(d(prism_whitney_extended(p, q))
+    ext = whitney_prism_extended(prism_context(p), [f.vertices for f in q.factors])
+    delta = canonicalize(d(ext)
                          - whitney_prism(p) * Q(prism_incidence(p, q)))
     return _report("lemcod.b", f"{p} face {q}", delta)
 
@@ -165,7 +161,8 @@ def verify_lemcod_basis(p: Prism) -> IdentityReport:
     ctx = prism_context(p)
     fcs = codim1_prism_faces(p)
     slots: dict = {}
-    rows = [_form_vector(canonicalize(prism_whitney_extended(p, q)), ctx, slots)
+    rows = [_form_vector(canonicalize(
+                whitney_prism_extended(ctx, [f.vertices for f in q.factors])), ctx, slots)
             for q in fcs]
     rank = _rank(rows)
     if rank != len(fcs):

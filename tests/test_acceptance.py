@@ -148,7 +148,7 @@ def test_criterion_09_end_to_end_primitive():
     res1 = build_relative_primitive(f1, omega1, r=1)
     ok = ok and res1.all_residuals_zero() and res1.horizontal_ok()
     for tau, prim in res1.primitives.items():
-        ok = ok and not verify_theodg(f1, omega1, prim)
+        ok = ok and not verify_theodg(prim)
     f2 = tetra_pair_over_triangle()
     omega2 = _global_input(f2, [(1, 2), (2, 3), (2, 4)])
     res2 = build_relative_primitive(f2, omega2, r=1)

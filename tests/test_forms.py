@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from prismal.mesh import Prism, Simplex, incidence_number
 from prismal.forms import (CoordMap, DegreeError,
                            Form, FormError, Poly, canonicalize, d, de_form,
-                           eliminate_first, equal_mod_relations,
+                           eliminate, eliminate_first, elimination_chart,
+                           equal_mod_relations,
                            integrate_fiber,
                            integrate_top_form, is_fiberwise_zero, pi_context,
                            poincare_primitive, prism_context, pullback,
@@ -161,6 +162,32 @@ def test_canonicalize_is_homomorphism(a, b):
     assert canonicalize(a + b) == canonicalize(canonicalize(a) + canonicalize(b))
     assert canonicalize(wedge(a, b)) == canonicalize(wedge(canonicalize(a), canonicalize(b)))
     assert canonicalize(d(a)) == canonicalize(d(canonicalize(a)))
+
+
+@st.composite
+def pi_forms(draw):
+    """A 0-, 1- or 2-form with mixed denominators on a trivial prism
+    base x fiber_0 x ... x fiber_s of random sizes."""
+    base = S(*range(100, 100 + draw(st.integers(1, 3))))
+    fibers, v = [], 0
+    for _ in base.vertices:
+        size = draw(st.integers(1, 3))
+        fibers.append(S(*range(v, v + size)))
+        v += size
+    ctx = pi_context(base, fibers)
+    degree = draw(st.integers(0, 2))
+    a = draw(forms(ctx, degree, 3)) * Q(1, draw(st.sampled_from((1, 2, 3, 4))))
+    return a + draw(forms(ctx, degree, 3)) * Q(1, draw(st.sampled_from((1, 5, 6, 9))))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(pi_forms())
+def test_fiber_chart_first_keeps_canonical_form(a):
+    # the descent check reduces in the fiber chart before canonicalizing;
+    # the canonical form must not notice
+    ctx = a.ctx
+    fiber_chart = elimination_chart(ctx, (ctx.group_vars[g][-1] for g in ctx.fiber_groups))
+    assert canonicalize(eliminate(a, fiber_chart)) == canonicalize(a)
 
 
 def test_canonicalize_relations():

@@ -1,7 +1,11 @@
+import copy
 import json
+import tempfile
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prismal.cli import main
 from prismal.fixtures import tetra_pair_over_triangle, triangle_fan
@@ -240,6 +244,22 @@ def test_cmd_primitive_mixed_degrees_exit2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("degree, message", [
+    ("0", "degree 0: a relative primitive needs degree >= 1"),
+    ("2", "degree 2 exceeds the largest relative dimension 1")],
+    ids=["zero", "above-relative-dimension"])
+def test_cmd_primitive_degree_out_of_range_exit2(tmp_path, capsys, degree, message):
+    # every triangle of the fan has relative dimension 1; neither degree can
+    # carry a primitive, and neither may pass as an empty success
+    cpath, mpath, wpath = _write_fixture_files(tmp_path)
+    out = tmp_path / "h.json"
+    code = main(["primitive", "--complex", str(cpath), "--morphism", str(mpath),
+                 "--form", str(wpath), "--out", str(out), "--degree", degree])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cmd_primitive_tetra_pair_descent(tmp_path):
     # the source cell (1, 4, 2, 3) is not listed fiber by fiber; its descent
     # numerator must live in the cell's own simplex context
@@ -332,3 +352,54 @@ def test_primitive_output_is_self_contained(tmp_path):
             residual = canonicalize(
                 wedge(de_form(psi.source), pullback(psi, eta) - d(H)))
             assert residual.is_zero
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed loaders: malformed input exits 2 (or runs), never raises
+# ---------------------------------------------------------------------------
+
+def _json_paths(node, path=()):
+    """Every path into a JSON tree, the root included."""
+    yield path
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _json_paths(child, path + (key,))
+
+
+# wrong types, unknown vertices and bad rationals
+JUNK = [None, True, 1.5, -1, 999, "999", "x", "1/0", "1/2/3", "abc", "l:999",
+        [], {}, [999], [[0, 999]], {"x": 1}]
+
+
+def _mutate(data, path, drop, junk):
+    if not path:
+        return copy.deepcopy(junk)
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    if drop:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = copy.deepcopy(junk)
+    return data
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.sampled_from(("complex", "morphism", "form")),
+                          st.integers(0, 1 << 16), st.booleans(), st.sampled_from(JUNK)),
+                min_size=1, max_size=3))
+def test_cmd_primitive_fuzzed_inputs_never_raise(edits):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        paths = dict(zip(("complex", "morphism", "form"), _write_fixture_files(tmp)))
+        files = {name: json.loads(path.read_text()) for name, path in paths.items()}
+        for name, pick, drop, junk in edits:
+            options = list(_json_paths(files[name]))
+            files[name] = _mutate(files[name], options[pick % len(options)], drop, junk)
+        for name, path in paths.items():
+            path.write_text(json.dumps(files[name]))
+        code = main(["primitive", "--complex", str(paths["complex"]),
+                     "--morphism", str(paths["morphism"]), "--form", str(paths["form"]),
+                     "--out", str(tmp / "h.json")])
+    assert code in (0, 1, 2)

@@ -16,13 +16,16 @@ sympy = pytest.importorskip("sympy")
 from sympy.combinatorics import Permutation  # noqa: E402
 
 from prismal.fixtures import five_over_two, triangle_fan  # noqa: E402
-from prismal.forms import (CoordSystem, Form, Poly, canonicalize,  # noqa: E402
-                           eliminate, eliminate_poly, integrate_top_form,
-                           pi_context, prism_context, pullback, simplex_context)
+from prismal.forms import (CoordMap, CoordSystem, Form, Poly,  # noqa: E402
+                           canonicalize, eliminate, eliminate_poly,
+                           integrate_top_form, pi_context, prism_context,
+                           pullback, restriction_map, simplex_context)
 from prismal.mesh import Prism, Simplex  # noqa: E402
+from prismal.primitive import specialization_chart  # noqa: E402
 from prismal.sheaf import psi_coordinate_map  # noqa: E402
 
 ORACLE = settings(max_examples=30, deadline=None, derandomize=True)
+MIXED_DENS = st.sampled_from((1, 2, 3, 4, 5, 6, 9, 10))
 
 CTX3 = simplex_context(Simplex((0, 1, 2)))
 PCTX = pi_context(Simplex((100, 101)), (Simplex((0,)), Simplex((1, 2))))
@@ -127,6 +130,21 @@ def test_poly_substitute(p, images):
     assert sympy.expand(to_sym(got) - want) == 0
 
 
+@ORACLE
+@given(polys(CTX3, 3, 4, MIXED_DENS),
+       st.lists(st.just(None) | polys(PCTX, 2, 1, MIXED_DENS), min_size=3, max_size=3))
+def test_poly_substitute_single_term_images(p, images):
+    # a monomial map (each image one term, coefficient not 1, or zero) takes
+    # the exponent-arithmetic path
+    images = [Poly.zero(PCTX) if q is None else q for q in images]
+    assert all(len(q.terms) <= 1 for q in images)
+    got = p.substitute(dict(enumerate(images)), PCTX)
+    assert_invariant(got)
+    subs = dict(zip(symbols(CTX3), map(to_sym, images)))
+    want = to_sym(p).subs(subs, simultaneous=True)
+    assert sympy.expand(to_sym(got) - want) == 0
+
+
 def _elimination_images(ctx):
     xs = symbols(ctx)
     images = list(xs)
@@ -223,3 +241,52 @@ def test_integrate_top_form_dirichlet(ctx, data):
     got = integrate_top_form(a)
     assert type(got) in (int, Q)
     assert sympy.Rational(got.numerator, got.denominator) == sym_integrate(ctx, form_to_sym(a))
+
+
+def _check_pullback(m: CoordMap, a: Form):
+    got = pullback(m, a)
+    assert_invariant(got)
+    images = [to_sym(p) for p in m.image_list]
+    want = sym_pullback(images, symbols(m.source), symbols(m.target), form_to_sym(a))
+    assert sym_equal(form_to_sym(got), want)
+
+
+def _restriction(data):
+    ctx = pi_context(Simplex((100, 101)), (Simplex((0, 1, 2)), Simplex((3, 4))))
+    face = []
+    for tag, verts in ctx.groups:
+        keep = data.draw(st.sets(st.sampled_from(verts), min_size=1))
+        face.append((tag, tuple(v for v in verts if v in keep)))
+    return restriction_map(ctx, CoordSystem(tuple(face)))
+
+
+def _specialization(data):
+    # lost base vertices map to zero, lost fiber blocks to the constant 1/2
+    face = data.draw(st.sampled_from(((100, 101), (101, 102), (100, 102), (100,), (102,))))
+    return specialization_chart(five_over_two(), Simplex(tuple(range(6))), Simplex(face))
+
+
+def _psi(data):
+    f, sigma = data.draw(st.sampled_from(((triangle_fan(), Simplex((0, 2, 3))),
+                                          (five_over_two(), Simplex(tuple(range(6)))))))
+    return psi_coordinate_map(f, sigma)
+
+
+@pytest.mark.parametrize("build", [_restriction, _specialization, _psi],
+                         ids=["restriction", "specialization", "psi"])
+@ORACLE
+@given(data=st.data())
+def test_pullback_monomial_maps(build, data):
+    m = build(data)
+    assert all(len(p.terms) <= 1 for p in m.image_list)
+    r = data.draw(st.integers(0, 2))
+    _check_pullback(m, data.draw(forms(m.target, r, 2, MIXED_DENS)))
+
+
+@ORACLE
+@given(st.integers(0, 2).flatmap(lambda r: forms(CTX3, r, 2, MIXED_DENS)),
+       st.lists(polys(PCTX, 2, 3, MIXED_DENS), min_size=3, max_size=3))
+def test_pullback_general_map(a, images):
+    # multi-term images with fractional coefficients: the differentials of
+    # the images carry denominators too
+    _check_pullback(CoordMap.build(PCTX, CTX3, dict(zip(CTX3.names, images))), a)

@@ -129,7 +129,7 @@ def test_extract_extended_whitney_unit_density():
     # so it carries the same density; the point masses recombine in the sum
     twin = RelFace((0, 1, 3), ((0, 1), (3,)))
     assert dec.A[twin] == u_product
-    assert decomposition_residual(eta, dec, f).is_zero
+    assert decomposition_residual(eta, dec, psi_coordinate_map(f, sigma)).is_zero
 
 
 def test_extract_base_only_form_gives_zero():
@@ -158,7 +158,7 @@ def test_decomposition_residual_zero_for_fiber_degree_inputs():
     ]
     for eta in cases:
         dec = extract_A(eta, f, sigma, 1)
-        assert decomposition_residual(eta, dec, f).is_zero
+        assert decomposition_residual(eta, dec, psi_coordinate_map(f, sigma)).is_zero
 
 
 def test_lemetb_projection_property():
@@ -170,9 +170,7 @@ def test_lemetb_projection_property():
     combo = (group_whitney_extended(sc, 0, (0, 1)) * Poly.variable(sc, sc.var("l", 3))
              + group_whitney_extended(sc, 0, (2, 3)) * Poly.variable(sc, sc.var("l", 1)))
     dec = extract_A(combo, f, sigma, 1)
-    assert decomposition_residual(combo, dec, f).is_zero
-    redec = extract_A(whitney_combination(dec, f), f, sigma, 1) if False else dec
-    assert decomposition_residual(combo, redec, f).is_zero
+    assert decomposition_residual(combo, dec, psi_coordinate_map(f, sigma)).is_zero
 
 
 def test_extraction_agrees_across_shared_faces():
@@ -211,8 +209,9 @@ def test_assemble_C_constant_coefficient():
     drops = admissible_drops(phi)
     assert len(drops) == 2
     # constant coefficient: each solution is the signed constant over n
-    C = assemble_C(dec, f)
-    pctx = psi_coordinate_map(f, sigma).source
+    psi = psi_coordinate_map(f, sigma)
+    C = assemble_C(dec, f, psi)
+    pctx = psi.source
     for drop in drops:
         q = drop.phi.blocks[drop.j].index(drop.removed)
         assert C[drop] == Poly.const(pctx, Q(2) * (-1) ** q / 2)
@@ -221,7 +220,7 @@ def test_assemble_C_constant_coefficient():
 def test_assemble_C_zero_input():
     f, sigma, sc = fig1_triangle()
     dec = extract_A(Form.zero(sc), f, sigma, 1)
-    C = assemble_C(dec, f)
+    C = assemble_C(dec, f, psi_coordinate_map(f, sigma))
     assert all(not c for c in C.values())
 
 
@@ -241,9 +240,10 @@ def test_direct_solution_closes_single_block_fixtures():
         cases.append((f2, sigma, d(Form.from_poly(poly))))
     for f, sigma, eta in cases:
         dec = extract_A(eta, f, sigma, 1)
-        C = assemble_C(dec, f)
-        cp = c_part_form(dec, C, f)
-        om1 = whitney_combination(dec, f)
+        psi = psi_coordinate_map(f, sigma)
+        C = assemble_C(dec, f, psi)
+        cp = c_part_form(dec, C, psi)
+        om1 = whitney_combination(dec, psi)
         assert fiber_defect(om1, cp).is_zero
 
 
@@ -264,8 +264,9 @@ def test_solve_vertical_gluing_trivial():
     f, sigma, sc = fig1_triangle()
     eta = d(Form.from_poly(Poly.variable(sc, sc.var("l", 2)) * Poly.variable(sc, sc.var("l", 3))))
     dec = extract_A(eta, f, sigma, 1)
-    C = assemble_C(dec, f)
-    cp = c_part_form(dec, C, f)
+    psi = psi_coordinate_map(f, sigma)
+    C = assemble_C(dec, f, psi)
+    cp = c_part_form(dec, C, psi)
     assert solve_vertical_gluing(cp, cp).is_zero
 
 
@@ -321,8 +322,9 @@ def global_input(f, pairs):
 def test_assemble_H_zero_input():
     f, sigma, sc = fig1_triangle()
     dec = extract_A(Form.zero(sc), f, sigma, 1)
-    C = assemble_C(dec, f)
-    cp = c_part_form(dec, C, f)
+    psi = psi_coordinate_map(f, sigma)
+    C = assemble_C(dec, f, psi)
+    cp = c_part_form(dec, C, psi)
     H, descended = assemble_H(cp, Form.zero(cp.ctx), sc)
     assert H.is_zero and descended[0].is_zero
 
@@ -336,7 +338,30 @@ def test_triangle_fan_end_to_end_with_descent():
     for tau, prim in result.primitives.items():
         for sigma, pd in prim.prisms.items():
             assert check_descent(pd.H, pd.pctx, pd.psi, prim.H_S[sigma])
-            assert not verify_theodg(f, omega, prim)
+            assert not verify_theodg(prim)
+
+
+def test_check_descent_rejects_a_wrong_numerator_or_exponent():
+    # the fiber-chart-first reduction must still see a one-coefficient change
+    # of N and an exponent of u that is off by one
+    f = five_over_two()
+    sigma = S(0, 1, 2, 3, 4, 5)
+    sc = simplex_context(sigma)
+    lam = lambda v: Poly.variable(sc, sc.var("l", v))
+    alpha = Form(sc, {(sc.var("l", 5),): lam(1) * lam(3)})
+    prim = build_primitive_over(f, {sigma: d(alpha)}, S(100, 101, 102), 2)
+    pd = prim.prisms[sigma]
+    N, m = prim.H_S[sigma]
+    assert check_descent(pd.H, pd.pctx, pd.psi, (N, m))
+    dv, p = next(iter(N.terms.items()))
+    e = next(iter(p.terms))
+    bumped = N + Form(sc, {dv: Poly(sc, {e: Q(1, 3)})})
+    assert not check_descent(pd.H, pd.pctx, pd.psi, (bumped, m))
+    for j in range(len(m)):
+        for step in (1, -1):
+            off = tuple(mj + step * (k == j) for k, mj in enumerate(m))
+            if min(off) >= 0:
+                assert not check_descent(pd.H, pd.pctx, pd.psi, (N, off)), (j, step)
 
 
 def test_negative_control_zero_H():
@@ -452,8 +477,9 @@ def test_specialization_charts_compose():
         eta = d(Form.from_poly(Poly.variable(sc, sc.var("l", 1))
                                * Poly.variable(sc, sc.var("l", 2))))
         dec = extract_A(eta, f, sigma, 1)
-        C = assemble_C(dec, f)
-        H = c_part_form(dec, C, f)
+        psi = psi_coordinate_map(f, sigma)
+        C = assemble_C(dec, f, psi)
+        H = c_part_form(dec, C, psi)
         direct = pullback(one, H)
         two_step = pullback(step2, pullback(step1, H))
         assert equal_mod_relations(direct, two_step)
