@@ -25,4 +25,4 @@ from .sheaf import (PrismalSheaf, build_Pf, build_Sf,
                     psi_morphism, psi_sigma, theta_sigma)
 from .primitive import (FiberwiseDecomposition, RelativePrimitive, assemble_C,
                         build_relative_primitive, check_horizontal, extract_A,
-                        ode_solve, solve_vertical_gluing, verify_theodg)
+                        ode_solve, verify_theodg)

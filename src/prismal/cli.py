@@ -74,7 +74,7 @@ def cmd_sheaf(args) -> int:
 def cmd_primitive(args) -> int:
     from .forms import Form
     from .primitive import (ExactnessError, PrimitiveError, build_relative_primitive,
-                            check_descent, oracle_A, verify_theodg)
+                            check_descent, descend_form, oracle_A, verify_theodg)
     try:
         f = _load_morphism(args)
         omega = forms_file_to_inputs(load_json(args.form), f.source)
@@ -116,10 +116,10 @@ def cmd_primitive(args) -> int:
             }
             if sigma in residuals:
                 residual_failures += 1
-            N, m = prim.H_S[sigma]
+            N, m = descended = descend_form(pd.H, pd.psi.target)
             cell_out["H_S"][key] = {"numerator": form_to_dict(N),
                                     "denominator_exponents": list(m),
-                                    "descent_verified": check_descent(pd.H, pd.pctx, pd.psi, prim.H_S[sigma])}
+                                    "descent_verified": check_descent(pd.H, pd.psi, descended)}
         out["base_cells"][",".join(map(str, tau.vertices))] = cell_out
     horizontal_failures = 0
     for rep in result.horizontal:

@@ -7,12 +7,17 @@ Pipeline, per base simplex tau and maximal source simplex sigma over it:
 2. solve the homothety ODE to get the C coefficients, one per codim-1
    subface of each phi over a base vertex;
 3. assemble the candidate primitive on the trivial prism, compare its
-   relative differential with the extracted fiber form, and repair the
-   (fiberwise-exact) defect with a cone primitive per prism, matched
-   across prisms over the open base simplex;
-4. check the residual base-volume ^ (pullback(input) - d(primitive)) = 0,
-   descend the primitive to the raw sheaf, and compare specializations
-   against the pipelines of the base faces.
+   relative differential with the Whitney combination of the extracted
+   coefficients, and repair the (fiberwise-exact) defect with the cone
+   primitive of `vertical_gluing`, matched across prisms over the open base
+   simplex;
+4. check the residual base-volume ^ (pullback(input) - d(primitive)) = 0
+   and compare specializations against the pipelines of the base faces.
+   Descent to the raw sheaf (`descend_form`, `check_descent`) runs on
+   demand, when the output is written.
+
+Each prism computes the pullback of the input, the compositions A_phi o psi
+and the Whitney combination once, and every stage reads those.
 
 All the exact arithmetic is rational; the only floating point lives in the
 optional shrinking-average oracle for the extracted coefficients.
@@ -22,19 +27,19 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
 
-from .mesh import Prism, Simplex, SimplicialMorphism, reorder_sign
+from .mesh import Simplex, SimplicialMorphism
 from .forms import (Chart, CoordMap, CoordSystem, Form, Poly, canonicalize, d,
                     de_form, eliminate, eliminate_poly, elimination_chart,
                     equal_mod_relations, pi_context, poincare_primitive,
                     pullback, restrict_to_face, simplex_context,
                     vertical_part, wedge, whitney_relative_extended)
-from .sheaf import pi_prism, psi_coordinate_map
+from .sheaf import psi_coordinate_map
 
 Q = Fraction
 
@@ -49,10 +54,6 @@ class ExactnessError(PrimitiveError):
 
 class DecompositionError(PrimitiveError):
     pass
-
-
-def _factorial(n: int) -> int:
-    return math.factorial(n)
 
 
 # ---------------------------------------------------------------------------
@@ -179,40 +180,15 @@ def pair_with_face(eta: Form, phi: RelFace) -> Poly:
 
 @dataclass
 class FiberwiseDecomposition:
-    """Coefficient family {A_phi} of an r-form on sigma over tau.
-
-    `A` holds the working coefficients (the combination below reproduces the
-    fiber part of the pulled-back form); `A_raw` the shrinking-average
-    normalization, related by sign * (r+s)!/(prod |phi_j|! s!)."""
+    """Coefficient family {A_phi} of an r-form on sigma over tau: the
+    Whitney combination below reproduces the fiber part of the pulled-back
+    form."""
 
     sigma: Simplex
     tau: Simplex
     degree: int
     faces: tuple[RelFace, ...]
     A: dict[RelFace, Poly]
-    A_raw: dict[RelFace, Poly]
-    signs: dict[RelFace, int]
-    norms: dict[RelFace, Fraction]
-
-
-def face_sign(f: SimplicialMorphism, phi: RelFace) -> int:
-    """Orientation bookkeeping sign of a relative face: block-dimension
-    staircase plus the parity of the grouping permutation."""
-    dims = phi.block_dims()
-    s = len(dims) - 1
-    exponent = sum((s - k) * dims[k] for k in range(s))
-    grouped = tuple(v for b in phi.blocks for v in b)
-    return (-1) ** exponent * reorder_sign(phi.vertices, grouped)
-
-
-def face_norm(phi: RelFace) -> Fraction:
-    """(r+s)! / (prod |phi_j|! * s!) for the face's block dimensions."""
-    dims = phi.block_dims()
-    r, s = sum(dims), len(dims) - 1
-    den = _factorial(s)
-    for dd in dims:
-        den *= _factorial(dd)
-    return Q(_factorial(r + s), den)
 
 
 def extract_A(eta: Form, f: SimplicialMorphism, sigma: Simplex,
@@ -235,57 +211,47 @@ def extract_A(eta: Form, f: SimplicialMorphism, sigma: Simplex,
             f"degree {r} exceeds the relative dimension {d_rel} of {sigma}")
     faces = relative_faces(f, sigma, r)
     A: dict[RelFace, Poly] = {}
-    A_raw: dict[RelFace, Poly] = {}
-    signs: dict[RelFace, int] = {}
-    norms: dict[RelFace, Fraction] = {}
     for phi in faces:
         fact = Q(1)
         for dd in phi.block_dims():
-            fact *= _factorial(dd)
-        a = pair_with_face(eta, phi) * (Q(1) / fact)
-        sg, nm = face_sign(f, phi), face_norm(phi)
-        A[phi] = a
-        A_raw[phi] = a * Q(sg) * (Q(1) / nm)
-        signs[phi] = sg
-        norms[phi] = nm
-    return FiberwiseDecomposition(sigma, tau, r, tuple(faces), A, A_raw, signs, norms)
+            fact *= math.factorial(dd)
+        A[phi] = pair_with_face(eta, phi) * (Q(1) / fact)
+    return FiberwiseDecomposition(sigma, tau, r, tuple(faces), A)
 
 
-def t_monomial(pctx: CoordSystem, tau: Simplex, dims: Iterable[int]) -> Poly:
+def t_monomial(pctx: CoordSystem, dims: Iterable[int]) -> Poly:
+    """prod_j t_j^dims[j] over the base vertices of a trivial-prism context."""
+    base_tag, base_verts = pctx.groups[0]
     out = Poly.const(pctx, 1)
-    for y, dd in zip(tau.vertices, dims):
-        out = out * Poly.variable(pctx, pctx.var("t", y)) ** dd
+    for y, dd in zip(base_verts, dims):
+        out = out * Poly.variable(pctx, pctx.var(base_tag, y)) ** dd
     return out
 
 
-def compose_psi(poly: Poly, psi: CoordMap) -> Poly:
-    """Substitute lambda_i = t_j mu_{j,i} into a simplex-side polynomial."""
-    images = {i: p for i, p in enumerate(psi.image_list)}
-    return poly.substitute(images, psi.source)
+def compose_psi(dec: FiberwiseDecomposition, psi: CoordMap) -> dict[RelFace, Poly]:
+    """The nonzero A_phi o psi, in face order: lambda_i = t_j mu_{j,i}
+    substituted into each simplex-side coefficient."""
+    images = dict(enumerate(psi.image_list))
+    return {phi: dec.A[phi].substitute(images, psi.source)
+            for phi in dec.faces if dec.A[phi]}
 
 
-def whitney_combination(dec: FiberwiseDecomposition, psi: CoordMap) -> Form:
-    """The t-weighted relative Whitney combination of a coefficient family,
-    as a form on the trivial prism of sigma (`psi` is sigma's blow-down)."""
-    tau = dec.tau
+def whitney_combination(composed: dict[RelFace, Poly], psi: CoordMap) -> Form:
+    """The t-weighted relative Whitney combination of the coefficients
+    `composed` (from `compose_psi`), as a form on the trivial prism of
+    sigma (`psi` is sigma's blow-down)."""
     pctx = psi.source
     out = Form.zero(pctx)
-    for phi in dec.faces:
-        if not dec.A[phi]:
-            continue
-        coeff = compose_psi(dec.A[phi], psi)
-        t_mon = t_monomial(pctx, tau, phi.block_dims())
+    for phi, coeff in composed.items():
+        t_mon = t_monomial(pctx, phi.block_dims())
         w = whitney_relative_extended(pctx, phi.blocks)
         out = out + w * (coeff * t_mon)
     return out
 
 
-def decomposition_residual(eta: Form, dec: FiberwiseDecomposition,
-                           psi: CoordMap) -> Form:
-    """base volume ^ (pullback(eta) - Whitney combination), canonicalized."""
-    lhs = pullback(psi, eta)
-    combo = whitney_combination(dec, psi)
-    return canonicalize(wedge(de_form(psi.source), lhs - combo))
+def decomposition_residual(pulled: Form, combo: Form) -> Form:
+    """base volume ^ (pulled-back input - Whitney combination), canonicalized."""
+    return canonicalize(wedge(de_form(pulled.ctx), pulled - combo))
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +313,7 @@ def _free_chart(pctx: CoordSystem, f: SimplicialMorphism, sigma: Simplex,
 
 
 def assemble_C(dec: FiberwiseDecomposition, f: SimplicialMorphism,
-               psi: CoordMap) -> dict[FaceDrop, Poly]:
+               psi: CoordMap, composed: dict[RelFace, Poly]) -> dict[FaceDrop, Poly]:
     """Homothety solutions C~ per (phi, gamma), on the trivial prism.
 
     Each C~ is a polynomial in the base variables and the fiber coordinates
@@ -365,11 +331,11 @@ def assemble_C(dec: FiberwiseDecomposition, f: SimplicialMorphism,
         n = len(drops)
         if n == 0:
             raise DecompositionError(f"no admissible subface for {phi}")
-        if not dec.A[phi]:
+        if phi not in composed:
             for drop in drops:
                 out[drop] = Poly.zero(pctx)
             continue
-        a_psi = compose_psi(dec.A[phi], psi)
+        a_psi = composed[phi]
         for drop in drops:
             chart, scaled = _free_chart(pctx, f, dec.sigma, drop)
             flat = eliminate_poly(a_psi, chart)
@@ -378,15 +344,14 @@ def assemble_C(dec: FiberwiseDecomposition, f: SimplicialMorphism,
     return out
 
 
-def c_part_form(dec: FiberwiseDecomposition, C: dict[FaceDrop, Poly],
-                psi: CoordMap) -> Form:
+def c_part_form(C: dict[FaceDrop, Poly], psi: CoordMap) -> Form:
     """sum over (phi, gamma) of t^{|phi|} C~ w(pi(gamma); pi(sigma))."""
     pctx = psi.source
     out = Form.zero(pctx)
     for drop, ctil in C.items():
         if not ctil:
             continue
-        t_mon = t_monomial(pctx, dec.tau, drop.phi.block_dims())
+        t_mon = t_monomial(pctx, drop.phi.block_dims())
         w = whitney_relative_extended(pctx, drop.gamma_blocks())
         out = out + w * (ctil * t_mon)
     return out
@@ -396,39 +361,29 @@ def c_part_form(dec: FiberwiseDecomposition, C: dict[FaceDrop, Poly],
 # Vertical gluing and assembly
 # ---------------------------------------------------------------------------
 
-def fiber_defect(omega1: Form, cpart: Form) -> Form:
-    """Vertical part of omega1 - d(C part); what the cone repair must kill."""
-    return vertical_part(canonicalize(omega1 - d(cpart)))
+def fiber_defect(combo: Form, cpart: Form) -> Form:
+    """Vertical part of the Whitney combination - d(C part); what the cone
+    repair must kill."""
+    return vertical_part(canonicalize(combo - d(cpart)))
 
 
-def solve_vertical_gluing(b: Form, cpart: Form) -> Form:
-    """Per-prism repair: closes the gap between a given fiber primitive `b`
-    and the C part (both on the same trivial-prism context).
-
-    Returns the cone primitive of the vertical difference (the fiberwise
-    correction whose fiber differential restores `b`'s class); at the
-    lowest degree the difference itself is returned, since it is fiberwise
-    constant.  Raises ExactnessError when the difference is not fiberwise
-    closed.
-    """
-    diff = vertical_part(canonicalize(b - cpart))
-    if diff.is_zero:
-        return Form.zero(b.ctx)
-    closed = vertical_part(canonicalize(d(diff)))
+def vertical_gluing(delta: Form, sigma: Simplex) -> Form:
+    """The per-prism repair of a fiber defect `delta` on sigma's trivial
+    prism: its fiber cone primitive, zero when `delta` is.  Raises
+    ExactnessError when `delta` is not fiberwise closed."""
+    if delta.is_zero:
+        return Form.zero(delta.ctx)
+    closed = vertical_part(canonicalize(d(delta)))
     if not closed.is_zero:
-        raise ExactnessError(f"vertical defect is not fiberwise closed: {closed}")
-    degs = diff.degrees()
-    if degs == {0}:
-        # nothing below degree 0; the difference itself is the correction
-        return diff
-    return poincare_primitive(diff, fiber_only=True)
+        raise ExactnessError(
+            f"fiber defect on {sigma} is not closed: d_e residual {closed}")
+    return poincare_primitive(delta, fiber_only=True)
 
 
 def _is_base_function(form: Form) -> bool:
-    """True for 0-forms whose canonical coefficient uses base variables only."""
-    c = canonicalize(form)
+    """True for canonical 0-forms whose coefficient uses base variables only."""
     base_vars = {i for g in form.ctx.base_groups for i in form.ctx.group_vars[g]}
-    for dv, p in c.terms.items():
+    for dv, p in form.terms.items():
         if dv:
             return False
         for e in p.terms:
@@ -439,35 +394,29 @@ def _is_base_function(form: Form) -> bool:
 
 @dataclass
 class PrismData:
+    """One prism's pipeline: `pulled` is psi* eta, `H` the glued primitive."""
+
     sigma: Simplex
-    prism: Prism
-    pctx: CoordSystem
     psi: CoordMap
     eta: Form
+    pulled: Form
     decomposition: FiberwiseDecomposition
     C: dict[FaceDrop, Poly]
-    omega1: Form
-    cpart: Form
     correction: Form
     H: Form
 
 
 @dataclass
 class RelativePrimitive:
-    """Assembled solution over one base simplex plus its descent data."""
+    """Assembled solution over one base simplex."""
 
     tau: Simplex
     prisms: dict[Simplex, PrismData]
-    H_S: dict[Simplex, tuple[Form, tuple[int, ...]]] = field(default_factory=dict)
-    n_counts: dict[RelFace, int] = field(default_factory=dict)
 
     def residuals(self) -> dict[Simplex, Form]:
         """The closing residual base-volume ^ (psi* omega - dH) per prism."""
-        out = {}
-        for sig, pd in self.prisms.items():
-            out[sig] = canonicalize(
-                wedge(de_form(pd.pctx), pullback(pd.psi, pd.eta) - d(pd.H)))
-        return out
+        return {sig: canonicalize(wedge(de_form(pd.psi.source), pd.pulled - d(pd.H)))
+                for sig, pd in self.prisms.items()}
 
 
 def maximal_over(f: SimplicialMorphism, tau: Simplex) -> list[Simplex]:
@@ -489,37 +438,23 @@ def build_primitive_over(f: SimplicialMorphism, omega: dict[Simplex, Form],
     if not sigmas:
         raise PrimitiveError(f"no source cells over {tau}")
     prisms: dict[Simplex, PrismData] = {}
-    n_counts: dict[RelFace, int] = {}
     for sigma in sigmas:
         eta = restrict_input(omega, sigma)
         psi = psi_coordinate_map(f, sigma)
         dec = extract_A(eta, f, sigma, r)
-        res = decomposition_residual(eta, dec, psi)
+        pulled = pullback(psi, eta)
+        composed = compose_psi(dec, psi)
+        combo = whitney_combination(composed, psi)
+        res = decomposition_residual(pulled, combo)
         if not res.is_zero:
             raise DecompositionError(
                 f"input on {sigma} has mixed fiber degree; residual {res}")
-        C = assemble_C(dec, f, psi)
-        for phi in dec.faces:
-            n_counts[phi] = len(admissible_drops(phi))
-        omega1 = whitney_combination(dec, psi)
-        cpart = c_part_form(dec, C, psi)
-        delta = fiber_defect(omega1, cpart)
-        if delta.is_zero:
-            corr = Form.zero(psi.source)
-        else:
-            closed = vertical_part(canonicalize(d(delta)))
-            if not closed.is_zero:
-                raise ExactnessError(
-                    f"fiber defect on {sigma} is not closed: d_e residual {closed}")
-            corr = poincare_primitive(delta, fiber_only=True)
-        H = cpart + corr
-        prisms[sigma] = PrismData(sigma, pi_prism(f, sigma), psi.source, psi,
-                                  eta, dec, C, omega1, cpart, corr, H)
+        C = assemble_C(dec, f, psi, composed)
+        cpart = c_part_form(C, psi)
+        corr = vertical_gluing(fiber_defect(combo, cpart), sigma)
+        prisms[sigma] = PrismData(sigma, psi, eta, pulled, dec, C, corr, cpart + corr)
     _match_across_prisms(f, tau, prisms, r)
-    prim = RelativePrimitive(tau, prisms, n_counts=n_counts)
-    for sigma, pd in prisms.items():
-        prim.H_S[sigma] = descend_form(pd.H, pd.psi.target)
-    return prim
+    return RelativePrimitive(tau, prisms)
 
 
 def restrict_input(omega: dict[Simplex, Form], sigma: Simplex) -> Form:
@@ -569,11 +504,10 @@ def _match_across_prisms(f: SimplicialMorphism, tau: Simplex,
                 continue
             edges.append((s1, s2, inter))
     if r != 1 or not edges:
-        _verify_overlaps(f, tau, prisms, edges)
+        _verify_overlaps(f, prisms, edges)
         return
     # spanning-tree matching of the fiberwise-constant ambiguity
     anchored = {sigmas[0]}
-    shift: dict[Simplex, Form] = {sigmas[0]: Form.zero(prisms[sigmas[0]].pctx)}
     changed = True
     while changed:
         changed = False
@@ -589,24 +523,28 @@ def _match_across_prisms(f: SimplicialMorphism, tau: Simplex,
             if diff is None:
                 continue
             # promote the base-variable function from the shared context
+            # (the base groups coincide)
             pd = prisms[new]
-            lifted = _lift_base_function(diff, pd.pctx)
+            lifted = Form.from_poly(diff.terms[()].map_context(pd.psi.source))
             pd.H = pd.H + lifted
             pd.correction = pd.correction + lifted
             anchored.add(new)
             changed = True
-    _verify_overlaps(f, tau, prisms, edges)
+    _verify_overlaps(f, prisms, edges)
+
+
+def _restricted_difference(f: SimplicialMorphism, H1: Form, H2: Form,
+                           inter: Simplex) -> Form:
+    """H1 - H2 restricted to the trivial prism of the shared cell, canonical."""
+    sub = pi_context(f.image(inter), f.fibers(inter))
+    return canonicalize(restrict_to_face(H1, sub) - restrict_to_face(H2, sub))
 
 
 def _overlap_difference(f, pd_known: PrismData, pd_new: PrismData,
                         inter: Simplex) -> Form | None:
     """H_known - H_new restricted to the shared cell; must be a function of
     the base variables only (the fiberwise-constant ambiguity)."""
-    shared = pi_prism(f, inter)
-    sub = pi_context(shared.factors[0], shared.factors[1:])
-    h1 = restrict_to_face(pd_known.H, sub)
-    h2 = restrict_to_face(pd_new.H, sub)
-    diff = canonicalize(h1 - h2)
+    diff = _restricted_difference(f, pd_known.H, pd_new.H, inter)
     if diff.is_zero:
         return None
     if not _is_base_function(diff):
@@ -615,39 +553,12 @@ def _overlap_difference(f, pd_known: PrismData, pd_new: PrismData,
     return diff
 
 
-def _lift_base_function(diff: Form, pctx: CoordSystem) -> Form:
-    """Reinterpret a base-variable function on a shared cell in the bigger
-    trivial-prism context (the base groups coincide)."""
-    out = Form.zero(pctx)
-    for dv, p in canonicalize(diff).terms.items():
-        if dv:
-            raise PrimitiveError("expected a 0-form")
-        out = out + Form.from_poly(p.map_context(pctx))
-    return out
-
-
-def _verify_overlaps(f, tau, prisms, edges) -> None:
+def _verify_overlaps(f, prisms, edges) -> None:
     for s1, s2, inter in edges:
-        shared = pi_prism(f, inter)
-        sub = pi_context(shared.factors[0], shared.factors[1:])
-        h1 = restrict_to_face(prisms[s1].H, sub)
-        h2 = restrict_to_face(prisms[s2].H, sub)
-        if not canonicalize(h1 - h2).is_zero:
+        if not _restricted_difference(f, prisms[s1].H, prisms[s2].H, inter).is_zero:
             raise ExactnessError(
                 f"primitive candidates disagree on {inter}; "
                 "the input is not fiberwise exact over the open base cell")
-
-
-def assemble_H(cpart: Form, correction: Form, sctx: CoordSystem
-               ) -> tuple[Form, tuple[Form, tuple[int, ...]]]:
-    """Full primitive on one trivial prism plus its descent data.
-
-    The primitive is the C part plus the gluing correction; the second
-    return value is the cleared-denominator form on the simplex side
-    (`sctx`) whose blow-down pullback reproduces it.
-    """
-    H = cpart + correction
-    return H, descend_form(H, sctx)
 
 
 # ---------------------------------------------------------------------------
@@ -745,7 +656,7 @@ def descend_form(H: Form, sctx: CoordSystem) -> tuple[Form, tuple[int, ...]]:
     return (out if scale == 1 else out * Q(1, scale)), m
 
 
-def check_descent(H: Form, pctx: CoordSystem, psi: CoordMap,
+def check_descent(H: Form, psi: CoordMap,
                   descended: tuple[Form, tuple[int, ...]]) -> bool:
     """pullback of the descended numerator equals t^m * H, canonically.
 
@@ -758,11 +669,9 @@ def check_descent(H: Form, pctx: CoordSystem, psi: CoordMap,
     `equal_mod_relations`.
     """
     N, m = descended
+    pctx = psi.source
     lhs = pullback(psi, N)
-    t_mon = Poly.const(pctx, 1)
-    base_tag, base_verts = pctx.groups[0]
-    for j, mj in enumerate(m):
-        t_mon = t_mon * Poly.variable(pctx, pctx.var(base_tag, base_verts[j])) ** mj
+    t_mon = t_monomial(pctx, m)
     fiber_chart = elimination_chart(
         pctx, (pctx.group_vars[g][-1] for g in pctx.fiber_groups))
     return canonicalize(eliminate(lhs - H * t_mon, fiber_chart)).is_zero
@@ -844,7 +753,6 @@ def check_horizontal(f: SimplicialMorphism, prim: RelativePrimitive,
             # sigma|tau' is a face of a bigger cell over tau'; restrict it
             carrier = next(s for s in prim_face.prisms
                            if sigma_f.vset <= s.vset)
-            chart2 = specialization_chart(f, carrier, tau_face)
             sub = pi_context(tau_face, f.fibers(sigma_f))
             direct = restrict_to_face(prim_face.prisms[carrier].H, sub)
             matches[sigma] = equal_mod_relations(
@@ -955,7 +863,7 @@ def oracle_A(eta: Form, f: SimplicialMorphism, sigma: Simplex, phi: RelFace,
     g = pair_with_face(eta, phi)
     fact = 1.0
     for dd in phi.block_dims():
-        fact *= _factorial(dd)
+        fact *= math.factorial(dd)
     # center: base barycenter, block centroids
     tbar = Q(1, s + 1)
     center = [Q(0)] * sctx.nvars

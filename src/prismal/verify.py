@@ -355,15 +355,16 @@ def verify_iminve(f: SimplicialMorphism, sigma: Simplex) -> IdentityReport:
 def verify_iminve_suite(max_p: int = 4, max_s: int = 2):
     reports = []
     for p in range(1, max_p + 1):
+        sigma = _canonical_simplex(p)
+        delta = SimplicialComplex([sigma])
         for s in range(0, min(max_s, p) + 1):
+            base = SimplicialComplex([Simplex(tuple(range(100, 101 + s)))])
             for assignment in itertools.product(range(s + 1), repeat=p + 1):
                 if set(assignment) != set(range(s + 1)):
                     continue
-                delta = SimplicialComplex([_canonical_simplex(p)])
-                base = SimplicialComplex([Simplex(tuple(range(100, 101 + s)))])
                 vmap = {v: 100 + assignment[v] for v in range(p + 1)}
                 f = SimplicialMorphism(delta, base, vmap)
-                reports.append(verify_iminve(f, _canonical_simplex(p)))
+                reports.append(verify_iminve(f, sigma))
     return reports
 
 
@@ -502,7 +503,7 @@ def _opicsh_case(f, sigma, tau, tau_f) -> IdentityReport:
     from .primitive import specialization_chart, t_monomial
     ctx = pi_context(tau, f.fibers(sigma))
     dims = [fib.dim for fib in f.fibers(sigma)]
-    weighted = whitney_relative(ctx) * t_monomial(ctx, tau, dims)
+    weighted = whitney_relative(ctx) * t_monomial(ctx, dims)
     chart = specialization_chart(f, sigma, tau_f)
     specialized = pullback(chart, weighted)
     lost = [dims[j] for j, y in enumerate(tau.vertices) if y not in tau_f.vset]
@@ -513,7 +514,7 @@ def _opicsh_case(f, sigma, tau, tau_f) -> IdentityReport:
                        f"{sigma} over {tau} -> {tau_f} (drops)", delta)
     sub = pi_context(tau_f, f.fibers(sigma_f))
     dims_f = [fib.dim for fib in f.fibers(sigma_f)]
-    direct = whitney_relative(sub) * t_monomial(sub, tau_f, dims_f)
+    direct = whitney_relative(sub) * t_monomial(sub, dims_f)
     delta = canonicalize(specialized - direct)
     return _report("relative.weights",
                    f"{sigma} over {tau} -> {tau_f} (equidim)", delta)

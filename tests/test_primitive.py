@@ -6,18 +6,20 @@ from hypothesis import given, settings, strategies as st
 
 from prismal.fixtures import (cylinder_over_edge, triangle_fan, five_over_two,
                               square_over_edge, tetra_pair_over_triangle)
+from prismal import primitive
 from prismal.forms import (CoordSystem, Form, Poly, canonicalize, d, de_form,
                            equal_mod_relations, pullback, simplex_context,
-                           wedge)
-from prismal.mesh import Simplex
+                           vertical_part, wedge)
+from prismal.mesh import Simplex, SimplicialComplex, SimplicialMorphism
 from prismal.primitive import (DecompositionError, ExactnessError, RelFace,
-                               admissible_drops, assemble_C, assemble_H,
+                               admissible_drops, assemble_C,
                                build_primitive_over, build_relative_primitive,
                                c_part_form, check_descent, check_horizontal,
-                               extract_A, fiber_defect, decomposition_residual,
-                               ode_residual, ode_solve, oracle_A,
-                               relative_faces, solve_vertical_gluing,
-                               verify_theodg, whitney_combination)
+                               compose_psi, descend_form, extract_A,
+                               fiber_defect, decomposition_residual,
+                               maximal_over, ode_residual, ode_solve, oracle_A,
+                               relative_faces, vertical_gluing, verify_theodg,
+                               whitney_combination)
 from prismal.sheaf import psi_coordinate_map
 
 
@@ -100,6 +102,12 @@ def fig1_triangle():
     return f, sigma, simplex_context(sigma)
 
 
+def residual_of(eta, dec, psi):
+    """The decomposition residual of `eta` against its own extraction."""
+    combo = whitney_combination(compose_psi(dec, psi), psi)
+    return decomposition_residual(pullback(psi, eta), combo)
+
+
 def test_relative_faces_enumeration():
     f, sigma, _ = fig1_triangle()
     fcs = relative_faces(f, sigma, 1)
@@ -129,7 +137,7 @@ def test_extract_extended_whitney_unit_density():
     # so it carries the same density; the point masses recombine in the sum
     twin = RelFace((0, 1, 3), ((0, 1), (3,)))
     assert dec.A[twin] == u_product
-    assert decomposition_residual(eta, dec, psi_coordinate_map(f, sigma)).is_zero
+    assert residual_of(eta, dec, psi_coordinate_map(f, sigma)).is_zero
 
 
 def test_extract_base_only_form_gives_zero():
@@ -158,7 +166,7 @@ def test_decomposition_residual_zero_for_fiber_degree_inputs():
     ]
     for eta in cases:
         dec = extract_A(eta, f, sigma, 1)
-        assert decomposition_residual(eta, dec, psi_coordinate_map(f, sigma)).is_zero
+        assert residual_of(eta, dec, psi_coordinate_map(f, sigma)).is_zero
 
 
 def test_lemetb_projection_property():
@@ -170,7 +178,7 @@ def test_lemetb_projection_property():
     combo = (group_whitney_extended(sc, 0, (0, 1)) * Poly.variable(sc, sc.var("l", 3))
              + group_whitney_extended(sc, 0, (2, 3)) * Poly.variable(sc, sc.var("l", 1)))
     dec = extract_A(combo, f, sigma, 1)
-    assert decomposition_residual(combo, dec, psi_coordinate_map(f, sigma)).is_zero
+    assert residual_of(combo, dec, psi_coordinate_map(f, sigma)).is_zero
 
 
 def test_extraction_agrees_across_shared_faces():
@@ -210,7 +218,7 @@ def test_assemble_C_constant_coefficient():
     assert len(drops) == 2
     # constant coefficient: each solution is the signed constant over n
     psi = psi_coordinate_map(f, sigma)
-    C = assemble_C(dec, f, psi)
+    C = assemble_C(dec, f, psi, compose_psi(dec, psi))
     pctx = psi.source
     for drop in drops:
         q = drop.phi.blocks[drop.j].index(drop.removed)
@@ -220,7 +228,8 @@ def test_assemble_C_constant_coefficient():
 def test_assemble_C_zero_input():
     f, sigma, sc = fig1_triangle()
     dec = extract_A(Form.zero(sc), f, sigma, 1)
-    C = assemble_C(dec, f, psi_coordinate_map(f, sigma))
+    psi = psi_coordinate_map(f, sigma)
+    C = assemble_C(dec, f, psi, compose_psi(dec, psi))
     assert all(not c for c in C.values())
 
 
@@ -241,9 +250,10 @@ def test_direct_solution_closes_single_block_fixtures():
     for f, sigma, eta in cases:
         dec = extract_A(eta, f, sigma, 1)
         psi = psi_coordinate_map(f, sigma)
-        C = assemble_C(dec, f, psi)
-        cp = c_part_form(dec, C, psi)
-        om1 = whitney_combination(dec, psi)
+        composed = compose_psi(dec, psi)
+        C = assemble_C(dec, f, psi, composed)
+        cp = c_part_form(C, psi)
+        om1 = whitney_combination(composed, psi)
         assert fiber_defect(om1, cp).is_zero
 
 
@@ -260,17 +270,20 @@ def test_multi_block_defect_is_repaired():
 # vertical gluing
 # ---------------------------------------------------------------------------
 
-def test_solve_vertical_gluing_trivial():
+def test_vertical_gluing_zero_defect():
     f, sigma, sc = fig1_triangle()
     eta = d(Form.from_poly(Poly.variable(sc, sc.var("l", 2)) * Poly.variable(sc, sc.var("l", 3))))
     dec = extract_A(eta, f, sigma, 1)
     psi = psi_coordinate_map(f, sigma)
-    C = assemble_C(dec, f, psi)
-    cp = c_part_form(dec, C, psi)
-    assert solve_vertical_gluing(cp, cp).is_zero
+    composed = compose_psi(dec, psi)
+    C = assemble_C(dec, f, psi, composed)
+    cp = c_part_form(C, psi)
+    delta = fiber_defect(whitney_combination(composed, psi), cp)
+    assert delta.is_zero
+    assert vertical_gluing(delta, sigma).is_zero
 
 
-def test_solve_vertical_gluing_exactness_error():
+def test_vertical_gluing_exactness_error():
     f, sigma, sc = fig1_triangle()
     psi = psi_coordinate_map(f, sigma)
     pctx = psi.source
@@ -285,8 +298,8 @@ def test_solve_vertical_gluing_exactness_error():
     m = lambda j, v: Poly.variable(pctx5, pctx5.var(f"m:{j}", v))
     dm = lambda j, v: Form.d_var(pctx5, pctx5.var(f"m:{j}", v))
     not_closed = wedge(dm(0, 1), dm(1, 3)) * m(2, 5) + wedge(dm(1, 3), dm(2, 5))
-    with pytest.raises(ExactnessError):
-        solve_vertical_gluing(not_closed, Form.zero(pctx5))
+    with pytest.raises(ExactnessError, match="is not closed"):
+        vertical_gluing(vertical_part(canonicalize(not_closed)), s5)
 
 
 def test_single_prism_degree_two_roundtrip():
@@ -319,14 +332,14 @@ def global_input(f, pairs):
     return omega
 
 
-def test_assemble_H_zero_input():
+def test_descend_form_zero_input():
     f, sigma, sc = fig1_triangle()
     dec = extract_A(Form.zero(sc), f, sigma, 1)
     psi = psi_coordinate_map(f, sigma)
-    C = assemble_C(dec, f, psi)
-    cp = c_part_form(dec, C, psi)
-    H, descended = assemble_H(cp, Form.zero(cp.ctx), sc)
-    assert H.is_zero and descended[0].is_zero
+    C = assemble_C(dec, f, psi, compose_psi(dec, psi))
+    H = c_part_form(C, psi) + vertical_gluing(Form.zero(psi.source), sigma)
+    N, m = descend_form(H, sc)
+    assert H.is_zero and N.is_zero
 
 
 def test_triangle_fan_end_to_end_with_descent():
@@ -337,7 +350,7 @@ def test_triangle_fan_end_to_end_with_descent():
     assert result.horizontal_ok()
     for tau, prim in result.primitives.items():
         for sigma, pd in prim.prisms.items():
-            assert check_descent(pd.H, pd.pctx, pd.psi, prim.H_S[sigma])
+            assert check_descent(pd.H, pd.psi, descend_form(pd.H, pd.psi.target))
             assert not verify_theodg(prim)
 
 
@@ -351,17 +364,17 @@ def test_check_descent_rejects_a_wrong_numerator_or_exponent():
     alpha = Form(sc, {(sc.var("l", 5),): lam(1) * lam(3)})
     prim = build_primitive_over(f, {sigma: d(alpha)}, S(100, 101, 102), 2)
     pd = prim.prisms[sigma]
-    N, m = prim.H_S[sigma]
-    assert check_descent(pd.H, pd.pctx, pd.psi, (N, m))
+    N, m = descend_form(pd.H, sc)
+    assert check_descent(pd.H, pd.psi, (N, m))
     dv, p = next(iter(N.terms.items()))
     e = next(iter(p.terms))
     bumped = N + Form(sc, {dv: Poly(sc, {e: Q(1, 3)})})
-    assert not check_descent(pd.H, pd.pctx, pd.psi, (bumped, m))
+    assert not check_descent(pd.H, pd.psi, (bumped, m))
     for j in range(len(m)):
         for step in (1, -1):
             off = tuple(mj + step * (k == j) for k, mj in enumerate(m))
             if min(off) >= 0:
-                assert not check_descent(pd.H, pd.pctx, pd.psi, (N, off)), (j, step)
+                assert not check_descent(pd.H, pd.psi, (N, off)), (j, step)
 
 
 def test_negative_control_zero_H():
@@ -392,6 +405,61 @@ def test_horizontal_chain_coherence():
     chains = [(rep.tau, rep.tau_face) for rep in result.horizontal]
     assert (S(100, 101, 102), S(100,)) in chains
     assert (S(100, 101), S(100,)) in chains
+
+
+@pytest.mark.parametrize("fixture", ["triangle_fan", "five_over_two"])
+def test_each_prism_quantity_is_computed_once(monkeypatch, fixture):
+    # psi* eta, the compositions A_phi o psi and the Whitney combination are
+    # built once per prism; the residual check and residuals() reuse them
+    if fixture == "triangle_fan":
+        f, r = triangle_fan(), 1
+        omega = global_input(f, [(2, 3), (3, 4), (0, 3), (3, 5)])
+    else:
+        f, r = five_over_two(), 2
+        sigma = S(0, 1, 2, 3, 4, 5)
+        sc = simplex_context(sigma)
+        lam = lambda v: Poly.variable(sc, sc.var("l", v))
+        omega = {sigma: d(Form(sc, {(sc.var("l", 5),): lam(1) * lam(3)}))}
+    calls = {name: [] for name in ("whitney_combination", "compose_psi", "pullback")}
+    for name, log in calls.items():
+        real = getattr(primitive, name)
+        def counted(*args, _real=real, _log=log, **kwargs):
+            _log.append(args)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(primitive, name, counted)
+    prisms = {}
+    for tau in sorted(f.target.cells):
+        if any(s.dim - tau.dim >= r for s in maximal_over(f, tau)):
+            prim = build_primitive_over(f, omega, tau, r)
+            assert all(res.is_zero for res in prim.residuals().values())
+            prisms.update(prim.prisms)
+    assert len(prisms) > 1
+    assert len(calls["whitney_combination"]) == len(prisms)
+    assert len(calls["compose_psi"]) == len(prisms)
+    assert len(calls["pullback"]) == len(prisms)
+    assert all(args[0] is pd.psi and args[1] is pd.eta
+               for args, pd in zip(calls["pullback"], prisms.values()))
+
+
+@pytest.mark.xfail(strict=True, raises=ExactnessError,
+                   reason="r = 1 matching never anchors a prism whose overlap "
+                          "difference is zero")
+def test_zero_overlap_difference_anchors_the_prism():
+    # a base edge times a fiber path of 4 segments, each square cut into two
+    # staircase triangles; vertex (i, j) is i*5 + j and maps to 100 + i
+    vid = lambda i, j: i * 5 + j
+    cells = []
+    for j in range(4):
+        cells += [S(vid(0, j), vid(0, j + 1), vid(1, j + 1)),
+                  S(vid(0, j), vid(1, j), vid(1, j + 1))]
+    f = SimplicialMorphism(SimplicialComplex(cells), SimplicialComplex([S(100, 101)]),
+                           {vid(i, j): 100 + i for i in range(2) for j in range(5)})
+    # d(l8^2) is globally exact; over 101 it vanishes on the fiber segments
+    # <5,6> and <6,7>, so the overlap difference on <6> is zero and <6,7> is
+    # never anchored: <6,7> and <7,8> then disagree on <7>
+    omega = global_input(f, [(8, 8)])
+    prim = build_primitive_over(f, omega, S(101), 1)
+    assert all(res.is_zero for res in prim.residuals().values())
 
 
 def test_cylinder_not_fiberwise_exact():
@@ -478,8 +546,8 @@ def test_specialization_charts_compose():
                                * Poly.variable(sc, sc.var("l", 2))))
         dec = extract_A(eta, f, sigma, 1)
         psi = psi_coordinate_map(f, sigma)
-        C = assemble_C(dec, f, psi)
-        H = c_part_form(dec, C, psi)
+        C = assemble_C(dec, f, psi, compose_psi(dec, psi))
+        H = c_part_form(C, psi)
         direct = pullback(one, H)
         two_step = pullback(step2, pullback(step1, H))
         assert equal_mod_relations(direct, two_step)
