@@ -23,6 +23,5 @@ from .sheaf import (PrismalSheaf, build_Pf, build_Sf,
                     check_Pf_characterization, check_Sf_characterization,
                     fiber_structure, is_equidimensional, psi_coordinate_map,
                     psi_morphism, psi_sigma, theta_sigma)
-from .primitive import (FiberwiseDecomposition, RelativePrimitive, assemble_C,
-                        build_relative_primitive, check_horizontal, extract_A,
-                        ode_solve, verify_theodg)
+from .primitive import (RelativePrimitive, build_relative_primitive,
+                        check_horizontal)

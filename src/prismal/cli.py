@@ -22,6 +22,8 @@ OPERATION_MAP_VERSION = "identity-map v1: lemcod, bord, satrap, satrapaz, iminve
 
 def cmd_check(args) -> int:
     try:
+        if args.max_dim < 1:
+            raise ValidationError(f"--max-dim must be at least 1, got {args.max_dim}")
         if args.suite == "all":
             reports = run_all(max_dim=args.max_dim, seed=args.seed)
         else:

@@ -82,13 +82,3 @@ def identity_on(maximal) -> SimplicialMorphism:
     """Identity morphism of the complex spanned by the given simplices."""
     cx = SimplicialComplex([Simplex(tuple(m)) for m in maximal])
     return SimplicialMorphism(cx, cx, {v: v for v in cx.vertices})
-
-
-FIXTURES = {
-    "triangle_fan": triangle_fan,
-    "collapse_edge": collapse_edge,
-    "square_over_edge": square_over_edge,
-    "five_over_two": five_over_two,
-    "tetra_pair_over_triangle": tetra_pair_over_triangle,
-    "cylinder_over_edge": cylinder_over_edge,
-}

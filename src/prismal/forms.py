@@ -5,6 +5,11 @@ each group carries the relation "sum of its variables = 1".  Forms are kept
 in the redundant variables; equality, degree and integration questions go
 through `canonicalize`, which eliminates the last variable of every group.
 
+Wedge reorderings take their sign from `mesh.perm_sign` through
+`_sort_wedge`, the one permutation-sign routine of the package, and the
+base-volume test `de ^ a` of every closing residual and of the
+fiberwise-zero criterion is `base_volume_residual`.
+
 Every chart of the package is "one dropped variable per group" (or none,
 for a group kept whole), and one kernel, `eliminate`, applies them all: the
 canonical chart, the first-variable chart of integration and the cone
@@ -121,10 +126,10 @@ class CoordSystem:
         return "Ctx[" + "; ".join(f"{t}:{v}" for t, v in self.groups) + "]"
 
 
-def simplex_context(s: Simplex, tag: str = "l") -> CoordSystem:
+def simplex_context(s: Simplex) -> CoordSystem:
     if s.is_empty:
         raise ContextError("no coordinates on the empty simplex")
-    return CoordSystem(((tag, s.vertices),))
+    return CoordSystem((("l", s.vertices),))
 
 
 def prism_context(p: Prism) -> CoordSystem:
@@ -354,13 +359,6 @@ class Poly:
                 t[e[:i] + (n - 1,) + e[i + 1:]] = _int_if_integral(c * n)
         return Poly._make(self.ctx, t)
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
-    def degree_in(self, vars_: Iterable[int]) -> int:
-        vs = tuple(vars_)
-        return max((sum(e[i] for i in vs) for e in self.terms), default=0)
-
     def substitute(self, images: Mapping[int, "Poly"], target: CoordSystem) -> "Poly":
         """Substitute every variable by its image polynomial over `target`.
 
@@ -555,9 +553,6 @@ class Form:
         if len(degs) > 1:
             raise DegreeError(f"mixed degrees {degs}")
         return degs.pop() if degs else 0
-
-    def component(self, r: int) -> "Form":
-        return Form._make(self.ctx, {dv: p for dv, p in self.terms.items() if len(dv) == r})
 
     def __repr__(self):
         if not self.terms:
@@ -895,9 +890,7 @@ def group_whitney_extended(ctx: CoordSystem, group: int,
     q = len(idx) - 1
     if q < 0:
         raise FormError("empty vertex subset")
-    fact = 1
-    for k in range(1, q + 1):
-        fact *= k
+    fact = math.factorial(q)
     acc: dict[tuple[int, ...], dict] = {}
     for k in range(q + 1):
         wedge_sorted, sign = _sort_wedge(tuple(idx[:k] + idx[k + 1:]))
@@ -977,9 +970,14 @@ def vertical_part(a: Form) -> Form:
     return Form._make(a.ctx, keep)
 
 
+def base_volume_residual(a: Form) -> Form:
+    """de ^ a, canonicalized: the closing residuals of the pipeline."""
+    return canonicalize(wedge(de_form(a.ctx), a))
+
+
 def is_fiberwise_zero(a: Form) -> bool:
     """A form is zero on every fiber iff it dies against the base volume."""
-    return canonicalize(wedge(a, de_form(a.ctx))).is_zero
+    return base_volume_residual(a).is_zero
 
 
 def relative_d(a: Form) -> Form:
@@ -997,14 +995,7 @@ def relative_d(a: Form) -> Form:
 def _dirichlet(exps: Iterable[int]) -> Fraction:
     """Integral of a monomial over the standard simplex in those variables."""
     exps = list(exps)
-    num = 1
-    for e in exps:
-        for k in range(1, e + 1):
-            num *= k
-    den = 1
-    for k in range(1, len(exps) + sum(exps) + 1):
-        den *= k
-    return Q(num, den)
+    return Q(math.prod(map(math.factorial, exps)), math.factorial(len(exps) + sum(exps)))
 
 
 def integrate_top_form(a: Form) -> Fraction:

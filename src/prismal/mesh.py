@@ -383,6 +383,14 @@ class SimplicialMorphism:
         return sorted(c for c in self.source.cells
                       if {self.vertex_map[v] for v in c.vertices} <= tv)
 
+    def cells_over(self, tau: Simplex) -> list[Simplex]:
+        """The source cells whose image is exactly tau, sorted."""
+        return [c for c in self.preimage_cells(tau) if self.image(c) == tau]
+
+    def rel_dim(self, s: Simplex) -> int:
+        """Relative dimension dim s - dim f(s) of a source cell."""
+        return len(s.vertices) - len(self.image(s).vertices)
+
     def restriction_to(self, s: Simplex, tau: Simplex) -> Simplex:
         """s ∩ f^{-1}(tau): vertices of s mapping into tau (may be empty)."""
         return Simplex(tuple(v for v in s.vertices if self.vertex_map[v] in tau.vset))

@@ -19,6 +19,12 @@ Pipeline, per base simplex tau and maximal source simplex sigma over it:
 Each prism computes the pullback of the input, the compositions A_phi o psi
 and the Whitney combination once, and every stage reads those.
 
+One home per concept: `pair_with_face` contracts with a fiber frame by a
+wedge expansion and `RelFace.block_factorial` normalizes it (also in the
+oracle), `weighted_whitney` builds both t-weighted Whitney sums of step
+3 (the A combination and the C part), `homothety_operator` is the ODE's operator (also in the identity
+suites), and `forms.base_volume_residual` computes both closing residuals.
+
 All the exact arithmetic is rational; the only floating point lives in the
 optional shrinking-average oracle for the extracted coefficients.
 """
@@ -34,11 +40,12 @@ from typing import Iterable
 import numpy as np
 
 from .mesh import Simplex, SimplicialMorphism
-from .forms import (Chart, CoordMap, CoordSystem, Form, Poly, canonicalize, d,
-                    de_form, eliminate, eliminate_poly, elimination_chart,
-                    equal_mod_relations, pi_context, poincare_primitive,
-                    pullback, restrict_to_face, simplex_context,
-                    vertical_part, wedge, whitney_relative_extended)
+from .forms import (Chart, CoordMap, CoordSystem, Form, Poly,
+                    base_volume_residual, canonicalize, d, eliminate,
+                    eliminate_poly, elimination_chart, equal_mod_relations,
+                    pi_context, poincare_primitive, pullback, restrict_to_face,
+                    simplex_context, vertical_part, wedge,
+                    whitney_relative_extended)
 from .sheaf import psi_coordinate_map
 
 Q = Fraction
@@ -77,12 +84,17 @@ def ode_solve(B: Poly, r: int, vars_: Iterable[int] | None = None) -> Poly:
     return out
 
 
-def ode_residual(E: Poly, B: Poly, r: int, vars_: Iterable[int] | None = None) -> Poly:
-    vs = tuple(vars_) if vars_ is not None else tuple(range(B.ctx.nvars))
+def homothety_operator(E: Poly, r: int, vars_: Iterable[int] | None = None) -> Poly:
+    """E + (1/r) sum_i u_i dE/du_i over `vars_` (default: all variables)."""
+    vs = tuple(vars_) if vars_ is not None else tuple(range(E.ctx.nvars))
     acc = E
     for i in vs:
-        acc = acc + Poly.variable(B.ctx, i) * E.diff(i) * Q(1, r)
-    return acc - B
+        acc = acc + Poly.variable(E.ctx, i) * E.diff(i) * Q(1, r)
+    return acc
+
+
+def ode_residual(E: Poly, B: Poly, r: int, vars_: Iterable[int] | None = None) -> Poly:
+    return homothety_operator(E, r, vars_) - B
 
 
 # ---------------------------------------------------------------------------
@@ -96,12 +108,12 @@ class RelFace:
     vertices: tuple[int, ...]
     blocks: tuple[tuple[int, ...], ...]
 
-    @property
-    def rel_dim(self) -> int:
-        return sum(len(b) - 1 for b in self.blocks)
-
     def block_dims(self) -> tuple[int, ...]:
         return tuple(len(b) - 1 for b in self.blocks)
+
+    def block_factorial(self) -> int:
+        """The normalization of A_phi: the product of the block factorials."""
+        return math.prod(map(math.factorial, self.block_dims()))
 
 
 def relative_faces(f: SimplicialMorphism, sigma: Simplex, r: int) -> list[RelFace]:
@@ -125,52 +137,24 @@ def relative_faces(f: SimplicialMorphism, sigma: Simplex, r: int) -> list[RelFac
     return sorted(out)
 
 
-def _det(mat: list[list[Fraction]]) -> Fraction:
-    n = len(mat)
-    if n == 0:
-        return Q(1)
-    m = [row[:] for row in mat]
-    det = Q(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            return Q(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Q(1) / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                fac = m[r][col] * inv
-                m[r] = [a - fac * b for a, b in zip(m[r], m[col])]
-    return det
-
-
-def face_direction_vectors(ctx: CoordSystem, phi: RelFace) -> list[tuple[int, int]]:
-    """Constant fiber-tangent frame of phi: per block, the differences from
-    the block's first vertex, as (plus_var, minus_var) index pairs."""
-    vecs = []
-    for block in phi.blocks:
-        base = ctx.var("l", block[0])
-        for w in block[1:]:
-            vecs.append((ctx.var("l", w), base))
-    return vecs
-
-
 def pair_with_face(eta: Form, phi: RelFace) -> Poly:
-    """Contract an r-form with the fiber r-frame of phi (exact, constant)."""
+    """Contract an r-form with the constant fiber r-frame of phi: per block,
+    the differences from the block's first vertex.
+
+    The wedge of the frame's dual 1-forms d l_w - d l_block[0] has, at each
+    sorted wedge, the determinant of the pairing as its (integer)
+    coefficient; the contraction reads eta's coefficient there.
+    """
     ctx = eta.ctx
-    vecs = face_direction_vectors(ctx, phi)
-    r = len(vecs)
+    frame = Form.const(ctx, 1)
+    for block in phi.blocks:
+        first = Form.d_var(ctx, ctx.var("l", block[0]))
+        for w in block[1:]:
+            frame = wedge(frame, Form.d_var(ctx, ctx.var("l", w)) - first)
     out = Poly.zero(ctx)
     for dv, p in eta.terms.items():
-        if len(dv) != r:
-            continue
-        mat = [[Q((i == plus) - (i == minus)) for (plus, minus) in vecs] for i in dv]
-        det = _det(mat)
-        if det:
-            out = out + p * det
+        if dv in frame.terms:
+            out = out + p * frame.terms[dv]
     return out
 
 
@@ -205,17 +189,14 @@ def extract_A(eta: Form, f: SimplicialMorphism, sigma: Simplex,
         if len(nonzero) != 1:
             raise DecompositionError(f"mixed degrees {nonzero}; pass r explicitly")
         r = nonzero[0]
-    d_rel = sum(len(fib.vertices) - 1 for fib in f.fibers(sigma))
+    d_rel = f.rel_dim(sigma)
     if r > d_rel:
         raise DecompositionError(
             f"degree {r} exceeds the relative dimension {d_rel} of {sigma}")
     faces = relative_faces(f, sigma, r)
     A: dict[RelFace, Poly] = {}
     for phi in faces:
-        fact = Q(1)
-        for dd in phi.block_dims():
-            fact *= math.factorial(dd)
-        A[phi] = pair_with_face(eta, phi) * (Q(1) / fact)
+        A[phi] = pair_with_face(eta, phi) * Q(1, phi.block_factorial())
     return FiberwiseDecomposition(sigma, tau, r, tuple(faces), A)
 
 
@@ -236,22 +217,27 @@ def compose_psi(dec: FiberwiseDecomposition, psi: CoordMap) -> dict[RelFace, Pol
             for phi in dec.faces if dec.A[phi]}
 
 
+def weighted_whitney(pctx: CoordSystem, terms) -> Form:
+    """sum of coeff * t^dims * w(blocks) over the (coeff, dims, blocks) of
+    `terms`: a t-weighted sum of relative Whitney forms on a trivial prism."""
+    out = Form.zero(pctx)
+    for coeff, dims, blocks in terms:
+        t_mon = t_monomial(pctx, dims)
+        out = out + whitney_relative_extended(pctx, blocks) * (coeff * t_mon)
+    return out
+
+
 def whitney_combination(composed: dict[RelFace, Poly], psi: CoordMap) -> Form:
     """The t-weighted relative Whitney combination of the coefficients
     `composed` (from `compose_psi`), as a form on the trivial prism of
     sigma (`psi` is sigma's blow-down)."""
-    pctx = psi.source
-    out = Form.zero(pctx)
-    for phi, coeff in composed.items():
-        t_mon = t_monomial(pctx, phi.block_dims())
-        w = whitney_relative_extended(pctx, phi.blocks)
-        out = out + w * (coeff * t_mon)
-    return out
+    return weighted_whitney(psi.source, ((coeff, phi.block_dims(), phi.blocks)
+                                         for phi, coeff in composed.items()))
 
 
 def decomposition_residual(pulled: Form, combo: Form) -> Form:
     """base volume ^ (pulled-back input - Whitney combination), canonicalized."""
-    return canonicalize(wedge(de_form(pulled.ctx), pulled - combo))
+    return base_volume_residual(pulled - combo)
 
 
 # ---------------------------------------------------------------------------
@@ -346,15 +332,8 @@ def assemble_C(dec: FiberwiseDecomposition, f: SimplicialMorphism,
 
 def c_part_form(C: dict[FaceDrop, Poly], psi: CoordMap) -> Form:
     """sum over (phi, gamma) of t^{|phi|} C~ w(pi(gamma); pi(sigma))."""
-    pctx = psi.source
-    out = Form.zero(pctx)
-    for drop, ctil in C.items():
-        if not ctil:
-            continue
-        t_mon = t_monomial(pctx, drop.phi.block_dims())
-        w = whitney_relative_extended(pctx, drop.gamma_blocks())
-        out = out + w * (ctil * t_mon)
-    return out
+    return weighted_whitney(psi.source, ((ctil, drop.phi.block_dims(), drop.gamma_blocks())
+                                         for drop, ctil in C.items() if ctil))
 
 
 # ---------------------------------------------------------------------------
@@ -415,15 +394,14 @@ class RelativePrimitive:
 
     def residuals(self) -> dict[Simplex, Form]:
         """The closing residual base-volume ^ (psi* omega - dH) per prism."""
-        return {sig: canonicalize(wedge(de_form(pd.psi.source), pd.pulled - d(pd.H)))
+        return {sig: base_volume_residual(pd.pulled - d(pd.H))
                 for sig, pd in self.prisms.items()}
 
 
 def maximal_over(f: SimplicialMorphism, tau: Simplex) -> list[Simplex]:
     """Maximal source cells with image exactly tau."""
-    over = [s for s in f.preimage_cells(tau) if f.image(s) == tau]
-    return sorted(s for s in over
-                  if not any(s != t and s.vset < t.vset for t in over))
+    over = f.cells_over(tau)
+    return [s for s in over if not any(s.vset < t.vset for t in over)]
 
 
 def build_primitive_over(f: SimplicialMorphism, omega: dict[Simplex, Form],
@@ -796,17 +774,16 @@ def build_relative_primitive(f: SimplicialMorphism, omega: dict[Simplex, Form],
     """
     if r < 1:
         raise PrimitiveError(f"degree {r}: a relative primitive needs degree >= 1")
-    top = max(s.dim - f.image(s).dim for s in f.source.maximal)
+    top = max(map(f.rel_dim, f.source.maximal))
     if r > top:
         raise PrimitiveError(
             f"degree {r} exceeds the largest relative dimension {top} of the morphism")
     validate_input_family(omega)
     prims: dict[Simplex, RelativePrimitive] = {}
     for tau in sorted(f.target.cells):
-        tops = maximal_over(f, tau)
-        if not tops:
-            continue
-        d_rel = max(sum(len(fib.vertices) - 1 for fib in f.fibers(s)) for s in tops)
+        # the largest cell over tau in a maximal cell m is m's part over tau
+        d_rel = max((f.rel_dim(f.restriction_to(m, tau)) for m in f.source.maximal
+                     if tau.vset <= f.image(m).vset), default=0)
         if d_rel < r:
             continue
         prims[tau] = build_primitive_over(f, omega, tau, r)
@@ -861,9 +838,7 @@ def oracle_A(eta: Form, f: SimplicialMorphism, sigma: Simplex, phi: RelFace,
     tau = f.image(sigma)
     s = tau.dim
     g = pair_with_face(eta, phi)
-    fact = 1.0
-    for dd in phi.block_dims():
-        fact *= math.factorial(dd)
+    fact = phi.block_factorial()
     # center: base barycenter, block centroids
     tbar = Q(1, s + 1)
     center = [Q(0)] * sctx.nvars

@@ -159,7 +159,7 @@ def build_Pf(f: SimplicialMorphism) -> PrismalSheaf:
     proj: dict[Simplex, CellMorphism] = {}
     spec: dict[tuple[Simplex, Simplex], CellMorphism] = {}
     for tau in f.target.cells:
-        tops = [pi_prism(f, s) for s in f.preimage_cells(tau) if f.image(s) == tau]
+        tops = [pi_prism(f, s) for s in f.cells_over(tau)]
         if not tops:
             stalks[tau] = PrismalSet([])
             proj[tau] = CellMorphism({})
@@ -191,6 +191,12 @@ def build_Pf(f: SimplicialMorphism) -> PrismalSheaf:
     return sheaf
 
 
+def _blow_down(c: Prism, tau: Simplex) -> Simplex:
+    """The raw cell of a trivialized cell over tau: the join of its fiber
+    factors over the vertices of its base factor."""
+    return join(c.factors[1 + tau.vertices.index(y)] for y in c.factors[0].vertices).sorted()
+
+
 def psi_morphism(f: SimplicialMorphism) -> dict[Simplex, CellMorphism]:
     """Per-base-simplex blow-down from the trivialized sheaf to the raw one.
 
@@ -204,9 +210,7 @@ def psi_morphism(f: SimplicialMorphism) -> dict[Simplex, CellMorphism]:
         cells: dict[Prism, Prism | None] = {}
         verts: dict[Prism, dict[tuple, tuple]] = {}
         for c in pf.stalk(tau):
-            base = c.factors[0]
-            picked = [c.factors[1 + tau.vertices.index(y)] for y in base.vertices]
-            cells[c] = Prism.from_simplex(join(picked).sorted())
+            cells[c] = Prism.from_simplex(_blow_down(c, tau))
             verts[c] = {vt: (vt[1 + tau.vertices.index(vt[0])],)
                         for vt in c.vertex_tuples}
         out[tau] = CellMorphism(cells, verts)
@@ -329,13 +333,8 @@ def check_Pf_characterization(F: PrismalSheaf):
                     leftover.remove(g)
                 else:
                     return False, f"{c}: factor {g} of {img} is not a factor", None
-    recon: dict[Simplex, set[Simplex]] = {}
-    for tau, stalk in F.stalks.items():
-        cells = set()
-        for c in stalk.maximal:
-            picked = [c.factors[1 + tau.vertices.index(y)] for y in c.factors[0].vertices]
-            cells.add(join(picked).sorted())
-        recon[tau] = cells
+    recon = {tau: {_blow_down(c, tau) for c in stalk.maximal}
+             for tau, stalk in F.stalks.items()}
     return True, None, recon
 
 

@@ -10,6 +10,7 @@ reproducible.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,13 +18,13 @@ from fractions import Fraction
 from .mesh import (Prism, Simplex, SimplicialComplex, SimplicialMorphism,
                    incidence_number, prism_incidence)
 from .forms import (CoordSystem, Form, Poly, canonicalize, d, de_form,
-                    eliminate_poly, elimination_chart, group_whitney,
-                    group_whitney_extended, integrate_fiber,
-                    pi_context, prism_context, pullback, restrict_to_face,
-                    simplex_context, wedge, wedge_all, whitney,
-                    whitney_antiboundary, whitney_extended, whitney_prism,
-                    whitney_prism_extended, whitney_relative,
-                    whitney_relative_extended)
+                    eliminate_poly, elimination_chart, group_whitney_extended,
+                    integrate_fiber, is_fiberwise_zero, pi_context,
+                    prism_context, pullback, relative_d, restrict_to_face,
+                    simplex_context, wedge, whitney, whitney_antiboundary,
+                    whitney_extended, whitney_prism, whitney_prism_extended,
+                    whitney_relative, whitney_relative_extended)
+from .primitive import homothety_operator, specialization_chart, t_monomial
 from .sheaf import psi_coordinate_map
 from . import fixtures as fixture_mod
 
@@ -248,9 +249,7 @@ def verify_satrap(p: int, ell: int) -> IdentityReport:
     total = Form.zero(ctx)
     for h in range(ell + 1, p + 1):
         total = total + group_whitney_extended(ctx, 0, tuple(range(ell + 1)) + (h,))
-    fact = 1
-    for k in range(1, ell + 2):
-        fact *= k
+    fact = math.factorial(ell + 1)
     rhs = Form(ctx, {tuple(range(ell + 1)): Poly.const(ctx, Q((-1) ** (ell + 1) * fact))})
     return _report("satrap", f"p={p} l={ell}",
                    canonicalize(total - rhs))
@@ -261,10 +260,7 @@ def _satrapaz_rhs(ctx: CoordSystem, p: int, ell: int, E: Poly) -> Form:
     for h in range(ell + 1, p + 1):
         # substitute the h-th coordinate by 1 - sum(others)
         Eh = eliminate_poly(E, elimination_chart(ctx, (h,)))
-        coeff = Eh
-        for i in range(p + 1):
-            if i != h:
-                coeff = coeff + Poly.variable(ctx, i) * Eh.diff(i) * Q(1, ell + 1)
+        coeff = homothety_operator(Eh, ell + 1, (i for i in range(p + 1) if i != h))
         w = group_whitney_extended(ctx, 0, tuple(range(ell + 1)) + (h,))
         rhs = rhs + w * (coeff * Q((-1) ** (ell + 1)))
     return rhs
@@ -325,29 +321,17 @@ def verify_iminve(f: SimplicialMorphism, sigma: Simplex) -> IdentityReport:
     """psi-pullback of the cell volume form against the weighted product
     volume form, with the permutation sign from the stored orders."""
     tau = f.image(sigma)
-    fibers = f.fibers(sigma)
     psi = psi_coordinate_map(f, sigma)
     pctx = psi.source
     p, s = sigma.dim, tau.dim
     lhs = pullback(psi, whitney(sigma))
-    dims = [fib.dim for fib in fibers]
+    dims = [fib.dim for fib in f.fibers(sigma)]
     alpha = sum((s - j) * dims[j] for j in range(s)) + (
         0 if f.grouping_sign(sigma) == 1 else 1)
-    num = 1
-    for k in range(1, p + 1):
-        num *= k
-    den = 1
-    for k in range(1, s + 1):
-        den *= k
-    for dd in dims:
-        for k in range(1, dd + 1):
-            den *= k
-    coeff = Q((-1) ** alpha * num, den)
-    t_mon = Poly.const(pctx, 1)
-    for y, dd in zip(tau.vertices, dims):
-        t_mon = t_mon * Poly.variable(pctx, pctx.var("t", y)) ** dd
-    rhs = wedge_all([group_whitney(pctx, g) for g in range(len(pctx.groups))])
-    rhs = rhs * (t_mon * coeff)
+    den = math.factorial(s) * math.prod(map(math.factorial, dims))
+    coeff = Q((-1) ** alpha * math.factorial(p), den)
+    rhs = whitney_prism_extended(pctx, (verts for _, verts in pctx.groups))
+    rhs = rhs * (t_monomial(pctx, dims) * coeff)
     return _report("iminve", f"{sigma}->{tau} dims={tuple(dims)}",
                    canonicalize(lhs - rhs))
 
@@ -387,14 +371,8 @@ def verify_faceface(p: int, q: int) -> IdentityReport:
         du = du + Form.d_var(ctx, i)
     # (-1)^(p+q) p! / (q! (p-q-1)!): sign and magnitude pinned by the
     # exact-multiple fit over all (p, q) up to 5 with subsequence orientations
-    coeff = Q(1)
-    for k in range(1, p + 1):
-        coeff *= k
-    for k in range(1, q + 1):
-        coeff /= k
-    for k in range(1, p - q):
-        coeff /= k
-    coeff *= Q((-1) ** (p + q))
+    coeff = Q((-1) ** (p + q) * math.factorial(p),
+              math.factorial(q) * math.factorial(p - q - 1))
     rhs = wedge(wedge(group_whitney_extended(ctx, 0, face1),
                       group_whitney_extended(ctx, 0, face2)), du) * coeff
     lhs = whitney(s) * (u * (Poly.const(ctx, 1) - u))
@@ -449,20 +427,12 @@ def verify_faceface_suite(max_p: int = 4, max_q: int = 2,
 # Relative form identities on the trivialized sheaves
 # ---------------------------------------------------------------------------
 
-def _fixture_morphisms():
-    return [fixture_mod.triangle_fan(), fixture_mod.square_over_edge(),
-            fixture_mod.five_over_two(), fixture_mod.tetra_pair_over_triangle()]
-
-
-def verify_relative_suite(fixture_names=None):
+def verify_relative_suite():
     reports = []
-    morphisms = _fixture_morphisms() if fixture_names is None else [
-        fixture_mod.FIXTURES[n]() for n in fixture_names]
-    for f in morphisms:
-        name = ",".join(str(m) for m in f.source.maximal[:2])
+    for f in (fixture_mod.triangle_fan(), fixture_mod.square_over_edge(),
+              fixture_mod.five_over_two(), fixture_mod.tetra_pair_over_triangle()):
         for tau in sorted(f.target.cells):
-            tops = [s for s in f.preimage_cells(tau) if f.image(s) == tau]
-            for sigma in tops:
+            for sigma in f.cells_over(tau):
                 ctx = pi_context(tau, f.fibers(sigma))
                 wrel = whitney_relative(ctx)
                 # fiber integral is identically one
@@ -474,36 +444,30 @@ def verify_relative_suite(fixture_names=None):
                 for tau_f in sorted(f.target.cells):
                     if not tau_f.vset < tau.vset:
                         continue
-                    reports.append(_opicsh_case(f, sigma, tau, tau_f))
+                    reports.append(_opicsh_case(f, sigma, tau, tau_f, wrel))
                 # the relative differential of the extended forms: one-step
                 # fiber facets give incidence-signed volume forms
-                reports.extend(_lemrol_cases(f, sigma, tau))
+                reports.extend(_lemrol_cases(f, sigma, tau, wrel))
                 # the fiberwise-vanishing criterion: base multiples die,
                 # the relative volume form survives
-                reports.append(_lecare_case(f, sigma, tau))
+                reports.append(_lecare_case(f, sigma, tau, wrel))
     return reports
 
 
-def _lecare_case(f, sigma, tau) -> IdentityReport:
-    from .forms import is_fiberwise_zero
-    ctx = pi_context(tau, f.fibers(sigma))
-    wrel = whitney_relative(ctx)
+def _lecare_case(f, sigma, tau, wrel) -> IdentityReport:
     ok = True
     if tau.dim >= 1:
         # multiples of the base volume form restrict to zero on fibers
-        ok = is_fiberwise_zero(wedge(de_form(ctx), wrel))
-    d_rel = sum(fib.dim for fib in f.fibers(sigma))
-    if d_rel >= 1:
+        ok = is_fiberwise_zero(wedge(de_form(wrel.ctx), wrel))
+    if f.rel_dim(sigma) >= 1:
         ok = ok and not is_fiberwise_zero(wrel)
     return IdentityReport("relative.fiberwise_zero", f"{sigma} over {tau}", ok,
                           None if ok else "criterion misclassified a form")
 
 
-def _opicsh_case(f, sigma, tau, tau_f) -> IdentityReport:
-    from .primitive import specialization_chart, t_monomial
-    ctx = pi_context(tau, f.fibers(sigma))
+def _opicsh_case(f, sigma, tau, tau_f, wrel) -> IdentityReport:
     dims = [fib.dim for fib in f.fibers(sigma)]
-    weighted = whitney_relative(ctx) * t_monomial(ctx, dims)
+    weighted = wrel * t_monomial(wrel.ctx, dims)
     chart = specialization_chart(f, sigma, tau_f)
     specialized = pullback(chart, weighted)
     lost = [dims[j] for j, y in enumerate(tau.vertices) if y not in tau_f.vset]
@@ -520,12 +484,11 @@ def _opicsh_case(f, sigma, tau, tau_f) -> IdentityReport:
                    f"{sigma} over {tau} -> {tau_f} (equidim)", delta)
 
 
-def _lemrol_cases(f, sigma, tau):
-    from .forms import relative_d
+def _lemrol_cases(f, sigma, tau, wrel):
     reports = []
-    ctx = pi_context(tau, f.fibers(sigma))
+    ctx = wrel.ctx
     fibers = f.fibers(sigma)
-    fiber_prism = Prism(fibers) if all(not fib.is_empty for fib in fibers) else None
+    fiber_prism = Prism(fibers)
     for j, fib in enumerate(fibers):
         if fib.dim < 1:
             continue
@@ -535,13 +498,13 @@ def _lemrol_cases(f, sigma, tau):
             ext = whitney_relative_extended(ctx, [b.vertices for b in sub])
             lhs = relative_d(ext)
             sign = prism_incidence(fiber_prism, Prism(tuple(sub)))
-            rhs = whitney_relative(ctx) * Q(sign)
+            rhs = wrel * Q(sign)
             delta = canonicalize(lhs - rhs)
             reports.append(_report(
                 "relative.facet_differential",
                 f"{sigma} over {tau}, block {j} facet {i}", delta))
     # second case: same fibers over a base facet extend with zero d_e
-    lhs2 = relative_d(whitney_relative(ctx))
+    lhs2 = relative_d(wrel)
     reports.append(_report("relative.flat_extension",
                            f"{sigma} over {tau}", canonicalize(lhs2)))
     return reports

@@ -15,6 +15,7 @@ from prismal.io import (ValidationError, complex_from_dict, complex_to_dict,
                         morphism_from_dict, morphism_to_dict,
                         rational_from_str, rational_to_str)
 from prismal.mesh import Simplex
+from prismal.verify import SUITES
 
 
 def S(*vs):
@@ -123,6 +124,16 @@ def test_cmd_check_pass(capsys):
     assert main(["check", "--suite", "bord"]) == 0
     out = capsys.readouterr().out
     assert "4/4" in out
+
+
+@pytest.mark.parametrize("suite", ("all",) + SUITES)
+@pytest.mark.parametrize("max_dim", [0, -1])
+def test_cmd_check_rejects_max_dim_below_one(capsys, suite, max_dim):
+    # no universe has cells below dimension 1: an empty run is no success
+    assert main(["check", "--suite", suite, "--max-dim", str(max_dim)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("validation error:")
+    assert "identity cases passed" not in captured.out
 
 
 def test_cmd_check_json_report(tmp_path):

@@ -1,0 +1,101 @@
+"""Byte-level goldens of the two JSON outputs a refactor must keep.
+
+`prismal primitive --check-horizontal` runs on inputs this file writes
+itself, and `prismal check --suite all --max-dim 3 --seed 0 --json` on the
+built-in universes; the sha256 of every output file must match
+`data/output_digests.json`.  A change that alters the primitives on purpose
+(a new gauge or fiber homotopy) updates those digests in the same change
+and names the ones that moved.
+"""
+
+import hashlib
+import json
+from fractions import Fraction as Q
+from pathlib import Path
+
+import pytest
+
+from prismal.cli import main
+from prismal.fixtures import five_over_two, tetra_pair_over_triangle, triangle_fan
+from prismal.forms import Form, Poly, d, simplex_context
+from prismal.io import complex_to_dict, form_to_dict, morphism_to_dict
+
+DIGESTS = json.loads((Path(__file__).parent / "data" / "output_digests.json").read_text())
+
+# name -> (fixture, degree r, alpha): omega = d(alpha), alpha a sum of
+# c * prod(l_v for v in monomial) * d l_w1 ^ ... over the listed dvars
+PRIMITIVE_CASES = {
+    "primitive/triangle_fan/r1": (triangle_fan, 1, [
+        (1, (2, 3), ()), (-2, (3, 4), ()), (Q(3, 2), (0, 3), ()), (5, (3, 5), ())]),
+    "primitive/tetra_pair_over_triangle/r1": (tetra_pair_over_triangle, 1, [
+        (1, (1, 2), ()), (Q(-1, 3), (2, 3), ())]),
+    "primitive/five_over_two/r1": (five_over_two, 1, [
+        (1, (1, 3, 5), ()), (1, (0, 2), ())]),
+    "primitive/five_over_two/r2": (five_over_two, 2, [
+        (1, (1, 3), (5,)), (1, (1, 5, 5), (3,))]),
+    "primitive/five_over_two/r3": (five_over_two, 3, [
+        (1, (1, 1), (3, 5)), (1, (3,), (1, 5))]),
+}
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def write_inputs(directory: Path, fixture, alpha) -> list[str]:
+    """Complex, morphism and form files of d(alpha); the CLI's input flags."""
+    f = fixture()
+    paths = {name: directory / f"{name}.json" for name in ("complex", "morphism", "form")}
+    paths["complex"].write_text(json.dumps(complex_to_dict(f.source)))
+    morphism = morphism_to_dict(f)
+    morphism["target"] = complex_to_dict(f.target)
+    paths["morphism"].write_text(json.dumps(morphism))
+    forms = []
+    for s in f.source.maximal:
+        sc = simplex_context(s)
+        form = Form.zero(sc)
+        for c, mono, dvars in alpha:
+            if not set(mono + dvars) <= s.vset:
+                continue
+            coeff = Poly.const(sc, c)
+            for v in mono:
+                coeff = coeff * Poly.variable(sc, sc.var("l", v))
+            form = form + Form(sc, {tuple(sc.var("l", w) for w in dvars): coeff})
+        fd = form_to_dict(d(form))
+        fd["cell"] = list(s.vertices)
+        forms.append(fd)
+    paths["form"].write_text(json.dumps({"forms": forms}))
+    return [arg for name, path in paths.items() for arg in (f"--{name}", str(path))]
+
+
+def output_digests(directory: Path) -> dict[str, tuple[int, str]]:
+    """(exit code, sha256 of the output file) of every pinned command."""
+    out = {}
+    for name, (fixture, r, alpha) in PRIMITIVE_CASES.items():
+        case_dir = directory / name.replace("/", "_")
+        case_dir.mkdir()
+        target = case_dir / "primitive.json"
+        rc = main(["primitive", *write_inputs(case_dir, fixture, alpha),
+                   "--out", str(target), "--degree", str(r), "--check-horizontal"])
+        out[name] = (rc, _sha256(target))
+    report = directory / "check.json"
+    rc = main(["check", "--suite", "all", "--max-dim", "3", "--seed", "0",
+               "--json", str(report)])
+    out["check/all/max-dim-3/seed-0"] = (rc, _sha256(report))
+    return out
+
+
+@pytest.fixture(scope="module")
+def digests(tmp_path_factory):
+    return output_digests(tmp_path_factory.mktemp("outputs"))
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_output_bytes_match_the_golden_digest(digests, name):
+    rc, digest = digests[name]
+    assert rc == 0
+    assert digest == DIGESTS[name]
+
+
+def test_every_pinned_command_has_a_digest(digests):
+    assert sorted(digests) == sorted(DIGESTS)
