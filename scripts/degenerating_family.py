@@ -10,11 +10,10 @@ Usage: python scripts/degenerating_family.py [--out primitive.json]
 """
 
 import argparse
-import json
 
 from prismal.fixtures import triangle_fan
 from prismal.forms import Form, Poly, d, simplex_context
-from prismal.io import form_to_dict
+from prismal.io import dump_json, form_to_dict
 from prismal.primitive import build_relative_primitive, verify_theodg
 from prismal.sheaf import (build_Pf, build_Sf, check_Pf_characterization,
                            check_Sf_characterization, fiber_structure)
@@ -67,8 +66,7 @@ def main():
         for tau, prim in result.primitives.items():
             for sigma, pd in prim.prisms.items():
                 payload[f"{tau}:{sigma}"] = form_to_dict(pd.H)
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
+        dump_json(args.out, payload)
         print(f"\nprimitive forms written to {args.out}")
 
 

@@ -3,12 +3,19 @@
 Rationals are serialized as "num/den" strings (or "num" when integral).
 Validation errors carry the offending cell so the CLI can report the first
 violated invariant.
+
+Every JSON file the package writes goes through `dump_json`.  Its bytes are
+exactly those of `json.dumps(data, indent=1, sort_keys=True)` followed by a
+newline; object keys must be `str` (any other key is a `TypeError`, where
+`json` would coerce it).  The writer is a small recursion because with
+`indent` the standard library falls back to its pure-Python encoder.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .mesh import Simplex, SimplicialComplex, SimplicialMorphism, StructureError
@@ -21,9 +28,10 @@ class ValidationError(ValueError):
     pass
 
 
-def rational_to_str(q: Fraction) -> str:
-    q = Q(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+def rational_to_str(q: int | Fraction) -> str:
+    """A coefficient (an int when integral, else a Fraction, by the kernel's
+    invariant) as "num/den", or "num" when integral: `Fraction.__str__`."""
+    return str(q)
 
 
 def rational_from_str(s) -> Fraction:
@@ -211,5 +219,71 @@ def load_json(path) -> dict:
         raise ValidationError(f"{path}: {exc}") from exc
 
 
+_INF = float("inf")
+
+
+def _float_str(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _encode(value, depth: int, out: list, newlines: list) -> None:
+    """Append the pieces of `value` at nesting `depth`, in `json`'s order of
+    type tests (bools before ints).  newlines[k] is "\n" plus the indent of
+    depth k, extended as deeper containers appear."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_float_str(value))
+    elif isinstance(value, (list, tuple, dict)):
+        if not value:
+            out.append("{}" if isinstance(value, dict) else "[]")
+            return
+        inner = depth + 1
+        if inner == len(newlines):
+            newlines.append(newlines[-1] + " ")
+        newline = newlines[inner]
+        if isinstance(value, dict):
+            out.append("{")
+            for key in sorted(value):
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                out.append(newline)
+                out.append(_quote(key))
+                out.append(": ")
+                _encode(value[key], inner, out, newlines)
+                out.append(",")
+            close = "}"
+        else:
+            out.append("[")
+            for item in value:
+                out.append(newline)
+                _encode(item, inner, out, newlines)
+                out.append(",")
+            close = "]"
+        out[-1] = newlines[depth]  # the last item's comma
+        out.append(close)
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def dump_json(path, data) -> None:
-    Path(path).write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    """Write `data` as `json.dumps(data, indent=1, sort_keys=True)` plus a
+    newline would, byte for byte."""
+    out: list = []
+    _encode(data, 0, out, ["\n"])
+    out.append("\n")
+    Path(path).write_text("".join(out))

@@ -26,7 +26,8 @@ oracle), `weighted_whitney` builds both t-weighted Whitney sums of step
 suites), and `forms.base_volume_residual` computes both closing residuals.
 
 All the exact arithmetic is rational; the only floating point lives in the
-optional shrinking-average oracle for the extracted coefficients.
+optional shrinking-average oracle for the extracted coefficients, the one
+place that imports numpy (when it runs, so `import prismal` never loads it).
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
-
-import numpy as np
 
 from .mesh import Simplex, SimplicialMorphism
 from .forms import (Chart, CoordMap, CoordSystem, Form, Poly,
@@ -449,15 +448,24 @@ def validate_input_family(omega: dict[Simplex, Form]) -> None:
     """Input forms must restrict compatibly to shared faces.
 
     An incoherent family is not a differential form on the complex; it
-    would fail the gluing steps much later with an opaque message.
+    would fail the gluing steps much later with an opaque message.  Only
+    cells sharing a vertex are compared, and a pair whose common face has a
+    dimension below every term degree of both forms is skipped: both
+    restrictions vanish there.
     """
     cells = sorted(omega)
+    cells_at: dict[int, list[int]] = {}
+    for i, s in enumerate(cells):
+        for v in s.vertices:
+            cells_at.setdefault(v, []).append(i)
     for i, s1 in enumerate(cells):
         if omega[s1].ctx != simplex_context(s1):
             raise PrimitiveError(f"form on {s1} is not in its simplex context")
-        for s2 in cells[i + 1:]:
+        for j in sorted({j for v in s1.vertices for j in cells_at[v] if j > i}):
+            s2 = cells[j]
             common = tuple(v for v in s1.vertices if v in s2.vset)
-            if not common:
+            degrees = omega[s1].degrees() | omega[s2].degrees()
+            if len(common) - 1 < min(degrees, default=math.inf):
                 continue
             fctx = simplex_context(Simplex(common))
             r1 = restrict_to_face(omega[s1], fctx)
@@ -801,12 +809,14 @@ def build_relative_primitive(f: SimplicialMorphism, omega: dict[Simplex, Form],
 # ---------------------------------------------------------------------------
 
 def _gauss_legendre_01(n: int):
+    import numpy as np
     x, w = np.polynomial.legendre.leggauss(n)
     return (x + 1.0) / 2.0, w / 2.0
 
 
 def simplex_quadrature(dim: int, order: int = 8):
     """Product Gauss rule mapped to the unit simplex by stick-breaking."""
+    import numpy as np
     if dim == 0:
         return np.zeros((1, 0)), np.ones(1)
     x1, w1 = _gauss_legendre_01(order)
@@ -834,6 +844,7 @@ def oracle_A(eta: Form, f: SimplicialMorphism, sigma: Simplex, phi: RelFace,
     eps-homothety of phi's fiber slice, centered at the slice centroid over
     the base barycenter.  Returns (estimate, exact value at the center).
     """
+    import numpy as np
     sctx = simplex_context(sigma)
     tau = f.image(sigma)
     s = tau.dim

@@ -1,17 +1,20 @@
 import copy
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction as Q
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from prismal.cli import main
 from prismal.fixtures import tetra_pair_over_triangle, triangle_fan
 from prismal.forms import Form, Poly, d, simplex_context
 from prismal.io import (ValidationError, complex_from_dict, complex_to_dict,
-                        form_from_dict, form_to_dict, forms_file_to_inputs,
+                        dump_json, form_from_dict, form_to_dict, forms_file_to_inputs,
                         morphism_from_dict, morphism_to_dict,
                         rational_from_str, rational_to_str)
 from prismal.mesh import Simplex
@@ -25,12 +28,49 @@ def S(*vs):
 def test_rational_strings():
     assert rational_to_str(Q(3, 4)) == "3/4"
     assert rational_to_str(Q(5)) == "5"
+    assert rational_to_str(-7) == "-7"
     assert rational_from_str("3/4") == Q(3, 4)
     assert rational_from_str("-2") == Q(-2)
     assert rational_from_str(7) == Q(7)
     for bad in (1.5, "1/0", "abc", "1/2/3"):
         with pytest.raises(ValidationError):
             rational_from_str(bad)
+
+
+# keys that exercise the escaping: quotes, backslashes, control and non-ASCII
+_KEYS = st.text(max_size=6) | st.sampled_from(
+    ['"', "\\", 'a"b\\c', "\x00\x1f\n\t", "\u00e9", "\u2028", "\U0001f600", ""])
+_SCALARS = (st.none() | st.booleans() | st.integers(-2 ** 200, 2 ** 200)
+            | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=8))
+_NESTED = st.recursive(
+    _SCALARS,
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+                  | st.dictionaries(_KEYS, kids, max_size=5)),
+    max_leaves=25)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_NESTED)
+def test_dump_json_matches_json_dumps(tmp_path, data):
+    path = tmp_path / "out.json"
+    dump_json(path, data)
+    assert path.read_bytes() == (json.dumps(data, indent=1, sort_keys=True) + "\n").encode()
+
+
+def test_dump_json_rejects_non_str_keys_and_unknown_values(tmp_path):
+    for bad in ({1: "a"}, {"a": {None: 0}}, [Q(1, 2)], {"a": {1, 2}}):
+        with pytest.raises(TypeError):
+            dump_json(tmp_path / "bad.json", bad)
+
+
+def test_import_does_not_load_numpy():
+    # only the floating-point oracle needs numpy, and it imports it itself
+    root = Path(__file__).resolve().parents[1]
+    code = "import sys, prismal, prismal.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")), check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_complex_roundtrip_and_validation():

@@ -204,6 +204,56 @@ def test_extraction_agrees_across_shared_faces():
 
 
 # ---------------------------------------------------------------------------
+# coherence of the input family
+# ---------------------------------------------------------------------------
+
+def _lam(cell, v, scale=1):
+    """The 0-form scale * l_v in the simplex context of `cell`."""
+    sc = simplex_context(cell)
+    return Form.from_poly(Poly.variable(sc, sc.var("l", v)) * Poly.const(sc, scale))
+
+
+def test_input_family_zero_forms_disagree_at_a_vertex():
+    omega = {S(0, 1): _lam(S(0, 1), 1), S(1, 2): _lam(S(1, 2), 1, 2)}
+    with pytest.raises(primitive.PrimitiveError,
+                       match=r"^input forms on <0,1> and <1,2> disagree on "
+                             r"their common face \(1,\)$"):
+        primitive.validate_input_family(omega)
+
+
+def test_input_family_one_forms_disagree_on_an_edge():
+    # <0,1,2> and <1,2,3> disagree on <1,2>, <1,2,3> and <2,3,4> on <2,3>;
+    # the first pair in sorted order is reported
+    omega = {S(0, 1, 2): d(_lam(S(0, 1, 2), 1)),
+             S(1, 2, 3): d(_lam(S(1, 2, 3), 1, 2)),
+             S(2, 3, 4): d(_lam(S(2, 3, 4), 3)),
+             S(4, 5, 6): d(_lam(S(4, 5, 6), 5))}
+    with pytest.raises(primitive.PrimitiveError,
+                       match=r"^input forms on <0,1,2> and <1,2,3> disagree on "
+                             r"their common face \(1, 2\)$"):
+        primitive.validate_input_family(omega)
+
+
+def test_input_family_skips_faces_below_the_degree(monkeypatch):
+    # cells meeting only at vertices: 1-forms restrict to zero there, so
+    # no restriction is computed, however different the forms are
+    calls = []
+    real = primitive.restrict_to_face
+    monkeypatch.setattr(primitive, "restrict_to_face",
+                        lambda *a: calls.append(a) or real(*a))
+    omega = {S(0, 1, 2): d(_lam(S(0, 1, 2), 1)),
+             S(2, 3, 4): d(_lam(S(2, 3, 4), 3, 5)),
+             S(0, 4, 5): d(_lam(S(0, 4, 5), 5, -1))}
+    primitive.validate_input_family(omega)
+    assert calls == []
+    # a 0-form term brings the shared vertices back into the check
+    omega[S(0, 1, 2)] = omega[S(0, 1, 2)] + _lam(S(0, 1, 2), 0)
+    with pytest.raises(primitive.PrimitiveError, match="common face \\(0,\\)"):
+        primitive.validate_input_family(omega)
+    assert calls
+
+
+# ---------------------------------------------------------------------------
 # C coefficients and the candidate primitive
 # ---------------------------------------------------------------------------
 
