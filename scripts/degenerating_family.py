@@ -44,7 +44,7 @@ def main():
     print("raw-preimage characterization:", check_Sf_characterization(sf)[0])
     print("trivialized characterization: ", check_Pf_characterization(pf)[0])
     for tau in sorted(f.target.cells):
-        pieces = sorted(fiber_structure(pf, tau).pieces)
+        pieces = sorted(fiber_structure(pf, tau))
         print(f"fiber type over {tau}: {pieces}")
 
     omega = exact_input(f, [(2, 3), (3, 4), (0, 3), (3, 5)])

@@ -1064,13 +1064,13 @@ def poincare_primitive(a: Form, fiber_only: bool = False) -> Form:
     if fiber_only:
         c = eliminate(a, _first_chart(ctx, ctx.fiber_groups))
         cone_vars = set(i for g in ctx.fiber_groups for i in ctx.group_vars[g][1:])
-        check = vertical_part(canonicalize(d(c)))
+        check = relative_d(c)
     else:
         c = eliminate_first(a)
         cone_vars = set(i for gvars in ctx.group_vars for i in gvars[1:])
         check = d(c)
     if not check.is_zero:
-        raise FormError("form is not closed; no primitive exists")
+        raise FormError(f"form is not closed; no primitive exists: d residual {check}")
     acc: dict[tuple[int, ...], dict] = {}
     for dv, p in c.terms.items():
         r = len([i for i in dv if i in cone_vars])

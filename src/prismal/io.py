@@ -191,14 +191,19 @@ def forms_file_to_inputs(dd: dict, cx: SimplicialComplex) -> dict[Simplex, Form]
     """Per-cell input forms: {"forms": [{"cell": [...], "terms": [...]}]}.
 
     Each entry's context is the simplex context of its cell; an explicit
-    "context" is honored but must match.
+    "context" is honored but must match.  A cell may be given once, in any
+    vertex order.
     """
     entries = _list(dd["forms"], "forms") if isinstance(dd, dict) and "forms" in dd else [dd]
     out: dict[Simplex, Form] = {}
+    seen: set[frozenset[int]] = set()
     for entry in entries:
         cell = Simplex(tuple(map(_vertex, _list(_field(entry, "cell", "form entry"), "cell"))))
         if cell not in cx:
             raise ValidationError(f"form cell {list(cell.vertices)} is not in the complex")
+        if cell.vset in seen:
+            raise ValidationError(f"form cell {list(cell.vertices)} is given twice")
+        seen.add(cell.vset)
         ctx = CoordSystem((("l", cell.vertices),))
         if "context" in entry:
             declared = context_from_dict(entry["context"])
@@ -212,9 +217,11 @@ def forms_file_to_inputs(dd: dict, cx: SimplicialComplex) -> dict[Simplex, Form]
 
 def load_json(path) -> dict:
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc})") from exc
     except OSError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 

@@ -5,6 +5,10 @@ ordering; that ordering *is* its orientation, and two orderings represent the
 same oriented simplex iff they differ by an even permutation.  A prism is an
 ordered product of simplices.  Boundaries are returned as formal integer
 chains (dicts cell -> coefficient).
+
+Preimage rule: the maximal cells of f^{-1}(tau) are the nonempty parts
+`restriction_to(m, tau)` of the maximal source cells m that are not faces of
+one another (`preimage_maximal`); every other preimage query filters them.
 """
 
 from __future__ import annotations
@@ -269,12 +273,13 @@ class PrismalSet:
         for p in self.maximal:
             cells |= p.all_faces()
         self.cells = frozenset(cells)
+        self._sorted = tuple(sorted(cells))
 
     def __contains__(self, p: Prism) -> bool:
         return p in self.cells
 
     def __iter__(self):
-        return iter(sorted(self.cells))
+        return iter(self._sorted)
 
     def __len__(self):
         return len(self.cells)
@@ -377,15 +382,22 @@ class SimplicialMorphism:
         grouped = [v for f in self.fibers(s) for v in f.vertices]
         return reorder_sign(s.vertices, tuple(grouped))
 
+    def preimage_maximal(self, tau: Simplex) -> list[Simplex]:
+        """The maximal cells of f^{-1}(tau), sorted: the preimage rule."""
+        parts = {self.restriction_to(m, tau) for m in self.source.maximal} - {EMPTY_SIMPLEX}
+        return sorted(p for p in parts if not any(p.vset < q.vset for q in parts))
+
     def preimage_cells(self, tau: Simplex) -> list[Simplex]:
-        """All source cells whose image is a face of tau."""
-        tv = tau.vset
-        return sorted(c for c in self.source.cells
-                      if {self.vertex_map[v] for v in c.vertices} <= tv)
+        """All source cells whose image is a face of tau, sorted."""
+        return sorted(set().union(*(p.all_faces() for p in self.preimage_maximal(tau))))
 
     def cells_over(self, tau: Simplex) -> list[Simplex]:
         """The source cells whose image is exactly tau, sorted."""
         return [c for c in self.preimage_cells(tau) if self.image(c) == tau]
+
+    def maximal_over(self, tau: Simplex) -> list[Simplex]:
+        """The maximal source cells with image exactly tau, sorted."""
+        return [p for p in self.preimage_maximal(tau) if self.image(p) == tau]
 
     def rel_dim(self, s: Simplex) -> int:
         """Relative dimension dim s - dim f(s) of a source cell."""

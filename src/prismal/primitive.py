@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .mesh import Simplex, SimplicialMorphism
-from .forms import (Chart, CoordMap, CoordSystem, Form, Poly,
+from .forms import (Chart, CoordMap, CoordSystem, Form, FormError, Poly,
                     base_volume_residual, canonicalize, d, eliminate,
                     eliminate_poly, elimination_chart, equal_mod_relations,
                     pi_context, poincare_primitive, pullback, restrict_to_face,
@@ -351,11 +351,10 @@ def vertical_gluing(delta: Form, sigma: Simplex) -> Form:
     ExactnessError when `delta` is not fiberwise closed."""
     if delta.is_zero:
         return Form.zero(delta.ctx)
-    closed = vertical_part(canonicalize(d(delta)))
-    if not closed.is_zero:
-        raise ExactnessError(
-            f"fiber defect on {sigma} is not closed: d_e residual {closed}")
-    return poincare_primitive(delta, fiber_only=True)
+    try:
+        return poincare_primitive(delta, fiber_only=True)
+    except FormError as exc:
+        raise ExactnessError(f"fiber defect on {sigma}: {exc}") from exc
 
 
 def _is_base_function(form: Form) -> bool:
@@ -397,12 +396,6 @@ class RelativePrimitive:
                 for sig, pd in self.prisms.items()}
 
 
-def maximal_over(f: SimplicialMorphism, tau: Simplex) -> list[Simplex]:
-    """Maximal source cells with image exactly tau."""
-    over = f.cells_over(tau)
-    return [s for s in over if not any(s.vset < t.vset for t in over)]
-
-
 def build_primitive_over(f: SimplicialMorphism, omega: dict[Simplex, Form],
                          tau: Simplex, r: int = 1) -> RelativePrimitive:
     """Run the pipeline over one base simplex.
@@ -411,7 +404,7 @@ def build_primitive_over(f: SimplicialMorphism, omega: dict[Simplex, Form],
     simplex context; restrictions are taken automatically for cells over
     tau that only appear as faces.
     """
-    sigmas = maximal_over(f, tau)
+    sigmas = f.maximal_over(tau)
     if not sigmas:
         raise PrimitiveError(f"no source cells over {tau}")
     prisms: dict[Simplex, PrismData] = {}
@@ -789,10 +782,7 @@ def build_relative_primitive(f: SimplicialMorphism, omega: dict[Simplex, Form],
     validate_input_family(omega)
     prims: dict[Simplex, RelativePrimitive] = {}
     for tau in sorted(f.target.cells):
-        # the largest cell over tau in a maximal cell m is m's part over tau
-        d_rel = max((f.rel_dim(f.restriction_to(m, tau)) for m in f.source.maximal
-                     if tau.vset <= f.image(m).vset), default=0)
-        if d_rel < r:
+        if max(map(f.rel_dim, f.maximal_over(tau)), default=0) < r:
             continue
         prims[tau] = build_primitive_over(f, omega, tau, r)
     horizontal: list[HorizontalReport] = []

@@ -7,6 +7,11 @@ raw-preimage sheaf (stalks f^{-1}(tau), simplices) and the trivialized
 sheaf whose stalks are products tau x sigma_0 x ... x sigma_s, one fiber
 slot per vertex of tau.
 
+Both are generated over tau by the maximal cells of f^{-1}(tau) (the
+preimage rule of `mesh`), the trivialized one by the trivial prisms of those
+over tau exactly.  One builder, `_build_sheaf`, makes both sheaves, and
+`_cell_morphism` assembles every cell-level map, `psi_morphism`'s too.
+
 Cells of a trivialized stalk keep a slot for every vertex of tau; the base
 face of a cell is its first factor.  Specialization drops the slots of the
 vertices that are lost and intersects the base factor.
@@ -16,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .mesh import (MeshError, Prism, PrismalSet, Simplex, SimplicialComplex,
                    SimplicialMorphism, join)
@@ -49,11 +54,8 @@ class CellMorphism:
     def __call__(self, p: Prism) -> Prism | None:
         return self.cells[p]
 
-    def image_cells(self) -> set[Prism]:
-        return {q for q in self.cells.values() if q is not None}
-
     def is_surjective_onto(self, cells: Iterable[Prism]) -> bool:
-        return set(cells) <= self.image_cells()
+        return set(cells) <= set(self.cells.values())
 
     def compose(self, earlier: "CellMorphism") -> "CellMorphism":
         """self o earlier (earlier applied first)."""
@@ -93,48 +95,55 @@ class PrismalSheaf:
         return cell.dim - (img.dim if img is not None else 0)
 
 
-@dataclass(frozen=True)
-class FiberType:
-    """Product decomposition of a stalk over the open base simplex."""
-
-    tau: Simplex
-    pieces: frozenset[Prism]
-
-
 # ---------------------------------------------------------------------------
 # The two sheaves of a simplicial morphism
 # ---------------------------------------------------------------------------
 
+# A cell's image, or None when it is empty, with its vertex map.
+CellImage = tuple[Prism | None, dict[tuple, tuple]]
+
+
+def _cell_morphism(cells: Iterable[Prism], image: Callable[[Prism], CellImage]
+                   ) -> CellMorphism:
+    """The cell-level morphism sending each cell c to image(c)."""
+    out = CellMorphism({})
+    for c in cells:
+        img, vmap = image(c)
+        out.cells[c] = img
+        if img is not None:
+            out.vertex_images[c] = vmap
+    return out
+
+
+def _build_sheaf(f: SimplicialMorphism, generators: Callable, project: Callable,
+                 specialize: Callable) -> PrismalSheaf:
+    """The sheaf of f whose stalk over tau is generated by generators(tau);
+    project(c, tau) and specialize(c, tau, tau_face) map each cell c."""
+    stalks = {tau: PrismalSet(generators(tau)) for tau in f.target.cells}
+    proj = {tau: _cell_morphism(stalk, lambda c: project(c, tau))
+            for tau, stalk in stalks.items()}
+    sheaf = PrismalSheaf(f.target, stalks, proj, {})
+    sheaf.specialization = {
+        (tau_f, tau): _cell_morphism(stalks[tau], lambda c: specialize(c, tau, tau_f))
+        for tau_f, tau in sheaf.face_pairs()}
+    return sheaf
+
+
 def build_Sf(f: SimplicialMorphism) -> PrismalSheaf:
     """Raw-preimage sheaf: stalk over tau is f^{-1}(tau), cells simplices."""
-    stalks: dict[Simplex, PrismalSet] = {}
-    proj: dict[Simplex, CellMorphism] = {}
-    spec: dict[tuple[Simplex, Simplex], CellMorphism] = {}
-    for tau in f.target.cells:
-        cells = [Prism.from_simplex(s) for s in f.preimage_cells(tau)]
-        stalks[tau] = PrismalSet(cells)
-        pcells: dict[Prism, Prism | None] = {}
-        pverts: dict[Prism, dict[tuple, tuple]] = {}
-        for c in stalks[tau]:
-            s = c.as_simplex()
-            pcells[c] = Prism.from_simplex(f.image(s))
-            pverts[c] = {(v,): (f.vertex_map[v],) for v in s.vertices}
-        proj[tau] = CellMorphism(pcells, pverts)
-    sheaf = PrismalSheaf(f.target, stalks, proj, {})
-    for tau_f, tau in sheaf.face_pairs():
-        cells: dict[Prism, Prism | None] = {}
-        verts: dict[Prism, dict[tuple, tuple]] = {}
-        for c in stalks[tau]:
-            s = c.as_simplex()
-            s_res = f.restriction_to(s, tau_f)
-            if s_res.is_empty:
-                cells[c] = None
-                continue
-            cells[c] = Prism.from_simplex(s_res)
-            verts[c] = {(v,): (v,) for v in s_res.vertices}
-        spec[(tau_f, tau)] = CellMorphism(cells, verts)
-    sheaf.specialization = spec
-    return sheaf
+    def project(c: Prism, tau: Simplex) -> CellImage:
+        s = c.as_simplex()
+        return Prism.from_simplex(f.image(s)), {(v,): (f.vertex_map[v],) for v in s.vertices}
+
+    def specialize(c: Prism, tau: Simplex, tau_f: Simplex) -> CellImage:
+        s = f.restriction_to(c.as_simplex(), tau_f)
+        if s.is_empty:
+            return None, {}
+        return Prism.from_simplex(s), {(v,): (v,) for v in s.vertices}
+
+    return _build_sheaf(
+        f, lambda tau: [Prism.from_simplex(p) for p in f.preimage_maximal(tau)],
+        project, specialize)
 
 
 def pi_prism(f: SimplicialMorphism, sigma: Simplex) -> Prism:
@@ -143,52 +152,24 @@ def pi_prism(f: SimplicialMorphism, sigma: Simplex) -> Prism:
     return Prism((tau,) + f.fibers(sigma))
 
 
-def _specialize_trivial(cell: Prism, tau: Simplex, tau_f: Simplex) -> Prism | None:
+def _specialize_trivial(cell: Prism, tau: Simplex, tau_f: Simplex) -> CellImage:
     """Drop the fiber slots of lost vertices; intersect the base factor."""
-    base = cell.factors[0]
-    new_base = Simplex(tuple(v for v in base.vertices if v in tau_f.vset))
+    new_base = cell.factors[0].subsequence(tau_f.vset)
     if new_base.is_empty:
-        return None
+        return None, {}
     keep = [j for j, y in enumerate(tau.vertices) if y in tau_f.vset]
-    return Prism((new_base,) + tuple(cell.factors[1 + j] for j in keep))
+    return (Prism((new_base,) + tuple(cell.factors[1 + j] for j in keep)),
+            {vt: (vt[0],) + tuple(vt[1 + j] for j in keep)
+             for vt in cell.vertex_tuples if vt[0] in tau_f.vset})
 
 
 def build_Pf(f: SimplicialMorphism) -> PrismalSheaf:
     """Trivialized sheaf: stalks are unions of prisms tau x prod sigma_j."""
-    stalks: dict[Simplex, PrismalSet] = {}
-    proj: dict[Simplex, CellMorphism] = {}
-    spec: dict[tuple[Simplex, Simplex], CellMorphism] = {}
-    for tau in f.target.cells:
-        tops = [pi_prism(f, s) for s in f.cells_over(tau)]
-        if not tops:
-            stalks[tau] = PrismalSet([])
-            proj[tau] = CellMorphism({})
-            continue
-        stalks[tau] = PrismalSet(tops)
-        pcells: dict[Prism, Prism | None] = {}
-        pverts: dict[Prism, dict[tuple, tuple]] = {}
-        for c in stalks[tau]:
-            pcells[c] = Prism.from_simplex(c.factors[0])
-            pverts[c] = {vt: (vt[0],) for vt in c.vertex_tuples}
-        proj[tau] = CellMorphism(pcells, pverts)
-    sheaf = PrismalSheaf(f.target, stalks, proj, {})
-    for tau_f, tau in sheaf.face_pairs():
-        cells: dict[Prism, Prism | None] = {}
-        verts: dict[Prism, dict[tuple, tuple]] = {}
-        keep = [j for j, y in enumerate(tau.vertices) if y in tau_f.vset]
-        for c in stalks[tau]:
-            img = _specialize_trivial(c, tau, tau_f)
-            cells[c] = img
-            if img is None:
-                continue
-            vmap: dict[tuple, tuple] = {}
-            for vt in c.vertex_tuples:
-                if vt[0] in tau_f.vset:
-                    vmap[vt] = (vt[0],) + tuple(vt[1 + j] for j in keep)
-            verts[c] = vmap
-        spec[(tau_f, tau)] = CellMorphism(cells, verts)
-    sheaf.specialization = spec
-    return sheaf
+    return _build_sheaf(
+        f, lambda tau: [pi_prism(f, s) for s in f.maximal_over(tau)],
+        lambda c, tau: (Prism.from_simplex(c.factors[0]),
+                        {vt: (vt[0],) for vt in c.vertex_tuples}),
+        _specialize_trivial)
 
 
 def _blow_down(c: Prism, tau: Simplex) -> Simplex:
@@ -204,17 +185,10 @@ def psi_morphism(f: SimplicialMorphism) -> dict[Simplex, CellMorphism]:
     vertices of tau''; on vertex tuples it picks the fiber vertex over the
     base vertex.
     """
-    pf = build_Pf(f)
-    out: dict[Simplex, CellMorphism] = {}
-    for tau in f.target.cells:
-        cells: dict[Prism, Prism | None] = {}
-        verts: dict[Prism, dict[tuple, tuple]] = {}
-        for c in pf.stalk(tau):
-            cells[c] = Prism.from_simplex(_blow_down(c, tau))
-            verts[c] = {vt: (vt[1 + tau.vertices.index(vt[0])],)
-                        for vt in c.vertex_tuples}
-        out[tau] = CellMorphism(cells, verts)
-    return out
+    return {tau: _cell_morphism(stalk, lambda c: (
+                Prism.from_simplex(_blow_down(c, tau)),
+                {vt: (vt[1 + tau.vertices.index(vt[0])],) for vt in c.vertex_tuples}))
+            for tau, stalk in build_Pf(f).stalks.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +321,9 @@ def is_equidimensional(F: PrismalSheaf, cell: Prism, tau: Simplex, tau_f: Simple
     return F.dim_rel(img, tau_f) == F.dim_rel(cell, tau)
 
 
-def fiber_structure(F: PrismalSheaf, tau: Simplex) -> FiberType:
-    """Decompose the stalk over the open simplex as tau x (union of products).
+def fiber_structure(F: PrismalSheaf, tau: Simplex) -> frozenset[Prism]:
+    """Decompose the stalk over the open simplex as tau x (union of products)
+    and return the frozenset of product pieces.
 
     Works for trivial stalks (drop the base factor) and for simplex stalks
     with vertex-level projection data (split by base vertex)."""
@@ -371,7 +346,7 @@ def fiber_structure(F: PrismalSheaf, tau: Simplex) -> FiberType:
             pieces.add(Prism(tuple(blocks)))
             continue
         raise SheafError(f"cannot decompose cell {c} over {tau}")
-    return FiberType(tau, frozenset(pieces))
+    return frozenset(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +364,10 @@ def _cell_from_key(key: str) -> Prism:
 
 def _tau_key(tau: Simplex) -> str:
     return ",".join(map(str, tau.vertices))
+
+
+def _tau_from_key(key: str) -> Simplex:
+    return Simplex(tuple(int(v) for v in key.split(","))).sorted()
 
 
 def _morphism_to_dict(m: CellMorphism) -> dict:
@@ -433,17 +412,10 @@ def sheaf_to_dict(F: PrismalSheaf) -> dict:
 
 def sheaf_from_dict(dd: dict) -> PrismalSheaf:
     base = SimplicialComplex([Simplex(tuple(v)) for v in dd["base"]["maximal_simplices"]])
-    stalks = {}
-    for tk, cells in dd["stalks"].items():
-        tau = Simplex(tuple(int(v) for v in tk.split(","))).sorted()
-        stalks[tau] = PrismalSet([_cell_from_key(c) for c in cells])
-    projection = {
-        Simplex(tuple(int(v) for v in tk.split(","))).sorted(): _morphism_from_dict(m)
-        for tk, m in dd["projection"].items()}
-    specialization = {}
-    for key, m in dd.get("specializations", {}).items():
-        tfk, tk = key.split("<")
-        tf = Simplex(tuple(int(v) for v in tfk.split(","))).sorted()
-        t = Simplex(tuple(int(v) for v in tk.split(","))).sorted()
-        specialization[(tf, t)] = _morphism_from_dict(m)
+    stalks = {_tau_from_key(tk): PrismalSet([_cell_from_key(c) for c in cells])
+              for tk, cells in dd["stalks"].items()}
+    projection = {_tau_from_key(tk): _morphism_from_dict(m)
+                  for tk, m in dd["projection"].items()}
+    specialization = {tuple(map(_tau_from_key, key.split("<"))): _morphism_from_dict(m)
+                      for key, m in dd.get("specializations", {}).items()}
     return PrismalSheaf(base, stalks, projection, specialization)

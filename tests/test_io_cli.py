@@ -234,6 +234,35 @@ def test_cmd_primitive_validation_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("sheaf", "complex"), ("sheaf", "morphism"),
+    ("primitive", "complex"), ("primitive", "morphism"), ("primitive", "form")])
+def test_cli_non_utf8_input_exit2(tmp_path, capsys, command, flag):
+    cpath, mpath, wpath = _write_fixture_files(tmp_path)
+    files = {"complex": cpath, "morphism": mpath, "form": wpath}
+    files[flag].write_bytes(b"\xff\xfe" + files[flag].read_bytes())
+    argv = [command, "--complex", str(cpath), "--morphism", str(mpath)]
+    if command == "primitive":
+        argv += ["--form", str(wpath), "--out", str(tmp_path / "h.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("validation error:")
+    assert str(files[flag]) in err[0]
+
+
+@pytest.mark.parametrize("spelling", [[0, 1, 3], [3, 1, 0]])
+def test_cmd_primitive_form_cell_given_twice_exit2(tmp_path, capsys, spelling):
+    cpath, mpath, wpath = _write_fixture_files(tmp_path)
+    forms = json.loads(wpath.read_text())
+    first = next(e for e in forms["forms"] if e["cell"] == [0, 1, 3])
+    forms["forms"].append({"cell": spelling, "terms": first["terms"]})
+    wpath.write_text(json.dumps(forms))
+    code = main(["primitive", "--complex", str(cpath), "--morphism", str(mpath),
+                 "--form", str(wpath), "--out", str(tmp_path / "h.json")])
+    assert code == 2
+    assert capsys.readouterr().err == f"validation error: form cell {spelling} is given twice\n"
+
+
 def _poly_item(item):
     def edit(files):
         files["form"]["forms"][0]["terms"][0]["poly"].append(item)

@@ -1,11 +1,11 @@
-"""Byte-level goldens of the two JSON outputs a refactor must keep.
+"""Byte-level goldens of the three JSON outputs a refactor must keep.
 
-`prismal primitive --check-horizontal` runs on inputs this file writes
-itself, and `prismal check --suite all --max-dim 3 --seed 0 --json` on the
-built-in universes; the sha256 of every output file must match
-`data/output_digests.json`.  A change that alters the primitives on purpose
-(a new gauge or fiber homotopy) updates those digests in the same change
-and names the ones that moved.
+`prismal primitive --check-horizontal` and `prismal sheaf --dump-sheaf` run
+on inputs this file writes itself, and `prismal check --suite all --max-dim
+3 --seed 0 --json` on the built-in universes; the sha256 of every output
+file must match `data/output_digests.json`.  A change that alters the
+primitives on purpose (a new gauge or fiber homotopy) updates those digests
+in the same change and names the ones that moved.
 """
 
 import hashlib
@@ -16,9 +16,11 @@ from pathlib import Path
 import pytest
 
 from prismal.cli import main
-from prismal.fixtures import five_over_two, tetra_pair_over_triangle, triangle_fan
+from prismal.fixtures import (collapse_edge, cylinder_over_edge, five_over_two,
+                              square_over_edge, tetra_pair_over_triangle, triangle_fan)
 from prismal.forms import Form, Poly, d, simplex_context
 from prismal.io import complex_to_dict, form_to_dict, morphism_to_dict
+from test_primitive import fibred_grid
 
 DIGESTS = json.loads((Path(__file__).parent / "data" / "output_digests.json").read_text())
 
@@ -37,19 +39,31 @@ PRIMITIVE_CASES = {
         (1, (1, 1), (3, 5)), (1, (3,), (1, 5))]),
 }
 
+# name -> morphism whose two sheaves `prismal sheaf --dump-sheaf` writes
+SHEAF_CASES = {f"sheaf/{fx.__name__}": fx for fx in (
+    triangle_fan, collapse_edge, square_over_edge, five_over_two,
+    tetra_pair_over_triangle, cylinder_over_edge)}
+SHEAF_CASES["sheaf/fibred_grid/2x3"] = lambda: fibred_grid(2, 3)
+
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def write_inputs(directory: Path, fixture, alpha) -> list[str]:
-    """Complex, morphism and form files of d(alpha); the CLI's input flags."""
-    f = fixture()
-    paths = {name: directory / f"{name}.json" for name in ("complex", "morphism", "form")}
+def write_morphism(directory: Path, f) -> list[str]:
+    """Complex and morphism files of f; the CLI's input flags."""
+    paths = {name: directory / f"{name}.json" for name in ("complex", "morphism")}
     paths["complex"].write_text(json.dumps(complex_to_dict(f.source)))
     morphism = morphism_to_dict(f)
     morphism["target"] = complex_to_dict(f.target)
     paths["morphism"].write_text(json.dumps(morphism))
+    return [arg for name, path in paths.items() for arg in (f"--{name}", str(path))]
+
+
+def write_inputs(directory: Path, fixture, alpha) -> list[str]:
+    """Complex, morphism and form files of d(alpha); the CLI's input flags."""
+    f = fixture()
+    args = write_morphism(directory, f)
     forms = []
     for s in f.source.maximal:
         sc = simplex_context(s)
@@ -64,8 +78,9 @@ def write_inputs(directory: Path, fixture, alpha) -> list[str]:
         fd = form_to_dict(d(form))
         fd["cell"] = list(s.vertices)
         forms.append(fd)
-    paths["form"].write_text(json.dumps({"forms": forms}))
-    return [arg for name, path in paths.items() for arg in (f"--{name}", str(path))]
+    form = directory / "form.json"
+    form.write_text(json.dumps({"forms": forms}))
+    return [*args, "--form", str(form)]
 
 
 def output_digests(directory: Path) -> dict[str, tuple[int, str]]:
@@ -77,6 +92,12 @@ def output_digests(directory: Path) -> dict[str, tuple[int, str]]:
         target = case_dir / "primitive.json"
         rc = main(["primitive", *write_inputs(case_dir, fixture, alpha),
                    "--out", str(target), "--degree", str(r), "--check-horizontal"])
+        out[name] = (rc, _sha256(target))
+    for name, fixture in SHEAF_CASES.items():
+        case_dir = directory / name.replace("/", "_")
+        case_dir.mkdir()
+        target = case_dir / "sheaf.json"
+        rc = main(["sheaf", *write_morphism(case_dir, fixture()), "--dump-sheaf", str(target)])
         out[name] = (rc, _sha256(target))
     report = directory / "check.json"
     rc = main(["check", "--suite", "all", "--max-dim", "3", "--seed", "0",

@@ -17,7 +17,7 @@ from prismal.primitive import (DecompositionError, ExactnessError, RelFace,
                                c_part_form, check_descent, check_horizontal,
                                compose_psi, descend_form, extract_A,
                                fiber_defect, decomposition_residual,
-                               maximal_over, ode_residual, ode_solve, oracle_A,
+                               ode_residual, ode_solve, oracle_A,
                                relative_faces, vertical_gluing, verify_theodg,
                                whitney_combination)
 from prismal.sheaf import psi_coordinate_map
@@ -487,7 +487,7 @@ def test_each_prism_quantity_is_computed_once(monkeypatch, fixture):
         monkeypatch.setattr(primitive, name, counted)
     prisms = {}
     for tau in sorted(f.target.cells):
-        if any(s.dim - tau.dim >= r for s in maximal_over(f, tau)):
+        if any(s.dim - tau.dim >= r for s in f.maximal_over(tau)):
             prim = build_primitive_over(f, omega, tau, r)
             assert all(res.is_zero for res in prim.residuals().values())
             prisms.update(prim.prisms)

@@ -2,17 +2,18 @@ from fractions import Fraction as Q
 
 import pytest
 
-from prismal.fixtures import (collapse_edge, triangle_fan, five_over_two,
-                              identity_on, square_over_edge,
+from prismal.fixtures import (collapse_edge, cylinder_over_edge, triangle_fan,
+                              five_over_two, identity_on, square_over_edge,
                               tetra_pair_over_triangle)
 from prismal.forms import Poly, equal_mod_relations, pullback
-from prismal.mesh import Prism, Simplex
+from prismal.mesh import Prism, PrismalSet, Simplex
 from prismal.sheaf import (BoundaryFiberError, build_Pf, build_Sf,
                            check_Pf_characterization,
                            check_Sf_characterization, fiber_structure,
                            is_equidimensional, pi_prism, psi_coordinate_map,
                            psi_morphism, psi_sigma, sheaf_from_dict,
                            sheaf_to_dict, theta_sigma)
+from test_primitive import fibred_grid
 
 
 def S(*vs):
@@ -284,6 +285,38 @@ def test_equidimensional_triangle_fan_panel():
     assert is_equidimensional(pf, cell, T1, S(101,))
 
 
+REFERENCE_MORPHISMS = [
+    pytest.param(fx, id=fx.__name__)
+    for fx in (triangle_fan, collapse_edge, square_over_edge, five_over_two,
+               tetra_pair_over_triangle, cylinder_over_edge)] + [
+    pytest.param(lambda: identity_on([(0, 1, 2), (1, 2, 3), (3, 4)]), id="identity_on"),
+] + [pytest.param(lambda k=k, m=m: fibred_grid(k, m), id=f"grid-{k}x{m}")
+     for k in (1, 2) for m in (1, 2, 3)]
+
+
+def _same_prismal_set(a, b):
+    return a.cells == b.cells and a.maximal == b.maximal and list(a) == list(b)
+
+
+@pytest.mark.parametrize("make", REFERENCE_MORPHISMS)
+def test_sheaves_match_the_scan_over_all_source_cells(make):
+    # the preimage rule against a plain scan: every source cell whose image
+    # is a face of tau (Sf), and the trivial prisms of those over tau (Pf)
+    f = make()
+    sf, pf = build_Sf(f), build_Pf(f)
+    for tau in f.target.cells:
+        preimage = sorted(c for c in f.source.cells
+                          if {f.vertex_map[v] for v in c.vertices} <= tau.vset)
+        over = [c for c in preimage if f.image(c) == tau]
+        assert f.preimage_cells(tau) == preimage
+        assert f.cells_over(tau) == over
+        assert _same_prismal_set(sf.stalk(tau),
+                                 PrismalSet(Prism.from_simplex(c) for c in preimage))
+        assert _same_prismal_set(pf.stalk(tau), PrismalSet(pi_prism(f, c) for c in over))
+        assert f.maximal_over(tau) == [s for s in over
+                                       if not any(s.vset < t.vset for t in over)]
+
+
 def test_equidimensional_product_prism():
     f = identity_on([(0, 1)])
     pf = build_Pf(f)
@@ -296,24 +329,24 @@ def test_fiber_structure_triangle_fan():
     f = triangle_fan()
     pf, sf = build_Pf(f), build_Sf(f)
     ft = fiber_structure(pf, T1)
-    assert ft.pieces == frozenset({
+    assert ft == frozenset({
         Prism((S(0,), S(2, 3))), Prism((S(0, 1), S(3,))), Prism((S(1,), S(3, 4)))})
-    assert fiber_structure(sf, T1).pieces == ft.pieces
+    assert fiber_structure(sf, T1) == ft
 
 
 def test_fiber_structure_five_over_two_cube():
     f = five_over_two()
     pf = build_Pf(f)
     ft = fiber_structure(pf, S(100, 101, 102))
-    assert ft.pieces == frozenset({Prism((S(0, 1), S(2, 3), S(4, 5)))})
-    piece = next(iter(ft.pieces))
+    assert ft == frozenset({Prism((S(0, 1), S(2, 3), S(4, 5)))})
+    piece = next(iter(ft))
     assert piece.dim == 3 and all(fc.dim == 1 for fc in piece.factors)
 
 
 def test_fiber_structure_single_simplex_base():
     f = identity_on([(0, 1, 2)])
     ft = fiber_structure(build_Pf(f), S(0, 1, 2))
-    assert all(p.dim == 0 for p in ft.pieces)
+    assert all(p.dim == 0 for p in ft)
 
 
 # ---------------------------------------------------------------------------
