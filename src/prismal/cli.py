@@ -7,6 +7,7 @@ failure.  All outputs are JSON and deterministic given inputs and seed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import __version__
@@ -20,6 +21,11 @@ from .verify import SUITES, run_all, run_suite
 OPERATION_MAP_VERSION = "identity-map v1: lemcod, bord, satrap, satrapaz, iminve, faceface, relative"
 
 
+def _validation_error(exc) -> int:
+    print(f"validation error: {exc}", file=sys.stderr)
+    return 2
+
+
 def cmd_check(args) -> int:
     try:
         if args.max_dim < 1:
@@ -29,16 +35,18 @@ def cmd_check(args) -> int:
         else:
             reports = run_suite(args.suite, max_dim=args.max_dim, seed=args.seed)
     except (ValidationError, MeshError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 2
+        return _validation_error(exc)
     failed = [r for r in reports if not r.passed]
     for r in failed:
         print(f"FAIL {r.identity} [{r.case}] residual={r.residual}")
     print(f"{len(reports) - len(failed)}/{len(reports)} identity cases passed")
     if args.json:
-        dump_json(args.json, {"suite": args.suite, "max_dim": args.max_dim,
-                              "seed": args.seed,
-                              "reports": [r.as_dict() for r in reports]})
+        try:
+            dump_json(args.json, {"suite": args.suite, "max_dim": args.max_dim,
+                                  "seed": args.seed,
+                                  "reports": [r.as_dict() for r in reports]})
+        except ValidationError as exc:
+            return _validation_error(exc)
     return 1 if failed else 0
 
 
@@ -60,15 +68,17 @@ def cmd_sheaf(args) -> int:
         f = _load_morphism(args)
         sf, pf = build_Sf(f), build_Pf(f)
     except (ValidationError, MeshError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 2
+        return _validation_error(exc)
     ok_s, wit_s = check_Sf_characterization(sf)
     res_p = check_Pf_characterization(pf)
     ok_p, wit_p = res_p[0], res_p[1]
     print(f"raw-preimage sheaf characterization: {'pass' if ok_s else 'FAIL: ' + str(wit_s)}")
     print(f"trivialized sheaf characterization: {'pass' if ok_p else 'FAIL: ' + str(wit_p)}")
     if args.dump_sheaf:
-        dump_json(args.dump_sheaf, {"S": sheaf_to_dict(sf), "P": sheaf_to_dict(pf)})
+        try:
+            dump_json(args.dump_sheaf, {"S": sheaf_to_dict(sf), "P": sheaf_to_dict(pf)})
+        except ValidationError as exc:
+            return _validation_error(exc)
         print(f"sheaf dump written to {args.dump_sheaf}")
     return 0 if (ok_s and ok_p) else 1
 
@@ -78,6 +88,9 @@ def cmd_primitive(args) -> int:
     from .primitive import (ExactnessError, PrimitiveError, build_relative_primitive,
                             check_descent, descend_form, oracle_A, verify_theodg)
     try:
+        eps = args.oracle_eps
+        if eps is not None and not (math.isfinite(eps) and 0 < eps <= 1):
+            raise ValidationError(f"--oracle-eps must be finite and in (0, 1], got {eps}")
         f = _load_morphism(args)
         omega = forms_file_to_inputs(load_json(args.form), f.source)
         degrees = {deg for form in omega.values() for deg in form.degrees()}
@@ -86,8 +99,7 @@ def cmd_primitive(args) -> int:
                 f"input forms have mixed degrees {sorted(degrees)}; pass --degree")
         r = args.degree if args.degree is not None else (degrees.pop() if degrees else 1)
     except (ValidationError, MeshError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 2
+        return _validation_error(exc)
     try:
         result = build_relative_primitive(f, omega, r=r,
                                           check_horizontal_faces=args.check_horizontal)
@@ -95,8 +107,7 @@ def cmd_primitive(args) -> int:
         print(f"exactness error: {exc}", file=sys.stderr)
         return 1
     except (PrimitiveError, MeshError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 2
+        return _validation_error(exc)
 
     out = {"degree": r, "base_cells": {}, "horizontal": [], "oracle": []}
     residual_failures = 0
@@ -132,7 +143,7 @@ def cmd_primitive(args) -> int:
             "vanished_terms": rep.vanished_terms,
             "surviving_terms": rep.surviving_terms, "ok": ok})
 
-    if args.oracle_eps:
+    if args.oracle_eps is not None:
         worst = 0.0
         for tau, prim in result.primitives.items():
             for sigma, pd in prim.prisms.items():
@@ -146,7 +157,10 @@ def cmd_primitive(args) -> int:
                         "estimate": est, "exact": exact, "abs_error": err})
         print(f"oracle worst absolute error: {worst:.3e}")
 
-    dump_json(args.out, out)
+    try:
+        dump_json(args.out, out)
+    except ValidationError as exc:
+        return _validation_error(exc)
     ok = residual_failures == 0 and horizontal_failures == 0
     print(f"residual check: {len(out['base_cells'])} base cells, "
           f"{residual_failures} failures; horizontal: {horizontal_failures} failures")

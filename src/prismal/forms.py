@@ -3,12 +3,16 @@
 Coordinates come in groups, one per simplex factor of the underlying cell;
 each group carries the relation "sum of its variables = 1".  Forms are kept
 in the redundant variables; equality, degree and integration questions go
-through `canonicalize`, which eliminates the last variable of every group.
+through `canonicalize`, which eliminates the last variable of every group:
+the fiber groups in one pass, then the base groups in a second.
 
 Wedge reorderings take their sign from `mesh.perm_sign` through
 `_sort_wedge`, the one permutation-sign routine of the package, and the
 base-volume test `de ^ a` of every closing residual and of the
-fiberwise-zero criterion is `base_volume_residual`.
+fiberwise-zero criterion is `base_volume_residual`.  Canonically `de` is a
+constant times the kept base differentials, so that test canonicalizes only
+the vertical part of `a`; `vertical_part` commutes with the canonical chart,
+so it is still the canonical form of `de ^ a`, term for term.
 
 Every chart of the package is "one dropped variable per group" (or none,
 for a group kept whole), and one kernel, `eliminate`, applies them all: the
@@ -835,9 +839,27 @@ def _first_chart(ctx: CoordSystem, groups: Iterable[int]) -> Chart:
     return elimination_chart(ctx, (ctx.group_vars[g][0] for g in groups))
 
 
+def _last_chart(ctx: CoordSystem, groups: Iterable[int]) -> Chart:
+    return elimination_chart(ctx, (ctx.group_vars[g][-1] for g in groups))
+
+
 def canonicalize(a: Form) -> Form:
-    """Normal form: substitute the last variable of each group by 1 - rest."""
-    return eliminate(a, elimination_chart(a.ctx, (gv[-1] for gv in a.ctx.group_vars)))
+    """Normal form: substitute the last variable of each group by 1 - rest.
+
+    The fiber groups go in a pass of their own, then the base groups; a
+    context with one kind of group only takes one pass.  The blow-down and
+    the Whitney forms use the fiber relations (a block sum u_j pulls back
+    to t_j times sum mu_j = 1), so differences such as the descent check's
+    cancel in the fiber pass.  Collecting that pass into a Form lets terms
+    cancel across wedges before the base group's (1 - rest)^k expansions
+    would multiply them.  Together the passes drop the variables of the
+    one-pass canonical chart, so the result is the same Form.
+    """
+    ctx = a.ctx
+    for groups in (ctx.fiber_groups, ctx.base_groups):
+        if groups:
+            a = eliminate(a, _last_chart(ctx, groups))
+    return a
 
 
 def eliminate_first(a: Form) -> Form:
@@ -971,8 +993,13 @@ def vertical_part(a: Form) -> Form:
 
 
 def base_volume_residual(a: Form) -> Form:
-    """de ^ a, canonicalized: the closing residuals of the pipeline."""
-    return canonicalize(wedge(de_form(a.ctx), a))
+    """de ^ a, canonicalized: the closing residuals of the pipeline.
+
+    Canonically de is a constant times the wedge of the kept base
+    differentials, so every term of a carrying a base differential dies
+    against it; only the vertical part is reduced.
+    """
+    return wedge(canonicalize(de_form(a.ctx)), canonicalize(vertical_part(a)))
 
 
 def is_fiberwise_zero(a: Form) -> bool:
@@ -985,7 +1012,7 @@ def relative_d(a: Form) -> Form:
 
     The representative is the canonical form with no base differentials.
     """
-    return vertical_part(canonicalize(d(a)))
+    return canonicalize(vertical_part(d(a)))
 
 
 # ---------------------------------------------------------------------------

@@ -293,4 +293,7 @@ def dump_json(path, data) -> None:
     out: list = []
     _encode(data, 0, out, ["\n"])
     out.append("\n")
-    Path(path).write_text("".join(out))
+    try:
+        Path(path).write_text("".join(out))
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot write ({exc})") from exc

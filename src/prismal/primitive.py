@@ -40,8 +40,8 @@ from typing import Iterable
 
 from .mesh import Simplex, SimplicialMorphism
 from .forms import (Chart, CoordMap, CoordSystem, Form, FormError, Poly,
-                    base_volume_residual, canonicalize, d, eliminate,
-                    eliminate_poly, elimination_chart, equal_mod_relations,
+                    base_volume_residual, canonicalize, d, eliminate_poly,
+                    elimination_chart, equal_mod_relations,
                     pi_context, poincare_primitive, pullback, restrict_to_face,
                     simplex_context, vertical_part, wedge,
                     whitney_relative_extended)
@@ -342,7 +342,7 @@ def c_part_form(C: dict[FaceDrop, Poly], psi: CoordMap) -> Form:
 def fiber_defect(combo: Form, cpart: Form) -> Form:
     """Vertical part of the Whitney combination - d(C part); what the cone
     repair must kill."""
-    return vertical_part(canonicalize(combo - d(cpart)))
+    return canonicalize(vertical_part(combo - d(cpart)))
 
 
 def vertical_gluing(delta: Form, sigma: Simplex) -> Form:
@@ -637,23 +637,9 @@ def descend_form(H: Form, sctx: CoordSystem) -> tuple[Form, tuple[int, ...]]:
 
 def check_descent(H: Form, psi: CoordMap,
                   descended: tuple[Form, tuple[int, ...]]) -> bool:
-    """pullback of the descended numerator equals t^m * H, canonically.
-
-    The blow-down uses only the fiber relations (the block sum u_j pulls
-    back to t_j times sum mu_j = 1), so the difference is reduced in the
-    chart dropping the last variable of each fiber group first: there it
-    already cancels, before the base group's (1 - rest)^k expansions would
-    blow up terms about to vanish.  The canonical chart drops the same
-    variables (and the base one), so this is the literal-zero test of
-    `equal_mod_relations`.
-    """
+    """pullback of the descended numerator equals t^m * H, canonically."""
     N, m = descended
-    pctx = psi.source
-    lhs = pullback(psi, N)
-    t_mon = t_monomial(pctx, m)
-    fiber_chart = elimination_chart(
-        pctx, (pctx.group_vars[g][-1] for g in pctx.fiber_groups))
-    return canonicalize(eliminate(lhs - H * t_mon, fiber_chart)).is_zero
+    return canonicalize(pullback(psi, N) - H * t_monomial(psi.source, m)).is_zero
 
 
 # ---------------------------------------------------------------------------

@@ -370,14 +370,23 @@ def _tau_from_key(key: str) -> Simplex:
     return Simplex(tuple(int(v) for v in key.split(","))).sorted()
 
 
-def _morphism_to_dict(m: CellMorphism) -> dict:
+def _memo_key(keys: dict[Prism, str], c: Prism) -> str:
+    """The cell's key through a dump-wide memo, so each cell is keyed once."""
+    k = keys.get(c)
+    if k is None:
+        k = keys[c] = _cell_key(c)
+    return k
+
+
+def _morphism_to_dict(m: CellMorphism, keys: dict[Prism, str]) -> dict:
     out = {"cells": {}, "vertices": {}}
     for c in sorted(m.cells):
         img = m.cells[c]
-        out["cells"][_cell_key(c)] = None if img is None else _cell_key(img)
+        ck = _memo_key(keys, c)
+        out["cells"][ck] = None if img is None else _memo_key(keys, img)
         vm = m.vertex_images.get(c)
         if vm:
-            out["vertices"][_cell_key(c)] = {
+            out["vertices"][ck] = {
                 ",".join(map(str, k)): ",".join(map(str, v))
                 for k, v in sorted(vm.items())}
     return out
@@ -396,16 +405,17 @@ def _morphism_from_dict(dd: dict) -> CellMorphism:
 
 
 def sheaf_to_dict(F: PrismalSheaf) -> dict:
+    keys: dict[Prism, str] = {}
     return {
         "base": {"maximal_simplices": [list(m.vertices) for m in F.base.maximal]},
         "stalks": {
-            _tau_key(tau): sorted(_cell_key(c) for c in F.stalks[tau])
+            _tau_key(tau): sorted(_memo_key(keys, c) for c in F.stalks[tau])
             for tau in sorted(F.stalks)},
         "projection": {
-            _tau_key(tau): _morphism_to_dict(F.projection[tau])
+            _tau_key(tau): _morphism_to_dict(F.projection[tau], keys)
             for tau in sorted(F.projection)},
         "specializations": {
-            f"{_tau_key(tf)}<{_tau_key(t)}": _morphism_to_dict(m)
+            f"{_tau_key(tf)}<{_tau_key(t)}": _morphism_to_dict(m, keys)
             for (tf, t), m in sorted(F.specialization.items())},
     }
 

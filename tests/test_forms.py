@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from prismal.mesh import Prism, Simplex, incidence_number
 from prismal.forms import (CoordMap, DegreeError,
-                           Form, FormError, Poly, canonicalize, d, de_form,
+                           Form, FormError, Poly, base_volume_residual,
+                           canonicalize, d, de_form,
                            eliminate, eliminate_first, elimination_chart,
                            equal_mod_relations,
                            integrate_fiber,
@@ -183,11 +184,63 @@ def pi_forms(draw):
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(pi_forms())
 def test_fiber_chart_first_keeps_canonical_form(a):
-    # the descent check reduces in the fiber chart before canonicalizing;
-    # the canonical form must not notice
+    # canonicalize reduces the fiber groups in a pass of their own; a
+    # fiber-chart reduction beforehand must not change the canonical form
     ctx = a.ctx
     fiber_chart = elimination_chart(ctx, (ctx.group_vars[g][-1] for g in ctx.fiber_groups))
     assert canonicalize(eliminate(a, fiber_chart)) == canonicalize(a)
+
+
+@st.composite
+def staged_forms(draw):
+    """A form of degree 0-3 on a trivial prism with 1-3 base vertices and
+    1-3 fiber groups of 1-3 vertices, coefficients over {1, 2, 3, 5}."""
+    base = S(*range(100, 100 + draw(st.integers(1, 3))))
+    fibers, v = [], 0
+    for _ in range(draw(st.integers(1, 3))):
+        size = draw(st.integers(1, 3))
+        fibers.append(S(*range(v, v + size)))
+        v += size
+    ctx = pi_context(base, fibers)
+    degree = draw(st.integers(0, 3))
+    dens = st.sampled_from((1, 2, 3, 5))
+    a = draw(forms(ctx, degree, 3)) * Q(1, draw(dens))
+    return a + draw(forms(ctx, degree, 3)) * Q(draw(st.integers(-3, 3)), draw(dens))
+
+
+def full_chart(ctx):
+    """The canonical chart in one piece: the last variable of every group."""
+    return elimination_chart(ctx, (gv[-1] for gv in ctx.group_vars))
+
+
+def assert_same_form(got, want):
+    # same terms, same coefficient types: an int when integral, else a Fraction
+    assert got == want and repr(got) == repr(want)
+    for dv, p in got.terms.items():
+        for e, c in p.terms.items():
+            assert type(c) is type(want.terms[dv].terms[e])
+            assert type(c) is int or c.denominator != 1
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(staged_forms())
+def test_staged_canonicalize_matches_the_one_pass_chart(a):
+    assert_same_form(canonicalize(a), eliminate(a, full_chart(a.ctx)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(staged_forms())
+def test_base_volume_residual_reduces_only_the_vertical_part(a):
+    ctx = a.ctx
+    assert_same_form(base_volume_residual(a),
+                     eliminate(wedge(de_form(ctx), a), full_chart(ctx)))
+    assert_same_form(relative_d(a), vertical_part(eliminate(d(a), full_chart(ctx))))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(staged_forms())
+def test_vertical_part_commutes_with_canonicalize(a):
+    assert_same_form(canonicalize(vertical_part(a)), vertical_part(canonicalize(a)))
 
 
 def test_canonicalize_relations():

@@ -375,6 +375,41 @@ def test_cmd_primitive_oracle(tmp_path, capsys):
     assert all(entry["abs_error"] < 1e-6 for entry in data["oracle"])
 
 
+@pytest.mark.parametrize("eps", ["nan", "inf", "0", "-0.5", "2"])
+def test_cmd_primitive_rejects_oracle_eps_outside_unit_interval(tmp_path, capsys, eps):
+    # max(worst, nan) keeps 0.0, and 0 used to skip the oracle: neither may
+    # pass as a success
+    cpath, mpath, wpath = _write_fixture_files(tmp_path, pairs=((2, 3),))
+    out = tmp_path / "h.json"
+    code = main(["primitive", "--complex", str(cpath), "--morphism", str(mpath),
+                 "--form", str(wpath), "--out", str(out), "--oracle-eps", eps])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("validation error: --oracle-eps")
+    assert "oracle" not in captured.out and not out.exists()
+
+
+def _unwritable_runs(tmp_path):
+    cpath, mpath, wpath = _write_fixture_files(tmp_path)
+    missing = tmp_path / "missing" / "out.json"
+    return {
+        "primitive": ["primitive", "--complex", str(cpath), "--morphism", str(mpath),
+                      "--form", str(wpath), "--out", str(missing)],
+        "check": ["check", "--suite", "bord", "--json", str(missing)],
+        "sheaf": ["sheaf", "--complex", str(cpath), "--morphism", str(mpath),
+                  "--dump-sheaf", str(missing)],
+    }
+
+
+@pytest.mark.parametrize("command", ["primitive", "check", "sheaf"])
+def test_unwritable_output_path_exits2(tmp_path, capsys, command):
+    assert main(_unwritable_runs(tmp_path)[command]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("validation error:")
+    assert str(tmp_path / "missing" / "out.json") in captured.err
+    assert "written to" not in captured.out
+
+
 def test_form_from_dict_accumulates_repeated_wedges():
     dd = {"context": {"groups": [{"tag": "l", "vertices": [0, 1, 2]}]},
           "terms": [

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as Q
 
@@ -8,8 +9,8 @@ from prismal.fixtures import (cylinder_over_edge, triangle_fan, five_over_two,
                               square_over_edge, tetra_pair_over_triangle)
 from prismal import primitive
 from prismal.forms import (CoordSystem, Form, Poly, canonicalize, d, de_form,
-                           equal_mod_relations, pullback, simplex_context,
-                           vertical_part, wedge)
+                           equal_mod_relations, pullback, relative_d,
+                           simplex_context, vertical_part, wedge)
 from prismal.mesh import Simplex, SimplicialComplex, SimplicialMorphism
 from prismal.primitive import (DecompositionError, ExactnessError, RelFace,
                                admissible_drops, assemble_C,
@@ -433,6 +434,30 @@ def test_check_descent_rejects_a_wrong_numerator_or_exponent():
             off = tuple(mj + step * (k == j) for k, mj in enumerate(m))
             if min(off) >= 0:
                 assert not check_descent(pd.H, pd.psi, (N, off)), (j, step)
+
+
+def test_residual_reports_only_the_prism_with_a_vertical_defect():
+    # two squares over an edge at r = 2: a vertical term with nonzero
+    # relative d added to one prism's H shows in exactly that residual; a
+    # term carrying a base differential dies against the base volume
+    f = SimplicialMorphism(SimplicialComplex([S(0, 1, 2, 3), S(0, 1, 2, 4)]),
+                           SimplicialComplex([S(100, 101)]),
+                           {0: 100, 1: 100, 2: 101, 3: 101, 4: 101})
+    omega = exact_input(f, [(1, (1,), (3,)), (2, (0,), (2,)), (1, (1,), (4,))])
+    prim = build_primitive_over(f, omega, S(100, 101), 2)
+    assert len(prim.prisms) == 2 and not verify_theodg(prim)
+    sigma = S(0, 1, 2, 3)
+    pd = prim.prisms[sigma]
+    ctx = pd.H.ctx
+    m00 = Poly.variable(ctx, ctx.var("m:0", 0))
+    base_term = Form(ctx, {(ctx.var("t", 100),): m00})
+    assert not canonicalize(d(base_term)).is_zero
+    prim.prisms[sigma] = dataclasses.replace(pd, H=pd.H + base_term)
+    assert not verify_theodg(prim)
+    vertical = Form(ctx, {(ctx.var("m:1", 2),): m00})
+    assert not relative_d(vertical).is_zero
+    prim.prisms[sigma] = dataclasses.replace(pd, H=pd.H + vertical)
+    assert list(verify_theodg(prim)) == [sigma]
 
 
 def test_negative_control_zero_H():
