@@ -18,7 +18,7 @@ from .sheaf import (build_Pf, build_Sf, check_Pf_characterization,
                     check_Sf_characterization, sheaf_to_dict)
 from .verify import SUITES, run_all, run_suite
 
-OPERATION_MAP_VERSION = "identity-map v1: lemcod, bord, satrap, satrapaz, iminve, faceface, relative"
+OPERATION_MAP_VERSION = "identity-map v1: " + ", ".join(SUITES)
 
 
 def _validation_error(exc) -> int:

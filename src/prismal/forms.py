@@ -890,6 +890,8 @@ def restrict_to_face(a: Form, face_ctx: CoordSystem) -> Form:
     the ambient context (same tags); missing variables are set to zero along
     with their differentials.
     """
+    if face_ctx == a.ctx:
+        return a
     for tag, verts in face_ctx.groups:
         amb = dict(a.ctx.groups)
         if tag not in amb:

@@ -9,8 +9,8 @@ Pipeline, per base simplex tau and maximal source simplex sigma over it:
 3. assemble the candidate primitive on the trivial prism, compare its
    relative differential with the Whitney combination of the extracted
    coefficients, and repair the (fiberwise-exact) defect with the cone
-   primitive of `vertical_gluing`, matched across prisms over the open base
-   simplex;
+   primitive of `vertical_gluing`, glued across the prisms over the open
+   base simplex by one breadth-first walk over their overlaps;
 4. check the residual base-volume ^ (pullback(input) - d(primitive)) = 0
    and compare specializations against the pipelines of the base faces.
    Descent to the raw sheaf (`descend_form`, `check_descent`) runs on
@@ -23,7 +23,8 @@ One home per concept: `pair_with_face` contracts with a fiber frame by a
 wedge expansion and `RelFace.block_factorial` normalizes it (also in the
 oracle), `weighted_whitney` builds both t-weighted Whitney sums of step
 3 (the A combination and the C part), `homothety_operator` is the ODE's operator (also in the identity
-suites), and `forms.base_volume_residual` computes both closing residuals.
+suites), `forms.base_volume_residual` computes both closing residuals, and
+`_restricted_difference` compares two primitives on a shared cell.
 
 All the exact arithmetic is rational; the only floating point lives in the
 optional shrinking-average oracle for the extracted coefficients, the one
@@ -471,9 +472,12 @@ def validate_input_family(omega: dict[Simplex, Form]) -> None:
 
 def _match_across_prisms(f: SimplicialMorphism, tau: Simplex,
                          prisms: dict[Simplex, PrismData], r: int) -> None:
-    """Adjust the per-prism corrections so candidates agree on the shared
-    cells over the open base simplex; inconsistent cycles mean the input
-    was not fiberwise exact (the repair has a monodromy obstruction)."""
+    """Glue the candidates so they agree on the shared cells over the open
+    base simplex.  At r = 1 each is fixed up to a base function: one
+    breadth-first walk over the overlaps, from the first prism, shifts each
+    prism it reaches by its difference to the prism it came from, zero
+    included.  `_verify_overlaps` then checks every overlap, so an
+    inconsistent cycle (a monodromy obstruction) raises ExactnessError."""
     sigmas = sorted(prisms)
     edges = []
     for i, s1 in enumerate(sigmas):
@@ -482,34 +486,29 @@ def _match_across_prisms(f: SimplicialMorphism, tau: Simplex,
             if inter.is_empty or f.image(inter) != tau:
                 continue
             edges.append((s1, s2, inter))
-    if r != 1 or not edges:
-        _verify_overlaps(f, prisms, edges)
-        return
-    # spanning-tree matching of the fiberwise-constant ambiguity
-    anchored = {sigmas[0]}
-    changed = True
-    while changed:
-        changed = False
+    if r == 1:
+        neighbours: dict[Simplex, list] = {s: [] for s in sigmas}
         for s1, s2, inter in edges:
-            known, new = None, None
-            if s1 in anchored and s2 not in anchored:
-                known, new = s1, s2
-            elif s2 in anchored and s1 not in anchored:
-                known, new = s2, s1
-            else:
-                continue
-            diff = _overlap_difference(f, prisms[known], prisms[new], inter)
-            if diff is None:
-                continue
-            # promote the base-variable function from the shared context
-            # (the base groups coincide)
-            pd = prisms[new]
-            lifted = Form.from_poly(diff.terms[()].map_context(pd.psi.source))
-            pd.H = pd.H + lifted
-            pd.correction = pd.correction + lifted
-            anchored.add(new)
-            changed = True
-    _verify_overlaps(f, prisms, edges)
+            neighbours[s1].append((s2, inter))
+            neighbours[s2].append((s1, inter))
+        walk = [sigmas[0]]
+        for known in walk:  # grows as the walk goes
+            for new, inter in neighbours[known]:
+                if new in walk:
+                    continue
+                diff = _restricted_difference(f, prisms[known].H, prisms[new].H, inter)
+                if not _is_base_function(diff):
+                    raise ExactnessError(
+                        f"over {tau}: prisms {known} and {new} differ on {inter} "
+                        f"by {diff}, which is not fiberwise constant")
+                if not diff.is_zero:
+                    # the base groups of both contexts coincide
+                    pd = prisms[new]
+                    shift = Form.from_poly(diff.terms[()].map_context(pd.psi.source))
+                    pd.H = pd.H + shift
+                    pd.correction = pd.correction + shift
+                walk.append(new)
+    _verify_overlaps(f, tau, prisms, edges)
 
 
 def _restricted_difference(f: SimplicialMorphism, H1: Form, H2: Form,
@@ -519,25 +518,12 @@ def _restricted_difference(f: SimplicialMorphism, H1: Form, H2: Form,
     return canonicalize(restrict_to_face(H1, sub) - restrict_to_face(H2, sub))
 
 
-def _overlap_difference(f, pd_known: PrismData, pd_new: PrismData,
-                        inter: Simplex) -> Form | None:
-    """H_known - H_new restricted to the shared cell; must be a function of
-    the base variables only (the fiberwise-constant ambiguity)."""
-    diff = _restricted_difference(f, pd_known.H, pd_new.H, inter)
-    if diff.is_zero:
-        return None
-    if not _is_base_function(diff):
-        raise ExactnessError(
-            f"overlap mismatch on {inter} is not fiberwise constant: {diff}")
-    return diff
-
-
-def _verify_overlaps(f, prisms, edges) -> None:
+def _verify_overlaps(f, tau, prisms, edges) -> None:
     for s1, s2, inter in edges:
         if not _restricted_difference(f, prisms[s1].H, prisms[s2].H, inter).is_zero:
             raise ExactnessError(
-                f"primitive candidates disagree on {inter}; "
-                "the input is not fiberwise exact over the open base cell")
+                f"over {tau}: primitive candidates on {s1} and {s2} disagree on "
+                f"{inter}; the input is not fiberwise exact over the open base cell")
 
 
 # ---------------------------------------------------------------------------
@@ -712,19 +698,9 @@ def check_horizontal(f: SimplicialMorphism, prim: RelativePrimitive,
             continue
         chart = specialization_chart(f, sigma, tau_face)
         specialized = pullback(chart, pd.H)
-        target_sigma = next((s for s in prim_face.prisms
-                             if s.vset == sigma_f.vset), None)
-        if target_sigma is None:
-            # sigma|tau' is a face of a bigger cell over tau'; restrict it
-            carrier = next(s for s in prim_face.prisms
-                           if sigma_f.vset <= s.vset)
-            sub = pi_context(tau_face, f.fibers(sigma_f))
-            direct = restrict_to_face(prim_face.prisms[carrier].H, sub)
-            matches[sigma] = equal_mod_relations(
-                restrict_to_face(specialized, sub), direct)
-        else:
-            direct = prim_face.prisms[target_sigma].H
-            matches[sigma] = equal_mod_relations(specialized, direct)
+        carrier = next(s for s in prim_face.prisms if sigma_f.vset <= s.vset)
+        matches[sigma] = _restricted_difference(
+            f, specialized, prim_face.prisms[carrier].H, sigma_f).is_zero
     return HorizontalReport(tau, tau_face, vanished, surviving, matches)
 
 

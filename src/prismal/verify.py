@@ -514,26 +514,23 @@ def _lemrol_cases(f, sigma, tau, wrel):
 # Suite registry
 # ---------------------------------------------------------------------------
 
+# name -> runner(max_dim, seed), in report order
+_RUNNERS = {
+    "lemcod": lambda max_dim, seed: verify_lemcod(max_dim=max_dim),
+    "bord": lambda max_dim, seed: verify_bord_suite(max_dim=max_dim),
+    "satrap": lambda max_dim, seed: verify_satrap_suite(max_p=max_dim),
+    "satrapaz": lambda max_dim, seed: verify_satrapaz_suite(max_p=max_dim, seed=seed),
+    "iminve": lambda max_dim, seed: verify_iminve_suite(max_p=max_dim),
+    "faceface": lambda max_dim, seed: verify_faceface_suite(max_p=max_dim),
+    "relative": lambda max_dim, seed: verify_relative_suite(),
+}
+SUITES = tuple(_RUNNERS)
+
+
 def run_suite(name: str, max_dim: int = 4, seed: int = 0):
-    if name == "lemcod":
-        return verify_lemcod(max_dim=max_dim)
-    if name == "bord":
-        return verify_bord_suite(max_dim=max_dim)
-    if name == "satrap":
-        return verify_satrap_suite(max_p=max_dim)
-    if name == "satrapaz":
-        return verify_satrapaz_suite(max_p=max_dim, seed=seed)
-    if name == "iminve":
-        return verify_iminve_suite(max_p=max_dim)
-    if name == "faceface":
-        return verify_faceface_suite(max_p=max_dim)
-    if name == "relative":
-        return verify_relative_suite()
-    raise ValueError(f"unknown suite {name!r}")
-
-
-SUITES = ("lemcod", "bord", "satrap", "satrapaz", "iminve", "faceface",
-          "relative")
+    if name not in _RUNNERS:
+        raise ValueError(f"unknown suite {name!r}")
+    return _RUNNERS[name](max_dim, seed)
 
 
 def run_all(max_dim: int = 4, seed: int = 0):

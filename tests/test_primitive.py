@@ -558,9 +558,7 @@ GLOBALLY_EXACT_CASES = [_grid_case(k, m) for k in (1, 2) for m in (2, 3, 4)] + [
                                 reason="cone repairs disagree on <1,2,3>")),
     pytest.param(
         cylinder_over_edge(), [(1, (0, 4), ()), (1, (1, 5), ()), (1, (2, 2), ())], 1,
-        id="cylinder-over-edge-r1",
-        marks=pytest.mark.xfail(strict=True, raises=ExactnessError,
-                                reason="candidates disagree on <0,5>")),
+        id="cylinder-over-edge-r1"),
 ]
 
 
@@ -576,18 +574,33 @@ def test_globally_exact_input_glues(f, alpha, r):
     assert result.horizontal_ok()
 
 
-@pytest.mark.xfail(strict=True, raises=ExactnessError,
-                   reason="r = 1 matching never anchors a prism whose overlap "
-                          "difference is zero")
 def test_zero_overlap_difference_anchors_the_prism():
     # a base edge times a fiber path of 4 segments; vertex (i, j) is i*5 + j
     f = fibred_grid(1, 4)
     # d(l8^2) is globally exact; over 101 it vanishes on the fiber segments
-    # <5,6> and <6,7>, so the overlap difference on <6> is zero and <6,7> is
-    # never anchored: <6,7> and <7,8> then disagree on <7>
+    # <5,6> and <6,7>, so the overlap difference on <6> is zero: the walk
+    # must still anchor <6,7>, or <6,7> and <7,8> disagree on <7>
     omega = global_input(f, [(8, 8)])
     prim = build_primitive_over(f, omega, S(101), 1)
     assert all(res.is_zero for res in prim.residuals().values())
+
+
+def test_overlap_difference_that_is_not_a_base_function_raises():
+    # build_primitive_over skips validate_input_family, so an incoherent
+    # family reaches the gluing walk: the primitives of d(l1^2) on <0,1,2>
+    # and of d(l1 l2) on <1,2,3> differ on <1,2> by a fiber function
+    f = SimplicialMorphism(SimplicialComplex([S(0, 1, 2), S(1, 2, 3)]),
+                           SimplicialComplex([S(100)]), {v: 100 for v in range(4)})
+    omega = {}
+    for sigma, (a, b) in ((S(0, 1, 2), (1, 1)), (S(1, 2, 3), (1, 2))):
+        sc = simplex_context(sigma)
+        lam = lambda v: Poly.variable(sc, sc.var("l", v))
+        omega[sigma] = d(Form.from_poly(lam(a) * lam(b)))
+    with pytest.raises(ExactnessError, match="not fiberwise constant") as err:
+        build_primitive_over(f, omega, S(100), 1)
+    message = str(err.value)
+    assert all(str(cell) in message
+               for cell in (S(100), S(0, 1, 2), S(1, 2, 3), S(1, 2)))
 
 
 def test_cylinder_not_fiberwise_exact():
