@@ -136,12 +136,16 @@ def cmd_primitive(args) -> int:
         out["base_cells"][",".join(map(str, tau.vertices))] = cell_out
     horizontal_failures = 0
     for rep in result.horizontal:
-        ok = rep.ok
-        horizontal_failures += 0 if ok else 1
-        out["horizontal"].append({
-            "tau": list(rep.tau.vertices), "face": list(rep.tau_face.vertices),
-            "vanished_terms": rep.vanished_terms,
-            "surviving_terms": rep.surviving_terms, "ok": ok})
+        entry = {"tau": list(rep.tau.vertices), "face": list(rep.tau_face.vertices),
+                 "vanished_terms": rep.vanished_terms,
+                 "surviving_terms": rep.surviving_terms, "ok": rep.ok}
+        if not rep.ok:
+            horizontal_failures += 1
+            bad = [sigma for sigma, ok in rep.matches.items() if not ok]
+            entry["mismatched"] = [list(sigma.vertices) for sigma in bad]
+            print(f"horizontal mismatch over {rep.tau} at face {rep.tau_face}: prisms "
+                  + ", ".join(map(str, bad)), file=sys.stderr)
+        out["horizontal"].append(entry)
 
     if args.oracle_eps is not None:
         worst = 0.0

@@ -593,16 +593,6 @@ def wedge(x: Form, y: Form) -> Form:
     return Form._from_acc(x.ctx, acc)
 
 
-def wedge_all(forms: Iterable[Form]) -> Form:
-    forms = list(forms)
-    if not forms:
-        raise FormError("empty wedge")
-    out = forms[0]
-    for f in forms[1:]:
-        out = wedge(out, f)
-    return out
-
-
 def d(a: Form) -> Form:
     """Formal exterior derivative, term by term."""
     acc: dict[tuple[int, ...], dict] = {}
@@ -835,8 +825,11 @@ def eliminate_poly(p: Poly, chart: Chart) -> Poly:
     return Poly._make(p.ctx, _unscale(_substitute_drops(p.ctx, drops, p.terms, den), den))
 
 
-def _first_chart(ctx: CoordSystem, groups: Iterable[int]) -> Chart:
-    return elimination_chart(ctx, (ctx.group_vars[g][0] for g in groups))
+def _first_chart(ctx: CoordSystem, groups: Iterable[int]) -> tuple[Chart, tuple[int, ...]]:
+    """The chart dropping the first variable of each of `groups`, and the rest of theirs."""
+    groups = tuple(groups)
+    kept = tuple(i for g in groups for i in ctx.group_vars[g][1:])
+    return elimination_chart(ctx, (ctx.group_vars[g][0] for g in groups)), kept
 
 
 def _last_chart(ctx: CoordSystem, groups: Iterable[int]) -> Chart:
@@ -860,11 +853,6 @@ def canonicalize(a: Form) -> Form:
         if groups:
             a = eliminate(a, _last_chart(ctx, groups))
     return a
-
-
-def eliminate_first(a: Form) -> Form:
-    """Chart used for integration and homotopy: drop each group's first variable."""
-    return eliminate(a, _first_chart(a.ctx, range(len(a.ctx.groups))))
 
 
 def equal_mod_relations(a: Form, b: Form) -> bool:
@@ -905,85 +893,62 @@ def restrict_to_face(a: Form, face_ctx: CoordSystem) -> Form:
 # Whitney forms
 # ---------------------------------------------------------------------------
 
-def group_whitney_extended(ctx: CoordSystem, group: int,
-                           sub_vertices: tuple[int, ...]) -> Form:
-    """q! sum_k (-1)^k x_k dx_0 ^ ... ^ dx_k-hat ^ ... ^ dx_q on a vertex
-    subset of one coordinate group, read in the whole context."""
-    tag = ctx.groups[group][0]
-    idx = [ctx.var(tag, v) for v in sub_vertices]
-    q = len(idx) - 1
-    if q < 0:
-        raise FormError("empty vertex subset")
-    fact = math.factorial(q)
-    acc: dict[tuple[int, ...], dict] = {}
-    for k in range(q + 1):
-        wedge_sorted, sign = _sort_wedge(tuple(idx[:k] + idx[k + 1:]))
-        if wedge_sorted is None:
-            continue
-        _add_into(acc.setdefault(wedge_sorted, {}), Poly.variable(ctx, idx[k]).terms,
-                  sign * (-1) ** k * fact)
+def whitney_form(ctx: CoordSystem, cell: Mapping[int, Iterable[int]] | None = None) -> Form:
+    """The Whitney form of a cell, written in the whole context.
+
+    `cell` maps a group index to a vertex subset of that group; None means
+    every group, whole.  The form is the wedge, in group order, of
+    q! sum_k (-1)^k x_k dx_0 ^ ... ^ dx_k-hat ^ ... ^ dx_q over each subset,
+    and the constant 1 when no group is given.  Group variables ascend in
+    group order, so each product of terms keeps its wedges concatenated.
+    """
+    if cell is None:
+        cell = dict(enumerate(verts for _, verts in ctx.groups))
+    acc: dict[tuple[int, ...], dict] = {(): {(0,) * ctx.nvars: 1}}
+    for g in sorted(cell):
+        idx = [ctx.var(ctx.groups[g][0], v) for v in cell[g]]
+        if not idx:
+            raise FormError("empty vertex subset")
+        fact = math.factorial(len(idx) - 1)
+        block = [(k, i) + _sort_wedge(tuple(idx[:k] + idx[k + 1:])) for k, i in enumerate(idx)]
+        nxt: dict[tuple[int, ...], dict] = {}
+        for dv, terms in acc.items():
+            for k, i, dv_g, sign in block:
+                if dv_g is not None:
+                    _add_into(nxt.setdefault(dv + dv_g, {}),
+                              {e[:i] + (e[i] + 1,) + e[i + 1:]: c for e, c in terms.items()},
+                              sign * (-1) ** k * fact)
+        acc = nxt
     return Form._from_acc(ctx, acc)
-
-
-def group_whitney(ctx: CoordSystem, group: int) -> Form:
-    tag, verts = ctx.groups[group]
-    return group_whitney_extended(ctx, group, verts)
 
 
 def whitney(s: Simplex) -> Form:
     """Whitney volume form of a simplex in its own context."""
-    ctx = simplex_context(s)
-    return group_whitney(ctx, 0)
+    return whitney_form(simplex_context(s))
 
 
 def whitney_extended(face: Simplex, s: Simplex) -> Form:
     """The written formula of the face's Whitney form, read on the cell."""
     if not s.has_face(face):
         raise StructureError(f"{face} is not a face of {s}")
-    ctx = simplex_context(s)
-    return group_whitney_extended(ctx, 0, face.vertices)
+    return whitney_form(simplex_context(s), {0: face.vertices})
 
 
 def whitney_prism(p: Prism) -> Form:
     """Product Whitney form: wedge of the per-factor forms, factor order."""
-    ctx = prism_context(p)
-    return wedge_all(group_whitney(ctx, g) for g in range(len(p.factors)))
-
-
-def whitney_prism_extended(ctx: CoordSystem, subs: Iterable[tuple[int, ...]]) -> Form:
-    """Wedge over all groups of extended Whitney forms on given subsets."""
-    return wedge_all(group_whitney_extended(ctx, g, tuple(sub))
-                     for g, sub in enumerate(subs))
+    return whitney_form(prism_context(p))
 
 
 def whitney_relative(ctx: CoordSystem) -> Form:
     """Vertical Whitney form: wedge of the fiber groups' Whitney forms."""
-    if not ctx.fiber_groups:
-        return Form.const(ctx, 1)
-    return wedge_all(group_whitney(ctx, g) for g in ctx.fiber_groups)
-
-
-def whitney_relative_extended(ctx: CoordSystem,
-                              fiber_subs: Iterable[tuple[int, ...]]) -> Form:
-    """Vertical extension: wedge of per-fiber-group extended Whitney forms.
-
-    `fiber_subs` lists one vertex subset per fiber group, in group order.
-    Point subsets contribute the constant 1.
-    """
-    subs = list(fiber_subs)
-    if len(subs) != len(ctx.fiber_groups):
-        raise ContextError("need one vertex subset per fiber group")
-    out = Form.const(ctx, 1)
-    for g, sub in zip(ctx.fiber_groups, subs):
-        out = wedge(out, group_whitney_extended(ctx, g, tuple(sub)))
-    return out
+    return whitney_form(ctx, {g: ctx.groups[g][1] for g in ctx.fiber_groups})
 
 
 def de_form(ctx: CoordSystem) -> Form:
     """Pullback of the base volume form: wedge of base-group Whitney forms."""
     if not ctx.base_groups:
         raise ContextError("context has no base group")
-    return wedge_all(group_whitney(ctx, g) for g in ctx.base_groups)
+    return whitney_form(ctx, {g: ctx.groups[g][1] for g in ctx.base_groups})
 
 
 def vertical_part(a: Form) -> Form:
@@ -1027,53 +992,40 @@ def _dirichlet(exps: Iterable[int]) -> Fraction:
     return Q(math.prod(map(math.factorial, exps)), math.factorial(len(exps) + sum(exps)))
 
 
-def integrate_top_form(a: Form) -> Fraction:
-    """Exact integral of a top-degree form over its cell.
+def _integrate(a: Form, groups: tuple[int, ...]) -> Poly:
+    """Integrate over the simplices of `groups`, factor-wise (Fubini).
 
-    The parameter domain uses the variables left after eliminating each
-    group's first variable, oriented by the stored vertex order; group
-    blocks integrate factor-wise (Fubini).
+    In the chart dropping each of those groups' first variable, oriented by
+    the stored vertex order, every term must carry exactly the kept
+    differentials of `groups`; each monomial integrates by the Dirichlet
+    formula per group, leaving a polynomial in the other groups' variables.
     """
-    c = eliminate_first(a)
     ctx = a.ctx
-    full = tuple(i for gvars in ctx.group_vars for i in gvars[1:])
-    total = Q(0)
-    for dv, p in c.terms.items():
-        if not p:
-            continue
+    chart, full = _first_chart(ctx, groups)
+    acc: dict = {}
+    for dv, p in eliminate(a, chart).terms.items():
         if dv != full:
-            raise DegreeError(
-                f"not a top-degree form on the cell (term {dv}, expected {full})")
+            raise DegreeError(f"not a top-degree form over groups {groups} "
+                              f"(term {dv}, expected {full})")
         for e, coeff in p.terms.items():
-            block = Q(1)
-            for gvars in ctx.group_vars:
-                block *= _dirichlet(e[i] for i in gvars[1:])
-            total += coeff * block
-    return total
+            block = math.prod(_dirichlet(e[i] for i in ctx.group_vars[g][1:]) for g in groups)
+            key = tuple(0 if i in full else n for i, n in enumerate(e))
+            acc[key] = acc.get(key, 0) + coeff * block
+    return Poly._make(ctx, _clean(acc))
+
+
+def integrate_top_form(a: Form) -> Fraction:
+    """Exact integral of a top-degree form over its cell."""
+    integral = _integrate(a, tuple(range(len(a.ctx.groups))))
+    return Q(integral.terms.get((0,) * a.ctx.nvars, 0))
 
 
 def integrate_fiber(a: Form) -> Poly:
     """Integrate a vertical top-degree form over the fiber; returns a
     polynomial in the base variables."""
-    ctx = a.ctx
-    if not ctx.base_groups:
+    if not a.ctx.base_groups:
         raise ContextError("context has no base group")
-    c = eliminate(a, _first_chart(ctx, ctx.fiber_groups))
-    fiber_full = tuple(i for g in ctx.fiber_groups for i in ctx.group_vars[g][1:])
-    base_vars = set(i for g in ctx.base_groups for i in ctx.group_vars[g])
-    acc: dict = {}
-    for dv, p in c.terms.items():
-        if dv != fiber_full:
-            raise DegreeError("not a fiberwise top-degree vertical form")
-        for e, coeff in p.terms.items():
-            if any(e[i] and i not in base_vars and i not in fiber_full for i in range(ctx.nvars)):
-                raise DegreeError("coefficient depends on an eliminated variable")
-            block = Q(1)
-            for g in ctx.fiber_groups:
-                block *= _dirichlet(e[i] for i in ctx.group_vars[g][1:])
-            key = tuple(n if i in base_vars else 0 for i, n in enumerate(e))
-            acc[key] = acc.get(key, 0) + coeff * block
-    return Poly._make(ctx, _clean(acc))
+    return _integrate(a, a.ctx.fiber_groups)
 
 
 # ---------------------------------------------------------------------------
@@ -1090,14 +1042,11 @@ def poincare_primitive(a: Form, fiber_only: bool = False) -> Form:
     the input must then be fiberwise closed and purely vertical.
     """
     ctx = a.ctx
-    if fiber_only:
-        c = eliminate(a, _first_chart(ctx, ctx.fiber_groups))
-        cone_vars = set(i for g in ctx.fiber_groups for i in ctx.group_vars[g][1:])
-        check = relative_d(c)
-    else:
-        c = eliminate_first(a)
-        cone_vars = set(i for gvars in ctx.group_vars for i in gvars[1:])
-        check = d(c)
+    chart, kept = _first_chart(ctx, ctx.fiber_groups if fiber_only
+                               else range(len(ctx.groups)))
+    c = eliminate(a, chart)
+    cone_vars = set(kept)
+    check = relative_d(c) if fiber_only else d(c)
     if not check.is_zero:
         raise FormError(f"form is not closed; no primitive exists: d residual {check}")
     acc: dict[tuple[int, ...], dict] = {}
@@ -1107,7 +1056,7 @@ def poincare_primitive(a: Form, fiber_only: bool = False) -> Form:
             if not dv:
                 raise DegreeError("cannot take a primitive of a 0-form part")
             raise FormError("vertical homotopy requires vertical terms")
-        for m, pm in p.homogeneous_parts(sorted(cone_vars)).items():
+        for m, pm in p.homogeneous_parts(kept).items():
             if not pm:
                 continue
             scale = Q(1, m + r)

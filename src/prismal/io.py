@@ -35,7 +35,8 @@ def rational_to_str(q: int | Fraction) -> str:
 
 
 def rational_from_str(s) -> Fraction:
-    if isinstance(s, int):
+    # a JSON boolean is not a number, though Python's bool is an int
+    if type(s) is int:
         return Q(s)
     if isinstance(s, str):
         num, slash, den = s.partition("/")

@@ -44,8 +44,7 @@ from .forms import (Chart, CoordMap, CoordSystem, Form, FormError, Poly,
                     base_volume_residual, canonicalize, d, eliminate_poly,
                     elimination_chart, equal_mod_relations,
                     pi_context, poincare_primitive, pullback, restrict_to_face,
-                    simplex_context, vertical_part, wedge,
-                    whitney_relative_extended)
+                    simplex_context, vertical_part, wedge, whitney_form)
 from .sheaf import psi_coordinate_map
 
 Q = Fraction
@@ -223,7 +222,8 @@ def weighted_whitney(pctx: CoordSystem, terms) -> Form:
     out = Form.zero(pctx)
     for coeff, dims, blocks in terms:
         t_mon = t_monomial(pctx, dims)
-        out = out + whitney_relative_extended(pctx, blocks) * (coeff * t_mon)
+        cell = dict(zip(pctx.fiber_groups, blocks, strict=True))
+        out = out + whitney_form(pctx, cell) * (coeff * t_mon)
     return out
 
 

@@ -18,12 +18,11 @@ from fractions import Fraction
 from .mesh import (Prism, Simplex, SimplicialComplex, SimplicialMorphism,
                    incidence_number, prism_incidence)
 from .forms import (CoordSystem, Form, Poly, canonicalize, d, de_form,
-                    eliminate_poly, elimination_chart, group_whitney_extended,
-                    integrate_fiber, is_fiberwise_zero, pi_context,
-                    prism_context, pullback, relative_d, restrict_to_face,
-                    simplex_context, wedge, whitney, whitney_antiboundary,
-                    whitney_extended, whitney_prism, whitney_prism_extended,
-                    whitney_relative, whitney_relative_extended)
+                    eliminate_poly, elimination_chart, integrate_fiber,
+                    is_fiberwise_zero, pi_context, prism_context, pullback,
+                    relative_d, restrict_to_face, simplex_context, wedge,
+                    whitney, whitney_antiboundary, whitney_extended,
+                    whitney_form, whitney_prism, whitney_relative)
 from .primitive import homothety_operator, specialization_chart, t_monomial
 from .sheaf import psi_coordinate_map
 from . import fixtures as fixture_mod
@@ -89,7 +88,7 @@ def verify_lemcod_simplex(s: Simplex, face: Simplex) -> IdentityReport:
 
 
 def verify_lemcod_prism(p: Prism, q: Prism) -> IdentityReport:
-    ext = whitney_prism_extended(prism_context(p), [f.vertices for f in q.factors])
+    ext = whitney_form(prism_context(p), dict(enumerate(f.vertices for f in q.factors)))
     delta = canonicalize(d(ext)
                          - whitney_prism(p) * Q(prism_incidence(p, q)))
     return _report("lemcod.b", f"{p} face {q}", delta)
@@ -163,7 +162,7 @@ def verify_lemcod_basis(p: Prism) -> IdentityReport:
     fcs = codim1_prism_faces(p)
     slots: dict = {}
     rows = [_form_vector(canonicalize(
-                whitney_prism_extended(ctx, [f.vertices for f in q.factors])), ctx, slots)
+                whitney_form(ctx, dict(enumerate(f.vertices for f in q.factors)))), ctx, slots)
             for q in fcs]
     rank = _rank(rows)
     if rank != len(fcs):
@@ -248,7 +247,7 @@ def verify_satrap(p: int, ell: int) -> IdentityReport:
     ctx = simplex_context(s)
     total = Form.zero(ctx)
     for h in range(ell + 1, p + 1):
-        total = total + group_whitney_extended(ctx, 0, tuple(range(ell + 1)) + (h,))
+        total = total + whitney_form(ctx, {0: tuple(range(ell + 1)) + (h,)})
     fact = math.factorial(ell + 1)
     rhs = Form(ctx, {tuple(range(ell + 1)): Poly.const(ctx, Q((-1) ** (ell + 1) * fact))})
     return _report("satrap", f"p={p} l={ell}",
@@ -261,7 +260,7 @@ def _satrapaz_rhs(ctx: CoordSystem, p: int, ell: int, E: Poly) -> Form:
         # substitute the h-th coordinate by 1 - sum(others)
         Eh = eliminate_poly(E, elimination_chart(ctx, (h,)))
         coeff = homothety_operator(Eh, ell + 1, (i for i in range(p + 1) if i != h))
-        w = group_whitney_extended(ctx, 0, tuple(range(ell + 1)) + (h,))
+        w = whitney_form(ctx, {0: tuple(range(ell + 1)) + (h,)})
         rhs = rhs + w * (coeff * Q((-1) ** (ell + 1)))
     return rhs
 
@@ -272,7 +271,7 @@ def verify_satrapaz(p: int, ell: int, E: Poly) -> IdentityReport:
     ctx = simplex_context(s)
     assert E.ctx == ctx
     lhs = d(wedge(Form.from_poly(E),
-                  group_whitney_extended(ctx, 0, tuple(range(ell + 1)))))
+                  whitney_form(ctx, {0: tuple(range(ell + 1))})))
     rhs = _satrapaz_rhs(ctx, p, ell, E)
     return _report("satrapaz", f"p={p} l={ell} E={E}", canonicalize(lhs - rhs))
 
@@ -330,8 +329,7 @@ def verify_iminve(f: SimplicialMorphism, sigma: Simplex) -> IdentityReport:
         0 if f.grouping_sign(sigma) == 1 else 1)
     den = math.factorial(s) * math.prod(map(math.factorial, dims))
     coeff = Q((-1) ** alpha * math.factorial(p), den)
-    rhs = whitney_prism_extended(pctx, (verts for _, verts in pctx.groups))
-    rhs = rhs * (t_monomial(pctx, dims) * coeff)
+    rhs = whitney_form(pctx) * (t_monomial(pctx, dims) * coeff)
     return _report("iminve", f"{sigma}->{tau} dims={tuple(dims)}",
                    canonicalize(lhs - rhs))
 
@@ -373,8 +371,8 @@ def verify_faceface(p: int, q: int) -> IdentityReport:
     # exact-multiple fit over all (p, q) up to 5 with subsequence orientations
     coeff = Q((-1) ** (p + q) * math.factorial(p),
               math.factorial(q) * math.factorial(p - q - 1))
-    rhs = wedge(wedge(group_whitney_extended(ctx, 0, face1),
-                      group_whitney_extended(ctx, 0, face2)), du) * coeff
+    rhs = wedge(wedge(whitney_form(ctx, {0: face1}),
+                      whitney_form(ctx, {0: face2})), du) * coeff
     lhs = whitney(s) * (u * (Poly.const(ctx, 1) - u))
     return _report("faceface", f"p={p} q={q}", canonicalize(lhs - rhs))
 
@@ -386,7 +384,7 @@ def verify_facepri(p: int) -> IdentityReport:
     ctx = simplex_context(s)
     face = tuple(range(p))
     lhs = whitney(s) * (Poly.const(ctx, 1) - Poly.variable(ctx, p))
-    rhs = wedge(group_whitney_extended(ctx, 0, face), Form.d_var(ctx, p)) * Q(p)
+    rhs = wedge(whitney_form(ctx, {0: face}), Form.d_var(ctx, p)) * Q(p)
     return _report("facepri", f"p={p}", canonicalize(lhs - rhs))
 
 
@@ -401,7 +399,7 @@ def verify_facepro(dims: tuple[int, ...]) -> IdentityReport:
         pj = fj.dim
         face1 = fj.vertices[:pj]
         last = fj.vertices[pj]
-        block = wedge(group_whitney_extended(ctx, j, face1),
+        block = wedge(whitney_form(ctx, {j: face1}),
                       Form.d_var(ctx, ctx.var(f"m:{j}", last))) * Q(pj)
         rhs = wedge(rhs, block)
         lhs = lhs * (Poly.const(ctx, 1) - Poly.variable(ctx, ctx.var(f"m:{j}", last)))
@@ -495,7 +493,7 @@ def _lemrol_cases(f, sigma, tau, wrel):
         for i in range(len(fib.vertices)):
             sub = list(fibers)
             sub[j] = fib.facet_omitting(i)
-            ext = whitney_relative_extended(ctx, [b.vertices for b in sub])
+            ext = whitney_form(ctx, dict(zip(ctx.fiber_groups, (b.vertices for b in sub))))
             lhs = relative_d(ext)
             sign = prism_incidence(fiber_prism, Prism(tuple(sub)))
             rhs = wrel * Q(sign)

@@ -8,7 +8,7 @@ from prismal.mesh import Prism, Simplex, incidence_number
 from prismal.forms import (CoordMap, DegreeError,
                            Form, FormError, Poly, base_volume_residual,
                            canonicalize, d, de_form,
-                           eliminate, eliminate_first, elimination_chart,
+                           eliminate, elimination_chart,
                            equal_mod_relations,
                            integrate_fiber,
                            integrate_top_form, is_fiberwise_zero, pi_context,
@@ -16,7 +16,7 @@ from prismal.forms import (CoordMap, DegreeError,
                            relative_d, restrict_to_face, simplex_context,
                            vertical_part, wedge, whitney,
                            whitney_antiboundary, whitney_extended,
-                           whitney_prism, whitney_relative)
+                           whitney_form, whitney_prism, whitney_relative)
 
 
 def S(*vs):
@@ -344,10 +344,25 @@ def test_whitney_prism_single_factor_matches():
            [sorted(pp.terms.values()) for _, pp in sorted(ws.terms.items())]
 
 
+def test_whitney_form_of_every_prism_cell():
+    # each cell's form is the wedge of its one-group forms, and integrates
+    # to exactly 1 over its own cell
+    from functools import reduce
+    from prismal.verify import prism_universe
+    for p in prism_universe(2, 3):
+        ctx = prism_context(p)
+        whole = {g: f.vertices for g, f in enumerate(p.factors)}
+        assert whitney_form(ctx) == whitney_form(ctx, whole)
+        for q in sorted(p.all_faces()):
+            cell = {g: face.vertices for g, face in enumerate(q.factors)}
+            w = whitney_form(ctx, cell)
+            assert w == reduce(wedge, (whitney_form(ctx, {g: cell[g]}) for g in cell))
+            assert integrate_top_form(restrict_to_face(w, prism_context(q))) == 1
+
+
 def test_pi_whitney_splits_base_and_fiber():
     w = wedge(de_form(PCTX), whitney_relative(PCTX))
-    from prismal.forms import group_whitney, wedge_all
-    full = wedge_all([group_whitney(PCTX, g) for g in range(len(PCTX.groups))])
+    full = whitney_form(PCTX)
     assert w == full
 
 
@@ -514,8 +529,8 @@ def test_antiboundary_derivative_and_flip():
 def test_eliminate_first_vs_last_same_kernel():
     a = whitney(S(0, 1, 2)) - whitney(S(0, 1, 2))
     b = Form.from_poly(lam(CTX3, 0) + lam(CTX3, 1) + lam(CTX3, 2) - Poly.const(CTX3, 1))
-    assert canonicalize(b).is_zero and eliminate_first(b).is_zero
-    assert canonicalize(a).is_zero and eliminate_first(a).is_zero
+    assert canonicalize(b).is_zero and eliminate(b, elimination_chart(CTX3, (0,))).is_zero
+    assert canonicalize(a).is_zero and eliminate(a, elimination_chart(CTX3, (0,))).is_zero
 
 
 def test_pullback_identity_map():
@@ -559,7 +574,6 @@ def _prism_stokes(p, b):
 
 def test_stokes_prisms_low_dims():
     from prismal.verify import prism_universe
-    from prismal.forms import group_whitney_extended
     for p in prism_universe(2, 2):
         if not 2 <= p.dim <= 3:
             continue
@@ -570,9 +584,8 @@ def test_stokes_prisms_low_dims():
                 face = fj.vertices[:-1]
                 sub = [f.vertices for f in p.factors]
                 sub[j] = face
-                from prismal.forms import whitney_prism_extended
-                cases.append(whitney_prism_extended(ctx, sub))
-                cases.append(whitney_prism_extended(ctx, sub)
+                cases.append(whitney_form(ctx, dict(enumerate(sub))))
+                cases.append(whitney_form(ctx, dict(enumerate(sub)))
                              * Poly.variable(ctx, 0))
         for b in cases:
             assert _prism_stokes(p, b)

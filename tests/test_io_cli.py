@@ -32,7 +32,7 @@ def test_rational_strings():
     assert rational_from_str("3/4") == Q(3, 4)
     assert rational_from_str("-2") == Q(-2)
     assert rational_from_str(7) == Q(7)
-    for bad in (1.5, "1/0", "abc", "1/2/3"):
+    for bad in (1.5, "1/0", "abc", "1/2/3", True, False):
         with pytest.raises(ValidationError):
             rational_from_str(bad)
 
@@ -224,6 +224,38 @@ def test_cmd_primitive_success(tmp_path, capsys):
         assert hs["descent_verified"]
 
 
+def test_cmd_primitive_horizontal_mismatch_names_prisms(tmp_path, capsys, monkeypatch):
+    # mark one prism of one horizontal report as mismatched: exit 1, one
+    # stderr line naming it, and the failing JSON entry lists it
+    from prismal import primitive
+    real, flipped = primitive.check_horizontal, []
+
+    def one_mismatch(f, prim, prim_face):
+        rep = real(f, prim, prim_face)
+        if not flipped and rep.matches:
+            sigma = next(iter(rep.matches))
+            rep.matches[sigma] = False
+            flipped.append((rep.tau, rep.tau_face, sigma))
+        return rep
+
+    monkeypatch.setattr(primitive, "check_horizontal", one_mismatch)
+    cpath, mpath, wpath = _write_fixture_files(tmp_path)
+    out = tmp_path / "h.json"
+    code = main(["primitive", "--complex", str(cpath), "--morphism", str(mpath),
+                 "--form", str(wpath), "--out", str(out), "--check-horizontal"])
+    assert code == 1
+    [(tau, face, sigma)] = flipped
+    assert capsys.readouterr().err == (
+        f"horizontal mismatch over {tau} at face {face}: prisms {sigma}\n")
+    data = json.loads(out.read_text())
+    failing = [h for h in data["horizontal"] if not h["ok"]]
+    assert failing == [{"tau": list(tau.vertices), "face": list(face.vertices),
+                        "vanished_terms": failing[0]["vanished_terms"],
+                        "surviving_terms": failing[0]["surviving_terms"],
+                        "ok": False, "mismatched": [list(sigma.vertices)]}]
+    assert all("mismatched" not in h for h in data["horizontal"] if h["ok"])
+
+
 def test_cmd_primitive_validation_error(tmp_path, capsys):
     cpath, mpath, _ = _write_fixture_files(tmp_path)
     bad = tmp_path / "bad.json"
@@ -292,7 +324,9 @@ def _first_vertex(v):
     pytest.param(_poly_item({"exp": {"l:0": 1}}), "polynomial term needs 'c'", id="no-c"),
     pytest.param(_form_term(["l:0"]), "form term must be an object", id="term-not-object"),
     pytest.param(_first_vertex(0.5), "vertex labels must be integers, got 0.5",
-                 id="vertex-not-integer")])
+                 id="vertex-not-integer"),
+    pytest.param(_poly_item({"c": True, "exp": {}}),
+                 "validation error: expected an exact rational, got True", id="c-true")])
 def test_cmd_primitive_malformed_polynomial_exit2(tmp_path, capsys, edit, message):
     # one malformed item in an otherwise valid input: exit 2, no traceback
     paths = dict(zip(("complex", "morphism", "form"), _write_fixture_files(tmp_path)))

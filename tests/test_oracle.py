@@ -18,7 +18,7 @@ from sympy.combinatorics import Permutation  # noqa: E402
 from prismal.fixtures import five_over_two, triangle_fan  # noqa: E402
 from prismal.forms import (CoordMap, CoordSystem, Form, Poly,  # noqa: E402
                            canonicalize, eliminate, eliminate_poly,
-                           integrate_top_form, pi_context, prism_context,
+                           integrate_fiber, integrate_top_form, pi_context, prism_context,
                            pullback, restriction_map, simplex_context)
 from prismal.mesh import Prism, Simplex  # noqa: E402
 from prismal.primitive import specialization_chart  # noqa: E402
@@ -215,17 +215,20 @@ def test_pullback_through_psi(f, sigma, data):
     assert sym_equal(form_to_sym(got), want)
 
 
-def sym_integrate(ctx, a: dict):
-    """Integral over the product of standard simplices, in the chart that
-    drops each group's first variable (vertex order gives the orientation)."""
+def sym_integrate(ctx, a: dict, groups=None):
+    """Integral over the product of the standard simplices of `groups` (all
+    groups by default), in the chart that drops each one's first variable
+    (vertex order gives the orientation); the other groups' variables stay
+    free."""
+    group_vars = ctx.group_vars if groups is None else [ctx.group_vars[g] for g in groups]
     xs = symbols(ctx)
     images = list(xs)
-    for gvars in ctx.group_vars:
+    for gvars in group_vars:
         images[gvars[0]] = 1 - sum(xs[i] for i in gvars[1:])
     reduced = sym_pullback(images, xs, xs, a)
-    full = tuple(i for gvars in ctx.group_vars for i in gvars[1:])
+    full = tuple(i for gvars in group_vars for i in gvars[1:])
     integrand = sympy.expand(reduced.get(full, 0))
-    for gvars in ctx.group_vars:
+    for gvars in group_vars:
         free = [xs[i] for i in gvars[1:]]
         for k in reversed(range(len(free))):
             upper = 1 - sum(free[:k])
@@ -241,6 +244,31 @@ def test_integrate_top_form_dirichlet(ctx, data):
     got = integrate_top_form(a)
     assert type(got) in (int, Q)
     assert sympy.Rational(got.numerator, got.denominator) == sym_integrate(ctx, form_to_sym(a))
+
+
+def vertical_top_forms(ctx):
+    """Forms of the fiber dimension in the fiber differentials, whose
+    coefficients range over every variable, base variables included."""
+    fiber_vars = [i for g in ctx.fiber_groups for i in ctx.group_vars[g]]
+    degree = sum(len(ctx.group_vars[g]) - 1 for g in ctx.fiber_groups)
+    combos = list(itertools.combinations(fiber_vars, degree))
+    return st.lists(st.tuples(st.sampled_from(combos), polys(ctx, 2, 3, MIXED_DENS)),
+                    min_size=1, max_size=3).map(lambda items: Form(ctx, dict(items)))
+
+
+@pytest.mark.parametrize("ctx", [
+    PCTX, pi_context(Simplex((100, 101)), (Simplex((0, 1)), Simplex((2, 3, 4))))],
+    ids=["point-and-edge", "edge-and-triangle"])
+@ORACLE
+@given(data=st.data())
+def test_integrate_fiber_dirichlet(ctx, data):
+    a = data.draw(vertical_top_forms(ctx))
+    got = integrate_fiber(a)
+    assert_invariant(got)
+    base_vars = {i for g in ctx.base_groups for i in ctx.group_vars[g]}
+    assert all(i in base_vars for e in got.terms for i, n in enumerate(e) if n)
+    want = sym_integrate(ctx, form_to_sym(a), ctx.fiber_groups)
+    assert sympy.expand(to_sym(got) - want) == 0
 
 
 def _check_pullback(m: CoordMap, a: Form):

@@ -123,9 +123,9 @@ def test_extract_extended_whitney_unit_density():
     f = square_over_edge()
     sigma = S(0, 1, 2, 3)
     sc = simplex_context(sigma)
-    from prismal.forms import group_whitney_extended
+    from prismal.forms import whitney_form
     # the relative extension of phi = ((0,1),(2)): block form times point mass
-    eta = group_whitney_extended(sc, 0, (0, 1)) * Poly.variable(sc, sc.var("l", 2))
+    eta = whitney_form(sc, {0: (0, 1)}) * Poly.variable(sc, sc.var("l", 2))
     dec = extract_A(eta, f, sigma, 1)
     phi = RelFace((0, 1, 2), ((0, 1), (2,)))
     other = RelFace((0, 2, 3), ((0,), (2, 3)))
@@ -175,9 +175,9 @@ def test_lemetb_projection_property():
     f = square_over_edge()
     sigma = S(0, 1, 2, 3)
     sc = simplex_context(sigma)
-    from prismal.forms import group_whitney_extended
-    combo = (group_whitney_extended(sc, 0, (0, 1)) * Poly.variable(sc, sc.var("l", 3))
-             + group_whitney_extended(sc, 0, (2, 3)) * Poly.variable(sc, sc.var("l", 1)))
+    from prismal.forms import whitney_form
+    combo = (whitney_form(sc, {0: (0, 1)}) * Poly.variable(sc, sc.var("l", 3))
+             + whitney_form(sc, {0: (2, 3)}) * Poly.variable(sc, sc.var("l", 1)))
     dec = extract_A(combo, f, sigma, 1)
     assert residual_of(combo, dec, psi_coordinate_map(f, sigma)).is_zero
 

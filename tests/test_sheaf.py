@@ -146,7 +146,7 @@ def test_theta_psi_inverse_random_points():
 def test_psi_jacobian_weight():
     # the blow-down chart map has Jacobian prod t_j^{dim fiber_j} (up to the
     # chart orientation sign): pull back the reduced coordinate volume
-    from prismal.forms import Form, canonicalize, equal_mod_relations, wedge_all
+    from prismal.forms import Form, canonicalize, equal_mod_relations
     for f, sigma in [(triangle_fan(), S(0, 2, 3)),
                      (square_over_edge(), S(0, 1, 2, 3)),
                      (five_over_two(), S(0, 1, 2, 3, 4, 5))]:
