@@ -110,7 +110,7 @@ def cmd_primitive(args) -> int:
         return _validation_error(exc)
 
     out = {"degree": r, "base_cells": {}, "horizontal": [], "oracle": []}
-    residual_failures = 0
+    residual_failures = descent_failures = 0
     for tau, prim in result.primitives.items():
         cell_out = {"prisms": {}, "H_S": {}}
         residuals = verify_theodg(prim)
@@ -130,9 +130,13 @@ def cmd_primitive(args) -> int:
             if sigma in residuals:
                 residual_failures += 1
             N, m = descended = descend_form(pd.H, pd.psi.target)
+            descent_ok = check_descent(pd.H, pd.psi, descended)
+            if not descent_ok:
+                descent_failures += 1
+                print(f"descent check failed over {tau} on {sigma}", file=sys.stderr)
             cell_out["H_S"][key] = {"numerator": form_to_dict(N),
                                     "denominator_exponents": list(m),
-                                    "descent_verified": check_descent(pd.H, pd.psi, descended)}
+                                    "descent_verified": descent_ok}
         out["base_cells"][",".join(map(str, tau.vertices))] = cell_out
     horizontal_failures = 0
     for rep in result.horizontal:
@@ -151,7 +155,7 @@ def cmd_primitive(args) -> int:
         worst = 0.0
         for tau, prim in result.primitives.items():
             for sigma, pd in prim.prisms.items():
-                for phi in pd.decomposition.faces:
+                for phi in pd.A:
                     est, exact = oracle_A(pd.eta, f, sigma, phi, eps=args.oracle_eps)
                     err = abs(est - exact)
                     worst = max(worst, err)
@@ -165,7 +169,7 @@ def cmd_primitive(args) -> int:
         dump_json(args.out, out)
     except ValidationError as exc:
         return _validation_error(exc)
-    ok = residual_failures == 0 and horizontal_failures == 0
+    ok = residual_failures == horizontal_failures == descent_failures == 0
     print(f"residual check: {len(out['base_cells'])} base cells, "
           f"{residual_failures} failures; horizontal: {horizontal_failures} failures")
     print(f"primitive written to {args.out}")

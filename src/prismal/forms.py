@@ -48,7 +48,7 @@ from fractions import Fraction
 from operator import add, index
 from typing import Iterable, Mapping
 
-from .mesh import Prism, Simplex, StructureError, perm_sign
+from .mesh import Prism, Simplex, StructureError, boundary_chain, perm_sign
 
 Q = Fraction
 
@@ -1076,7 +1076,6 @@ def whitney_antiboundary(s: Simplex) -> Form:
     if r < 1:
         raise DegreeError("needs dim >= 1")
     out = Form.zero(simplex_context(s))
-    for i in range(len(s.vertices)):
-        face = s.facet_omitting(i)
-        out = out + whitney_extended(face, s) * Q((-1) ** i, r + 1)
+    for face, sign in boundary_chain(s).items():
+        out = out + whitney_extended(face, s) * Q(sign, r + 1)
     return out

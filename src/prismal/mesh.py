@@ -107,14 +107,12 @@ class Simplex:
     def facet_omitting(self, i: int) -> "Simplex":
         return Simplex(self.vertices[:i] + self.vertices[i + 1:])
 
-    def all_faces(self, include_empty: bool = False):
+    def all_faces(self):
         out = set()
         n = len(self.vertices)
-        for k in range(0 if include_empty else 1, n + 1):
+        for k in range(1, n + 1):
             for comb in itertools.combinations(range(n), k):
                 out.add(Simplex(tuple(self.vertices[i] for i in comb)))
-        if include_empty:
-            out.add(EMPTY_SIMPLEX)
         return out
 
     def __repr__(self):

@@ -16,8 +16,12 @@ Pipeline, per base simplex tau and maximal source simplex sigma over it:
    Descent to the raw sheaf (`descend_form`, `check_descent`) runs on
    demand, when the output is written.
 
-Each prism computes the pullback of the input, the compositions A_phi o psi
-and the Whitney combination once, and every stage reads those.
+`sheaf.psi_coordinate_map` is the one place where a pair (f, sigma) becomes
+coordinates.  Every later stage reads sigma's trivial prism from its
+blow-down `psi`: `psi.source` is the prism context (group 0 the base, group
+1+j the fiber over the j-th base vertex), `psi.target` sigma's simplex
+context.  Each prism computes the pullback of the input, the compositions
+A_phi o psi and the Whitney combination once, and every stage reads those.
 
 One home per concept: `pair_with_face` contracts with a fiber frame by a
 wedge expansion and `RelFace.block_factorial` normalizes it (also in the
@@ -115,24 +119,20 @@ class RelFace:
         return math.prod(map(math.factorial, self.block_dims()))
 
 
-def relative_faces(f: SimplicialMorphism, sigma: Simplex, r: int) -> list[RelFace]:
+def relative_faces(psi: CoordMap, r: int) -> list[RelFace]:
     """Faces of sigma with full image and relative dimension r, each taken
-    with the subsequence orientation and its fiber blocks."""
-    fibers = f.fibers(sigma)
+    with the subsequence orientation and its fiber blocks (`psi` is sigma's
+    blow-down)."""
+    sigma_verts = psi.target.groups[0][1]
+    choices = [[b for k in range(1, len(verts) + 1)
+                for b in itertools.combinations(verts, k)]
+               for _, verts in psi.source.groups[1:]]
     out = []
-    choices = []
-    for fib in fibers:
-        opts = []
-        nv = len(fib.vertices)
-        for k in range(1, nv + 1):
-            opts.extend(itertools.combinations(fib.vertices, k))
-        choices.append(opts)
     for combo in itertools.product(*choices):
         if sum(len(b) - 1 for b in combo) != r:
             continue
         chosen = {v for b in combo for v in b}
-        verts = tuple(v for v in sigma.vertices if v in chosen)
-        out.append(RelFace(verts, tuple(combo)))
+        out.append(RelFace(tuple(v for v in sigma_verts if v in chosen), combo))
     return sorted(out)
 
 
@@ -161,42 +161,19 @@ def pair_with_face(eta: Form, phi: RelFace) -> Poly:
 # Coefficient extraction
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FiberwiseDecomposition:
-    """Coefficient family {A_phi} of an r-form on sigma over tau: the
-    Whitney combination below reproduces the fiber part of the pulled-back
-    form."""
-
-    sigma: Simplex
-    tau: Simplex
-    degree: int
-    faces: tuple[RelFace, ...]
-    A: dict[RelFace, Poly]
-
-
-def extract_A(eta: Form, f: SimplicialMorphism, sigma: Simplex,
-              r: int | None = None) -> FiberwiseDecomposition:
-    """Canonical fiberwise coefficients of an r-form on sigma.
+def extract_A(eta: Form, psi: CoordMap, r: int) -> dict[RelFace, Poly]:
+    """Canonical fiberwise coefficients {A_phi} of an r-form on sigma, in
+    face order, zeros included (`psi` is sigma's blow-down).
 
     A_phi is the contraction of eta with the constant fiber frame of phi,
     divided by the product of the block factorials; this is the pointwise
     value of the shrinking-average limit, up to the stated normalization.
     """
-    tau = f.image(sigma)
-    if r is None:
-        nonzero = sorted(deg for deg in eta.degrees())
-        if len(nonzero) != 1:
-            raise DecompositionError(f"mixed degrees {nonzero}; pass r explicitly")
-        r = nonzero[0]
-    d_rel = f.rel_dim(sigma)
-    if r > d_rel:
+    faces = relative_faces(psi, r)
+    if not faces:
         raise DecompositionError(
-            f"degree {r} exceeds the relative dimension {d_rel} of {sigma}")
-    faces = relative_faces(f, sigma, r)
-    A: dict[RelFace, Poly] = {}
-    for phi in faces:
-        A[phi] = pair_with_face(eta, phi) * Q(1, phi.block_factorial())
-    return FiberwiseDecomposition(sigma, tau, r, tuple(faces), A)
+            f"no relative face of degree {r} on {Simplex(psi.target.groups[0][1])}")
+    return {phi: pair_with_face(eta, phi) * Q(1, phi.block_factorial()) for phi in faces}
 
 
 def t_monomial(pctx: CoordSystem, dims: Iterable[int]) -> Poly:
@@ -208,12 +185,11 @@ def t_monomial(pctx: CoordSystem, dims: Iterable[int]) -> Poly:
     return out
 
 
-def compose_psi(dec: FiberwiseDecomposition, psi: CoordMap) -> dict[RelFace, Poly]:
+def compose_psi(A: dict[RelFace, Poly], psi: CoordMap) -> dict[RelFace, Poly]:
     """The nonzero A_phi o psi, in face order: lambda_i = t_j mu_{j,i}
     substituted into each simplex-side coefficient."""
     images = dict(enumerate(psi.image_list))
-    return {phi: dec.A[phi].substitute(images, psi.source)
-            for phi in dec.faces if dec.A[phi]}
+    return {phi: a.substitute(images, psi.source) for phi, a in A.items() if a}
 
 
 def weighted_whitney(pctx: CoordSystem, terms) -> Form:
@@ -274,8 +250,7 @@ def admissible_drops(phi: RelFace) -> list[FaceDrop]:
     return out
 
 
-def _free_chart(pctx: CoordSystem, f: SimplicialMorphism, sigma: Simplex,
-                drop: "FaceDrop") -> tuple[Chart, list[int]]:
+def _free_chart(pctx: CoordSystem, drop: "FaceDrop") -> tuple[Chart, list[int]]:
     """Chart of the trivial prism adapted to a subface pair (phi, gamma).
 
     In the removed vertex's block, that vertex's coordinate is eliminated;
@@ -284,22 +259,20 @@ def _free_chart(pctx: CoordSystem, f: SimplicialMorphism, sigma: Simplex,
     the surviving gamma coordinates (the scaling directions).
     """
     eliminated: list[int] = []
-    gblocks = drop.gamma_blocks()
-    for j, fib in enumerate(f.fibers(sigma)):
+    scaled: list[int] = []
+    for j, ((tag, verts), block) in enumerate(zip(pctx.groups[1:], drop.gamma_blocks())):
         if j == drop.j:
             v = drop.removed
         else:
-            outside = [v for v in fib.vertices if v not in gblocks[j]]
-            v = outside[-1] if outside else gblocks[j][-1]
-        eliminated.append(pctx.var(f"m:{j}", v))
-    scaled = [pctx.var(f"m:{j}", v)
-              for j, b in enumerate(gblocks) for v in b
-              if pctx.var(f"m:{j}", v) not in eliminated]
+            outside = [v for v in verts if v not in block]
+            v = outside[-1] if outside else block[-1]
+        eliminated.append(pctx.var(tag, v))
+        scaled.extend(pctx.var(tag, w) for w in block if w != v)
     return elimination_chart(pctx, eliminated), scaled
 
 
-def assemble_C(dec: FiberwiseDecomposition, f: SimplicialMorphism,
-               psi: CoordMap, composed: dict[RelFace, Poly]) -> dict[FaceDrop, Poly]:
+def assemble_C(A: dict[RelFace, Poly], r: int, psi: CoordMap,
+               composed: dict[RelFace, Poly]) -> dict[FaceDrop, Poly]:
     """Homothety solutions C~ per (phi, gamma), on the trivial prism.
 
     Each C~ is a polynomial in the base variables and the fiber coordinates
@@ -307,12 +280,11 @@ def assemble_C(dec: FiberwiseDecomposition, f: SimplicialMorphism,
     averaged-scaling equation with right side (A_phi o psi) / n(phi); the
     count n(phi) runs over all admissible subfaces of phi.
     """
-    r = dec.degree
     if r < 1:
         raise PrimitiveError("relative degree must be >= 1")
     pctx = psi.source
     out: dict[FaceDrop, Poly] = {}
-    for phi in dec.faces:
+    for phi in A:
         drops = admissible_drops(phi)
         n = len(drops)
         if n == 0:
@@ -323,7 +295,7 @@ def assemble_C(dec: FiberwiseDecomposition, f: SimplicialMorphism,
             continue
         a_psi = composed[phi]
         for drop in drops:
-            chart, scaled = _free_chart(pctx, f, dec.sigma, drop)
+            chart, scaled = _free_chart(pctx, drop)
             flat = eliminate_poly(a_psi, chart)
             q = drop.phi.blocks[drop.j].index(drop.removed)
             out[drop] = ode_solve(flat, r, scaled) * Q((-1) ** q, n)
@@ -378,7 +350,7 @@ class PrismData:
     psi: CoordMap
     eta: Form
     pulled: Form
-    decomposition: FiberwiseDecomposition
+    A: dict[RelFace, Poly]
     C: dict[FaceDrop, Poly]
     correction: Form
     H: Form
@@ -412,18 +384,18 @@ def build_primitive_over(f: SimplicialMorphism, omega: dict[Simplex, Form],
     for sigma in sigmas:
         eta = restrict_input(omega, sigma)
         psi = psi_coordinate_map(f, sigma)
-        dec = extract_A(eta, f, sigma, r)
+        A = extract_A(eta, psi, r)
         pulled = pullback(psi, eta)
-        composed = compose_psi(dec, psi)
+        composed = compose_psi(A, psi)
         combo = whitney_combination(composed, psi)
         res = decomposition_residual(pulled, combo)
         if not res.is_zero:
             raise DecompositionError(
                 f"input on {sigma} has mixed fiber degree; residual {res}")
-        C = assemble_C(dec, f, psi, composed)
+        C = assemble_C(A, r, psi, composed)
         cpart = c_part_form(C, psi)
         corr = vertical_gluing(fiber_defect(combo, cpart), sigma)
-        prisms[sigma] = PrismData(sigma, psi, eta, pulled, dec, C, corr, cpart + corr)
+        prisms[sigma] = PrismData(sigma, psi, eta, pulled, A, C, corr, cpart + corr)
     _match_across_prisms(f, tau, prisms, r)
     return RelativePrimitive(tau, prisms)
 
@@ -496,7 +468,7 @@ def _match_across_prisms(f: SimplicialMorphism, tau: Simplex,
             for new, inter in neighbours[known]:
                 if new in walk:
                     continue
-                diff = _restricted_difference(f, prisms[known].H, prisms[new].H, inter)
+                diff = _restricted_difference(prisms[known].H, prisms[new].H, inter)
                 if not _is_base_function(diff):
                     raise ExactnessError(
                         f"over {tau}: prisms {known} and {new} differ on {inter} "
@@ -508,19 +480,22 @@ def _match_across_prisms(f: SimplicialMorphism, tau: Simplex,
                     pd.H = pd.H + shift
                     pd.correction = pd.correction + shift
                 walk.append(new)
-    _verify_overlaps(f, tau, prisms, edges)
+    _verify_overlaps(tau, prisms, edges)
 
 
-def _restricted_difference(f: SimplicialMorphism, H1: Form, H2: Form,
-                           inter: Simplex) -> Form:
-    """H1 - H2 restricted to the trivial prism of the shared cell, canonical."""
-    sub = pi_context(f.image(inter), f.fibers(inter))
+def _restricted_difference(H1: Form, H2: Form, inter: Simplex) -> Form:
+    """H1 - H2 restricted to the trivial prism of the shared cell `inter`,
+    canonical: H1's base group, and each of its fiber groups cut down to
+    the vertices of `inter`."""
+    base, *fibers = H1.ctx.groups
+    sub = CoordSystem((base, *((tag, tuple(v for v in verts if v in inter.vset))
+                               for tag, verts in fibers)))
     return canonicalize(restrict_to_face(H1, sub) - restrict_to_face(H2, sub))
 
 
-def _verify_overlaps(f, tau, prisms, edges) -> None:
+def _verify_overlaps(tau, prisms, edges) -> None:
     for s1, s2, inter in edges:
-        if not _restricted_difference(f, prisms[s1].H, prisms[s2].H, inter).is_zero:
+        if not _restricted_difference(prisms[s1].H, prisms[s2].H, inter).is_zero:
             raise ExactnessError(
                 f"over {tau}: primitive candidates on {s1} and {s2} disagree on "
                 f"{inter}; the input is not fiberwise exact over the open base cell")
@@ -632,32 +607,31 @@ def check_descent(H: Form, psi: CoordMap,
 # Horizontal specialization
 # ---------------------------------------------------------------------------
 
-def specialization_chart(f: SimplicialMorphism, sigma: Simplex,
-                         tau_face: Simplex) -> CoordMap:
-    """Inclusion of the trivial prism of sigma|tau' into that of sigma:
-    kept base variables map to themselves, lost ones to zero, kept fiber
-    blocks match up, and lost blocks sit at their barycenters."""
-    tau = f.image(sigma)
-    sigma_f = f.restriction_to(sigma, tau_face)
-    src = pi_context(f.image(sigma_f), f.fibers(sigma_f))
-    dst = pi_context(tau, f.fibers(sigma))
-    keep = [j for j, y in enumerate(tau.vertices) if y in tau_face.vset]
+def specialization_chart(pctx: CoordSystem, tau_face: Simplex) -> CoordMap:
+    """Inclusion of the trivial prism of sigma|tau' into that of sigma,
+    whose context is `pctx`: kept base variables map to themselves, lost
+    ones to zero, kept fiber blocks match up, and lost blocks sit at their
+    barycenters."""
+    (base_tag, tau_verts), *fibers = pctx.groups
+    keep = [j for j, y in enumerate(tau_verts) if y in tau_face.vset]
+    src = pi_context(Simplex(tuple(tau_verts[j] for j in keep)),
+                     [Simplex(fibers[j][1]) for j in keep])
     renumber = {j: k for k, j in enumerate(keep)}
     images: dict[str, Poly] = {}
-    for y in tau.vertices:
-        name = f"t:{y}"
+    for y in tau_verts:
+        name = f"{base_tag}:{y}"
         if y in tau_face.vset:
-            images[name] = Poly.variable(src, src.var("t", y))
+            images[name] = Poly.variable(src, src.index[name])
         else:
             images[name] = Poly.zero(src)
-    for j, fib in enumerate(f.fibers(sigma)):
-        for v in fib.vertices:
-            name = f"m:{j}:{v}"
+    for j, (tag, verts) in enumerate(fibers):
+        for v in verts:
+            name = f"{tag}:{v}"
             if j in renumber:
                 images[name] = Poly.variable(src, src.var(f"m:{renumber[j]}", v))
             else:
-                images[name] = Poly.const(src, Q(1, len(fib.vertices)))
-    return CoordMap.build(src, dst, images)
+                images[name] = Poly.const(src, Q(1, len(verts)))
+    return CoordMap.build(src, pctx, images)
 
 
 @dataclass
@@ -694,13 +668,10 @@ def check_horizontal(f: SimplicialMorphism, prim: RelativePrimitive,
             else:
                 surviving += 1
         sigma_f = f.restriction_to(sigma, tau_face)
-        if sigma_f.is_empty or f.image(sigma_f) != tau_face:
-            continue
-        chart = specialization_chart(f, sigma, tau_face)
-        specialized = pullback(chart, pd.H)
+        specialized = pullback(specialization_chart(pd.psi.source, tau_face), pd.H)
         carrier = next(s for s in prim_face.prisms if sigma_f.vset <= s.vset)
         matches[sigma] = _restricted_difference(
-            f, specialized, prim_face.prisms[carrier].H, sigma_f).is_zero
+            specialized, prim_face.prisms[carrier].H, sigma_f).is_zero
     return HorizontalReport(tau, tau_face, vanished, surviving, matches)
 
 

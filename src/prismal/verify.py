@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .mesh import (Prism, Simplex, SimplicialComplex, SimplicialMorphism,
-                   incidence_number, prism_incidence)
+                   boundary_chain, incidence_number, prism_boundary,
+                   prism_incidence)
 from .forms import (CoordSystem, Form, Poly, canonicalize, d, de_form,
                     eliminate_poly, elimination_chart, integrate_fiber,
                     is_fiberwise_zero, pi_context, prism_context, pullback,
@@ -144,22 +145,12 @@ def _rank(rows: list[list[Fraction]]) -> int:
     return rank
 
 
-def codim1_prism_faces(p: Prism) -> list[Prism]:
-    out = []
-    for j, fj in enumerate(p.factors):
-        if fj.dim >= 1:
-            for i in range(len(fj.vertices)):
-                out.append(Prism(p.factors[:j] + (fj.facet_omitting(i),)
-                                 + p.factors[j + 1:]))
-    return out
-
-
 def verify_lemcod_basis(p: Prism) -> IdentityReport:
     """The extended codim-1 forms are a basis of the space of forms one
     degree below the top whose coefficients are affine and whose facet
     restrictions are multiples of the facet volume forms."""
     ctx = prism_context(p)
-    fcs = codim1_prism_faces(p)
+    fcs = list(prism_boundary(p))
     slots: dict = {}
     rows = [_form_vector(canonicalize(
                 whitney_form(ctx, dict(enumerate(f.vertices for f in q.factors)))), ctx, slots)
@@ -211,10 +202,10 @@ def verify_lemcod(max_dim: int = 4, max_factor_dim: int = 2,
                   max_factors: int = 3, with_basis: bool = True):
     reports = []
     for s in simplex_universe(max_dim):
-        for i in range(len(s.vertices)):
-            reports.append(verify_lemcod_simplex(s, s.facet_omitting(i)))
+        for face in boundary_chain(s):
+            reports.append(verify_lemcod_simplex(s, face))
     for p in prism_universe(max_factor_dim, max_factors):
-        for q in codim1_prism_faces(p):
+        for q in prism_boundary(p):
             reports.append(verify_lemcod_prism(p, q))
     if with_basis:
         for p in basis_universe(max_dim, max_factor_dim, max_factors):
@@ -466,16 +457,15 @@ def _lecare_case(f, sigma, tau, wrel) -> IdentityReport:
 def _opicsh_case(f, sigma, tau, tau_f, wrel) -> IdentityReport:
     dims = [fib.dim for fib in f.fibers(sigma)]
     weighted = wrel * t_monomial(wrel.ctx, dims)
-    chart = specialization_chart(f, sigma, tau_f)
+    chart = specialization_chart(wrel.ctx, tau_f)
     specialized = pullback(chart, weighted)
     lost = [dims[j] for j, y in enumerate(tau.vertices) if y not in tau_f.vset]
-    sigma_f = f.restriction_to(sigma, tau_f)
     if any(dd > 0 for dd in lost):
         delta = canonicalize(specialized)
         return _report("relative.weights",
                        f"{sigma} over {tau} -> {tau_f} (drops)", delta)
-    sub = pi_context(tau_f, f.fibers(sigma_f))
-    dims_f = [fib.dim for fib in f.fibers(sigma_f)]
+    sub = chart.source
+    dims_f = [dd for dd, y in zip(dims, tau.vertices) if y in tau_f.vset]
     direct = whitney_relative(sub) * t_monomial(sub, dims_f)
     delta = canonicalize(specialized - direct)
     return _report("relative.weights",

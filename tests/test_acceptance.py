@@ -19,7 +19,7 @@ from prismal.mesh import Simplex, boundary_chain, chain_boundary, prism_boundary
 from prismal.primitive import (build_relative_primitive, extract_A, oracle_A,
                                ode_residual, ode_solve, verify_theodg)
 from prismal.sheaf import (build_Pf, build_Sf, check_Pf_characterization,
-                           check_Sf_characterization)
+                           check_Sf_characterization, psi_coordinate_map)
 from prismal.verify import (prism_universe, simplex_universe,
                             verify_bord_suite, verify_faceface_suite,
                             verify_iminve_suite, verify_lemcod,
@@ -167,6 +167,7 @@ def test_criterion_10_numeric_oracle():
     f = triangle_fan()
     sigma = Simplex((0, 2, 3))
     sc = simplex_context(sigma)
+    psi = psi_coordinate_map(f, sigma)
     rng = random.Random(0)
     ok = True
     checked = 0
@@ -180,8 +181,7 @@ def test_criterion_10_numeric_oracle():
         coeff = Poly(sc, terms)
         which = rng.randrange(2)
         eta = Form(sc, {(sc.var("l", 2 if which else 3),): coeff})
-        dec = extract_A(eta, f, sigma, 1)
-        for phi in dec.faces:
+        for phi in extract_A(eta, psi, 1):
             est, exact = oracle_A(eta, f, sigma, phi, eps=1e-4)
             checked += 1
             ok = ok and abs(est - exact) < 1e-6

@@ -562,11 +562,10 @@ def test_whitney_relative_all_points_is_one():
 
 
 def _prism_stokes(p, b):
-    from prismal.mesh import prism_incidence
-    from prismal.verify import codim1_prism_faces
+    from prismal.mesh import prism_boundary, prism_incidence
     lhs = integrate_top_form(d(b))
     rhs = Q(0)
-    for q in codim1_prism_faces(p):
+    for q in prism_boundary(p):
         rhs += prism_incidence(p, q) * integrate_top_form(
             restrict_to_face(b, prism_context(q)))
     return lhs == rhs

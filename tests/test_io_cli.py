@@ -256,6 +256,72 @@ def test_cmd_primitive_horizontal_mismatch_names_prisms(tmp_path, capsys, monkey
     assert all("mismatched" not in h for h in data["horizontal"] if h["ok"])
 
 
+def test_cmd_primitive_descent_failure_exits1(tmp_path, capsys, monkeypatch):
+    # a failed descent check is a residual failure: exit 1, one stderr line
+    # naming the base cell and the prism, and the JSON flag false
+    from prismal import primitive
+    failed = []
+
+    def fail_once(H, psi, descended):
+        if failed:
+            return True
+        failed.append((Simplex(psi.source.groups[0][1]), Simplex(psi.target.groups[0][1])))
+        return False
+
+    monkeypatch.setattr(primitive, "check_descent", fail_once)
+    cpath, mpath, wpath = _write_fixture_files(tmp_path)
+    out = tmp_path / "h.json"
+    code = main(["primitive", "--complex", str(cpath), "--morphism", str(mpath),
+                 "--form", str(wpath), "--out", str(out), "--check-horizontal"])
+    assert code == 1
+    [(tau, sigma)] = failed
+    assert capsys.readouterr().err == f"descent check failed over {tau} on {sigma}\n"
+    data = json.loads(out.read_text())
+    flags = {(tau_key, key): hs["descent_verified"]
+             for tau_key, cell in data["base_cells"].items()
+             for key, hs in cell["H_S"].items()}
+    bad = (",".join(map(str, tau.vertices)), ",".join(map(str, sigma.vertices)))
+    assert flags.pop(bad) is False
+    assert flags and all(flags.values())
+
+
+def _target_runs(tmp_path, command):
+    """The argv of `command` on the triangle fan, less the morphism, and
+    the output it writes."""
+    cpath, _, wpath = _write_fixture_files(tmp_path)
+    out = tmp_path / "out.json"
+    if command == "sheaf":
+        return ["sheaf", "--complex", str(cpath), "--dump-sheaf", str(out)], out
+    return ["primitive", "--complex", str(cpath), "--form", str(wpath),
+            "--out", str(out)], out
+
+
+@pytest.mark.parametrize("command", ["sheaf", "primitive"])
+def test_target_flag_matches_embedded_target(tmp_path, command):
+    argv, out = _target_runs(tmp_path, command)
+    f = triangle_fan()
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(morphism_to_dict(f)))
+    tpath = tmp_path / "t.json"
+    tpath.write_text(json.dumps(complex_to_dict(f.target)))
+    assert main(argv + ["--morphism", str(tmp_path / "f.json")]) == 0
+    embedded = out.read_bytes()
+    out.unlink()
+    assert main(argv + ["--morphism", str(bare), "--target", str(tpath)]) == 0
+    assert out.read_bytes() == embedded
+
+
+@pytest.mark.parametrize("command", ["sheaf", "primitive"])
+def test_missing_target_exit2(tmp_path, capsys, command):
+    argv, out = _target_runs(tmp_path, command)
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(morphism_to_dict(triangle_fan())))
+    assert main(argv + ["--morphism", str(bare)]) == 2
+    assert capsys.readouterr().err == (
+        "validation error: morphism file needs a 'target' complex (or pass --target)\n")
+    assert not out.exists()
+
+
 def test_cmd_primitive_validation_error(tmp_path, capsys):
     cpath, mpath, _ = _write_fixture_files(tmp_path)
     bad = tmp_path / "bad.json"

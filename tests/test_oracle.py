@@ -291,7 +291,8 @@ def _restriction(data):
 def _specialization(data):
     # lost base vertices map to zero, lost fiber blocks to the constant 1/2
     face = data.draw(st.sampled_from(((100, 101), (101, 102), (100, 102), (100,), (102,))))
-    return specialization_chart(five_over_two(), Simplex(tuple(range(6))), Simplex(face))
+    f, sigma = five_over_two(), Simplex(tuple(range(6)))
+    return specialization_chart(psi_coordinate_map(f, sigma).source, Simplex(face))
 
 
 def _psi(data):

@@ -9,7 +9,7 @@ from prismal.fixtures import (cylinder_over_edge, triangle_fan, five_over_two,
                               square_over_edge, tetra_pair_over_triangle)
 from prismal import primitive
 from prismal.forms import (CoordSystem, Form, Poly, canonicalize, d, de_form,
-                           equal_mod_relations, pullback, relative_d,
+                           equal_mod_relations, pi_context, pullback, relative_d,
                            simplex_context, vertical_part, wedge)
 from prismal.mesh import Simplex, SimplicialComplex, SimplicialMorphism
 from prismal.primitive import (DecompositionError, ExactnessError, RelFace,
@@ -19,8 +19,8 @@ from prismal.primitive import (DecompositionError, ExactnessError, RelFace,
                                compose_psi, descend_form, extract_A,
                                fiber_defect, decomposition_residual,
                                ode_residual, ode_solve, oracle_A,
-                               relative_faces, vertical_gluing, verify_theodg,
-                               whitney_combination)
+                               relative_faces, specialization_chart,
+                               vertical_gluing, verify_theodg, whitney_combination)
 from prismal.sheaf import psi_coordinate_map
 
 
@@ -103,17 +103,18 @@ def fig1_triangle():
     return f, sigma, simplex_context(sigma)
 
 
-def residual_of(eta, dec, psi):
+def residual_of(eta, A, psi):
     """The decomposition residual of `eta` against its own extraction."""
-    combo = whitney_combination(compose_psi(dec, psi), psi)
+    combo = whitney_combination(compose_psi(A, psi), psi)
     return decomposition_residual(pullback(psi, eta), combo)
 
 
 def test_relative_faces_enumeration():
     f, sigma, _ = fig1_triangle()
-    fcs = relative_faces(f, sigma, 1)
+    psi = psi_coordinate_map(f, sigma)
+    fcs = relative_faces(psi, 1)
     assert fcs == [RelFace((0, 2, 3), ((0,), (2, 3)))]
-    fcs0 = relative_faces(f, sigma, 0)
+    fcs0 = relative_faces(psi, 0)
     assert len(fcs0) == 2  # (0,2) and (0,3)
 
 
@@ -126,19 +127,20 @@ def test_extract_extended_whitney_unit_density():
     from prismal.forms import whitney_form
     # the relative extension of phi = ((0,1),(2)): block form times point mass
     eta = whitney_form(sc, {0: (0, 1)}) * Poly.variable(sc, sc.var("l", 2))
-    dec = extract_A(eta, f, sigma, 1)
+    psi = psi_coordinate_map(f, sigma)
+    A = extract_A(eta, psi, 1)
     phi = RelFace((0, 1, 2), ((0, 1), (2,)))
     other = RelFace((0, 2, 3), ((0,), (2, 3)))
     u_product = ((Poly.variable(sc, sc.var("l", 0)) + Poly.variable(sc, sc.var("l", 1)))
                  * Poly.variable(sc, sc.var("l", 2)))
-    assert dec.A[phi] == u_product
+    assert A[phi] == u_product
     # faces with a mismatching block pattern extract zero
-    assert not dec.A[other]
+    assert not A[other]
     # the twin with the other point choice pairs against the same direction,
     # so it carries the same density; the point masses recombine in the sum
     twin = RelFace((0, 1, 3), ((0, 1), (3,)))
-    assert dec.A[twin] == u_product
-    assert residual_of(eta, dec, psi_coordinate_map(f, sigma)).is_zero
+    assert A[twin] == u_product
+    assert residual_of(eta, A, psi).is_zero
 
 
 def test_extract_base_only_form_gives_zero():
@@ -146,15 +148,15 @@ def test_extract_base_only_form_gives_zero():
     # a pullback of a base form: d of the fiber block sum
     tpoly = Poly.variable(sc, sc.var("l", 2)) + Poly.variable(sc, sc.var("l", 3))
     eta = d(Form.from_poly(tpoly))
-    dec = extract_A(eta, f, sigma, 1)
-    assert all(not a for a in dec.A.values())
+    A = extract_A(eta, psi_coordinate_map(f, sigma), 1)
+    assert all(not a for a in A.values())
 
 
 def test_extract_degree_error():
     f, sigma, sc = fig1_triangle()
     eta = Form(sc, {(0, 1): Poly.const(sc, 1)})
     with pytest.raises(DecompositionError):
-        extract_A(eta, f, sigma, 2)  # exceeds relative dimension 1
+        extract_A(eta, psi_coordinate_map(f, sigma), 2)  # exceeds relative dimension 1
 
 
 def test_decomposition_residual_zero_for_fiber_degree_inputs():
@@ -165,9 +167,10 @@ def test_decomposition_residual_zero_for_fiber_degree_inputs():
         Form(sc, {(sc.var("l", 2),): Poly.const(sc, 1),
                   (sc.var("l", 3),): Poly.variable(sc, sc.var("l", 2))}),
     ]
+    psi = psi_coordinate_map(f, sigma)
     for eta in cases:
-        dec = extract_A(eta, f, sigma, 1)
-        assert residual_of(eta, dec, psi_coordinate_map(f, sigma)).is_zero
+        A = extract_A(eta, psi, 1)
+        assert residual_of(eta, A, psi).is_zero
 
 
 def test_lemetb_projection_property():
@@ -178,8 +181,9 @@ def test_lemetb_projection_property():
     from prismal.forms import whitney_form
     combo = (whitney_form(sc, {0: (0, 1)}) * Poly.variable(sc, sc.var("l", 3))
              + whitney_form(sc, {0: (2, 3)}) * Poly.variable(sc, sc.var("l", 1)))
-    dec = extract_A(combo, f, sigma, 1)
-    assert residual_of(combo, dec, psi_coordinate_map(f, sigma)).is_zero
+    psi = psi_coordinate_map(f, sigma)
+    A = extract_A(combo, psi, 1)
+    assert residual_of(combo, A, psi).is_zero
 
 
 def test_extraction_agrees_across_shared_faces():
@@ -191,15 +195,15 @@ def test_extraction_agrees_across_shared_faces():
     base = SimplicialComplex([S(100, 101)])
     f = SimplicialMorphism(delta, base, {0: 100, 1: 100, 2: 101, 3: 101, 4: 101})
     shared = RelFace((0, 1, 3), ((0, 1), (3,)))
-    decs = []
+    As = []
     for sigma in [S(0, 1, 2, 3), S(0, 1, 3, 4)]:
         sc = simplex_context(sigma)
         eta = d(Form.from_poly(Poly.variable(sc, sc.var("l", 0))
                                * Poly.variable(sc, sc.var("l", 3))))
-        decs.append(extract_A(eta, f, sigma, 1))
+        As.append(extract_A(eta, psi_coordinate_map(f, sigma), 1))
     fctx = simplex_context(S(0, 1, 3))
-    restricted = [restrict_to_face(Form.from_poly(dec.A[shared]), fctx)
-                  for dec in decs]
+    restricted = [restrict_to_face(Form.from_poly(A[shared]), fctx)
+                  for A in As]
     assert equal_mod_relations(restricted[0], restricted[1])
     assert not restricted[0].is_zero
 
@@ -262,14 +266,14 @@ def test_assemble_C_constant_coefficient():
     f, sigma, sc = fig1_triangle()
     eta = Form(sc, {(sc.var("l", 3),): Poly.const(sc, 1)}) - Form(
         sc, {(sc.var("l", 2),): Poly.const(sc, 1)})
-    dec = extract_A(eta, f, sigma, 1)
-    phi = dec.faces[0]
-    assert dec.A[phi] == Poly.const(sc, 2)
+    psi = psi_coordinate_map(f, sigma)
+    A = extract_A(eta, psi, 1)
+    phi = next(iter(A))
+    assert A[phi] == Poly.const(sc, 2)
     drops = admissible_drops(phi)
     assert len(drops) == 2
     # constant coefficient: each solution is the signed constant over n
-    psi = psi_coordinate_map(f, sigma)
-    C = assemble_C(dec, f, psi, compose_psi(dec, psi))
+    C = assemble_C(A, 1, psi, compose_psi(A, psi))
     pctx = psi.source
     for drop in drops:
         q = drop.phi.blocks[drop.j].index(drop.removed)
@@ -278,9 +282,9 @@ def test_assemble_C_constant_coefficient():
 
 def test_assemble_C_zero_input():
     f, sigma, sc = fig1_triangle()
-    dec = extract_A(Form.zero(sc), f, sigma, 1)
     psi = psi_coordinate_map(f, sigma)
-    C = assemble_C(dec, f, psi, compose_psi(dec, psi))
+    A = extract_A(Form.zero(sc), psi, 1)
+    C = assemble_C(A, 1, psi, compose_psi(A, psi))
     assert all(not c for c in C.values())
 
 
@@ -299,10 +303,10 @@ def test_direct_solution_closes_single_block_fixtures():
         poly = (Poly.variable(sc, sc.var("l", 1)) * Poly.variable(sc, sc.var("l", 2)))
         cases.append((f2, sigma, d(Form.from_poly(poly))))
     for f, sigma, eta in cases:
-        dec = extract_A(eta, f, sigma, 1)
         psi = psi_coordinate_map(f, sigma)
-        composed = compose_psi(dec, psi)
-        C = assemble_C(dec, f, psi, composed)
+        A = extract_A(eta, psi, 1)
+        composed = compose_psi(A, psi)
+        C = assemble_C(A, 1, psi, composed)
         cp = c_part_form(C, psi)
         om1 = whitney_combination(composed, psi)
         assert fiber_defect(om1, cp).is_zero
@@ -324,10 +328,10 @@ def test_multi_block_defect_is_repaired():
 def test_vertical_gluing_zero_defect():
     f, sigma, sc = fig1_triangle()
     eta = d(Form.from_poly(Poly.variable(sc, sc.var("l", 2)) * Poly.variable(sc, sc.var("l", 3))))
-    dec = extract_A(eta, f, sigma, 1)
     psi = psi_coordinate_map(f, sigma)
-    composed = compose_psi(dec, psi)
-    C = assemble_C(dec, f, psi, composed)
+    A = extract_A(eta, psi, 1)
+    composed = compose_psi(A, psi)
+    C = assemble_C(A, 1, psi, composed)
     cp = c_part_form(C, psi)
     delta = fiber_defect(whitney_combination(composed, psi), cp)
     assert delta.is_zero
@@ -393,9 +397,9 @@ def global_input(f, pairs):
 
 def test_descend_form_zero_input():
     f, sigma, sc = fig1_triangle()
-    dec = extract_A(Form.zero(sc), f, sigma, 1)
     psi = psi_coordinate_map(f, sigma)
-    C = assemble_C(dec, f, psi, compose_psi(dec, psi))
+    A = extract_A(Form.zero(sc), psi, 1)
+    C = assemble_C(A, 1, psi, compose_psi(A, psi))
     H = c_part_form(C, psi) + vertical_gluing(Form.zero(psi.source), sigma)
     N, m = descend_form(H, sc)
     assert H.is_zero and N.is_zero
@@ -539,6 +543,45 @@ def fibred_grid(k, m):
                               {vid(i, j): 100 + i for i in range(k + 1) for j in range(m + 1)})
 
 
+PRISM_FIXTURES = {"triangle_fan": triangle_fan, "five_over_two": five_over_two,
+                  "tetra_pair_over_triangle": tetra_pair_over_triangle,
+                  "square_over_edge": square_over_edge,
+                  "fibred_grid_2x3": lambda: fibred_grid(2, 3)}
+
+
+@pytest.mark.parametrize("fixture", PRISM_FIXTURES)
+def test_prism_description_equals_the_rederived_one(monkeypatch, fixture):
+    # the stages after the blow-down read sigma's trivial prism from psi:
+    # each face context they build is the one derived from (f, face)
+    f = PRISM_FIXTURES[fixture]()
+    rederived = lambda cell: pi_context(f.image(cell), f.fibers(cell))
+    seen = []
+    real = primitive.restrict_to_face
+    monkeypatch.setattr(primitive, "restrict_to_face",
+                        lambda form, ctx: seen.append(ctx) or real(form, ctx))
+    checked = 0
+    for tau in sorted(f.target.cells):
+        psis = {sigma: psi_coordinate_map(f, sigma) for sigma in f.cells_over(tau)}
+        for sigma, psi in psis.items():
+            for face in sorted(f.target.cells):
+                if face.vset < tau.vset:
+                    chart = specialization_chart(psi.source, face)
+                    assert chart.source == rederived(f.restriction_to(sigma, face))
+                    checked += 1
+        sigmas = f.maximal_over(tau)
+        for i, s1 in enumerate(sigmas):
+            for s2 in sigmas[i + 1:]:
+                inter = Simplex(tuple(v for v in s1.vertices if v in s2.vset))
+                if inter.is_empty or f.image(inter) != tau:
+                    continue
+                seen.clear()
+                primitive._restricted_difference(Form.zero(psis[s1].source),
+                                                 Form.zero(psis[s2].source), inter)
+                assert seen == [rederived(inter)] * 2
+                checked += 1
+    assert checked
+
+
 def _grid_case(k, m):
     f = fibred_grid(k, m)
     alpha = [(v + 1, (v, v), ()) for v in f.source.vertices]
@@ -637,8 +680,8 @@ def test_oracle_matches_exact_extraction():
             terms[tuple(e)] = Q(rng.randint(-5, 5))
         coeff = Poly(sc, terms)
         eta = Form(sc, {(sc.var("l", 3),): coeff})
-        dec = extract_A(eta, f, sigma, 1)
-        for phi in dec.faces:
+        A = extract_A(eta, psi_coordinate_map(f, sigma), 1)
+        for phi in A:
             est, exact = oracle_A(eta, f, sigma, phi, eps=1e-4)
             assert abs(est - exact) < 1e-6
 
@@ -669,25 +712,22 @@ def test_pipeline_zero_residual_random_exact_inputs(coeffs):
 
 def test_specialization_charts_compose():
     # one-step specialization equals two-step on every face chain
-    from prismal.primitive import specialization_chart
     from prismal.mesh import SimplicialComplex, SimplicialMorphism
     f = tetra_pair_over_triangle()
     sigma = S(0, 1, 2, 3)
-    tau = f.image(sigma)
+    psi = psi_coordinate_map(f, sigma)
     for mid_vs, small_vs in [((100, 101), (100,)), ((100, 102), (102,)),
                              ((101, 102), (101,))]:
         mid, small = S(*mid_vs), S(*small_vs)
-        one = specialization_chart(f, sigma, small)
-        step1 = specialization_chart(f, sigma, mid)
-        sigma_mid = f.restriction_to(sigma, mid)
-        step2 = specialization_chart(f, sigma_mid, small)
+        one = specialization_chart(psi.source, small)
+        step1 = specialization_chart(psi.source, mid)
+        step2 = specialization_chart(step1.source, small)
         # compose: pull a generic form back both ways and compare
         sc = simplex_context(sigma)
         eta = d(Form.from_poly(Poly.variable(sc, sc.var("l", 1))
                                * Poly.variable(sc, sc.var("l", 2))))
-        dec = extract_A(eta, f, sigma, 1)
-        psi = psi_coordinate_map(f, sigma)
-        C = assemble_C(dec, f, psi, compose_psi(dec, psi))
+        A = extract_A(eta, psi, 1)
+        C = assemble_C(A, 1, psi, compose_psi(A, psi))
         H = c_part_form(C, psi)
         direct = pullback(one, H)
         two_step = pullback(step2, pullback(step1, H))
