@@ -9,9 +9,9 @@ as an executable check.
 
 __version__ = "0.1.0"
 
-from .mesh import (Prism, PrismalSet, Simplex, SimplicialComplex,
-                   SimplicialMorphism, boundary_chain, faces, fiber_product,
-                   incidence_number, join, prism_boundary, prism_incidence)
+from .mesh import (FiberProduct, Prism, PrismalSet, Simplex, SimplicialComplex,
+                   SimplicialMorphism, boundary_chain, faces, incidence_number,
+                   join, prism_boundary, prism_incidence)
 from .forms import (CoordMap, CoordSystem, Form, Poly, canonicalize, d,
                     de_form, equal_mod_relations, integrate_fiber,
                     integrate_top_form, is_fiberwise_zero, pi_context,
@@ -22,6 +22,6 @@ from .forms import (CoordMap, CoordSystem, Form, Poly, canonicalize, d,
 from .sheaf import (PrismalSheaf, build_Pf, build_Sf,
                     check_Pf_characterization, check_Sf_characterization,
                     fiber_structure, is_equidimensional, psi_coordinate_map,
-                    psi_morphism, psi_sigma, theta_sigma)
+                    psi_morphism, theta_sigma)
 from .primitive import (RelativePrimitive, build_relative_primitive,
                         check_horizontal)

@@ -1032,21 +1032,21 @@ def integrate_fiber(a: Form) -> Poly:
 # Homotopy (cone) operator
 # ---------------------------------------------------------------------------
 
-def poincare_primitive(a: Form, fiber_only: bool = False) -> Form:
-    """Primitive of a closed form of degree >= 1 on a star-shaped chart.
+def poincare_primitive(a: Form) -> Form:
+    """Primitive of a fiberwise closed, purely vertical form of degree >= 1.
 
-    Works in the chart that drops each group's first variable (the cell is
-    then a product of standard simplices, star-shaped around the origin =
-    the cell's first vertices).  With `fiber_only`, base variables are
-    treated as parameters and the homotopy contracts fiber directions only;
-    the input must then be fiberwise closed and purely vertical.
+    Works in the chart that drops each fiber group's first variable (each
+    fiber is then a product of standard simplices, star-shaped around the
+    origin = its first vertices).  Base variables are parameters, and the
+    homotopy contracts the fiber directions only; in a context with no base
+    group every group is a fiber group, so a closed form on a cell gets its
+    full cone primitive.
     """
     ctx = a.ctx
-    chart, kept = _first_chart(ctx, ctx.fiber_groups if fiber_only
-                               else range(len(ctx.groups)))
+    chart, kept = _first_chart(ctx, ctx.fiber_groups)
     c = eliminate(a, chart)
     cone_vars = set(kept)
-    check = relative_d(c) if fiber_only else d(c)
+    check = relative_d(c)
     if not check.is_zero:
         raise FormError(f"form is not closed; no primitive exists: d residual {check}")
     acc: dict[tuple[int, ...], dict] = {}

@@ -28,12 +28,6 @@ class ValidationError(ValueError):
     pass
 
 
-def rational_to_str(q: int | Fraction) -> str:
-    """A coefficient (an int when integral, else a Fraction, by the kernel's
-    invariant) as "num/den", or "num" when integral: `Fraction.__str__`."""
-    return str(q)
-
-
 def rational_from_str(s) -> Fraction:
     # a JSON boolean is not a number, though Python's bool is an int
     if type(s) is int:
@@ -140,7 +134,7 @@ def poly_to_list(p: Poly) -> list:
     names = p.ctx.names
     for e, c in sorted(p.terms.items()):
         exp = {names[i]: n for i, n in enumerate(e) if n}
-        out.append({"c": rational_to_str(c), "exp": exp})
+        out.append({"c": str(c), "exp": exp})
     return out
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 
@@ -57,7 +57,7 @@ def reorder_sign(src: tuple, dst: tuple) -> int:
     return perm_sign(pos[v] for v in src)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Simplex:
     """Oriented simplex: an ordered tuple of distinct vertex labels.
 
@@ -66,10 +66,13 @@ class Simplex:
     """
 
     vertices: tuple[int, ...]
+    vset: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(set(self.vertices)) != len(self.vertices):
+        vset = frozenset(self.vertices)
+        if len(vset) != len(self.vertices):
             raise StructureError(f"repeated vertex in simplex {self.vertices}")
+        object.__setattr__(self, "vset", vset)
 
     @property
     def dim(self):
@@ -78,10 +81,6 @@ class Simplex:
     @property
     def is_empty(self) -> bool:
         return not self.vertices
-
-    @property
-    def vset(self) -> frozenset[int]:
-        return frozenset(self.vertices)
 
     def sorted(self) -> "Simplex":
         return Simplex(tuple(sorted(self.vertices)))
@@ -462,6 +461,3 @@ class FiberProduct:
         self.vertex_pairs = {i: pair for pair, i in pair_ids.items()}
         self.cells = PrismalSet([Prism.from_simplex(c) for c in cells])
 
-
-def fiber_product(f1: SimplicialMorphism, f2: SimplicialMorphism) -> FiberProduct:
-    return FiberProduct(f1, f2)

@@ -10,7 +10,8 @@ Pipeline, per base simplex tau and maximal source simplex sigma over it:
    relative differential with the Whitney combination of the extracted
    coefficients, and repair the (fiberwise-exact) defect with the cone
    primitive of `vertical_gluing`, glued across the prisms over the open
-   base simplex by one breadth-first walk over their overlaps;
+   base simplex by one breadth-first walk per component of their overlap
+   graph;
 4. check the residual base-volume ^ (pullback(input) - d(primitive)) = 0
    and compare specializations against the pipelines of the base faces.
    Descent to the raw sheaf (`descend_form`, `check_descent`) runs on
@@ -26,8 +27,9 @@ A_phi o psi and the Whitney combination once, and every stage reads those.
 One home per concept: `pair_with_face` contracts with a fiber frame by a
 wedge expansion and `RelFace.block_factorial` normalizes it (also in the
 oracle), `weighted_whitney` builds both t-weighted Whitney sums of step
-3 (the A combination and the C part), `homothety_operator` is the ODE's operator (also in the identity
-suites), `forms.base_volume_residual` computes both closing residuals, and
+3 (the A combination and the C part), `homothety_operator` is the ODE's
+operator (also in the identity suites), `forms.base_volume_residual`
+computes both closing residuals (`verify_theodg` reports the last one), and
 `_restricted_difference` compares two primitives on a shared cell.
 
 All the exact arithmetic is rational; the only floating point lives in the
@@ -94,10 +96,6 @@ def homothety_operator(E: Poly, r: int, vars_: Iterable[int] | None = None) -> P
     for i in vs:
         acc = acc + Poly.variable(E.ctx, i) * E.diff(i) * Q(1, r)
     return acc
-
-
-def ode_residual(E: Poly, B: Poly, r: int, vars_: Iterable[int] | None = None) -> Poly:
-    return homothety_operator(E, r, vars_) - B
 
 
 # ---------------------------------------------------------------------------
@@ -168,12 +166,11 @@ def extract_A(eta: Form, psi: CoordMap, r: int) -> dict[RelFace, Poly]:
     A_phi is the contraction of eta with the constant fiber frame of phi,
     divided by the product of the block factorials; this is the pointwise
     value of the shrinking-average limit, up to the stated normalization.
+    A prism with no relative face of degree r gets the empty family, and
+    with it the zero candidate.
     """
-    faces = relative_faces(psi, r)
-    if not faces:
-        raise DecompositionError(
-            f"no relative face of degree {r} on {Simplex(psi.target.groups[0][1])}")
-    return {phi: pair_with_face(eta, phi) * Q(1, phi.block_factorial()) for phi in faces}
+    return {phi: pair_with_face(eta, phi) * Q(1, phi.block_factorial())
+            for phi in relative_faces(psi, r)}
 
 
 def t_monomial(pctx: CoordSystem, dims: Iterable[int]) -> Poly:
@@ -325,7 +322,7 @@ def vertical_gluing(delta: Form, sigma: Simplex) -> Form:
     if delta.is_zero:
         return Form.zero(delta.ctx)
     try:
-        return poincare_primitive(delta, fiber_only=True)
+        return poincare_primitive(delta)
     except FormError as exc:
         raise ExactnessError(f"fiber defect on {sigma}: {exc}") from exc
 
@@ -362,11 +359,6 @@ class RelativePrimitive:
 
     tau: Simplex
     prisms: dict[Simplex, PrismData]
-
-    def residuals(self) -> dict[Simplex, Form]:
-        """The closing residual base-volume ^ (psi* omega - dH) per prism."""
-        return {sig: base_volume_residual(pd.pulled - d(pd.H))
-                for sig, pd in self.prisms.items()}
 
 
 def build_primitive_over(f: SimplicialMorphism, omega: dict[Simplex, Form],
@@ -446,10 +438,11 @@ def _match_across_prisms(f: SimplicialMorphism, tau: Simplex,
                          prisms: dict[Simplex, PrismData], r: int) -> None:
     """Glue the candidates so they agree on the shared cells over the open
     base simplex.  At r = 1 each is fixed up to a base function: one
-    breadth-first walk over the overlaps, from the first prism, shifts each
-    prism it reaches by its difference to the prism it came from, zero
-    included.  `_verify_overlaps` then checks every overlap, so an
-    inconsistent cycle (a monodromy obstruction) raises ExactnessError."""
+    breadth-first walk per component of the overlap graph, from its first
+    prism, shifts each prism it reaches by its difference to the prism it
+    came from, zero included.  `_verify_overlaps` then checks every
+    overlap, so an inconsistent cycle (a monodromy obstruction) raises
+    ExactnessError."""
     sigmas = sorted(prisms)
     edges = []
     for i, s1 in enumerate(sigmas):
@@ -463,23 +456,29 @@ def _match_across_prisms(f: SimplicialMorphism, tau: Simplex,
         for s1, s2, inter in edges:
             neighbours[s1].append((s2, inter))
             neighbours[s2].append((s1, inter))
-        walk = [sigmas[0]]
-        for known in walk:  # grows as the walk goes
-            for new, inter in neighbours[known]:
-                if new in walk:
-                    continue
-                diff = _restricted_difference(prisms[known].H, prisms[new].H, inter)
-                if not _is_base_function(diff):
-                    raise ExactnessError(
-                        f"over {tau}: prisms {known} and {new} differ on {inter} "
-                        f"by {diff}, which is not fiberwise constant")
-                if not diff.is_zero:
-                    # the base groups of both contexts coincide
-                    pd = prisms[new]
-                    shift = Form.from_poly(diff.terms[()].map_context(pd.psi.source))
-                    pd.H = pd.H + shift
-                    pd.correction = pd.correction + shift
-                walk.append(new)
+        reached: set[Simplex] = set()
+        for root in sigmas:
+            if root in reached:
+                continue
+            reached.add(root)
+            walk = [root]
+            for known in walk:  # grows as the walk goes
+                for new, inter in neighbours[known]:
+                    if new in reached:
+                        continue
+                    diff = _restricted_difference(prisms[known].H, prisms[new].H, inter)
+                    if not _is_base_function(diff):
+                        raise ExactnessError(
+                            f"over {tau}: prisms {known} and {new} differ on {inter} "
+                            f"by {diff}, which is not fiberwise constant")
+                    if not diff.is_zero:
+                        # the base groups of both contexts coincide
+                        pd = prisms[new]
+                        shift = Form.from_poly(diff.terms[()].map_context(pd.psi.source))
+                        pd.H = pd.H + shift
+                        pd.correction = pd.correction + shift
+                    reached.add(new)
+                    walk.append(new)
     _verify_overlaps(tau, prisms, edges)
 
 
@@ -684,18 +683,16 @@ class PrimitiveResult:
     primitives: dict[Simplex, RelativePrimitive]
     horizontal: list[HorizontalReport]
 
-    def all_residuals_zero(self) -> bool:
-        return all(form.is_zero
-                   for prim in self.primitives.values()
-                   for form in prim.residuals().values())
-
-    def horizontal_ok(self) -> bool:
-        return all(rep.ok for rep in self.horizontal)
-
 
 def verify_theodg(prim: RelativePrimitive) -> dict[Simplex, Form]:
-    """The nonzero closing residuals of `prim`, per prism; empty = success."""
-    return {sigma: res for sigma, res in prim.residuals().items() if not res.is_zero}
+    """The nonzero closing residuals base-volume ^ (psi* omega - dH) of
+    `prim`, per prism; empty = success."""
+    out = {}
+    for sigma, pd in prim.prisms.items():
+        res = base_volume_residual(pd.pulled - d(pd.H))
+        if not res.is_zero:
+            out[sigma] = res
+    return out
 
 
 def build_relative_primitive(f: SimplicialMorphism, omega: dict[Simplex, Form],

@@ -220,16 +220,6 @@ def theta_sigma(f: SimplicialMorphism, sigma: Simplex, lam: dict[int, Fraction])
     return t, mus
 
 
-def psi_sigma(f: SimplicialMorphism, sigma: Simplex, t, mus) -> dict[int, Fraction]:
-    """Inverse chart: lambda_i = t_j * mu_{j,i}; the total is automatically 1."""
-    fibers = f.fibers(sigma)
-    lam: dict[int, Fraction] = {}
-    for fib, tj, mu in zip(fibers, t, mus):
-        for v, m in zip(fib.vertices, mu):
-            lam[v] = Q(tj) * Q(m)
-    return lam
-
-
 def psi_coordinate_map(f: SimplicialMorphism, sigma: Simplex) -> CoordMap:
     """The substitution lambda_i = t_j mu_{j,i} as a polynomial map from the
     trivial-prism context onto the simplex context."""

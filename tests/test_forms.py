@@ -482,7 +482,7 @@ def test_poincare_fiber_only():
     m2 = Poly.variable(PCTX, PCTX.var("m:1", 2))
     t = Poly.variable(PCTX, PCTX.var("t", 100))
     delta = Form(PCTX, {(PCTX.var("m:1", 2),): t * (m2 + 1)})
-    g = poincare_primitive(delta, fiber_only=True)
+    g = poincare_primitive(delta)
     # fiber differential of g gives back delta modulo relations
     assert equal_mod_relations(vertical_part(canonicalize(d(g))),
                                vertical_part(canonicalize(delta)))

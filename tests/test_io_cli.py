@@ -11,14 +11,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from prismal.cli import main
-from prismal.fixtures import tetra_pair_over_triangle, triangle_fan
-from prismal.forms import Form, Poly, d, simplex_context
+from prismal.fixtures import (cylinder_over_edge, square_over_edge,
+                              tetra_pair_over_triangle, triangle_fan)
+from prismal.forms import Form, Poly, d, de_form, simplex_context
 from prismal.io import (ValidationError, complex_from_dict, complex_to_dict,
                         dump_json, form_from_dict, form_to_dict, forms_file_to_inputs,
                         morphism_from_dict, morphism_to_dict,
-                        rational_from_str, rational_to_str)
+                        rational_from_str)
 from prismal.mesh import Simplex
 from prismal.verify import SUITES
+from test_primitive import cylinder_cyclic_form
 
 
 def S(*vs):
@@ -26,9 +28,9 @@ def S(*vs):
 
 
 def test_rational_strings():
-    assert rational_to_str(Q(3, 4)) == "3/4"
-    assert rational_to_str(Q(5)) == "5"
-    assert rational_to_str(-7) == "-7"
+    assert str(Q(3, 4)) == "3/4"
+    assert str(Q(5)) == "5"
+    assert str(-7) == "-7"
     assert rational_from_str("3/4") == Q(3, 4)
     assert rational_from_str("-2") == Q(-2)
     assert rational_from_str(7) == Q(7)
@@ -136,14 +138,7 @@ def test_forms_file_referential_integrity():
 def _write_fixture_files(tmp_path, pairs=((2, 3), (3, 4), (0, 3), (3, 5)),
                          fixture=triangle_fan):
     f = fixture()
-    cpath = tmp_path / "c.json"
-    mpath = tmp_path / "f.json"
-    wpath = tmp_path / "w.json"
-    cpath.write_text(json.dumps(complex_to_dict(f.source)))
-    mdict = morphism_to_dict(f)
-    mdict["target"] = complex_to_dict(f.target)
-    mpath.write_text(json.dumps(mdict))
-    forms = []
+    omega = {}
     for s in f.source.maximal:
         sc = simplex_context(s)
         poly = Poly.zero(sc)
@@ -153,7 +148,23 @@ def _write_fixture_files(tmp_path, pairs=((2, 3), (3, 4), (0, 3), (3, 5)),
                 for v in vs:
                     term = term * Poly.variable(sc, sc.var("l", v))
                 poly = poly + term
-        fd = form_to_dict(d(Form.from_poly(poly)))
+        omega[s] = d(Form.from_poly(poly))
+    return _write_input_files(tmp_path, f, omega)
+
+
+def _write_input_files(tmp_path, f, omega):
+    """The complex, morphism (target embedded) and form files of `f` and
+    the input forms `omega` on its maximal cells."""
+    cpath = tmp_path / "c.json"
+    mpath = tmp_path / "f.json"
+    wpath = tmp_path / "w.json"
+    cpath.write_text(json.dumps(complex_to_dict(f.source)))
+    mdict = morphism_to_dict(f)
+    mdict["target"] = complex_to_dict(f.target)
+    mpath.write_text(json.dumps(mdict))
+    forms = []
+    for s, form in omega.items():
+        fd = form_to_dict(form)
         fd["cell"] = list(s.vertices)
         forms.append(fd)
     wpath.write_text(json.dumps({"forms": forms}))
@@ -283,6 +294,66 @@ def test_cmd_primitive_descent_failure_exits1(tmp_path, capsys, monkeypatch):
     bad = (",".join(map(str, tau.vertices)), ",".join(map(str, sigma.vertices)))
     assert flags.pop(bad) is False
     assert flags and all(flags.values())
+
+
+def test_cmd_primitive_residual_failure_exits1(tmp_path, capsys, monkeypatch):
+    # a nonzero closing residual on one prism: exit 1, that prism's JSON
+    # flag false, the others true, and the failure counted in the summary
+    from prismal import primitive
+    real, failed = primitive.verify_theodg, []
+
+    def fail_once(prim):
+        if failed:
+            return real(prim)
+        sigma = next(iter(prim.prisms))
+        failed.append((prim.tau, sigma))
+        return {sigma: de_form(prim.prisms[sigma].psi.source)}
+
+    monkeypatch.setattr(primitive, "verify_theodg", fail_once)
+    cpath, mpath, wpath = _write_fixture_files(tmp_path)
+    out = tmp_path / "h.json"
+    code = main(["primitive", "--complex", str(cpath), "--morphism", str(mpath),
+                 "--form", str(wpath), "--out", str(out), "--check-horizontal"])
+    assert code == 1
+    [(tau, sigma)] = failed
+    assert "1 failures; horizontal: 0 failures" in capsys.readouterr().out
+    data = json.loads(out.read_text())
+    flags = {(tau_key, key): entry["residual_zero"]
+             for tau_key, cell in data["base_cells"].items()
+             for key, entry in cell["prisms"].items()}
+    bad = (",".join(map(str, tau.vertices)), ",".join(map(str, sigma.vertices)))
+    assert flags.pop(bad) is False
+    assert flags and all(flags.values())
+
+
+def test_cmd_primitive_cyclic_fiber_form_exits1(tmp_path, capsys):
+    # a closed fiber 1-form with a period on the fiber circle over 100 is
+    # not fiberwise exact: exit 1, the exactness error on stderr, no output
+    f = cylinder_over_edge()
+    cpath, mpath, wpath = _write_input_files(tmp_path, f, cylinder_cyclic_form(f))
+    out = tmp_path / "h.json"
+    code = main(["primitive", "--complex", str(cpath), "--morphism", str(mpath),
+                 "--form", str(wpath), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("exactness error: over <100>: ")
+    assert not out.exists()
+
+
+def test_cmd_primitive_mixed_fiber_degree_exit2(tmp_path, capsys):
+    # at --degree 1, the 2-form part of d(l0 l2) + l1 dl0^dl2 has fiber
+    # degree 2: the decomposition residual rejects it as a validation error
+    f = square_over_edge()
+    sigma = Simplex((0, 1, 2, 3))
+    sc = simplex_context(sigma)
+    lam = lambda v: Poly.variable(sc, sc.var("l", v))
+    eta = d(Form.from_poly(lam(0) * lam(2))) + Form(sc, {(sc.var("l", 0), sc.var("l", 2)): lam(1)})
+    cpath, mpath, wpath = _write_input_files(tmp_path, f, {sigma: eta})
+    out = tmp_path / "h.json"
+    code = main(["primitive", "--complex", str(cpath), "--morphism", str(mpath),
+                 "--form", str(wpath), "--out", str(out), "--degree", "1"])
+    assert code == 2
+    assert "mixed fiber degree" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _target_runs(tmp_path, command):

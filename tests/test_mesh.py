@@ -3,10 +3,10 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prismal.mesh import (DimensionError, IncidenceError, Prism, PrismalSet,
-                          Simplex, SimplicialComplex, SimplicialMorphism,
-                          StructureError, boundary_chain, chain_boundary,
-                          faces, fiber_product, incidence_number, join,
+from prismal.mesh import (DimensionError, FiberProduct, IncidenceError, Prism,
+                          PrismalSet, Simplex, SimplicialComplex,
+                          SimplicialMorphism, StructureError, boundary_chain,
+                          chain_boundary, faces, incidence_number, join,
                           prism_boundary, prism_incidence)
 
 
@@ -193,12 +193,22 @@ def id_morphism(cells):
     return SimplicialMorphism(cx, cx, {v: v for v in cx.vertices})
 
 
+def test_simplex_vertex_set_is_built_once():
+    # vset is a field set at construction; order, equality, hash and repr
+    # still see the vertex tuple only
+    s = S(2, 0, 1)
+    assert s.vset == frozenset({0, 1, 2}) and s.vset is s.vset
+    assert repr(s) == "<2,0,1>"
+    assert s == S(2, 0, 1) and s != S(0, 1, 2) and hash(s) == hash(S(2, 0, 1))
+    assert sorted([S(1), S(0, 2), S(0, 1)]) == [S(0, 1), S(0, 2), S(1)]
+
+
 def test_fiber_product_identity_recovers_source():
     cx = SimplicialComplex([S(0, 1, 2)])
     base = SimplicialComplex([S(100, 101)])
     f = SimplicialMorphism(cx, base, {0: 100, 1: 101, 2: 101})
     ident = id_morphism([S(100, 101)])
-    fp = fiber_product(f, ident)
+    fp = FiberProduct(f, ident)
     # cells of the graph biject with the source cells, dims preserved
     dims_fp = sorted(c.dim for c in fp.cells.cells)
     dims_src = sorted(c.dim for c in cx.cells)
@@ -211,7 +221,7 @@ def test_fiber_product_diagonal():
     base = SimplicialComplex([S(100, 101)])
     f1 = SimplicialMorphism(a, base, {0: 100, 1: 101})
     f2 = SimplicialMorphism(b, base, {2: 100, 3: 101})
-    fp = fiber_product(f1, f2)
+    fp = FiberProduct(f1, f2)
     tops = fp.cells.maximal
     assert len(tops) == 1 and tops[0].dim == 1
     pairs = {fp.vertex_pairs[v] for v in tops[0].as_simplex().vertices}
@@ -226,7 +236,7 @@ def test_fiber_product_join_of_fiber_blocks():
     base = SimplicialComplex([S(100, 101)])
     f1 = SimplicialMorphism(a, base, {0: 100, 1: 101, 2: 101})
     f2 = SimplicialMorphism(b, base, {5: 100, 6: 101})
-    fp = fiber_product(f1, f2)
+    fp = FiberProduct(f1, f2)
     assert max(c.dim for c in fp.cells.cells) == 2
     assert len([c for c in fp.cells.maximal if c.dim == 2]) == 1
 
@@ -239,7 +249,7 @@ def test_fiber_product_two_projections_cells_are_prisms():
     base = SimplicialComplex([S(100, 101)])
     f1 = SimplicialMorphism(a, base, {0: 100, 1: 101, 2: 101})
     f2 = SimplicialMorphism(b, base, {5: 100, 6: 100, 7: 101})
-    fp = fiber_product(f1, f2)
+    fp = FiberProduct(f1, f2)
     # fiber over the open edge is edge x point union expanded cellwise:
     # dim = 1 (base) + 1 (fiber of a) + 1 (fiber of b over 100)
     assert max(c.dim for c in fp.cells.cells) == 3

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from prismal.fixtures import (cylinder_over_edge, triangle_fan, five_over_two,
                               square_over_edge, tetra_pair_over_triangle)
@@ -12,13 +12,13 @@ from prismal.forms import (CoordSystem, Form, Poly, canonicalize, d, de_form,
                            equal_mod_relations, pi_context, pullback, relative_d,
                            simplex_context, vertical_part, wedge)
 from prismal.mesh import Simplex, SimplicialComplex, SimplicialMorphism
-from prismal.primitive import (DecompositionError, ExactnessError, RelFace,
+from prismal.primitive import (ExactnessError, RelFace,
                                admissible_drops, assemble_C,
                                build_primitive_over, build_relative_primitive,
                                c_part_form, check_descent, check_horizontal,
                                compose_psi, descend_form, extract_A,
                                fiber_defect, decomposition_residual,
-                               ode_residual, ode_solve, oracle_A,
+                               homothety_operator, ode_solve, oracle_A,
                                relative_faces, specialization_chart,
                                vertical_gluing, verify_theodg, whitney_combination)
 from prismal.sheaf import psi_coordinate_map
@@ -48,7 +48,7 @@ def test_ode_example_r2():
     B = u(0) * u(1)
     E = ode_solve(B, 2)
     assert E == B * Q(1, 2)
-    assert not ode_residual(E, B, 2)
+    assert not homothety_operator(E, 2) - B
 
 
 def test_ode_zero_unique():
@@ -60,7 +60,7 @@ def test_ode_zero_unique():
         for _ in range(rng.randint(0, 5)):
             e[rng.randrange(6)] += 1
         E = Poly(UCTX, {tuple(e): Q(rng.randint(1, 9))})
-        assert ode_residual(E, Poly.zero(UCTX), 3)
+        assert homothety_operator(E, 3)
 
 
 def test_ode_monomial_rule():
@@ -74,7 +74,7 @@ def test_ode_subset_scaling():
     B = u(0) * u(1)
     E = ode_solve(B, 1, vars_=[0])
     assert E == B * Q(1, 2)
-    assert not ode_residual(E, B, 1, vars_=[0])
+    assert not homothety_operator(E, 1, vars_=[0]) - B
 
 
 @settings(max_examples=50, deadline=None)
@@ -90,7 +90,7 @@ def test_ode_residual_random(raw, r):
         terms[tuple(e)] = terms.get(tuple(e), 0) + Q(c)
     B = Poly(UCTX, terms)
     E = ode_solve(B, r)
-    assert not ode_residual(E, B, r)
+    assert not homothety_operator(E, r) - B
 
 
 # ---------------------------------------------------------------------------
@@ -152,11 +152,12 @@ def test_extract_base_only_form_gives_zero():
     assert all(not a for a in A.values())
 
 
-def test_extract_degree_error():
+def test_extract_above_the_relative_dimension_is_empty():
+    # no relative face of degree 2 on a cell of relative dimension 1: the
+    # family is empty, and the prism carries the zero candidate
     f, sigma, sc = fig1_triangle()
     eta = Form(sc, {(0, 1): Poly.const(sc, 1)})
-    with pytest.raises(DecompositionError):
-        extract_A(eta, psi_coordinate_map(f, sigma), 2)  # exceeds relative dimension 1
+    assert extract_A(eta, psi_coordinate_map(f, sigma), 2) == {}
 
 
 def test_decomposition_residual_zero_for_fiber_degree_inputs():
@@ -318,7 +319,7 @@ def test_multi_block_defect_is_repaired():
     sc = simplex_context(sigma)
     eta = d(Form.from_poly(Poly.variable(sc, sc.var("l", 1)) * Poly.variable(sc, sc.var("l", 3))))
     prim = build_primitive_over(f, {sigma: eta}, S(100, 101), 1)
-    assert all(form.is_zero for form in prim.residuals().values())
+    assert not verify_theodg(prim)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +366,7 @@ def test_single_prism_degree_two_roundtrip():
     alpha = Form(sc, {(sc.var("l", 5),): Poly.variable(sc, sc.var("l", 1)) * Poly.variable(sc, sc.var("l", 3))})
     eta = d(alpha)
     prim = build_primitive_over(f, {sigma: eta}, S(100, 101, 102), 2)
-    assert all(form.is_zero for form in prim.residuals().values())
+    assert not verify_theodg(prim)
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +396,11 @@ def global_input(f, pairs):
     return exact_input(f, [(1, vs, ()) for vs in pairs])
 
 
+def residuals_zero(result):
+    """Every closing residual of a `build_relative_primitive` result is zero."""
+    return not any(verify_theodg(prim) for prim in result.primitives.values())
+
+
 def test_descend_form_zero_input():
     f, sigma, sc = fig1_triangle()
     psi = psi_coordinate_map(f, sigma)
@@ -409,12 +415,27 @@ def test_triangle_fan_end_to_end_with_descent():
     f = triangle_fan()
     omega = global_input(f, [(2, 3), (3, 4), (0, 3), (3, 5)])
     result = build_relative_primitive(f, omega, r=1)
-    assert result.all_residuals_zero()
-    assert result.horizontal_ok()
+    assert residuals_zero(result)
+    assert all(rep.ok for rep in result.horizontal)
     for tau, prim in result.primitives.items():
         for sigma, pd in prim.prisms.items():
             assert check_descent(pd.H, pd.psi, descend_form(pd.H, pd.psi.target))
             assert not verify_theodg(prim)
+
+
+def test_descend_form_with_base_differentials():
+    # dt_j clears to du_j, the block sum's differential: a form with dt
+    # terms, alone and wedged with a fiber differential, descends exactly
+    f, sigma, sc = fig1_triangle()
+    psi = psi_coordinate_map(f, sigma)
+    pctx = psi.source
+    t0, t1 = pctx.var("t", 100), pctx.var("t", 101)
+    m2 = pctx.var("m:1", 2)
+    H = (Form(pctx, {(t1,): Poly.variable(pctx, m2) * Poly.variable(pctx, t0)})
+         + Form(pctx, {(t0, m2): Poly.const(pctx, Q(2, 3))}))
+    descended = descend_form(H, sc)
+    assert not descended[0].is_zero
+    assert check_descent(H, psi, descended)
 
 
 def test_check_descent_rejects_a_wrong_numerator_or_exponent():
@@ -486,7 +507,7 @@ def test_horizontal_chain_coherence():
     f = tetra_pair_over_triangle()
     omega = global_input(f, [(1, 2), (2, 3)])
     result = build_relative_primitive(f, omega, r=1)
-    assert result.horizontal_ok()
+    assert all(rep.ok for rep in result.horizontal)
     taus = sorted(result.primitives)
     # face chains tau'' < tau' < tau all produced reports
     chains = [(rep.tau, rep.tau_face) for rep in result.horizontal]
@@ -497,7 +518,7 @@ def test_horizontal_chain_coherence():
 @pytest.mark.parametrize("fixture", ["triangle_fan", "five_over_two"])
 def test_each_prism_quantity_is_computed_once(monkeypatch, fixture):
     # psi* eta, the compositions A_phi o psi and the Whitney combination are
-    # built once per prism; the residual check and residuals() reuse them
+    # built once per prism; the residual check reuses them
     if fixture == "triangle_fan":
         f, r = triangle_fan(), 1
         omega = global_input(f, [(2, 3), (3, 4), (0, 3), (3, 5)])
@@ -518,7 +539,7 @@ def test_each_prism_quantity_is_computed_once(monkeypatch, fixture):
     for tau in sorted(f.target.cells):
         if any(s.dim - tau.dim >= r for s in f.maximal_over(tau)):
             prim = build_primitive_over(f, omega, tau, r)
-            assert all(res.is_zero for res in prim.residuals().values())
+            assert not verify_theodg(prim)
             prisms.update(prim.prisms)
     assert len(prisms) > 1
     assert len(calls["whitney_combination"]) == len(prisms)
@@ -582,6 +603,11 @@ def test_prism_description_equals_the_rederived_one(monkeypatch, fixture):
     assert checked
 
 
+THREE_TRIANGLES = SimplicialMorphism(
+    SimplicialComplex([S(0, 2, 4), S(0, 4, 6), S(1, 4, 6)]), SimplicialComplex([S(100, 101)]),
+    {0: 100, 1: 100, 4: 100, 2: 101, 6: 101})
+
+
 def _grid_case(k, m):
     f = fibred_grid(k, m)
     alpha = [(v + 1, (v, v), ()) for v in f.source.vertices]
@@ -602,6 +628,17 @@ GLOBALLY_EXACT_CASES = [_grid_case(k, m) for k in (1, 2) for m in (2, 3, 4)] + [
     pytest.param(
         cylinder_over_edge(), [(1, (0, 4), ()), (1, (1, 5), ()), (1, (2, 2), ())], 1,
         id="cylinder-over-edge-r1"),
+    # over the open edge, <0,2,4> meets the others only over 100: its own
+    # component of the overlap graph, so a walk must start there too
+    pytest.param(THREE_TRIANGLES, [(1, (1,), ())], 1, id="two-overlap-components-r1"),
+    pytest.param(THREE_TRIANGLES, [(1, (0, 6), ())], 1,
+                 id="two-overlap-components-l0-l6-r1"),
+    # <1,3> has relative dimension 0: no relative face of degree 1
+    pytest.param(
+        SimplicialMorphism(SimplicialComplex([S(0, 1, 2), S(1, 3)]),
+                           SimplicialComplex([S(100, 101)]),
+                           {0: 100, 1: 100, 2: 101, 3: 101}),
+        [(1, (0, 2), ()), (1, (1, 3), ())], 1, id="prism-without-relative-face-r1"),
 ]
 
 
@@ -610,11 +647,52 @@ def test_globally_exact_input_glues(f, alpha, r):
     # a globally exact omega = d(alpha) is fiberwise exact: the pipeline
     # must close it, descend it and specialize it coherently
     result = build_relative_primitive(f, exact_input(f, alpha), r)
-    assert result.all_residuals_zero()
+    assert residuals_zero(result)
     for prim in result.primitives.values():
         for pd in prim.prisms.values():
             assert check_descent(pd.H, pd.psi, descend_form(pd.H, pd.psi.target))
-    assert result.horizontal_ok()
+    assert all(rep.ok for rep in result.horizontal)
+
+
+BASES = {"point": [S(100)], "edge": [S(100, 101)], "triangle": [S(100, 101, 102)],
+         "two-edge path": [S(100, 101), S(101, 102)]}
+
+
+@st.composite
+def small_exact_inputs(draw):
+    """A morphism of 1 to 4 maximal cells on at most 7 vertices over a
+    small base, with relative dimension 1 somewhere, and the terms of a
+    global polynomial alpha for `exact_input`."""
+    base = SimplicialComplex(BASES[draw(st.sampled_from(sorted(BASES)))])
+    n = draw(st.integers(2, 7))
+    vmap = {v: draw(st.sampled_from(base.vertices)) for v in range(n)}
+    cells = []
+    for _ in range(draw(st.integers(1, 4))):
+        b = draw(st.sampled_from(base.maximal))
+        over = [v for v in range(n) if vmap[v] in b.vset]
+        assume(over)
+        cells.append(Simplex(tuple(draw(st.lists(st.sampled_from(over), min_size=1,
+                                                  max_size=4, unique=True)))))
+    f = SimplicialMorphism(SimplicialComplex(cells), base, vmap)
+    assume(max(map(f.rel_dim, f.source.maximal)) >= 1)
+    monomial = st.lists(st.sampled_from(f.source.vertices), min_size=1, max_size=2)
+    alpha = draw(st.lists(st.tuples(st.integers(-3, 3).filter(bool), monomial),
+                          min_size=1, max_size=3))
+    return f, [(c, tuple(mono), ()) for c, mono in alpha]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(small_exact_inputs())
+def test_small_globally_exact_inputs_close_at_r1(case):
+    # every maximal cell over tau carries a candidate and every overlap
+    # component is anchored, so d(alpha) is never rejected; the horizontal
+    # reports are left out, as the r = 1 gauge is not fixed yet
+    f, alpha = case
+    result = build_relative_primitive(f, exact_input(f, alpha), 1)
+    assert residuals_zero(result)
+    for prim in result.primitives.values():
+        for pd in prim.prisms.values():
+            assert check_descent(pd.H, pd.psi, descend_form(pd.H, pd.psi.target))
 
 
 def test_zero_overlap_difference_anchors_the_prism():
@@ -625,7 +703,7 @@ def test_zero_overlap_difference_anchors_the_prism():
     # must still anchor <6,7>, or <6,7> and <7,8> disagree on <7>
     omega = global_input(f, [(8, 8)])
     prim = build_primitive_over(f, omega, S(101), 1)
-    assert all(res.is_zero for res in prim.residuals().values())
+    assert not verify_theodg(prim)
 
 
 def test_overlap_difference_that_is_not_a_base_function_raises():
@@ -646,11 +724,13 @@ def test_overlap_difference_that_is_not_a_base_function_raises():
                for cell in (S(100), S(0, 1, 2), S(1, 2, 3), S(1, 2)))
 
 
-def test_cylinder_not_fiberwise_exact():
-    f = cylinder_over_edge()
-    omega = {}
+def cylinder_cyclic_form(f):
+    """On `cylinder_over_edge`, l_a dl_b - l_b dl_a on every fiber edge
+    (a, b) of the two fiber triangles, oriented around each cycle: a closed
+    1-form with a nonzero period on each fiber circle."""
     cyc = {frozenset((0, 1)): (0, 1), frozenset((1, 2)): (1, 2), frozenset((2, 0)): (2, 0),
            frozenset((3, 4)): (3, 4), frozenset((4, 5)): (4, 5), frozenset((5, 3)): (5, 3)}
+    omega = {}
     for s in f.source.maximal:
         sc = simplex_context(s)
         form = Form.zero(sc)
@@ -660,8 +740,13 @@ def test_cylinder_not_fiberwise_exact():
                 form = form + (Form.d_var(sc, sc.var("l", b)) * Poly.variable(sc, sc.var("l", a))
                                - Form.d_var(sc, sc.var("l", a)) * Poly.variable(sc, sc.var("l", b)))
         omega[s] = form
+    return omega
+
+
+def test_cylinder_not_fiberwise_exact():
+    f = cylinder_over_edge()
     with pytest.raises(ExactnessError):
-        build_relative_primitive(f, omega, r=1)
+        build_relative_primitive(f, cylinder_cyclic_form(f), r=1)
 
 
 # ---------------------------------------------------------------------------
@@ -707,7 +792,7 @@ def test_pipeline_zero_residual_random_exact_inputs(coeffs):
                 poly = poly + term
         omega[s] = d(Form.from_poly(poly))
     result = build_relative_primitive(f, omega, r=1, check_horizontal_faces=False)
-    assert result.all_residuals_zero()
+    assert residuals_zero(result)
 
 
 def test_specialization_charts_compose():
@@ -751,4 +836,4 @@ def test_pipeline_all_relative_degrees_on_cube_fibers():
     for r, eta in cases.items():
         res = build_relative_primitive(f, {sigma: eta}, r=r,
                                        check_horizontal_faces=False)
-        assert res.all_residuals_zero(), f"degree {r}"
+        assert residuals_zero(res), f"degree {r}"
