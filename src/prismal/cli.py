@@ -129,6 +129,9 @@ def cmd_primitive(args) -> int:
             }
             if sigma in residuals:
                 residual_failures += 1
+                n_terms = sum(len(p.terms) for p in residuals[sigma].terms.values())
+                print(f"closing residual nonzero over {tau} on {sigma}: {n_terms} terms",
+                      file=sys.stderr)
             N, m = descended = descend_form(pd.H, pd.psi.target)
             descent_ok = check_descent(pd.H, pd.psi, descended)
             if not descent_ok:

@@ -25,11 +25,12 @@ term.
 
 Every coordinate map the package builds (the blow-down psi, face
 restrictions, horizontal specializations) is monomial: each target variable
-goes to a single term or to zero.  `Poly.substitute` maps such a monomial by
-exponent arithmetic alone, and `pullback` expands each wedge monomial of its
-input once, from the partial derivatives the map keeps per target variable,
-accumulating the products in integers scaled by a common denominator.
-Multi-term images still work, through cached powers.
+goes to a single term c_i x^a_i or to zero.  `Poly.substitute` maps such a
+monomial by exponent arithmetic alone, and `pullback` maps each wedge dy_dv
+through the integer minors det A[dv, J] of the exponent matrix, computed
+once per wedge; the products accumulate in integers scaled by a common
+denominator.  Maps with a multi-term image take the definition
+phi*(p) ^ d(phi_i1) ^ ... ^ d(phi_ik), over `substitute`, `d` and `wedge`.
 
 All coefficients are exact rationals, stored as a Python `int` when integral
 and as a `Fraction` otherwise, never as a float.  The public `Poly(...)` and
@@ -45,7 +46,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, index
+from operator import add, index, sub
 from typing import Iterable, Mapping
 
 from .mesh import Prism, Simplex, StructureError, boundary_chain, perm_sign
@@ -229,13 +230,13 @@ def _monomial_images(images: Mapping[int, "Poly"]) -> dict | None:
     return out
 
 
-def _substitute_monomial(terms: Mapping, mono: Mapping, nvars: int) -> dict:
-    """The substitution of a monomial map, as an accumulator for `_clean`."""
+def _substitute_monomial(terms: Mapping, mono: Mapping, start: list[int]) -> dict:
+    """The substitution of a monomial map, as an accumulator for `_clean`,
+    with `start` added to every output exponent."""
     acc: dict = {}
     get = acc.get
-    zero = [0] * nvars
     for e, c in terms.items():
-        out = zero[:]
+        out = start[:]
         for i, n in enumerate(e):
             if n:
                 img = mono[i]
@@ -368,27 +369,19 @@ class Poly:
 
         When every image is a single term or zero (a monomial map), each
         monomial maps by exponent arithmetic alone: e' = sum n_i e_i and
-        c' = c prod c_i^n_i.  Other images go through cached powers.
+        c' = c prod c_i^n_i.  Other images multiply out term by term.
         """
         mono = _monomial_images(images)
         if mono is not None:
-            return Poly._make(target, _clean(_substitute_monomial(self.terms, mono, target.nvars)))
-        acc: dict = {}
-        one = {(0,) * target.nvars: 1}
-        cache: dict[tuple[int, int], Poly] = {}
-
-        def power(i, n):
-            if (i, n) not in cache:
-                cache[(i, n)] = images[i] ** n
-            return cache[(i, n)]
-
+            acc = _substitute_monomial(self.terms, mono, [0] * target.nvars)
+            return Poly._make(target, _clean(acc))
+        out = Poly.zero(target)
         for e, c in self.terms.items():
-            term = None
+            term = Poly.const(target, c)
             for i, n in enumerate(e):
-                if n:
-                    term = power(i, n) if term is None else term * power(i, n)
-            _add_into(acc, one if term is None else term.terms, c)
-        return Poly._make(target, _clean(acc))
+                term = term * images[i] ** n
+            out = out + term
+        return out
 
     def evaluate(self, point: Iterable) -> Fraction:
         pt = [Q(x) for x in point]
@@ -632,81 +625,85 @@ class CoordMap:
         """The images as `_monomial_images` reads them; None unless monomial."""
         return _monomial_images(dict(enumerate(self.image_list)))
 
-    @functools.cached_property
-    def partials(self) -> tuple[tuple[tuple[int, dict], ...], ...]:
-        """Per target variable, (source var, terms) of each nonzero partial
-        derivative of its image: d(image) = sum of terms * d(source var)."""
-        out = []
-        for p in self.image_list:
-            present = sorted({j for e in p.terms for j, n in enumerate(e) if n})
-            out.append(tuple((j, q.terms) for j in present for q in (p.diff(j),) if q))
-        return tuple(out)
 
-
-def _wedge_of_partials(partials, dv: tuple[int, ...], memo: dict) -> dict:
-    """d(image_i1) ^ ... ^ d(image_ik) for dv = (i1, ..., ik), as
-    {sorted source wedge: coefficient terms}.
-
-    `memo` holds the expansions of the prefixes met so far in one
-    pullback, starting from {(): {(): {zero exponents: 1}}}.
+def _exterior_minors(mono: Mapping, dv: tuple[int, ...], memo: dict) -> dict:
+    """The nonzero minors det A[dv, J] of the exponent matrix of a monomial
+    map, as {bit mask of the source wedge J: int}; a zero or constant image
+    has an empty row.  `memo` holds the minors of the prefixes met so far in
+    one pullback, starting from {(): {0: 1}}.
     """
     k = len(dv)
     while dv[:k] not in memo:
         k -= 1
-    terms = memo[dv[:k]]
+    minors = memo[dv[:k]]
     for n in range(k, len(dv)):
-        nxt: dict[tuple[int, ...], dict] = {}
-        for w, t in terms.items():
-            t_items = list(t.items())
-            for j, q in partials[dv[n]]:
-                merged, sign = _sort_wedge(w + (j,))
-                if merged is None:
-                    continue
-                dst = nxt.setdefault(merged, {})
-                get = dst.get
-                for e2, c2 in q.items():
-                    c2 *= sign
-                    for e1, c1 in t_items:
-                        e = tuple(map(add, e1, e2))
-                        prev = get(e)
-                        dst[e] = c1 * c2 if prev is None else prev + c1 * c2
-        terms = {}
-        for w, t in nxt.items():
-            t = {e: c for e, c in t.items() if c}
-            if t:
-                terms[w] = t
-        memo[dv[:n + 1]] = terms
-    return terms
+        img = mono[dv[n]]
+        row = img[0] if img is not None else ()
+        nxt: dict[int, int] = {}
+        for J, det in minors.items():
+            for j, a in row:
+                if not J >> j & 1:  # dx_J ^ dx_j: dx_j passes the members of J above j
+                    sign = -1 if (J >> j).bit_count() & 1 else 1
+                    nxt[J | 1 << j] = nxt.get(J | 1 << j, 0) + sign * a * det
+        minors = {J: det for J, det in nxt.items() if det}
+        memo[dv[:n + 1]] = minors
+    return minors
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _wedge_of_mask(mask: int, nvars: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The sorted indices of a bit mask, and its 0/1 exponent tuple."""
+    e = tuple(mask >> i & 1 for i in range(nvars))
+    return tuple(i for i in range(nvars) if e[i]), e
+
+
+def _pullback_by_definition(m: CoordMap, a: Form) -> Form:
+    """phi*(p) ^ d(phi_i1) ^ ... ^ d(phi_ik), summed over the terms of `a`."""
+    out = Form.zero(m.source)
+    for dv, p in a.terms.items():
+        term = Form.from_poly(p.substitute(dict(enumerate(m.image_list)), m.source))
+        for i in dv:
+            term = wedge(term, d(Form.from_poly(m.image_list[i])))
+        out = out + term
+    return out
 
 
 def pullback(m: CoordMap, a: Form) -> Form:
     """Substitute the coefficients and map each dvar to d(its image).
 
-    Each wedge monomial of the input expands once, from the images' partial
-    derivatives (sharing prefixes with the monomials before it), and its
-    substituted coefficient multiplies into every output wedge of that
-    expansion in place, in ints scaled by the common denominator.
+    For a monomial map, image_i = c_i x^a_i, d(image_i1) ^ ... over dv is
+    (prod_{i in dv} image_i) sum_J det A[dv, J] x^-e_J dx_J, with the integer
+    minors of `_exterior_minors`; the products accumulate in ints scaled by
+    the common denominator.  Other maps take `_pullback_by_definition`.
     """
     if a.ctx != m.target:
         raise ContextError("form context does not match the map's target")
-    images, mono, nvars = dict(enumerate(m.image_list)), m.monomials, m.source.nvars
-    memo = {(): {(): {(0,) * nvars: 1}}}
+    mono, nvars = m.monomials, m.source.nvars
+    if mono is None:
+        return _pullback_by_definition(m, a)
+    memo: dict = {(): {0: 1}}
     pieces = []
     for dv, p in a.terms.items():
-        expansion = _wedge_of_partials(m.partials, dv, memo)
-        if expansion:
-            coeff = (_substitute_monomial(p.terms, mono, nvars) if mono is not None
-                     else p.substitute(images, m.source).terms)
-            pieces.append((coeff, expansion))
-    # both factors scale to ints, so the products accumulate in ints
+        minors = _exterior_minors(mono, dv, memo)
+        if minors:
+            # prod_{i in dv} image_i = scale x^shift; shift starts the substitution
+            bump = _wedge_of_mask(sum(1 << i for i in dv), m.target.nvars)[1]
+            [(shift, scale)] = _substitute_monomial({bump: 1}, mono, [0] * nvars).items()
+            coeff = _substitute_monomial(p.terms, mono, list(shift))
+            if scale != 1:
+                coeff = {e: c * scale for e, c in coeff.items()}
+            pieces.append((coeff, minors))
     den = _common_denominator(coeff for coeff, _ in pieces)
-    xden = _common_denominator(t for _, expansion in pieces for t in expansion.values())
     acc: dict[tuple[int, ...], dict] = {}
-    for coeff, expansion in pieces:
-        scaled = _scaled(coeff, den)
-        for w, t in expansion.items():
-            _mul_into(acc.setdefault(w, {}), scaled, t if xden == 1 else _scaled(t, xden))
-    return Form._from_scaled(m.source, acc, den * xden)
+    for coeff, minors in pieces:
+        scaled = list(_scaled(coeff, den).items())
+        for mask, det in minors.items():
+            J, e_J = _wedge_of_mask(mask, nvars)
+            dst = acc.setdefault(J, {})
+            for e, c in scaled:
+                e = tuple(map(sub, e, e_J))
+                dst[e] = dst.get(e, 0) + c * det
+    return Form._from_scaled(m.source, acc, den)
 
 
 # ---------------------------------------------------------------------------
@@ -880,8 +877,8 @@ def restrict_to_face(a: Form, face_ctx: CoordSystem) -> Form:
     """
     if face_ctx == a.ctx:
         return a
+    amb = dict(a.ctx.groups)
     for tag, verts in face_ctx.groups:
-        amb = dict(a.ctx.groups)
         if tag not in amb:
             raise ContextError(f"face group {tag} not present in ambient context")
         if not set(verts) <= set(amb[tag]):

@@ -17,6 +17,7 @@ from prismal.forms import (CoordMap, DegreeError,
                            vertical_part, wedge, whitney,
                            whitney_antiboundary, whitney_extended,
                            whitney_form, whitney_prism, whitney_relative)
+from prismal.forms import _pullback_by_definition
 
 
 def S(*vs):
@@ -118,6 +119,33 @@ def forms(ctx, degree=None, max_degree_poly=2):
         st.lists(polys(ctx, max_degree_poly), min_size=1,
                  max_size=max(1, min(4, len(list(itertools.combinations(range(ctx.nvars), deg))))))
     ).map(build))
+
+
+def monomial_maps(source, target, dens=st.integers(1, 4)):
+    """Coordinate maps from `source` onto `target` whose images are single
+    terms c x^a, with exponents 0 to 3 spread over the source variables;
+    at most one image is zero or a nonzero constant instead."""
+    n = target.nvars
+    coeff = st.builds(Q, st.integers(-6, 6).filter(bool), dens)
+    exps = st.lists(st.integers(0, 3), min_size=source.nvars, max_size=source.nvars).filter(any)
+    term = st.builds(lambda e, c: Poly(source, {tuple(e): c}), exps, coeff)
+    special = st.just(Poly.zero(source)) | coeff.map(lambda c: Poly.const(source, c))
+
+    def build(args):
+        images, swap = args
+        if swap is not None:
+            images[swap[0]] = swap[1]
+        return CoordMap.build(source, target, dict(zip(target.names, images)))
+    return st.tuples(st.lists(term, min_size=n, max_size=n),
+                     st.none() | st.tuples(st.integers(0, n - 1), special)).map(build)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(monomial_maps(PCTX, CTX4), forms(CTX4).filter(bool))
+def test_pullback_kernel_matches_definition(m, a):
+    # the minor kernel against phi*(p) ^ d(phi_i1) ^ ... on the same map
+    assert m.monomials is not None
+    assert pullback(m, a) == _pullback_by_definition(m, a)
 
 
 @settings(max_examples=25, deadline=None)

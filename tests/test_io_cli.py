@@ -297,8 +297,9 @@ def test_cmd_primitive_descent_failure_exits1(tmp_path, capsys, monkeypatch):
 
 
 def test_cmd_primitive_residual_failure_exits1(tmp_path, capsys, monkeypatch):
-    # a nonzero closing residual on one prism: exit 1, that prism's JSON
-    # flag false, the others true, and the failure counted in the summary
+    # a nonzero closing residual on one prism: exit 1, a stderr line naming
+    # it, that prism's JSON flag false, the others true, and the failure
+    # counted in the summary
     from prismal import primitive
     real, failed = primitive.verify_theodg, []
 
@@ -306,8 +307,9 @@ def test_cmd_primitive_residual_failure_exits1(tmp_path, capsys, monkeypatch):
         if failed:
             return real(prim)
         sigma = next(iter(prim.prisms))
-        failed.append((prim.tau, sigma))
-        return {sigma: de_form(prim.prisms[sigma].psi.source)}
+        residual = de_form(prim.prisms[sigma].psi.source)
+        failed.append((prim.tau, sigma, residual))
+        return {sigma: residual}
 
     monkeypatch.setattr(primitive, "verify_theodg", fail_once)
     cpath, mpath, wpath = _write_fixture_files(tmp_path)
@@ -315,8 +317,12 @@ def test_cmd_primitive_residual_failure_exits1(tmp_path, capsys, monkeypatch):
     code = main(["primitive", "--complex", str(cpath), "--morphism", str(mpath),
                  "--form", str(wpath), "--out", str(out), "--check-horizontal"])
     assert code == 1
-    [(tau, sigma)] = failed
-    assert "1 failures; horizontal: 0 failures" in capsys.readouterr().out
+    [(tau, sigma, residual)] = failed
+    captured = capsys.readouterr()
+    assert "1 failures; horizontal: 0 failures" in captured.out
+    # stderr names the base cell, the prism and the residual's size
+    n_terms = sum(len(p.terms) for p in residual.terms.values())
+    assert f"closing residual nonzero over {tau} on {sigma}: {n_terms} terms\n" in captured.err
     data = json.loads(out.read_text())
     flags = {(tau_key, key): entry["residual_zero"]
              for tau_key, cell in data["base_cells"].items()

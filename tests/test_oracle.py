@@ -23,11 +23,13 @@ from prismal.forms import (CoordMap, CoordSystem, Form, Poly,  # noqa: E402
 from prismal.mesh import Prism, Simplex  # noqa: E402
 from prismal.primitive import specialization_chart  # noqa: E402
 from prismal.sheaf import psi_coordinate_map  # noqa: E402
+from test_forms import monomial_maps  # noqa: E402
 
 ORACLE = settings(max_examples=30, deadline=None, derandomize=True)
 MIXED_DENS = st.sampled_from((1, 2, 3, 4, 5, 6, 9, 10))
 
 CTX3 = simplex_context(Simplex((0, 1, 2)))
+CTX4 = simplex_context(Simplex((0, 1, 2, 3)))
 PCTX = pi_context(Simplex((100, 101)), (Simplex((0,)), Simplex((1, 2))))
 PRISM = prism_context(Prism((Simplex((0, 1)), Simplex((2, 3, 4)))))
 
@@ -310,6 +312,16 @@ def test_pullback_monomial_maps(build, data):
     assert all(len(p.terms) <= 1 for p in m.image_list)
     r = data.draw(st.integers(0, 2))
     _check_pullback(m, data.draw(forms(m.target, r, 2, MIXED_DENS)))
+
+
+@ORACLE
+@given(monomial_maps(PCTX, CTX4, MIXED_DENS),
+       st.integers(0, 3).flatmap(lambda r: forms(CTX4, r, 2, MIXED_DENS)).filter(bool))
+def test_pullback_exterior_minors(m, a):
+    # exponents above 1, fractional coefficients, zero and constant images:
+    # the minors of the exponent matrix carry every a_ij and wedge sign
+    assert m.monomials is not None
+    _check_pullback(m, a)
 
 
 @ORACLE
