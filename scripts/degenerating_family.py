@@ -13,7 +13,7 @@ import argparse
 
 from prismal.fixtures import triangle_fan
 from prismal.forms import Form, Poly, d, simplex_context
-from prismal.io import dump_json, form_to_dict
+from prismal.io import dump_json
 from prismal.primitive import build_relative_primitive, verify_theodg
 from prismal.sheaf import (build_Pf, build_Sf, check_Pf_characterization,
                            check_Sf_characterization, fiber_structure)
@@ -65,7 +65,7 @@ def main():
         payload = {}
         for tau, prim in result.primitives.items():
             for sigma, pd in prim.prisms.items():
-                payload[f"{tau}:{sigma}"] = form_to_dict(pd.H)
+                payload[f"{tau}:{sigma}"] = pd.H
         dump_json(args.out, payload)
         print(f"\nprimitive forms written to {args.out}")
 

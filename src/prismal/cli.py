@@ -11,8 +11,8 @@ import math
 import sys
 
 from . import __version__
-from .io import (ValidationError, complex_from_dict, dump_json, form_to_dict,
-                 forms_file_to_inputs, load_json, morphism_from_dict)
+from .io import (ValidationError, complex_from_dict, dump_json, forms_file_to_inputs,
+                 load_json, morphism_from_dict)
 from .mesh import MeshError
 from .sheaf import (build_Pf, build_Sf, check_Pf_characterization,
                     check_Sf_characterization, sheaf_to_dict)
@@ -120,11 +120,11 @@ def cmd_primitive(args) -> int:
             for drop, poly in pd.C.items():
                 label = (f"phi={','.join(map(str, drop.phi.vertices))}"
                          f";gamma={','.join(map(str, drop.gamma_vertices()))}")
-                cdict[label] = form_to_dict(Form.from_poly(poly))
+                cdict[label] = Form.from_poly(poly)
             cell_out["prisms"][key] = {
                 "C": cdict,
-                "D": form_to_dict(pd.correction),
-                "H": form_to_dict(pd.H),
+                "D": pd.correction,
+                "H": pd.H,
                 "residual_zero": sigma not in residuals,
             }
             if sigma in residuals:
@@ -137,7 +137,7 @@ def cmd_primitive(args) -> int:
             if not descent_ok:
                 descent_failures += 1
                 print(f"descent check failed over {tau} on {sigma}", file=sys.stderr)
-            cell_out["H_S"][key] = {"numerator": form_to_dict(N),
+            cell_out["H_S"][key] = {"numerator": N,
                                     "denominator_exponents": list(m),
                                     "descent_verified": descent_ok}
         out["base_cells"][",".join(map(str, tau.vertices))] = cell_out

@@ -7,7 +7,9 @@ violated invariant.
 Every JSON file the package writes goes through `dump_json`.  Its bytes are
 exactly those of `json.dumps(data, indent=1, sort_keys=True)` followed by a
 newline; object keys must be `str` (any other key is a `TypeError`, where
-`json` would coerce it).  The writer is a small recursion because with
+`json` would coerce it).  A `Form` is a leaf: it is written exactly as
+`form_to_dict(form)` would be, without building that dict (no other
+non-JSON type is accepted).  The writer is a small recursion because with
 `indent` the standard library falls back to its pure-Python encoder.
 """
 
@@ -234,10 +236,44 @@ def _float_str(x: float) -> str:
     return float.__repr__(x)
 
 
-def _encode(value, depth: int, out: list, newlines: list) -> None:
+def _form_layout(ctx: CoordSystem, depth: int, newlines: list) -> tuple:
+    """The fixed pieces of a form written at `depth`: its context header, its
+    quoted variable names, their indices in name order ("m:0:12" before
+    "m:0:3") and the separators of each nesting level below it."""
+    while len(newlines) <= depth + 6:
+        newlines.append(newlines[-1] + " ")
+    n = newlines[depth:depth + 7]
+    header: list = []
+    _encode(context_to_dict(ctx), depth + 1, header, newlines, {})
+    names = ctx.names
+    return ("{" + n[1] + '"context": ' + "".join(header) + "," + n[1] + '"terms": ',
+            [_quote(name) for name in names],
+            sorted(range(len(names)), key=names.__getitem__), n)
+
+
+def _encode_form(form: Form, layout: tuple, out: list) -> None:
+    """Append `form` as `_encode(form_to_dict(form))` would, without the dicts."""
+    header, qnames, order, n = layout
+    out.append(header)
+    terms = []
+    for dv, p in sorted(form.terms.items(), key=lambda kv: (len(kv[0]), kv[0])):
+        monos = []
+        for e, c in sorted(p.terms.items()):
+            exp = [f"{n[6]}{qnames[i]}: {e[i]}" for i in order if e[i]]
+            exp = "{" + ",".join(exp) + n[5] + "}" if exp else "{}"
+            monos.append(f'{n[4]}{{{n[5]}"c": "{c!s}",{n[5]}"exp": {exp}{n[4]}}}')
+        dvars = "[" + ",".join(n[4] + qnames[i] for i in dv) + n[3] + "]" if dv else "[]"
+        terms.append(f'{n[2]}{{{n[3]}"dvars": {dvars},{n[3]}"poly": '
+                     f'[{",".join(monos)}{n[3]}]{n[2]}}}')
+    out.append("[" + ",".join(terms) + n[1] + "]" if terms else "[]")
+    out.append(n[0] + "}")
+
+
+def _encode(value, depth: int, out: list, newlines: list, layouts: dict) -> None:
     """Append the pieces of `value` at nesting `depth`, in `json`'s order of
     type tests (bools before ints).  newlines[k] is "\n" plus the indent of
-    depth k, extended as deeper containers appear."""
+    depth k, extended as deeper containers appear; layouts caches
+    `_form_layout` per (context, depth)."""
     if isinstance(value, str):
         out.append(_quote(value))
     elif value is None:
@@ -266,27 +302,34 @@ def _encode(value, depth: int, out: list, newlines: list) -> None:
                 out.append(newline)
                 out.append(_quote(key))
                 out.append(": ")
-                _encode(value[key], inner, out, newlines)
+                _encode(value[key], inner, out, newlines, layouts)
                 out.append(",")
             close = "}"
         else:
             out.append("[")
             for item in value:
                 out.append(newline)
-                _encode(item, inner, out, newlines)
+                _encode(item, inner, out, newlines, layouts)
                 out.append(",")
             close = "]"
         out[-1] = newlines[depth]  # the last item's comma
         out.append(close)
+    elif isinstance(value, Form):
+        key = (value.ctx, depth)
+        layout = layouts.get(key)
+        if layout is None:
+            layout = layouts[key] = _form_layout(value.ctx, depth, newlines)
+        _encode_form(value, layout, out)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def dump_json(path, data) -> None:
     """Write `data` as `json.dumps(data, indent=1, sort_keys=True)` plus a
-    newline would, byte for byte."""
+    newline would, byte for byte, with each `Form` leaf replaced by
+    `form_to_dict(form)`."""
     out: list = []
-    _encode(data, 0, out, ["\n"])
+    _encode(data, 0, out, ["\n"], {})
     out.append("\n")
     try:
         Path(path).write_text("".join(out))

@@ -8,12 +8,12 @@ from fractions import Fraction as Q
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from prismal.cli import main
 from prismal.fixtures import (cylinder_over_edge, square_over_edge,
                               tetra_pair_over_triangle, triangle_fan)
-from prismal.forms import Form, Poly, d, de_form, simplex_context
+from prismal.forms import CoordSystem, Form, Poly, d, de_form, simplex_context
 from prismal.io import (ValidationError, complex_from_dict, complex_to_dict,
                         dump_json, form_from_dict, form_to_dict, forms_file_to_inputs,
                         morphism_from_dict, morphism_to_dict,
@@ -60,8 +60,59 @@ def test_dump_json_matches_json_dumps(tmp_path, data):
     assert path.read_bytes() == (json.dumps(data, indent=1, sort_keys=True) + "\n").encode()
 
 
+# name order differs from index order: "l:12" < "l:3", "m:0:12" < "m:0:2",
+# and the base group "t" comes first by index but last by name
+_WRITER_CONTEXTS = (
+    CoordSystem((("l", (3, 1, 12)),)),
+    CoordSystem((("t", (3, 1)), ("m:0", (12, 3, 2)), ("m:1", (5, 10)))),
+    CoordSystem((("l", (0,)),)),
+)
+_COEFFS = (st.integers(-7, 7) | st.fractions(-3, 3, max_denominator=6)).filter(bool)
+
+
+@st.composite
+def _writer_forms(draw):
+    ctx = draw(st.sampled_from(_WRITER_CONTEXTS))
+    exps = st.lists(st.integers(0, 3), min_size=ctx.nvars, max_size=ctx.nvars).map(tuple)
+    polys = st.dictionaries(exps, _COEFFS, min_size=1, max_size=4).map(lambda t: Poly(ctx, t))
+    dvars = st.sets(st.integers(0, ctx.nvars - 1), max_size=3).map(lambda s: tuple(sorted(s)))
+    return Form(ctx, draw(st.dictionaries(dvars, polys, min_size=1, max_size=3)))
+
+
+def _form_dicts(tree):
+    """`tree` with every Form replaced by its `form_to_dict` view."""
+    if isinstance(tree, Form):
+        return form_to_dict(tree)
+    if isinstance(tree, dict):
+        return {k: _form_dicts(v) for k, v in tree.items()}
+    if isinstance(tree, (list, tuple)):
+        return [_form_dicts(v) for v in tree]
+    return tree
+
+
+_ZERO_FORM = Form.zero(_WRITER_CONTEXTS[1])
+_CONSTANT_FORM = Form.from_poly(Poly.const(_WRITER_CONTEXTS[1], Q(-5, 3)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.recursive(_writer_forms() | _SCALARS,
+                    lambda kids: (st.lists(kids, max_size=3)
+                                  | st.dictionaries(st.text(max_size=3), kids, max_size=3)),
+                    max_leaves=6))
+@example([_ZERO_FORM, {"c": _CONSTANT_FORM, "z": [[_ZERO_FORM]]}])
+@example(_CONSTANT_FORM)
+def test_dump_json_writes_form_leaves_as_form_to_dict(tmp_path, tree):
+    path = tmp_path / "out.json"
+    dump_json(path, tree)
+    want = json.dumps(_form_dicts(tree), indent=1, sort_keys=True) + "\n"
+    assert path.read_bytes() == want.encode()
+
+
 def test_dump_json_rejects_non_str_keys_and_unknown_values(tmp_path):
-    for bad in ({1: "a"}, {"a": {None: 0}}, [Q(1, 2)], {"a": {1, 2}}):
+    poly = Poly.const(_WRITER_CONTEXTS[0], 1)
+    for bad in ({1: "a"}, {"a": {None: 0}}, [Q(1, 2)], {"a": {1, 2}}, [poly],
+                {"a": Q(1, 3)}, {"a": {"b": poly}}):
         with pytest.raises(TypeError):
             dump_json(tmp_path / "bad.json", bad)
 
