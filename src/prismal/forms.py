@@ -18,26 +18,25 @@ Every chart of the package is "one dropped variable per group" (or none,
 for a group kept whole), and one kernel, `eliminate`, applies them all: the
 canonical chart, the first-variable chart of integration and the cone
 operator, its fiber-only variant, and the subface charts of the C
-coefficients.  The kernel scales the coefficients by their common
-denominator, accumulates the substitution x_drop = 1 - sum(rest) in
-integers with cached powers of (1 - sum(rest)), and divides once per output
-term.
+coefficients.  The kernel accumulates the substitution x_drop = 1 - sum(rest)
+on the integer numerators, with cached powers of (1 - sum(rest)).
 
 Every coordinate map the package builds (the blow-down psi, face
 restrictions, horizontal specializations) is monomial: each target variable
 goes to a single term c_i x^a_i or to zero.  `Poly.substitute` maps such a
 monomial by exponent arithmetic alone, and `pullback` maps each wedge dy_dv
 through the integer minors det A[dv, J] of the exponent matrix, computed
-once per wedge; the products accumulate in integers scaled by a common
-denominator.  Maps with a multi-term image take the definition
-phi*(p) ^ d(phi_i1) ^ ... ^ d(phi_ik), over `substitute`, `d` and `wedge`.
+once per wedge; the products accumulate on integer numerators.  Maps with
+a multi-term image take the definition phi*(p) ^ d(phi_i1) ^ ... ^
+d(phi_ik), over `substitute`, `d` and `wedge`.
 
-All coefficients are exact rationals, stored as a Python `int` when integral
-and as a `Fraction` otherwise, never as a float.  The public `Poly(...)` and
-`Form(...)` constructors validate and normalize their input to this
-invariant; kernel operations keep it and build their results through the
-trusted `_make` constructors.  Division only ever happens through
-`Fraction`, so no float can arise.
+All coefficients are exact rationals, never floats.  A `Poly` stores int
+numerators over one positive denominator prime to their content (FLINT's
+fmpq_poly layout).  Kernel operations work on the numerators: products
+multiply the denominators, sums and form-level operations bring theirs to
+an lcm, and `_lowest` cancels one gcd per result.  `Poly.terms` is a
+read-only view, each coefficient an int when integral and a `Fraction`
+otherwise.  Constructors and scalar operands take ints and Fractions only.
 """
 
 from __future__ import annotations
@@ -47,6 +46,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, index, sub
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .mesh import Prism, Simplex, StructureError, boundary_chain, perm_sign
@@ -159,39 +159,28 @@ def _exponents(e) -> tuple[int, ...]:
     return out
 
 
-def _int_if_integral(c):
-    """The coefficient invariant: an int when integral, else a Fraction."""
-    if type(c) is Fraction and c.denominator == 1:
-        return c.numerator
-    return c
+def _rational(c):
+    """An exact scalar: an int or a Fraction; anything else is rejected."""
+    if isinstance(c, (int, Fraction)):
+        return c
+    raise FormError(f"exact scalars are ints or Fractions, got {c!r}")
 
 
 def _clean(acc: dict) -> dict:
-    """Drop the zeros of an accumulator and restore the coefficient invariant."""
-    return {e: _int_if_integral(c) for e, c in acc.items() if c}
+    """The nonzero entries of an accumulator."""
+    return {e: c for e, c in acc.items() if c}
 
 
-def _common_denominator(term_maps: Iterable[Mapping]) -> int:
-    den = 1
-    for terms in term_maps:
-        for c in terms.values():
-            if type(c) is not int:
-                den = math.lcm(den, c.denominator)
-    return den
-
-
-def _scaled(terms: Mapping, den: int) -> dict:
-    """den * terms in ints; den must clear every denominator."""
-    return {e: c * den if type(c) is int else c.numerator * (den // c.denominator)
-            for e, c in terms.items()}
-
-
-def _unscale(acc: dict, den: int) -> dict:
-    """Divide an int accumulator by den once per term; drop the zeros."""
-    if den == 1:
-        return {e: c for e, c in acc.items() if c}
-    return {e: c // den if c % den == 0 else Fraction(c, den)
-            for e, c in acc.items() if c}
+def _lowest(acc: dict, den: int) -> tuple[dict, int]:
+    """The int accumulator acc over den in lowest terms: its nonzero
+    numerators and a denominator prime to their content (1 for zero)."""
+    num = _clean(acc)
+    if den != 1:
+        g = math.gcd(den, *num.values())  # den itself when num is empty
+        if g != 1:
+            den //= g
+            num = {e: c // g for e, c in num.items()}
+    return num, den
 
 
 def _add_into(acc: dict, terms: Mapping, scale=1) -> None:
@@ -218,74 +207,99 @@ def _mul_into(acc: dict, a: Mapping, b: Mapping, scale=1) -> None:
 
 
 def _monomial_images(images: Mapping[int, "Poly"]) -> dict | None:
-    """Each image as None (zero) or (sparse exponents, coefficient); None
-    when some image has more than one term."""
+    """Each image as None (zero) or (sparse exponents, numerator,
+    denominator); None when some image has more than one term."""
     out: dict = {}
     for i, p in images.items():
-        if len(p.terms) > 1:
+        if len(p.num) > 1:
             return None
         out[i] = None
-        for e, c in p.terms.items():
-            out[i] = (tuple((j, n) for j, n in enumerate(e) if n), c)
+        for e, c in p.num.items():
+            out[i] = (tuple((j, n) for j, n in enumerate(e) if n), c, p.den)
     return out
 
 
-def _substitute_monomial(terms: Mapping, mono: Mapping, start: list[int]) -> dict:
-    """The substitution of a monomial map, as an accumulator for `_clean`,
-    with `start` added to every output exponent."""
+def _substitute_monomial(num: Mapping, mono: Mapping, start: list[int]) -> tuple[dict, int]:
+    """The substitution of a monomial map into int numerators, with `start`
+    added to every output exponent: an int accumulator and the denominator
+    the images' coefficients put under it."""
     acc: dict = {}
     get = acc.get
-    for e, c in terms.items():
+    over = []  # terms whose images carry a denominator
+    for e, c in num.items():
         out = start[:]
+        q = 1
         for i, n in enumerate(e):
             if n:
                 img = mono[i]
                 if img is None:
                     break
-                sparse, ci = img
+                sparse, ci, di = img
                 for j, k in sparse:
                     out[j] += n * k
                 if ci != 1:
                     c = c * ci ** n
+                if di != 1:
+                    q *= di ** n
         else:
             e2 = tuple(out)
+            if q != 1:
+                over.append((e2, c, q))
+                continue
             prev = get(e2)
             acc[e2] = c if prev is None else prev + c
-    return acc
+    if not over:
+        return acc, 1
+    den = math.lcm(*(q for _, _, q in over))
+    acc = {e: c * den for e, c in acc.items()}
+    for e, c, q in over:
+        acc[e] = acc.get(e, 0) + c * (den // q)
+    return acc, den
 
 
 class Poly:
     """Multivariate polynomial over Q in the variables of a CoordSystem.
 
-    `terms` maps exponent tuples of non-negative ints to nonzero
-    coefficients, each an int when integral and a Fraction otherwise.
+    `num` maps exponent tuples of non-negative ints to nonzero int
+    numerators over the positive denominator `den`, with gcd(den, content)
+    = 1.  `terms` is the read-only view with each coefficient an int when
+    integral and a Fraction otherwise.
     """
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "num", "den", "_terms")
 
     def __init__(self, ctx: CoordSystem, terms: Mapping[tuple[int, ...], Fraction] | None = None):
+        items = [(_exponents(e), _rational(c)) for e, c in (terms or {}).items()]
+        den = math.lcm(1, *(c.denominator for _, c in items))
         self.ctx = ctx
-        self.terms: dict[tuple[int, ...], int | Fraction] = {}
-        if terms:
-            for e, c in terms.items():
-                if type(c) is not int:
-                    c = _int_if_integral(Q(c))
-                if c:
-                    self.terms[_exponents(e)] = c
+        self.num, self.den = _lowest(
+            {e: c.numerator * (den // c.denominator) for e, c in items}, den)
+        self._terms = None
 
     @classmethod
-    def _make(cls, ctx: CoordSystem, terms: dict) -> "Poly":
-        """Trusted constructor: `terms` already satisfies the invariants."""
+    def _make(cls, ctx: CoordSystem, num: dict, den: int = 1) -> "Poly":
+        """Trusted constructor: `num` over `den` is already in lowest terms."""
         p = object.__new__(cls)
         p.ctx = ctx
-        p.terms = terms
+        p.num = num
+        p.den = den
+        p._terms = None
         return p
+
+    @property
+    def terms(self) -> Mapping[tuple[int, ...], int | Fraction]:
+        if self._terms is None:
+            den = self.den
+            self._terms = MappingProxyType(self.num if den == 1 else {
+                e: c // den if c % den == 0 else Fraction(c, den)
+                for e, c in self.num.items()})
+        return self._terms
 
     # -- constructors -------------------------------------------------
     @classmethod
     def const(cls, ctx: CoordSystem, c) -> "Poly":
-        z = (0,) * ctx.nvars
-        return cls(ctx, {z: c})
+        c = _rational(c)
+        return cls._make(ctx, {(0,) * ctx.nvars: c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def zero(cls, ctx: CoordSystem) -> "Poly":
@@ -298,38 +312,40 @@ class Poly:
         return cls._make(ctx, {tuple(e): 1})
 
     # -- ring operations ----------------------------------------------
-    def _chk(self, other: "Poly"):
+    def _coerce(self, other) -> "Poly":
+        """`other` in this context: a Poly of the same context, or a scalar."""
+        if not isinstance(other, Poly):
+            return Poly.const(self.ctx, other)
         if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ContextError("polynomials live in different contexts")
+        return other
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.ctx, other)
-        self._chk(other)
-        t = dict(self.terms)
-        _add_into(t, other.terms)
-        return Poly._make(self.ctx, _clean(t))
+        other = self._coerce(other)
+        den = math.lcm(self.den, other.den)
+        t = dict(self.num) if den == self.den else {
+            e: c * (den // self.den) for e, c in self.num.items()}
+        _add_into(t, other.num, den // other.den)
+        return Poly._make(self.ctx, *_lowest(t, den))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly._make(self.ctx, {e: -c for e, c in self.terms.items()})
+        return Poly._make(self.ctx, {e: -c for e, c in self.num.items()}, self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.ctx, other)
-        return self + (-other)
+        return self + (-self._coerce(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Poly._make(self.ctx, _clean({e: c * other for e, c in self.terms.items()}))
-        self._chk(other)
-        t: dict = {}
-        _mul_into(t, self.terms, other.terms)
-        return Poly._make(self.ctx, _clean(t))
+        if isinstance(other, Poly):
+            t: dict = {}
+            _mul_into(t, self.num, self._coerce(other).num)
+            return Poly._make(self.ctx, *_lowest(t, self.den * other.den))
+        k, q = _rational(other).as_integer_ratio()
+        return Poly._make(self.ctx, *_lowest({e: n * k for e, n in self.num.items()}, self.den * q))
 
     __rmul__ = __mul__
 
@@ -344,12 +360,14 @@ class Poly:
         return out
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.num)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly.const(self.ctx, other)
-        return self.ctx == other.ctx and self.terms == other.terms
+        elif not isinstance(other, Poly):
+            return NotImplemented
+        return self.ctx == other.ctx and self.den == other.den and self.num == other.num
 
     def __hash__(self):
         return hash((self.ctx, tuple(sorted(self.terms.items()))))
@@ -358,11 +376,11 @@ class Poly:
     def diff(self, i: int) -> "Poly":
         # lowering e[i] is injective on the monomials with e[i] > 0
         t: dict = {}
-        for e, c in self.terms.items():
+        for e, c in self.num.items():
             n = e[i]
             if n:
-                t[e[:i] + (n - 1,) + e[i + 1:]] = _int_if_integral(c * n)
-        return Poly._make(self.ctx, t)
+                t[e[:i] + (n - 1,) + e[i + 1:]] = c * n
+        return Poly._make(self.ctx, *_lowest(t, self.den))
 
     def substitute(self, images: Mapping[int, "Poly"], target: CoordSystem) -> "Poly":
         """Substitute every variable by its image polynomial over `target`.
@@ -373,26 +391,26 @@ class Poly:
         """
         mono = _monomial_images(images)
         if mono is not None:
-            acc = _substitute_monomial(self.terms, mono, [0] * target.nvars)
-            return Poly._make(target, _clean(acc))
+            acc, den = _substitute_monomial(self.num, mono, [0] * target.nvars)
+            return Poly._make(target, *_lowest(acc, self.den * den))
         out = Poly.zero(target)
-        for e, c in self.terms.items():
+        for e, c in self.num.items():
             term = Poly.const(target, c)
             for i, n in enumerate(e):
                 term = term * images[i] ** n
             out = out + term
-        return out
+        return out * Fraction(1, self.den)
 
     def evaluate(self, point: Iterable) -> Fraction:
         pt = [Q(x) for x in point]
         total = Q(0)
-        for e, c in self.terms.items():
+        for e, c in self.num.items():
             v = c
             for i, n in enumerate(e):
                 if n:
                     v *= pt[i] ** n
             total += v
-        return total
+        return total / self.den
 
     def evaluate_float(self, point) -> float:
         total = 0.0
@@ -407,21 +425,21 @@ class Poly:
     def homogeneous_parts(self, vars_: Iterable[int] | None = None) -> dict[int, "Poly"]:
         vs = tuple(vars_) if vars_ is not None else tuple(range(self.ctx.nvars))
         parts: dict[int, dict] = {}
-        for e, c in self.terms.items():
+        for e, c in self.num.items():
             m = sum(e[i] for i in vs)
             parts.setdefault(m, {})[e] = c
-        return {m: Poly._make(self.ctx, t) for m, t in parts.items()}
+        return {m: Poly._make(self.ctx, *_lowest(t, self.den)) for m, t in parts.items()}
 
     def map_context(self, target: CoordSystem) -> "Poly":
         """Reinterpret by variable name into a context containing the same names."""
         mapping = [target.index[n] for n in self.ctx.names]
         t: dict = {}
-        for e, c in self.terms.items():
+        for e, c in self.num.items():
             e2 = [0] * target.nvars
             for i, n in enumerate(e):
                 e2[mapping[i]] = n
             t[tuple(e2)] = c
-        return Poly._make(target, t)
+        return Poly._make(target, t, self.den)
 
     def __repr__(self):
         if not self.terms:
@@ -461,24 +479,19 @@ class Form:
         return f
 
     @classmethod
-    def _from_acc(cls, ctx: CoordSystem, acc: dict) -> "Form":
-        """A form from per-wedge coefficient accumulators (see `_add_into`)."""
+    def _from_acc(cls, ctx: CoordSystem, acc: dict, den: int = 1) -> "Form":
+        """A form from per-wedge int numerator accumulators over `den`."""
         terms = {}
         for dv, t in acc.items():
-            t = _clean(t)
-            if t:
-                terms[dv] = Poly._make(ctx, t)
+            num, pden = _lowest(t, den)
+            if num:
+                terms[dv] = Poly._make(ctx, num, pden)
         return cls._make(ctx, terms)
 
-    @classmethod
-    def _from_scaled(cls, ctx: CoordSystem, acc: dict, den: int) -> "Form":
-        """A form from per-wedge int accumulators holding den times it."""
-        terms = {}
-        for dv, t in acc.items():
-            t = _unscale(t, den)
-            if t:
-                terms[dv] = Poly._make(ctx, t)
-        return cls._make(ctx, terms)
+    @property
+    def den(self) -> int:
+        """The lcm of the coefficients' denominators."""
+        return math.lcm(1, *(p.den for p in self.terms.values()))
 
     @classmethod
     def zero(cls, ctx: CoordSystem) -> "Form":
@@ -522,7 +535,7 @@ class Form:
 
     def __mul__(self, scalar):
         if not isinstance(scalar, Poly):
-            scalar = Q(scalar)
+            scalar = _rational(scalar)
         terms = {}
         for dv, p in self.terms.items():
             q = p * scalar
@@ -575,19 +588,22 @@ def _sort_wedge(dvars: tuple[int, ...]):
 def wedge(x: Form, y: Form) -> Form:
     """Graded-commutative exterior product."""
     x._chk(y)
+    dx, dy = x.den, y.den
     acc: dict[tuple[int, ...], dict] = {}
-    y_items = list(y.terms.items())
+    y_items = [(dv, p.num, dy // p.den) for dv, p in y.terms.items()]
     for dv1, p1 in x.terms.items():
-        for dv2, p2 in y_items:
+        s1 = dx // p1.den
+        for dv2, n2, s2 in y_items:
             merged, sign = _sort_wedge(dv1 + dv2)
             if merged is None:
                 continue
-            _mul_into(acc.setdefault(merged, {}), p1.terms, p2.terms, sign)
-    return Form._from_acc(x.ctx, acc)
+            _mul_into(acc.setdefault(merged, {}), p1.num, n2, sign * s1 * s2)
+    return Form._from_acc(x.ctx, acc, dx * dy)
 
 
 def d(a: Form) -> Form:
     """Formal exterior derivative, term by term."""
+    den = a.den
     acc: dict[tuple[int, ...], dict] = {}
     for dv, p in a.terms.items():
         for i in range(a.ctx.nvars):
@@ -596,8 +612,8 @@ def d(a: Form) -> Form:
                 continue
             dp = p.diff(i)
             if dp:
-                _add_into(acc.setdefault(merged, {}), dp.terms, sign)
-    return Form._from_acc(a.ctx, acc)
+                _add_into(acc.setdefault(merged, {}), dp.num, sign * (den // dp.den))
+    return Form._from_acc(a.ctx, acc, den)
 
 
 @dataclass(frozen=True)
@@ -673,8 +689,9 @@ def pullback(m: CoordMap, a: Form) -> Form:
 
     For a monomial map, image_i = c_i x^a_i, d(image_i1) ^ ... over dv is
     (prod_{i in dv} image_i) sum_J det A[dv, J] x^-e_J dx_J, with the integer
-    minors of `_exterior_minors`; the products accumulate in ints scaled by
-    the common denominator.  Other maps take `_pullback_by_definition`.
+    minors of `_exterior_minors`; the products accumulate on int numerators
+    over the lcm of the terms' denominators.  Other maps take
+    `_pullback_by_definition`.
     """
     if a.ctx != m.target:
         raise ContextError("form context does not match the map's target")
@@ -686,24 +703,24 @@ def pullback(m: CoordMap, a: Form) -> Form:
     for dv, p in a.terms.items():
         minors = _exterior_minors(mono, dv, memo)
         if minors:
-            # prod_{i in dv} image_i = scale x^shift; shift starts the substitution
+            # prod_{i in dv} image_i = scale x^shift over sden; shift starts the substitution
             bump = _wedge_of_mask(sum(1 << i for i in dv), m.target.nvars)[1]
-            [(shift, scale)] = _substitute_monomial({bump: 1}, mono, [0] * nvars).items()
-            coeff = _substitute_monomial(p.terms, mono, list(shift))
-            if scale != 1:
-                coeff = {e: c * scale for e, c in coeff.items()}
-            pieces.append((coeff, minors))
-    den = _common_denominator(coeff for coeff, _ in pieces)
+            shifted, sden = _substitute_monomial({bump: 1}, mono, [0] * nvars)
+            [(shift, scale)] = shifted.items()
+            coeff, cden = _substitute_monomial(p.num, mono, list(shift))
+            pieces.append((coeff, scale, p.den * sden * cden, minors))
+    den = math.lcm(1, *(q for _, _, q, _ in pieces))
     acc: dict[tuple[int, ...], dict] = {}
-    for coeff, minors in pieces:
-        scaled = list(_scaled(coeff, den).items())
+    for coeff, scale, q, minors in pieces:
+        scale *= den // q
+        scaled = [(e, c * scale) for e, c in coeff.items()] if scale != 1 else list(coeff.items())
         for mask, det in minors.items():
             J, e_J = _wedge_of_mask(mask, nvars)
             dst = acc.setdefault(J, {})
             for e, c in scaled:
                 e = tuple(map(sub, e, e_J))
                 dst[e] = dst.get(e, 0) + c * det
-    return Form._from_scaled(m.source, acc, den)
+    return Form._from_acc(m.source, acc, den)
 
 
 # ---------------------------------------------------------------------------
@@ -771,14 +788,14 @@ def _wedge_expansion(ctx: CoordSystem, chart: Chart, dv: tuple[int, ...]
     return tuple(terms.items())
 
 
-def _substitute_drops(ctx: CoordSystem, drops: tuple[int, ...], terms: Mapping,
-                      den: int) -> dict:
-    """den * terms with each dropped variable replaced by 1 - rest, in ints.
+def _substitute_drops(ctx: CoordSystem, drops: tuple[int, ...], num: Mapping) -> Mapping:
+    """Int numerators with each dropped variable replaced by 1 - rest.
 
     One dropped variable at a time, the monomials are grouped by their
-    exponent k on it, and each group meets (1 - rest)^k once.
+    exponent k on it, and each group meets (1 - rest)^k once.  The input
+    comes back unchanged when no dropped variable occurs in it.
     """
-    cur = _scaled(terms, den)
+    cur = num
     for i in drops:
         groups: dict[int, dict] = {}
         for e, c in cur.items():
@@ -798,28 +815,28 @@ def _substitute_drops(ctx: CoordSystem, drops: tuple[int, ...], terms: Mapping,
 def eliminate(a: Form, chart: Chart) -> Form:
     """The form in the chart: each dropped variable becomes 1 - rest.
 
-    Coefficients are scaled by the common denominator of the input, so the
-    whole substitution accumulates in ints and divides once per output term.
+    The substitution runs on the numerators, brought to the lcm of the
+    coefficients' denominators, so the whole form accumulates in ints.
     """
     ctx = a.ctx
     drops = tuple(i for i in chart if i is not None)
-    den = _common_denominator(p.terms for p in a.terms.values())
+    den = a.den
     acc: dict[tuple[int, ...], dict] = {}
     for dv, p in a.terms.items():
         expansion = _wedge_expansion(ctx, chart, dv)
         if not expansion:
             continue
-        coeff = _substitute_drops(ctx, drops, p.terms, den)
+        coeff = _substitute_drops(ctx, drops, p.num)
+        scale = den // p.den
         for dv2, sign in expansion:
-            _add_into(acc.setdefault(dv2, {}), coeff, sign)
-    return Form._from_scaled(ctx, acc, den)
+            _add_into(acc.setdefault(dv2, {}), coeff, sign * scale)
+    return Form._from_acc(ctx, acc, den)
 
 
 def eliminate_poly(p: Poly, chart: Chart) -> Poly:
     """The polynomial in the chart: each dropped variable becomes 1 - rest."""
-    den = _common_denominator((p.terms,))
     drops = tuple(i for i in chart if i is not None)
-    return Poly._make(p.ctx, _unscale(_substitute_drops(p.ctx, drops, p.terms, den), den))
+    return Poly._make(p.ctx, *_lowest(_substitute_drops(p.ctx, drops, p.num), p.den))
 
 
 def _first_chart(ctx: CoordSystem, groups: Iterable[int]) -> tuple[Chart, tuple[int, ...]]:
@@ -983,10 +1000,11 @@ def relative_d(a: Form) -> Form:
 # Integration
 # ---------------------------------------------------------------------------
 
-def _dirichlet(exps: Iterable[int]) -> Fraction:
-    """Integral of a monomial over the standard simplex in those variables."""
+def _dirichlet(exps: Iterable[int]) -> tuple[int, int]:
+    """Integral of a monomial over the standard simplex in those variables,
+    as (numerator, denominator)."""
     exps = list(exps)
-    return Q(math.prod(map(math.factorial, exps)), math.factorial(len(exps) + sum(exps)))
+    return math.prod(map(math.factorial, exps)), math.factorial(len(exps) + sum(exps))
 
 
 def _integrate(a: Form, groups: tuple[int, ...]) -> Poly:
@@ -999,22 +1017,28 @@ def _integrate(a: Form, groups: tuple[int, ...]) -> Poly:
     """
     ctx = a.ctx
     chart, full = _first_chart(ctx, groups)
-    acc: dict = {}
+    rows = []  # (kept exponents, numerator, denominator) per monomial
     for dv, p in eliminate(a, chart).terms.items():
         if dv != full:
             raise DegreeError(f"not a top-degree form over groups {groups} "
                               f"(term {dv}, expected {full})")
-        for e, coeff in p.terms.items():
-            block = math.prod(_dirichlet(e[i] for i in ctx.group_vars[g][1:]) for g in groups)
-            key = tuple(0 if i in full else n for i, n in enumerate(e))
-            acc[key] = acc.get(key, 0) + coeff * block
-    return Poly._make(ctx, _clean(acc))
+        for e, n in p.num.items():
+            q = p.den
+            for g in groups:
+                dn, dd = _dirichlet(e[i] for i in ctx.group_vars[g][1:])
+                n, q = n * dn, q * dd
+            rows.append((tuple(0 if i in full else k for i, k in enumerate(e)), n, q))
+    den = math.lcm(1, *{q for _, _, q in rows})
+    acc: dict = {}
+    for key, n, q in rows:
+        acc[key] = acc.get(key, 0) + n * (den // q)
+    return Poly._make(ctx, *_lowest(acc, den))
 
 
 def integrate_top_form(a: Form) -> Fraction:
     """Exact integral of a top-degree form over its cell."""
     integral = _integrate(a, tuple(range(len(a.ctx.groups))))
-    return Q(integral.terms.get((0,) * a.ctx.nvars, 0))
+    return Q(integral.num.get((0,) * a.ctx.nvars, 0), integral.den)
 
 
 def integrate_fiber(a: Form) -> Poly:
@@ -1046,7 +1070,7 @@ def poincare_primitive(a: Form) -> Form:
     check = relative_d(c)
     if not check.is_zero:
         raise FormError(f"form is not closed; no primitive exists: d residual {check}")
-    acc: dict[tuple[int, ...], dict] = {}
+    rows = []  # (wedge, x_i * part numerators, sign, denominator) per cone term
     for dv, p in c.terms.items():
         r = len([i for i in dv if i in cone_vars])
         if r == 0:
@@ -1054,16 +1078,16 @@ def poincare_primitive(a: Form) -> Form:
                 raise DegreeError("cannot take a primitive of a 0-form part")
             raise FormError("vertical homotopy requires vertical terms")
         for m, pm in p.homogeneous_parts(kept).items():
-            if not pm:
-                continue
-            scale = Q(1, m + r)
             for k, i in enumerate(dv):
-                if i not in cone_vars:
-                    continue
-                rest = dv[:k] + dv[k + 1:]
-                coeff = pm * Poly.variable(ctx, i)
-                _add_into(acc.setdefault(rest, {}), coeff.terms, scale * (-1) ** k)
-    return Form._from_acc(ctx, acc)
+                if i in cone_vars:
+                    rows.append((dv[:k] + dv[k + 1:],
+                                 {e[:i] + (e[i] + 1,) + e[i + 1:]: n for e, n in pm.num.items()},
+                                 (-1) ** k, pm.den * (m + r)))
+    den = math.lcm(1, *{q for *_, q in rows})
+    acc: dict[tuple[int, ...], dict] = {}
+    for rest, num, sign, q in rows:
+        _add_into(acc.setdefault(rest, {}), num, sign * (den // q))
+    return Form._from_acc(ctx, acc, den)
 
 
 def whitney_antiboundary(s: Simplex) -> Form:

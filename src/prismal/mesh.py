@@ -67,12 +67,17 @@ class Simplex:
 
     vertices: tuple[int, ...]
     vset: frozenset[int] = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vset = frozenset(self.vertices)
         if len(vset) != len(self.vertices):
             raise StructureError(f"repeated vertex in simplex {self.vertices}")
         object.__setattr__(self, "vset", vset)
+        object.__setattr__(self, "_hash", hash((self.vertices,)))  # the generated hash, once
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def dim(self):
@@ -188,12 +193,17 @@ class Prism:
     """Oriented prism: an ordered product of nonempty oriented simplices."""
 
     factors: tuple[Simplex, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.factors:
             raise StructureError("prism needs at least one factor")
         if any(f.is_empty for f in self.factors):
             raise StructureError("prism factors must be nonempty (use EMPTY_SIMPLEX alone)")
+        object.__setattr__(self, "_hash", hash((self.factors,)))  # the generated hash, once
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def dim(self) -> int:

@@ -39,6 +39,7 @@ place that imports numpy (when it runs, so `import prismal` never loads it).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -46,7 +47,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .mesh import Simplex, SimplicialMorphism
-from .forms import (Chart, CoordMap, CoordSystem, Form, FormError, Poly,
+from .forms import (Chart, CoordMap, CoordSystem, Form, FormError, Poly, _mul_into,
                     base_volume_residual, canonicalize, d, eliminate_poly,
                     elimination_chart, equal_mod_relations,
                     pi_context, poincare_primitive, pullback, restrict_to_face,
@@ -516,8 +517,9 @@ def descend_form(H: Form, sctx: CoordSystem) -> tuple[Form, tuple[int, ...]]:
     W_dv wedges du_j for each dt_j and u_j dlambda - lambda du_j (the
     cleared d(lambda/u_j), den 2) for each dmu.  Over the common
     denominator u^m, the terms are grouped by dv and by their leftover
-    power u^(a + m - den), so each power of u expands once per group; the
-    products run in ints, scaled by the common denominator of H.
+    power u^(a + m - den), so each power of u expands once per group.  The
+    products run on int numerators, over the lcm `scale` of the
+    denominators of H, and N accumulates in one int dict per wedge.
     """
     pctx = H.ctx
     base_tag, base_verts = pctx.groups[0]
@@ -540,7 +542,7 @@ def descend_form(H: Form, sctx: CoordSystem) -> tuple[Form, tuple[int, ...]]:
         j, x = lam[i]
         return Form.d_var(sctx, x) * us[j] - dus[j] * Poly.variable(sctx, x)
 
-    scale = math.lcm(1, *(c.denominator for p in H.terms.values() for c in p.terms.values()))
+    scale = H.den
     wedges: dict[tuple[int, ...], Form] = {}
     terms = []  # (dv, den, a, lambda exponents, scale * c)
     for dv, p in H.terms.items():
@@ -553,7 +555,8 @@ def descend_form(H: Form, sctx: CoordSystem) -> tuple[Form, tuple[int, ...]]:
         if w.is_zero:
             continue
         wedges[dv] = w
-        for e, c in p.terms.items():
+        lift = scale // p.den
+        for e, c in p.num.items():
             den, a, b = dv_den[:], [0] * nfib, [0] * sctx.nvars
             for i, n in enumerate(e):
                 if not n:
@@ -564,7 +567,7 @@ def descend_form(H: Form, sctx: CoordSystem) -> tuple[Form, tuple[int, ...]]:
                     j, x = lam[i]
                     den[j] += n
                     b[x] += n
-            terms.append((dv, den, a, tuple(b), c.numerator * (scale // c.denominator)))
+            terms.append((dv, den, a, tuple(b), c * lift))
 
     if not terms:
         return Form.zero(sctx), (0,) * nfib
@@ -575,24 +578,17 @@ def descend_form(H: Form, sctx: CoordSystem) -> tuple[Form, tuple[int, ...]]:
         mons = groups.setdefault(dv, {}).setdefault(k, {})
         mons[b] = mons.get(b, 0) + c
 
-    powers: dict[tuple[int, int], Poly] = {}
-
-    def u_power(k: tuple[int, ...]) -> Poly:
-        out = Poly.const(sctx, 1)
-        for j, n in enumerate(k):
-            if n:
-                if (j, n) not in powers:
-                    powers[(j, n)] = us[j] ** n
-                out = out * powers[(j, n)]
-        return out
-
-    out = Form.zero(sctx)
+    power = functools.cache(lambda j, n: us[j] ** n)
+    # the cleared wedges and the powers of u have int coefficients (den 1)
+    acc: dict[tuple[int, ...], dict] = {}
     for dv, by_k in groups.items():
-        coeff = Poly.zero(sctx)
+        coeff: dict = {}
         for k, mons in by_k.items():
-            coeff = coeff + Poly(sctx, mons) * u_power(k)
-        out = out + wedges[dv] * coeff
-    return (out if scale == 1 else out * Q(1, scale)), m
+            u_k = math.prod((power(j, n) for j, n in enumerate(k) if n), start=Poly.const(sctx, 1))
+            _mul_into(coeff, mons, u_k.num)
+        for w, p in wedges[dv].terms.items():
+            _mul_into(acc.setdefault(w, {}), p.num, coeff)
+    return Form._from_acc(sctx, acc, scale), m
 
 
 def check_descent(H: Form, psi: CoordMap,

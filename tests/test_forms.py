@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction as Q
 
 import pytest
@@ -8,7 +9,7 @@ from prismal.mesh import Prism, Simplex, incidence_number
 from prismal.forms import (CoordMap, DegreeError,
                            Form, FormError, Poly, base_volume_residual,
                            canonicalize, d, de_form,
-                           eliminate, elimination_chart,
+                           eliminate, eliminate_poly, elimination_chart,
                            equal_mod_relations,
                            integrate_fiber,
                            integrate_top_form, is_fiberwise_zero, pi_context,
@@ -616,3 +617,220 @@ def test_stokes_prisms_low_dims():
                              * Poly.variable(ctx, 0))
         for b in cases:
             assert _prism_stokes(p, b)
+
+
+# ---------------------------------------------------------------------------
+# One denominator per polynomial: the kernel against a plain-Fraction model
+# ---------------------------------------------------------------------------
+#
+# The model keeps a polynomial as {exponents: Fraction} and a form as
+# {wedge: such a dict}, and computes every operation term by term, sharing
+# no code with the kernel.
+
+def r_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Q(0)) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def r_scale(a, k):
+    return {e: c * k for e, c in a.items() if c * k}
+
+
+def r_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, Q(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def r_diff(a, i):
+    return {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in a.items() if e[i]}
+
+
+def r_subst(a, images, nvars):
+    out = {}
+    for e, c in a.items():
+        term = {(0,) * nvars: Q(c)}
+        for i, n in enumerate(e):
+            for _ in range(n):
+                term = r_mul(term, images[i])
+        out = r_add(out, term)
+    return out
+
+
+def r_form_add(x, y):
+    out = dict(x)
+    for dv, p in y.items():
+        out[dv] = r_add(out.get(dv, {}), p)
+    return {dv: p for dv, p in out.items() if p}
+
+
+def r_wedge(x, y):
+    out = {}
+    for dv1, p1 in x.items():
+        for dv2, p2 in y.items():
+            dv = dv1 + dv2
+            if len(set(dv)) < len(dv):
+                continue
+            inversions = sum(dv[i] > dv[j] for i in range(len(dv)) for j in range(i + 1, len(dv)))
+            out = r_form_add(out, {tuple(sorted(dv)): r_scale(r_mul(p1, p2), (-1) ** inversions)})
+    return out
+
+
+def r_d(x, nvars):
+    out = {}
+    for i in range(nvars):
+        dxi = {(i,): {(0,) * nvars: Q(1)}}
+        out = r_form_add(out, r_wedge(dxi, {dv: r_diff(p, i) for dv, p in x.items()}))
+    return out
+
+
+def r_pullback(images, x, nvars):
+    out = {}
+    for dv, p in x.items():
+        term = {(): r_subst(p, images, nvars)}
+        for i in dv:
+            term = r_wedge(term, r_d({(): images[i]}, nvars))
+        out = r_form_add(out, term)
+    return out
+
+
+def model(obj):
+    if isinstance(obj, Form):
+        return {dv: model(p) for dv, p in obj.terms.items()}
+    return {e: Q(c) for e, c in obj.terms.items()}
+
+
+def assert_lowest(p):
+    """The stored invariant, and `.terms` as the view of num over den."""
+    assert type(p.den) is int and p.den >= 1
+    assert all(type(c) is int and c for c in p.num.values())
+    assert math.gcd(p.den, *p.num.values()) == 1
+    for e, c in p.terms.items():
+        assert type(c) is (int if Q(c).denominator == 1 else Q)
+        assert c == Q(p.num[e], p.den)
+    assert len(p.terms) == len(p.num)
+
+
+def assert_lowest_form(a):
+    for p in a.terms.values():
+        assert p
+        assert_lowest(p)
+
+
+FRACTIONS = st.builds(Q, st.integers(-6, 6), st.integers(1, 6))
+# int coefficients only (den = 1), or ints and Fractions with mixed denominators
+COEFFS = st.sampled_from([st.integers(-4, 4), st.integers(-4, 4) | FRACTIONS])
+
+
+def kpolys(ctx, max_exp=2):
+    exps = st.tuples(*[st.integers(0, max_exp)] * ctx.nvars)
+    return COEFFS.flatmap(
+        lambda coeffs: st.dictionaries(exps, coeffs, max_size=4).map(lambda t: Poly(ctx, t)))
+
+
+def kforms(ctx, max_degree=2):
+    wedges = [dv for k in range(max_degree + 1) for dv in itertools.combinations(range(ctx.nvars), k)]
+    return st.dictionaries(st.sampled_from(wedges), kpolys(ctx, 1), max_size=3).map(
+        lambda t: Form(ctx, t))
+
+
+def kernel_maps(source, target):
+    """Monomial maps (fractional constants included) and multi-term maps."""
+    general = st.lists(kpolys(source, 1), min_size=target.nvars, max_size=target.nvars).map(
+        lambda images: CoordMap.build(source, target, dict(zip(target.names, images))))
+    return monomial_maps(source, target) | general
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+def test_poly_kernel_matches_a_fraction_model(data):
+    a = data.draw(kpolys(PCTX))
+    # b = c - a makes a + b cancel down to c, zero included
+    b = data.draw(kpolys(PCTX) | kpolys(PCTX).map(lambda c: c - a))
+    k, f = data.draw(st.integers(-3, 3)), data.draw(FRACTIONS)
+    ra, rb = model(a), model(b)
+    checks = [(a + b, r_add(ra, rb)), (a - b, r_add(ra, r_scale(rb, -1))),
+              (-a, r_scale(ra, -1)), (a * b, r_mul(ra, rb)),
+              (a * k, r_scale(ra, k)), (k * a, r_scale(ra, k)),
+              (a * f, r_scale(ra, f)), (f * a, r_scale(ra, f))]
+    checks += [(a.diff(i), r_diff(ra, i)) for i in range(PCTX.nvars)]
+    n = PCTX.nvars
+    one = {(0,) * n: Q(1)}
+
+    def unit(v):
+        return tuple(int(j == v) for j in range(n))
+    for drops in ((1, 2, 4), (0, 3)):
+        # x_drop = 1 - (the rest of its group); every other variable stays
+        images = [r_add(one, {unit(v): Q(-1) for v in PCTX.group_vars[PCTX.group_of[i]] if v != i})
+                  if i in drops else {unit(i): Q(1)} for i in range(n)]
+        checks.append((eliminate_poly(a, elimination_chart(PCTX, drops)), r_subst(ra, images, n)))
+    for got, want in checks:
+        assert_lowest(got)
+        assert model(got) == want
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(kpolys(PCTX), kernel_maps(CTX3, PCTX))
+def test_substitute_matches_a_fraction_model(a, m):
+    got = a.substitute(dict(enumerate(m.image_list)), CTX3)
+    assert_lowest(got)
+    assert model(got) == r_subst(model(a), [model(p) for p in m.image_list], CTX3.nvars)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(kforms(CTX3), kforms(CTX3), kforms(CTX4), kernel_maps(CTX3, CTX4))
+def test_form_kernel_matches_a_fraction_model(x, y, z, m):
+    images = [model(p) for p in m.image_list]
+    # the chart dropping l:1 is the pullback through l:1 = 1 - l:0 - l:2
+    chart_images = [{(1, 0, 0): Q(1)}, {(0, 0, 0): Q(1), (1, 0, 0): Q(-1), (0, 0, 1): Q(-1)},
+                    {(0, 0, 1): Q(1)}]
+    checks = [(wedge(x, y), r_wedge(model(x), model(y))), (d(x), r_d(model(x), CTX3.nvars)),
+              (pullback(m, z), r_pullback(images, model(z), CTX3.nvars)),
+              (eliminate(x, elimination_chart(CTX3, (1,))), r_pullback(chart_images, model(x), 3))]
+    for got, want in checks:
+        assert_lowest_form(got)
+        assert model(got) == want
+
+
+def test_form_scalar_rejects_floats():
+    with pytest.raises(FormError):
+        Form.d_var(CTX3, 0) * 0.1
+    with pytest.raises(FormError):
+        0.1 * Form.d_var(CTX3, 0)
+    with pytest.raises(FormError):
+        Form.zero(CTX3) * 0.5
+
+
+def test_poly_constructor_rejects_non_rational_coefficients():
+    for bad in (0.1, 1.0, "1/2", None):
+        with pytest.raises(FormError):
+            Poly(CTX3, {(1, 0, 0): bad})
+        with pytest.raises(FormError):
+            Poly.const(CTX3, bad)
+
+
+def test_poly_scalar_product_rejects_floats():
+    x = Poly.variable(CTX3, 0)
+    with pytest.raises(FormError):
+        x * 0.1
+    with pytest.raises(FormError):
+        0.1 * x
+
+
+def test_poly_sum_and_difference_reject_floats():
+    x = Poly.variable(CTX3, 0)
+    for op in (lambda: x + 0.5, lambda: 0.5 + x, lambda: x - 0.5, lambda: 0.5 - x):
+        with pytest.raises(FormError):
+            op()
+
+
+def test_poly_equality_with_foreign_types():
+    x = Poly.variable(CTX3, 0)
+    assert x.__eq__("x") is NotImplemented and x.__eq__(0.5) is NotImplemented
+    assert x != "x" and not (x == "x") and x != 0.5
+    assert Poly.const(CTX3, Q(3, 1)) == 3 and Poly.zero(CTX3) == 0 and x != 1

@@ -203,6 +203,19 @@ def test_simplex_vertex_set_is_built_once():
     assert sorted([S(1), S(0, 2), S(0, 1)]) == [S(0, 1), S(0, 2), S(1)]
 
 
+def test_cell_hashes_are_stored_and_keep_the_generated_values():
+    # the values a frozen dataclass generates from its compared fields, so
+    # no set or dict of cells changes its order
+    s, t = S(2, 0, 1), S(5, 3)
+    p = Prism((s, t))
+    assert hash(s) == hash(((2, 0, 1),)) and hash(t) == hash(((5, 3),))
+    assert hash(p) == hash(((((2, 0, 1),), ((5, 3),)),))
+    assert hash(p) == hash((p.factors,))
+    assert s._hash == hash(s) and p._hash == hash(p)
+    assert p == Prism((S(2, 0, 1), S(5, 3))) and p != Prism((t, s))
+    assert repr(p) == "<2,0,1>x<5,3>" and sorted([Prism((t,)), p]) == [p, Prism((t,))]
+
+
 def test_fiber_product_identity_recovers_source():
     cx = SimplicialComplex([S(0, 1, 2)])
     base = SimplicialComplex([S(100, 101)])
