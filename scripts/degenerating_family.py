@@ -14,9 +14,10 @@ import argparse
 from prismal.fixtures import triangle_fan
 from prismal.forms import Form, Poly, d, simplex_context
 from prismal.io import dump_json
+from prismal.mesh import Prism
 from prismal.primitive import build_relative_primitive, verify_theodg
 from prismal.sheaf import (build_Pf, build_Sf, check_Pf_characterization,
-                           check_Sf_characterization, fiber_structure)
+                           check_Sf_characterization)
 
 
 def exact_input(f, pairs):
@@ -44,7 +45,7 @@ def main():
     print("raw-preimage characterization:", check_Sf_characterization(sf)[0])
     print("trivialized characterization: ", check_Pf_characterization(pf)[0])
     for tau in sorted(f.target.cells):
-        pieces = sorted(fiber_structure(pf, tau))
+        pieces = sorted({Prism(f.fibers(s)) for s in f.maximal_over(tau)})
         print(f"fiber type over {tau}: {pieces}")
 
     omega = exact_input(f, [(2, 3), (3, 4), (0, 3), (3, 5)])

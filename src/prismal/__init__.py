@@ -9,9 +9,9 @@ as an executable check.
 
 __version__ = "0.1.0"
 
-from .mesh import (FiberProduct, Prism, PrismalSet, Simplex, SimplicialComplex,
-                   SimplicialMorphism, boundary_chain, faces, incidence_number,
-                   join, prism_boundary, prism_incidence)
+from .mesh import (Prism, PrismalSet, Simplex, SimplicialComplex, SimplicialMorphism,
+                   boundary_chain, faces, incidence_number, join, prism_boundary,
+                   prism_incidence)
 from .forms import (CoordMap, CoordSystem, Form, Poly, canonicalize, d,
                     de_form, equal_mod_relations, integrate_fiber,
                     integrate_top_form, is_fiberwise_zero, pi_context,
@@ -19,9 +19,7 @@ from .forms import (CoordMap, CoordSystem, Form, Poly, canonicalize, d,
                     restrict_to_face, simplex_context, vertical_part, wedge,
                     whitney, whitney_antiboundary, whitney_extended,
                     whitney_prism, whitney_relative)
-from .sheaf import (PrismalSheaf, build_Pf, build_Sf,
-                    check_Pf_characterization, check_Sf_characterization,
-                    fiber_structure, is_equidimensional, psi_coordinate_map,
-                    psi_morphism, theta_sigma)
+from .sheaf import (PrismalSheaf, build_Pf, build_Sf, check_Pf_characterization,
+                    check_Sf_characterization, psi_coordinate_map, psi_morphism)
 from .primitive import (RelativePrimitive, build_relative_primitive,
                         check_horizontal)

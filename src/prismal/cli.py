@@ -70,8 +70,7 @@ def cmd_sheaf(args) -> int:
     except (ValidationError, MeshError) as exc:
         return _validation_error(exc)
     ok_s, wit_s = check_Sf_characterization(sf)
-    res_p = check_Pf_characterization(pf)
-    ok_p, wit_p = res_p[0], res_p[1]
+    ok_p, wit_p = check_Pf_characterization(pf)
     print(f"raw-preimage sheaf characterization: {'pass' if ok_s else 'FAIL: ' + str(wit_s)}")
     print(f"trivialized sheaf characterization: {'pass' if ok_p else 'FAIL: ' + str(wit_p)}")
     if args.dump_sheaf:

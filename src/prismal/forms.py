@@ -112,10 +112,6 @@ class CoordSystem:
     def nvars(self) -> int:
         return len(self.names)
 
-    @property
-    def cell_dim(self) -> int:
-        return self.nvars - len(self.groups)
-
     @functools.cached_property
     def base_groups(self) -> tuple[int, ...]:
         return tuple(g for g, (tag, _) in enumerate(self.groups) if tag == BASE_TAG)
@@ -746,20 +742,21 @@ def elimination_chart(ctx: CoordSystem, drops: Iterable[int]) -> Chart:
     return tuple(chart)
 
 
-# bounded, because one process may meet many contexts; module-level, so that
-# `cache_clear` can reset them between independent runs
+# bounded, because one process may meet many group layouts; module-level, so
+# that `cache_clear` can reset them between independent runs
 @functools.lru_cache(maxsize=1 << 10)
-def _one_minus_power(ctx: CoordSystem, drop: int, k: int) -> dict:
+def _one_minus_power(group_vars: tuple[tuple[int, ...], ...], drop: int, k: int) -> dict:
     """(1 - sum of the other variables of drop's group)^k, int coefficients.
 
-    The dropped variable fixes its group, so charts that drop the same
-    variable share these powers.  Callers must not mutate the result.
+    Keyed on the group layout (`ctx.group_vars`), so contexts with the same
+    group sizes share these powers, as do charts that drop the same
+    variable.  Callers must not mutate the result.
     """
     if k == 0:
-        return {(0,) * ctx.nvars: 1}
-    rest = [i for i in ctx.group_vars[ctx.group_of[drop]] if i != drop]
+        return {(0,) * sum(map(len, group_vars)): 1}
+    rest = [i for g in group_vars if drop in g for i in g if i != drop]
     acc: dict = {}
-    for e, c in _one_minus_power(ctx, drop, k - 1).items():
+    for e, c in _one_minus_power(group_vars, drop, k - 1).items():
         acc[e] = acc.get(e, 0) + c
         for i in rest:
             e2 = e[:i] + (e[i] + 1,) + e[i + 1:]
@@ -768,14 +765,17 @@ def _one_minus_power(ctx: CoordSystem, drop: int, k: int) -> dict:
 
 
 @functools.lru_cache(maxsize=1 << 16)
-def _wedge_expansion(ctx: CoordSystem, chart: Chart, dv: tuple[int, ...]
-                     ) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """The wedge dv in the chart, as (sorted wedge, int coefficient) pairs."""
+def _wedge_expansion(group_vars: tuple[tuple[int, ...], ...], chart: Chart,
+                     dv: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The wedge dv in the chart, as (sorted wedge, int coefficient) pairs.
+
+    Keyed on the group layout (`ctx.group_vars`), like `_one_minus_power`.
+    """
     terms: dict[tuple[int, ...], int] = {(): 1}
     for i in dv:
-        g = ctx.group_of[i]
+        g = next(g for g, vs in enumerate(group_vars) if i in vs)
         if chart[g] == i:
-            factors = [(j, -1) for j in ctx.group_vars[g] if j != i]
+            factors = [(j, -1) for j in group_vars[g] if j != i]
         else:
             factors = [(i, 1)]
         nxt: dict[tuple[int, ...], int] = {}
@@ -807,7 +807,7 @@ def _substitute_drops(ctx: CoordSystem, drops: tuple[int, ...], num: Mapping) ->
             continue
         acc = groups.pop(0, {})
         for k, mons in groups.items():
-            _mul_into(acc, mons, _one_minus_power(ctx, i, k))
+            _mul_into(acc, mons, _one_minus_power(ctx.group_vars, i, k))
         cur = {e: c for e, c in acc.items() if c}
     return cur
 
@@ -823,7 +823,7 @@ def eliminate(a: Form, chart: Chart) -> Form:
     den = a.den
     acc: dict[tuple[int, ...], dict] = {}
     for dv, p in a.terms.items():
-        expansion = _wedge_expansion(ctx, chart, dv)
+        expansion = _wedge_expansion(ctx.group_vars, chart, dv)
         if not expansion:
             continue
         coeff = _substitute_drops(ctx, drops, p.num)

@@ -75,11 +75,6 @@ def _vertex(v) -> int:
 # Complexes and morphisms
 # ---------------------------------------------------------------------------
 
-def complex_to_dict(cx: SimplicialComplex) -> dict:
-    return {"vertices": list(cx.vertices),
-            "maximal_simplices": [list(m.vertices) for m in cx.maximal]}
-
-
 def complex_from_dict(dd: dict) -> SimplicialComplex:
     cells = []
     for raw in _list(_field(dd, "maximal_simplices", "complex file"), "maximal_simplices"):
@@ -105,10 +100,6 @@ def morphism_from_dict(dd: dict, source: SimplicialComplex,
         return SimplicialMorphism(source, target, vmap)
     except StructureError as exc:
         raise ValidationError(str(exc)) from exc
-
-
-def morphism_to_dict(f: SimplicialMorphism) -> dict:
-    return {"vertex_map": {str(k): str(v) for k, v in sorted(f.vertex_map.items())}}
 
 
 # ---------------------------------------------------------------------------

@@ -90,13 +90,6 @@ class Simplex:
     def sorted(self) -> "Simplex":
         return Simplex(tuple(sorted(self.vertices)))
 
-    def reversed_orientation(self) -> "Simplex":
-        if len(self.vertices) < 2:
-            return self
-        v = list(self.vertices)
-        v[0], v[1] = v[1], v[0]
-        return Simplex(tuple(v))
-
     def orientation_sign(self, other: "Simplex") -> int:
         """+1/-1 comparing stored orientations of the same vertex set."""
         return reorder_sign(self.vertices, other.vertices)
@@ -158,21 +151,6 @@ def boundary_chain(s: Simplex) -> dict[Simplex, int]:
     if s.is_empty or s.dim < 1:
         raise DimensionError(f"boundary needs dim >= 1, got {s}")
     return {s.facet_omitting(i): (-1) ** i for i in range(len(s.vertices))}
-
-
-def chain_boundary(chain: dict, boundary_fn) -> dict:
-    """Apply a boundary operator linearly to a chain, dropping zeros."""
-    out: dict = {}
-    for cell, coeff in chain.items():
-        if cell.dim < 1:
-            continue
-        for face, sign in boundary_fn(cell).items():
-            c = out.get(face, 0) + coeff * sign
-            if c:
-                out[face] = c
-            else:
-                out.pop(face, None)
-    return out
 
 
 def join(parts: Iterable[Simplex]) -> Simplex:
@@ -413,61 +391,4 @@ class SimplicialMorphism:
     def restriction_to(self, s: Simplex, tau: Simplex) -> Simplex:
         """s ∩ f^{-1}(tau): vertices of s mapping into tau (may be empty)."""
         return Simplex(tuple(v for v in s.vertices if self.vertex_map[v] in tau.vset))
-
-
-def staircase_simplices(a: Simplex, b: Simplex):
-    """Standard triangulation of a x b by monotone staircase paths.
-
-    Yields tuples of (vertex-of-a, vertex-of-b) pairs; each tuple is a
-    (dim a + dim b)-simplex of the product.
-    """
-    na, nb = len(a.vertices), len(b.vertices)
-    for ups in itertools.combinations(range(na + nb - 2), na - 1) if na + nb > 2 else [()]:
-        path = [(0, 0)]
-        i = j = 0
-        for step in range(na + nb - 2):
-            if step in ups:
-                i += 1
-            else:
-                j += 1
-            path.append((i, j))
-        yield tuple((a.vertices[i], b.vertices[j]) for i, j in path)
-
-
-class FiberProduct:
-    """Fiber product of two simplicial morphisms with a common target.
-
-    The point set {(x1, x2) : f1(x1) = f2(x2)} is covered by cells indexed by
-    pairs of source simplices with equal image; each such locus is an
-    iterated join of products of fiber pieces and is triangulated by joins of
-    staircase simplices, so every cell is a (single-factor) prism.
-    """
-
-    def __init__(self, f1: SimplicialMorphism, f2: SimplicialMorphism):
-        if f1.target is not f2.target and f1.target.cells != f2.target.cells:
-            raise StructureError("fiber product needs a common target")
-        self.f1, self.f2 = f1, f2
-        pair_ids: dict[tuple[int, int], int] = {}
-
-        def pid(pair):
-            if pair not in pair_ids:
-                pair_ids[pair] = len(pair_ids)
-            return pair_ids[pair]
-
-        cells: set[Simplex] = set()
-        for s1 in f1.source.cells:
-            t1 = f1.image(s1)
-            for s2 in f2.source.cells:
-                if f2.image(s2) != t1:
-                    continue
-                fibers1 = f1.fibers(s1)
-                fibers2 = f2.fibers(s2)
-                # per target vertex, triangulate the product of fiber pieces
-                per_vertex = [list(staircase_simplices(a, b))
-                              for a, b in zip(fibers1, fibers2)]
-                for combo in itertools.product(*per_vertex):
-                    verts = tuple(pid(p) for block in combo for p in block)
-                    cells.add(Simplex(verts))
-        self.vertex_pairs = {i: pair for pair, i in pair_ids.items()}
-        self.cells = PrismalSet([Prism.from_simplex(c) for c in cells])
 

@@ -20,22 +20,10 @@ vertices that are lost and intersects the base factor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Iterable
 
-from .mesh import (MeshError, Prism, PrismalSet, Simplex, SimplicialComplex,
-                   SimplicialMorphism, join)
+from .mesh import Prism, PrismalSet, Simplex, SimplicialComplex, SimplicialMorphism, join
 from .forms import CoordMap, Poly, pi_context, simplex_context
-
-Q = Fraction
-
-
-class SheafError(MeshError):
-    pass
-
-
-class BoundaryFiberError(SheafError):
-    """Raised when a point has no interior image and a fiber chart fails."""
 
 
 @dataclass
@@ -56,13 +44,6 @@ class CellMorphism:
 
     def is_surjective_onto(self, cells: Iterable[Prism]) -> bool:
         return set(cells) <= set(self.cells.values())
-
-    def compose(self, earlier: "CellMorphism") -> "CellMorphism":
-        """self o earlier (earlier applied first)."""
-        out: dict[Prism, Prism | None] = {}
-        for p, q in earlier.cells.items():
-            out[p] = None if q is None else self.cells[q]
-        return CellMorphism(out)
 
 
 @dataclass
@@ -90,9 +71,6 @@ class PrismalSheaf:
                 if tau_f != tau and tau_f.vset < tau.vset:
                     yield tau_f, tau
 
-    def dim_rel(self, cell: Prism, tau: Simplex) -> int:
-        img = self.proj(tau)(cell)
-        return cell.dim - (img.dim if img is not None else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -195,31 +173,6 @@ def psi_morphism(f: SimplicialMorphism) -> dict[Simplex, CellMorphism]:
 # Coordinate charts
 # ---------------------------------------------------------------------------
 
-def theta_sigma(f: SimplicialMorphism, sigma: Simplex, lam: dict[int, Fraction]):
-    """Fiberwise chart of a point of sigma with interior image.
-
-    Returns (t, mus): the base barycentric coordinates t_j = sum of the
-    fiber block, and per fiber the renormalized coordinates.  Raises
-    BoundaryFiberError when some block sum vanishes.
-    """
-    tau = f.image(sigma)
-    fibers = f.fibers(sigma)
-    t = []
-    mus = []
-    for fib in fibers:
-        tj = sum((Q(lam.get(v, 0)) for v in fib.vertices), Q(0))
-        t.append(tj)
-    total = sum(t)
-    if total != 1:
-        raise SheafError(f"barycentric coordinates sum to {total}, expected 1")
-    for fib, tj in zip(fibers, t):
-        if tj == 0:
-            raise BoundaryFiberError(
-                f"point lies over the boundary of {tau}: zero mass on {fib}")
-        mus.append([Q(lam.get(v, 0)) / tj for v in fib.vertices])
-    return t, mus
-
-
 def psi_coordinate_map(f: SimplicialMorphism, sigma: Simplex) -> CoordMap:
     """The substitution lambda_i = t_j mu_{j,i} as a polynomial map from the
     trivial-prism context onto the simplex context."""
@@ -274,69 +227,35 @@ def check_Sf_characterization(F: PrismalSheaf):
 
 
 def check_Pf_characterization(F: PrismalSheaf):
-    """Decide whether a sheaf is a trivialized sheaf; on success also return
-    the reconstructed raw stalks (joins of the fiber factors)."""
+    """Decide whether a sheaf is a trivialized sheaf.
+
+    Returns (ok, witness).  Conditions: every maximal cell over tau is tau
+    times one fiber slot per vertex of tau, and each specialization is
+    surjective and sends every maximal cell to a cell whose fiber factors
+    are among its own.
+    """
     for tau, stalk in F.stalks.items():
         s = tau.dim
         for c in stalk.maximal:
             if len(c.factors) != s + 2:
-                return False, f"cell {c} over {tau} is not tau x {s + 1} fiber slots", None
+                return False, f"cell {c} over {tau} is not tau x {s + 1} fiber slots"
             if c.factors[0].vset != tau.vset:
-                return False, f"cell {c} over {tau} does not have base factor {tau}", None
+                return False, f"cell {c} over {tau} does not have base factor {tau}"
     for tau_f, tau in F.face_pairs():
         h = F.spec(tau_f, tau)
         if not h.is_surjective_onto(F.stalk(tau_f).cells):
-            return False, f"specialization {tau}->{tau_f} not surjective", None
+            return False, f"specialization {tau}->{tau_f} not surjective"
         for c in F.stalk(tau).maximal:
             img = h(c)
             if img is None:
-                return False, f"maximal cell {c} dies under {tau}->{tau_f}", None
+                return False, f"maximal cell {c} dies under {tau}->{tau_f}"
             leftover = list(c.factors[1:])
             for g in img.factors[1:]:
                 if g in leftover:
                     leftover.remove(g)
                 else:
-                    return False, f"{c}: factor {g} of {img} is not a factor", None
-    recon = {tau: {_blow_down(c, tau) for c in stalk.maximal}
-             for tau, stalk in F.stalks.items()}
-    return True, None, recon
-
-
-def is_equidimensional(F: PrismalSheaf, cell: Prism, tau: Simplex, tau_f: Simplex) -> bool:
-    """Relative dimension does not drop under specialization to tau_f."""
-    h = F.spec(tau_f, tau)
-    img = h(cell)
-    if img is None:
-        return False
-    return F.dim_rel(img, tau_f) == F.dim_rel(cell, tau)
-
-
-def fiber_structure(F: PrismalSheaf, tau: Simplex) -> frozenset[Prism]:
-    """Decompose the stalk over the open simplex as tau x (union of products)
-    and return the frozenset of product pieces.
-
-    Works for trivial stalks (drop the base factor) and for simplex stalks
-    with vertex-level projection data (split by base vertex)."""
-    pieces: set[Prism] = set()
-    e = F.proj(tau)
-    for c in F.stalk(tau).maximal:
-        img = e(c)
-        if img is None or img.factors[0].vset != tau.vset:
-            continue
-        if len(c.factors) == tau.dim + 2 and c.factors[0].vset == tau.vset:
-            pieces.add(Prism(c.factors[1:]))
-            continue
-        if len(c.factors) == 1:
-            s = c.as_simplex()
-            vmap = e.vertex_images.get(c, {})
-            blocks = []
-            for y in tau.vertices:
-                block = tuple(v for v in s.vertices if vmap.get((v,), (None,))[0] == y)
-                blocks.append(Simplex(block))
-            pieces.add(Prism(tuple(blocks)))
-            continue
-        raise SheafError(f"cannot decompose cell {c} over {tau}")
-    return frozenset(pieces)
+                    return False, f"{c}: factor {g} of {img} is not a factor"
+    return True, None
 
 
 # ---------------------------------------------------------------------------
@@ -347,17 +266,8 @@ def _cell_key(p: Prism) -> str:
     return "|".join(",".join(map(str, f.vertices)) for f in p.factors)
 
 
-def _cell_from_key(key: str) -> Prism:
-    return Prism(tuple(Simplex(tuple(int(v) for v in part.split(",") if v != ""))
-                       for part in key.split("|")))
-
-
 def _tau_key(tau: Simplex) -> str:
     return ",".join(map(str, tau.vertices))
-
-
-def _tau_from_key(key: str) -> Simplex:
-    return Simplex(tuple(int(v) for v in key.split(","))).sorted()
 
 
 def _memo_key(keys: dict[Prism, str], c: Prism) -> str:
@@ -382,18 +292,6 @@ def _morphism_to_dict(m: CellMorphism, keys: dict[Prism, str]) -> dict:
     return out
 
 
-def _morphism_from_dict(dd: dict) -> CellMorphism:
-    cells = {
-        _cell_from_key(k): None if v is None else _cell_from_key(v)
-        for k, v in dd.get("cells", {}).items()}
-    verts: dict[Prism, dict[tuple, tuple]] = {}
-    for ck, vm in dd.get("vertices", {}).items():
-        verts[_cell_from_key(ck)] = {
-            tuple(int(x) for x in k.split(",")): tuple(int(x) for x in v.split(","))
-            for k, v in vm.items()}
-    return CellMorphism(cells, verts)
-
-
 def sheaf_to_dict(F: PrismalSheaf) -> dict:
     keys: dict[Prism, str] = {}
     return {
@@ -409,13 +307,3 @@ def sheaf_to_dict(F: PrismalSheaf) -> dict:
             for (tf, t), m in sorted(F.specialization.items())},
     }
 
-
-def sheaf_from_dict(dd: dict) -> PrismalSheaf:
-    base = SimplicialComplex([Simplex(tuple(v)) for v in dd["base"]["maximal_simplices"]])
-    stalks = {_tau_from_key(tk): PrismalSet([_cell_from_key(c) for c in cells])
-              for tk, cells in dd["stalks"].items()}
-    projection = {_tau_from_key(tk): _morphism_from_dict(m)
-                  for tk, m in dd["projection"].items()}
-    specialization = {tuple(map(_tau_from_key, key.split("<"))): _morphism_from_dict(m)
-                      for key, m in dd.get("specializations", {}).items()}
-    return PrismalSheaf(base, stalks, projection, specialization)

@@ -1,0 +1,85 @@
+"""Tools the tests use to check the package: a chain boundary, orientation
+reversal, writers of CLI inputs, a sheaf reader and cell-map composition."""
+
+from prismal.mesh import Prism, PrismalSet, Simplex, SimplicialComplex, SimplicialMorphism
+from prismal.sheaf import CellMorphism, PrismalSheaf
+
+
+def chain_boundary(chain: dict, boundary_fn) -> dict:
+    """Apply a boundary operator linearly to a chain, dropping zeros."""
+    out: dict = {}
+    for cell, coeff in chain.items():
+        if cell.dim < 1:
+            continue
+        for face, sign in boundary_fn(cell).items():
+            c = out.get(face, 0) + coeff * sign
+            if c:
+                out[face] = c
+            else:
+                out.pop(face, None)
+    return out
+
+
+def reversed_orientation(s: Simplex) -> Simplex:
+    """s with its first two vertices swapped."""
+    if len(s.vertices) < 2:
+        return s
+    v = list(s.vertices)
+    v[0], v[1] = v[1], v[0]
+    return Simplex(tuple(v))
+
+
+# ---------------------------------------------------------------------------
+# CLI inputs
+# ---------------------------------------------------------------------------
+
+def complex_to_dict(cx: SimplicialComplex) -> dict:
+    return {"vertices": list(cx.vertices),
+            "maximal_simplices": [list(m.vertices) for m in cx.maximal]}
+
+
+def morphism_to_dict(f: SimplicialMorphism) -> dict:
+    return {"vertex_map": {str(k): str(v) for k, v in sorted(f.vertex_map.items())}}
+
+
+# ---------------------------------------------------------------------------
+# Sheaves
+# ---------------------------------------------------------------------------
+
+def compose(later: CellMorphism, earlier: CellMorphism) -> CellMorphism:
+    """later o earlier (earlier applied first), on cells."""
+    return CellMorphism({p: None if q is None else later.cells[q]
+                         for p, q in earlier.cells.items()})
+
+
+def _cell_from_key(key: str) -> Prism:
+    return Prism(tuple(Simplex(tuple(int(v) for v in part.split(",") if v != ""))
+                       for part in key.split("|")))
+
+
+def _tau_from_key(key: str) -> Simplex:
+    return Simplex(tuple(int(v) for v in key.split(","))).sorted()
+
+
+def _morphism_from_dict(dd: dict) -> CellMorphism:
+    cells = {
+        _cell_from_key(k): None if v is None else _cell_from_key(v)
+        for k, v in dd.get("cells", {}).items()}
+    verts: dict[Prism, dict[tuple, tuple]] = {}
+    for ck, vm in dd.get("vertices", {}).items():
+        verts[_cell_from_key(ck)] = {
+            tuple(int(x) for x in k.split(",")): tuple(int(x) for x in v.split(","))
+            for k, v in vm.items()}
+    return CellMorphism(cells, verts)
+
+
+def sheaf_from_dict(dd: dict) -> PrismalSheaf:
+    """The sheaf of a `sheaf_to_dict` dump, or of a hand-written malformed one."""
+    base = SimplicialComplex([Simplex(tuple(v)) for v in dd["base"]["maximal_simplices"]])
+    stalks = {_tau_from_key(tk): PrismalSet([_cell_from_key(c) for c in cells])
+              for tk, cells in dd["stalks"].items()}
+    projection = {_tau_from_key(tk): _morphism_from_dict(m)
+                  for tk, m in dd["projection"].items()}
+    specialization = {tuple(map(_tau_from_key, key.split("<"))): _morphism_from_dict(m)
+                      for key, m in dd.get("specializations", {}).items()}
+    return PrismalSheaf(base, stalks, projection, specialization)

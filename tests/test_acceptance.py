@@ -15,7 +15,7 @@ from prismal.fixtures import (triangle_fan, five_over_two, square_over_edge,
 from prismal.forms import (Form, Poly, d, equal_mod_relations,
                            integrate_fiber, pi_context, simplex_context,
                            whitney_relative)
-from prismal.mesh import Simplex, boundary_chain, chain_boundary, prism_boundary
+from prismal.mesh import Simplex, boundary_chain, prism_boundary
 from prismal.primitive import (build_relative_primitive, extract_A,
                                homothety_operator, oracle_A, ode_solve,
                                verify_theodg)
@@ -26,6 +26,7 @@ from prismal.verify import (prism_universe, simplex_universe,
                             verify_iminve_suite, verify_lemcod,
                             verify_lemcod_basis, verify_satrap_suite,
                             verify_satrapaz_suite)
+from _support import chain_boundary
 
 UCTX_NAMES = tuple(range(6))
 

@@ -14,12 +14,12 @@ from prismal.cli import main
 from prismal.fixtures import (cylinder_over_edge, square_over_edge,
                               tetra_pair_over_triangle, triangle_fan)
 from prismal.forms import CoordSystem, Form, Poly, d, de_form, simplex_context
-from prismal.io import (ValidationError, complex_from_dict, complex_to_dict,
-                        dump_json, form_from_dict, form_to_dict, forms_file_to_inputs,
-                        morphism_from_dict, morphism_to_dict,
+from prismal.io import (ValidationError, complex_from_dict, dump_json, form_from_dict,
+                        form_to_dict, forms_file_to_inputs, morphism_from_dict,
                         rational_from_str)
 from prismal.mesh import Simplex
 from prismal.verify import SUITES
+from _support import complex_to_dict, morphism_to_dict
 from test_primitive import cylinder_cyclic_form
 
 

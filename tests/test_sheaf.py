@@ -7,12 +7,10 @@ from prismal.fixtures import (collapse_edge, cylinder_over_edge, triangle_fan,
                               tetra_pair_over_triangle)
 from prismal.forms import Poly, equal_mod_relations, pullback
 from prismal.mesh import Prism, PrismalSet, Simplex
-from prismal.sheaf import (BoundaryFiberError, build_Pf, build_Sf,
-                           check_Pf_characterization,
-                           check_Sf_characterization, fiber_structure,
-                           is_equidimensional, pi_prism, psi_coordinate_map,
-                           psi_morphism, sheaf_from_dict,
-                           sheaf_to_dict, theta_sigma)
+from prismal.sheaf import (build_Pf, build_Sf, check_Pf_characterization,
+                           check_Sf_characterization, pi_prism, psi_coordinate_map,
+                           psi_morphism, sheaf_to_dict)
+from _support import compose, sheaf_from_dict
 from test_primitive import fibred_grid
 
 
@@ -102,7 +100,7 @@ def test_specialization_functoriality_cellwise():
                         if not tau_pp.vset < tau_p.vset:
                             continue
                         one = F.spec(tau_pp, tau)
-                        two = F.spec(tau_pp, tau_p).compose(F.spec(tau_p, tau))
+                        two = compose(F.spec(tau_pp, tau_p), F.spec(tau_p, tau))
                         assert one.cells == two.cells
 
 
@@ -120,35 +118,20 @@ def test_specialization_orientation_transport():
 # charts
 # ---------------------------------------------------------------------------
 
-def test_theta_coordinates_worked_example():
+def test_psi_coordinates_worked_example():
     f = triangle_fan()
     lam = {0: Q(1, 5), 2: Q(3, 10), 3: Q(1, 2)}
-    t, mus = theta_sigma(f, S(0, 2, 3), lam)
-    assert t == [Q(1, 5), Q(4, 5)]
-    assert mus == [[Q(1)], [Q(3, 8), Q(5, 8)]]
-    assert psi_at(f, S(0, 2, 3), t, mus) == lam
+    assert psi_at(f, S(0, 2, 3), [Q(1, 5), Q(4, 5)], [[Q(1)], [Q(3, 8), Q(5, 8)]]) == lam
 
 
-def test_theta_identity_when_iso():
-    f = identity_on([(0, 1)])
-    t, mus = theta_sigma(f, S(0, 1), {0: Q(1, 3), 1: Q(2, 3)})
-    assert t == [Q(1, 3), Q(2, 3)]
-    assert mus == [[Q(1)], [Q(1)]]
-
-
-def test_theta_boundary_error():
-    f = triangle_fan()
-    with pytest.raises(BoundaryFiberError):
-        theta_sigma(f, S(0, 2, 3), {0: Q(1), 2: Q(0), 3: Q(0)})
-
-
-def test_theta_psi_inverse_random_points():
+def test_psi_coordinate_map_at_interior_points():
     f = square_over_edge()
     sigma = S(0, 1, 2, 3)
-    pts = [{0: Q(1, 7), 1: Q(2, 7), 2: Q(3, 7), 3: Q(1, 7)},
-           {0: Q(1, 2), 1: Q(1, 4), 2: Q(1, 8), 3: Q(1, 8)}]
-    for lam in pts:
-        t, mus = theta_sigma(f, sigma, lam)
+    cases = [([Q(3, 7), Q(4, 7)], [[Q(1, 3), Q(2, 3)], [Q(3, 4), Q(1, 4)]],
+              {0: Q(1, 7), 1: Q(2, 7), 2: Q(3, 7), 3: Q(1, 7)}),
+             ([Q(3, 4), Q(1, 4)], [[Q(2, 3), Q(1, 3)], [Q(1, 2), Q(1, 2)]],
+              {0: Q(1, 2), 1: Q(1, 4), 2: Q(1, 8), 3: Q(1, 8)})]
+    for t, mus, lam in cases:
         assert psi_at(f, sigma, t, mus) == lam
 
 
@@ -230,10 +213,12 @@ def test_characterizations_pass_on_fixtures():
         sf, pf = build_Sf(f), build_Pf(f)
         ok_s, wit_s = check_Sf_characterization(sf)
         assert ok_s, wit_s
-        ok_p, wit_p, recon = check_Pf_characterization(pf)
+        ok_p, wit_p = check_Pf_characterization(pf)
         assert ok_p, wit_p
-        # reconstruction returns the top raw-stalk cells
-        for tau, cells in recon.items():
+        # the blow-down of the maximal trivial cells gives the top raw-stalk cells
+        psis = psi_morphism(f)
+        for tau in f.target.cells:
+            cells = {psis[tau](c).as_simplex() for c in pf.stalk(tau).maximal}
             expect = {c.as_simplex().sorted()
                       for c in sf.stalk(tau).maximal
                       if f.image(c.as_simplex()) == tau}
@@ -274,25 +259,8 @@ def test_proppf_rejects_foreign_factor():
 
 
 # ---------------------------------------------------------------------------
-# equidimensionality and fiber types
+# the preimage rule
 # ---------------------------------------------------------------------------
-
-def test_equidimensional_rel_zero_everywhere():
-    f = triangle_fan()
-    pf = build_Pf(f)
-    cell = pi_prism(f, S(0, 3))  # edge mapping isomorphically onto T1
-    assert all(fc.dim == 0 for fc in cell.factors[1:])
-    for tau_f in [S(100,), S(101,)]:
-        assert is_equidimensional(pf, cell, T1, tau_f)
-
-
-def test_equidimensional_triangle_fan_panel():
-    f = triangle_fan()
-    pf = build_Pf(f)
-    cell = pi_prism(f, S(0, 2, 3))  # fiber edge over 101, point over 100
-    assert not is_equidimensional(pf, cell, T1, S(100,))
-    assert is_equidimensional(pf, cell, T1, S(101,))
-
 
 REFERENCE_MORPHISMS = [
     pytest.param(fx, id=fx.__name__)
@@ -324,38 +292,6 @@ def test_sheaves_match_the_scan_over_all_source_cells(make):
         assert _same_prismal_set(pf.stalk(tau), PrismalSet(pi_prism(f, c) for c in over))
         assert f.maximal_over(tau) == [s for s in over
                                        if not any(s.vset < t.vset for t in over)]
-
-
-def test_equidimensional_product_prism():
-    f = identity_on([(0, 1)])
-    pf = build_Pf(f)
-    cell = pi_prism(f, S(0, 1))
-    for tau_f in [S(0,), S(1,)]:
-        assert is_equidimensional(pf, cell, S(0, 1), tau_f)
-
-
-def test_fiber_structure_triangle_fan():
-    f = triangle_fan()
-    pf, sf = build_Pf(f), build_Sf(f)
-    ft = fiber_structure(pf, T1)
-    assert ft == frozenset({
-        Prism((S(0,), S(2, 3))), Prism((S(0, 1), S(3,))), Prism((S(1,), S(3, 4)))})
-    assert fiber_structure(sf, T1) == ft
-
-
-def test_fiber_structure_five_over_two_cube():
-    f = five_over_two()
-    pf = build_Pf(f)
-    ft = fiber_structure(pf, S(100, 101, 102))
-    assert ft == frozenset({Prism((S(0, 1), S(2, 3), S(4, 5)))})
-    piece = next(iter(ft))
-    assert piece.dim == 3 and all(fc.dim == 1 for fc in piece.factors)
-
-
-def test_fiber_structure_single_simplex_base():
-    f = identity_on([(0, 1, 2)])
-    ft = fiber_structure(build_Pf(f), S(0, 1, 2))
-    assert all(p.dim == 0 for p in ft)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +399,7 @@ def test_empty_stalks_for_uncovered_base_cells():
     sf, pf = build_Sf(f), build_Pf(f)
     assert len(pf.stalk(S(101, 102)).cells) == 0
     assert check_Sf_characterization(sf)[0]
-    ok, wit, _ = check_Pf_characterization(pf)
+    ok, wit = check_Pf_characterization(pf)
     assert not ok and "not surjective" in wit
 
 
