@@ -294,6 +294,20 @@ def test_sheaves_match_the_scan_over_all_source_cells(make):
                                        if not any(s.vset < t.vset for t in over)]
 
 
+def test_fiber_structure_triangle_fan():
+    """The stalk over the open edge T1 is T1 x (union of three products), read
+    the same from the trivialized sheaf, the raw preimage and f.fibers."""
+    f = triangle_fan()
+    pf, sf = build_Pf(f), build_Sf(f)
+    ft = {Prism((S(0,), S(2, 3))), Prism((S(0, 1), S(3,))), Prism((S(1,), S(3, 4)))}
+    assert {Prism(c.factors[1:]) for c in pf.stalk(T1).maximal
+            if c.factors[0] == T1} == ft
+    raw = [c.as_simplex() for c in sf.stalk(T1).maximal
+           if sf.proj(T1)(c) == Prism.from_simplex(T1)]
+    assert {Prism(f.fibers(s)) for s in raw} == ft
+    assert {Prism(f.fibers(s)) for s in f.maximal_over(T1)} == ft
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
