@@ -11,9 +11,12 @@ import math
 import sys
 
 from . import __version__
+from .forms import Form
 from .io import (ValidationError, complex_from_dict, dump_json, forms_file_to_inputs,
                  load_json, morphism_from_dict)
 from .mesh import MeshError
+from .primitive import (ExactnessError, PrimitiveError, build_relative_primitive,
+                        check_descent, descend_form, oracle_A, verify_theodg)
 from .sheaf import (build_Pf, build_Sf, check_Pf_characterization,
                     check_Sf_characterization, sheaf_to_dict)
 from .verify import SUITES, run_all, run_suite
@@ -83,9 +86,6 @@ def cmd_sheaf(args) -> int:
 
 
 def cmd_primitive(args) -> int:
-    from .forms import Form
-    from .primitive import (ExactnessError, PrimitiveError, build_relative_primitive,
-                            check_descent, descend_form, oracle_A, verify_theodg)
     try:
         eps = args.oracle_eps
         if eps is not None and not (math.isfinite(eps) and 0 < eps <= 1):

@@ -27,13 +27,6 @@ def triangle_fan() -> SimplicialMorphism:
     return SimplicialMorphism(delta, base, vmap)
 
 
-def collapse_edge() -> SimplicialMorphism:
-    """A single edge collapsing to a vertex."""
-    delta = SimplicialComplex([Simplex((0, 1))])
-    base = SimplicialComplex([Simplex((100,))])
-    return SimplicialMorphism(delta, base, {0: 100, 1: 100})
-
-
 def square_over_edge() -> SimplicialMorphism:
     """One tetrahedron over an edge with two vertices in each fiber; the
     generic fiber is a square."""
@@ -61,24 +54,3 @@ def tetra_pair_over_triangle() -> SimplicialMorphism:
     base = SimplicialComplex([Simplex((100, 101, 102))])
     vmap = {0: 100, 1: 100, 4: 100, 2: 101, 3: 102}
     return SimplicialMorphism(delta, base, vmap)
-
-
-def cylinder_over_edge() -> SimplicialMorphism:
-    """A triangulated cylinder over an edge: generic fiber a circle of
-    three segments.  Fiberwise top forms with nonzero fiber integral are
-    closed but not fiberwise exact."""
-    # circle vertices a,b,c over 100 -> 0,1,2 ; over 101 -> 3,4,5
-    delta = SimplicialComplex([
-        Simplex((0, 1, 3)), Simplex((1, 3, 4)),
-        Simplex((1, 2, 4)), Simplex((2, 4, 5)),
-        Simplex((2, 0, 5)), Simplex((0, 5, 3)),
-    ])
-    base = SimplicialComplex([Simplex((100, 101))])
-    vmap = {0: 100, 1: 100, 2: 100, 3: 101, 4: 101, 5: 101}
-    return SimplicialMorphism(delta, base, vmap)
-
-
-def identity_on(maximal) -> SimplicialMorphism:
-    """Identity morphism of the complex spanned by the given simplices."""
-    cx = SimplicialComplex([Simplex(tuple(m)) for m in maximal])
-    return SimplicialMorphism(cx, cx, {v: v for v in cx.vertices})

@@ -26,9 +26,8 @@ restrictions, horizontal specializations) is monomial: each target variable
 goes to a single term c_i x^a_i or to zero.  `Poly.substitute` maps such a
 monomial by exponent arithmetic alone, and `pullback` maps each wedge dy_dv
 through the integer minors det A[dv, J] of the exponent matrix, computed
-once per wedge; the products accumulate on integer numerators.  Maps with
-a multi-term image take the definition phi*(p) ^ d(phi_i1) ^ ... ^
-d(phi_ik), over `substitute`, `d` and `wedge`.
+once per wedge; the products accumulate on integer numerators.
+`CoordMap.build` rejects a multi-term image.
 
 All coefficients are exact rationals, never floats.  A `Poly` stores int
 numerators over one positive denominator prime to their content (FLINT's
@@ -202,19 +201,6 @@ def _mul_into(acc: dict, a: Mapping, b: Mapping, scale=1) -> None:
             acc[e] = c1 * c2 if prev is None else prev + c1 * c2
 
 
-def _monomial_images(images: Mapping[int, "Poly"]) -> dict | None:
-    """Each image as None (zero) or (sparse exponents, numerator,
-    denominator); None when some image has more than one term."""
-    out: dict = {}
-    for i, p in images.items():
-        if len(p.num) > 1:
-            return None
-        out[i] = None
-        for e, c in p.num.items():
-            out[i] = (tuple((j, n) for j, n in enumerate(e) if n), c, p.den)
-    return out
-
-
 def _substitute_monomial(num: Mapping, mono: Mapping, start: list[int]) -> tuple[dict, int]:
     """The substitution of a monomial map into int numerators, with `start`
     added to every output exponent: an int accumulator and the denominator
@@ -378,24 +364,14 @@ class Poly:
                 t[e[:i] + (n - 1,) + e[i + 1:]] = c * n
         return Poly._make(self.ctx, *_lowest(t, self.den))
 
-    def substitute(self, images: Mapping[int, "Poly"], target: CoordSystem) -> "Poly":
-        """Substitute every variable by its image polynomial over `target`.
-
-        When every image is a single term or zero (a monomial map), each
-        monomial maps by exponent arithmetic alone: e' = sum n_i e_i and
-        c' = c prod c_i^n_i.  Other images multiply out term by term.
-        """
-        mono = _monomial_images(images)
-        if mono is not None:
-            acc, den = _substitute_monomial(self.num, mono, [0] * target.nvars)
-            return Poly._make(target, *_lowest(acc, self.den * den))
-        out = Poly.zero(target)
-        for e, c in self.num.items():
-            term = Poly.const(target, c)
-            for i, n in enumerate(e):
-                term = term * images[i] ** n
-            out = out + term
-        return out * Fraction(1, self.den)
+    def substitute(self, m: "CoordMap") -> "Poly":
+        """The polynomial pulled back through the monomial map `m`: each
+        monomial maps by exponent arithmetic alone, e' = sum n_i e_i and
+        c' = c prod c_i^n_i."""
+        if self.ctx != m.target:
+            raise ContextError("polynomial context does not match the map's target")
+        acc, den = _substitute_monomial(self.num, m.monomials, [0] * m.source.nvars)
+        return Poly._make(m.source, *_lowest(acc, self.den * den))
 
     def evaluate(self, point: Iterable) -> Fraction:
         pt = [Q(x) for x in point]
@@ -425,17 +401,6 @@ class Poly:
             m = sum(e[i] for i in vs)
             parts.setdefault(m, {})[e] = c
         return {m: Poly._make(self.ctx, *_lowest(t, self.den)) for m, t in parts.items()}
-
-    def map_context(self, target: CoordSystem) -> "Poly":
-        """Reinterpret by variable name into a context containing the same names."""
-        mapping = [target.index[n] for n in self.ctx.names]
-        t: dict = {}
-        for e, c in self.num.items():
-            e2 = [0] * target.nvars
-            for i, n in enumerate(e):
-                e2[mapping[i]] = n
-            t[tuple(e2)] = c
-        return Poly._make(target, t, self.den)
 
     def __repr__(self):
         if not self.terms:
@@ -614,7 +579,9 @@ def d(a: Form) -> Form:
 
 @dataclass(frozen=True)
 class CoordMap:
-    """Polynomial coordinate map, used contravariantly through `pullback`."""
+    """Monomial coordinate map, used contravariantly through `pullback` and
+    `Poly.substitute`: each target variable goes to one term over the
+    source, or to zero."""
 
     source: CoordSystem
     target: CoordSystem
@@ -626,6 +593,10 @@ class CoordMap:
         missing = [n for n in target.names if n not in images]
         if missing:
             raise ContextError(f"missing images for {missing}")
+        wide = [n for n in target.names if len(images[n].num) > 1]
+        if wide:
+            raise ContextError(f"images of {wide} have more than one term; "
+                               f"a coordinate map is monomial")
         return cls(source, target, tuple((n, images[n]) for n in target.names))
 
     @functools.cached_property
@@ -633,9 +604,15 @@ class CoordMap:
         return tuple(p for _, p in self.images)
 
     @functools.cached_property
-    def monomials(self) -> dict | None:
-        """The images as `_monomial_images` reads them; None unless monomial."""
-        return _monomial_images(dict(enumerate(self.image_list)))
+    def monomials(self) -> dict:
+        """Each image by target index, as None (zero) or (sparse exponents,
+        numerator, denominator): the rows `_substitute_monomial` reads."""
+        out: dict = {}
+        for i, p in enumerate(self.image_list):
+            out[i] = None
+            for e, c in p.num.items():
+                out[i] = (tuple((j, n) for j, n in enumerate(e) if n), c, p.den)
+        return out
 
 
 def _exterior_minors(mono: Mapping, dv: tuple[int, ...], memo: dict) -> dict:
@@ -669,31 +646,17 @@ def _wedge_of_mask(mask: int, nvars: int) -> tuple[tuple[int, ...], tuple[int, .
     return tuple(i for i in range(nvars) if e[i]), e
 
 
-def _pullback_by_definition(m: CoordMap, a: Form) -> Form:
-    """phi*(p) ^ d(phi_i1) ^ ... ^ d(phi_ik), summed over the terms of `a`."""
-    out = Form.zero(m.source)
-    for dv, p in a.terms.items():
-        term = Form.from_poly(p.substitute(dict(enumerate(m.image_list)), m.source))
-        for i in dv:
-            term = wedge(term, d(Form.from_poly(m.image_list[i])))
-        out = out + term
-    return out
-
-
 def pullback(m: CoordMap, a: Form) -> Form:
     """Substitute the coefficients and map each dvar to d(its image).
 
     For a monomial map, image_i = c_i x^a_i, d(image_i1) ^ ... over dv is
     (prod_{i in dv} image_i) sum_J det A[dv, J] x^-e_J dx_J, with the integer
     minors of `_exterior_minors`; the products accumulate on int numerators
-    over the lcm of the terms' denominators.  Other maps take
-    `_pullback_by_definition`.
+    over the lcm of the terms' denominators.
     """
     if a.ctx != m.target:
         raise ContextError("form context does not match the map's target")
     mono, nvars = m.monomials, m.source.nvars
-    if mono is None:
-        return _pullback_by_definition(m, a)
     memo: dict = {(): {0: 1}}
     pieces = []
     for dv, p in a.terms.items():
@@ -875,7 +838,8 @@ def equal_mod_relations(a: Form, b: Form) -> bool:
 
 def restriction_map(ctx: CoordSystem, face_ctx: CoordSystem) -> CoordMap:
     """Coordinate restriction onto a face: dropped variables (and their
-    differentials) go to zero, kept variables map to themselves."""
+    differentials) go to zero, kept variables map to themselves.  When
+    `face_ctx` has every name of `ctx`, this is the inclusion by name."""
     images: dict[str, Poly] = {}
     for n in ctx.names:
         if n in face_ctx.index:

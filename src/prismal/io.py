@@ -21,7 +21,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .mesh import Simplex, SimplicialComplex, SimplicialMorphism, StructureError
-from .forms import CoordSystem, Form, Poly
+from .forms import CoordSystem, Form, Poly, simplex_context
 
 Q = Fraction
 
@@ -158,10 +158,10 @@ def form_to_dict(form: Form) -> dict:
     return {"context": context_to_dict(form.ctx), "terms": terms}
 
 
-def form_from_dict(dd: dict) -> Form:
-    ctx = context_from_dict(_field(dd, "context", "form"))
+def form_from_list(ctx: CoordSystem, items: list) -> Form:
+    """The form over `ctx` whose terms `form_to_dict` writes under "terms"."""
     out = Form.zero(ctx)
-    for item in _list(dd.get("terms", []), "form terms"):
+    for item in _list(items, "form terms"):
         dv = []
         for name in _list(_field(item, "dvars", "form term"), "dvars"):
             if not isinstance(name, str) or name not in ctx.index:
@@ -192,14 +192,13 @@ def forms_file_to_inputs(dd: dict, cx: SimplicialComplex) -> dict[Simplex, Form]
         if cell.vset in seen:
             raise ValidationError(f"form cell {list(cell.vertices)} is given twice")
         seen.add(cell.vset)
-        ctx = CoordSystem((("l", cell.vertices),))
+        ctx = simplex_context(cell)
         if "context" in entry:
             declared = context_from_dict(entry["context"])
             if declared != ctx:
                 raise ValidationError(
                     f"context of {list(cell.vertices)} must be its simplex context")
-        out[cell] = form_from_dict({"context": context_to_dict(ctx),
-                                    "terms": entry.get("terms", [])})
+        out[cell] = form_from_list(ctx, entry.get("terms", []))
     return out
 
 

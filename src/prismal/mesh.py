@@ -336,10 +336,11 @@ class SimplicialMorphism:
         self.validate()
 
     def validate(self):
+        targets = set(self.target.vertices)
         for v in self.source.vertices:
             if v not in self.vertex_map:
                 raise StructureError(f"vertex {v} has no image")
-            if self.vertex_map[v] not in set(self.target.vertices):
+            if self.vertex_map[v] not in targets:
                 raise StructureError(f"image of vertex {v} is not a target vertex")
         for m in self.source.maximal:
             img = frozenset(self.vertex_map[v] for v in m.vertices)

@@ -49,7 +49,7 @@ from typing import Iterable
 from .mesh import Simplex, SimplicialMorphism
 from .forms import (Chart, CoordMap, CoordSystem, Form, FormError, Poly, _mul_into,
                     base_volume_residual, canonicalize, d, eliminate_poly,
-                    elimination_chart, equal_mod_relations,
+                    elimination_chart, equal_mod_relations, restriction_map,
                     pi_context, poincare_primitive, pullback, restrict_to_face,
                     simplex_context, vertical_part, wedge, whitney_form)
 from .sheaf import psi_coordinate_map
@@ -186,8 +186,7 @@ def t_monomial(pctx: CoordSystem, dims: Iterable[int]) -> Poly:
 def compose_psi(A: dict[RelFace, Poly], psi: CoordMap) -> dict[RelFace, Poly]:
     """The nonzero A_phi o psi, in face order: lambda_i = t_j mu_{j,i}
     substituted into each simplex-side coefficient."""
-    images = dict(enumerate(psi.image_list))
-    return {phi: a.substitute(images, psi.source) for phi, a in A.items() if a}
+    return {phi: a.substitute(psi) for phi, a in A.items() if a}
 
 
 def weighted_whitney(pctx: CoordSystem, terms) -> Form:
@@ -475,7 +474,8 @@ def _match_across_prisms(f: SimplicialMorphism, tau: Simplex,
                     if not diff.is_zero:
                         # the base groups of both contexts coincide
                         pd = prisms[new]
-                        shift = Form.from_poly(diff.terms[()].map_context(pd.psi.source))
+                        shift = Form.from_poly(diff.terms[()].substitute(
+                            restriction_map(diff.ctx, pd.psi.source)))
                         pd.H = pd.H + shift
                         pd.correction = pd.correction + shift
                     reached.add(new)

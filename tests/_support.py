@@ -1,6 +1,9 @@
 """Tools the tests use to check the package: a chain boundary, orientation
-reversal, writers of CLI inputs, a sheaf reader and cell-map composition."""
+reversal, writers of CLI inputs, a reader of written forms, a sheaf reader,
+cell-map composition, and the morphisms only the tests build."""
 
+from prismal.forms import Form
+from prismal.io import context_from_dict, form_from_list
 from prismal.mesh import Prism, PrismalSet, Simplex, SimplicialComplex, SimplicialMorphism
 from prismal.sheaf import CellMorphism, PrismalSheaf
 
@@ -40,6 +43,11 @@ def complex_to_dict(cx: SimplicialComplex) -> dict:
 
 def morphism_to_dict(f: SimplicialMorphism) -> dict:
     return {"vertex_map": {str(k): str(v) for k, v in sorted(f.vertex_map.items())}}
+
+
+def form_from_dict(dd: dict) -> Form:
+    """The form of a `form_to_dict` dump, such as an H of `prismal primitive`."""
+    return form_from_list(context_from_dict(dd["context"]), dd.get("terms", []))
 
 
 # ---------------------------------------------------------------------------
@@ -83,3 +91,35 @@ def sheaf_from_dict(dd: dict) -> PrismalSheaf:
     specialization = {tuple(map(_tau_from_key, key.split("<"))): _morphism_from_dict(m)
                       for key, m in dd.get("specializations", {}).items()}
     return PrismalSheaf(base, stalks, projection, specialization)
+
+
+# ---------------------------------------------------------------------------
+# Morphisms
+# ---------------------------------------------------------------------------
+
+def collapse_edge() -> SimplicialMorphism:
+    """A single edge collapsing to a vertex."""
+    delta = SimplicialComplex([Simplex((0, 1))])
+    base = SimplicialComplex([Simplex((100,))])
+    return SimplicialMorphism(delta, base, {0: 100, 1: 100})
+
+
+def cylinder_over_edge() -> SimplicialMorphism:
+    """A triangulated cylinder over an edge: generic fiber a circle of
+    three segments.  Fiberwise top forms with nonzero fiber integral are
+    closed but not fiberwise exact."""
+    # circle vertices a,b,c over 100 -> 0,1,2 ; over 101 -> 3,4,5
+    delta = SimplicialComplex([
+        Simplex((0, 1, 3)), Simplex((1, 3, 4)),
+        Simplex((1, 2, 4)), Simplex((2, 4, 5)),
+        Simplex((2, 0, 5)), Simplex((0, 5, 3)),
+    ])
+    base = SimplicialComplex([Simplex((100, 101))])
+    vmap = {0: 100, 1: 100, 2: 100, 3: 101, 4: 101, 5: 101}
+    return SimplicialMorphism(delta, base, vmap)
+
+
+def identity_on(maximal) -> SimplicialMorphism:
+    """Identity morphism of the complex spanned by the given simplices."""
+    cx = SimplicialComplex([Simplex(tuple(m)) for m in maximal])
+    return SimplicialMorphism(cx, cx, {v: v for v in cx.vertices})

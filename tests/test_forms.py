@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prismal.mesh import Prism, Simplex, incidence_number
-from prismal.forms import (CoordMap, DegreeError,
+from prismal.forms import (ContextError, CoordMap, DegreeError,
                            Form, FormError, Poly, base_volume_residual,
                            canonicalize, d, de_form,
                            eliminate, eliminate_poly, elimination_chart,
@@ -14,11 +14,10 @@ from prismal.forms import (CoordMap, DegreeError,
                            integrate_fiber,
                            integrate_top_form, is_fiberwise_zero, pi_context,
                            poincare_primitive, prism_context, pullback,
-                           relative_d, restrict_to_face, simplex_context,
+                           relative_d, restrict_to_face, restriction_map, simplex_context,
                            vertical_part, wedge, whitney,
                            whitney_antiboundary, whitney_extended,
                            whitney_form, whitney_prism, whitney_relative)
-from prismal.forms import _pullback_by_definition
 from _support import reversed_orientation
 
 
@@ -142,12 +141,11 @@ def monomial_maps(source, target, dens=st.integers(1, 4)):
                      st.none() | st.tuples(st.integers(0, n - 1), special)).map(build)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(monomial_maps(PCTX, CTX4), forms(CTX4).filter(bool))
-def test_pullback_kernel_matches_definition(m, a):
-    # the minor kernel against phi*(p) ^ d(phi_i1) ^ ... on the same map
-    assert m.monomials is not None
-    assert pullback(m, a) == _pullback_by_definition(m, a)
+def test_coord_map_rejects_multi_term_images():
+    x = [Poly.variable(PCTX, i) for i in range(PCTX.nvars)]
+    images = {"l:0": x[0] * x[2], "l:1": x[1] + x[3], "l:2": x[4] - 1}
+    with pytest.raises(ContextError, match=r"\['l:1', 'l:2'\]"):
+        CoordMap.build(PCTX, CTX3, images)
 
 
 @settings(max_examples=25, deadline=None)
@@ -531,28 +529,13 @@ def test_antiboundary_edge_explicit():
     assert equal_mod_relations(d(ab), whitney(s))
 
 
-def _rename_into(form: Form, ctx) -> Form:
-    """Reinterpret a form by variable names into an equal-name context."""
-    out = Form.zero(ctx)
-    for dv, p in form.terms.items():
-        names = [form.ctx.names[i] for i in dv]
-        idxs = tuple(ctx.index[n] for n in names)
-        sign = 1
-        lst = list(idxs)
-        for i in range(len(lst)):
-            for j in range(i + 1, len(lst)):
-                if lst[i] > lst[j]:
-                    sign = -sign
-        out = out + Form(ctx, {tuple(sorted(idxs)): p.map_context(ctx) * sign})
-    return out
-
-
 def test_antiboundary_derivative_and_flip():
     for p in (1, 2, 3, 4):
         s = S(*range(p + 1))
         assert equal_mod_relations(d(whitney_antiboundary(s)), whitney(s))
     s = S(0, 1, 2)
-    flipped = _rename_into(whitney_antiboundary(reversed_orientation(s)), CTX3)
+    ab = whitney_antiboundary(reversed_orientation(s))
+    flipped = pullback(restriction_map(ab.ctx, CTX3), ab)  # by name into CTX3
     assert equal_mod_relations(flipped, -whitney_antiboundary(s))
 
 
@@ -740,13 +723,6 @@ def kforms(ctx, max_degree=2):
         lambda t: Form(ctx, t))
 
 
-def kernel_maps(source, target):
-    """Monomial maps (fractional constants included) and multi-term maps."""
-    general = st.lists(kpolys(source, 1), min_size=target.nvars, max_size=target.nvars).map(
-        lambda images: CoordMap.build(source, target, dict(zip(target.names, images))))
-    return monomial_maps(source, target) | general
-
-
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(st.data())
 def test_poly_kernel_matches_a_fraction_model(data):
@@ -776,15 +752,15 @@ def test_poly_kernel_matches_a_fraction_model(data):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(kpolys(PCTX), kernel_maps(CTX3, PCTX))
+@given(kpolys(PCTX), monomial_maps(CTX3, PCTX))
 def test_substitute_matches_a_fraction_model(a, m):
-    got = a.substitute(dict(enumerate(m.image_list)), CTX3)
+    got = a.substitute(m)
     assert_lowest(got)
     assert model(got) == r_subst(model(a), [model(p) for p in m.image_list], CTX3.nvars)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(kforms(CTX3), kforms(CTX3), kforms(CTX4), kernel_maps(CTX3, CTX4))
+@given(kforms(CTX3), kforms(CTX3), kforms(CTX4), monomial_maps(CTX3, CTX4))
 def test_form_kernel_matches_a_fraction_model(x, y, z, m):
     images = [model(p) for p in m.image_list]
     # the chart dropping l:1 is the pullback through l:1 = 1 - l:0 - l:2

@@ -11,15 +11,13 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from prismal.cli import main
-from prismal.fixtures import (cylinder_over_edge, square_over_edge,
-                              tetra_pair_over_triangle, triangle_fan)
+from prismal.fixtures import square_over_edge, tetra_pair_over_triangle, triangle_fan
 from prismal.forms import CoordSystem, Form, Poly, d, de_form, simplex_context
-from prismal.io import (ValidationError, complex_from_dict, dump_json, form_from_dict,
-                        form_to_dict, forms_file_to_inputs, morphism_from_dict,
-                        rational_from_str)
+from prismal.io import (ValidationError, complex_from_dict, dump_json, form_to_dict,
+                        forms_file_to_inputs, morphism_from_dict, rational_from_str)
 from prismal.mesh import Simplex
 from prismal.verify import SUITES
-from _support import complex_to_dict, morphism_to_dict
+from _support import complex_to_dict, cylinder_over_edge, form_from_dict, morphism_to_dict
 from test_primitive import cylinder_cyclic_form
 
 
@@ -321,7 +319,7 @@ def test_cmd_primitive_horizontal_mismatch_names_prisms(tmp_path, capsys, monkey
 def test_cmd_primitive_descent_failure_exits1(tmp_path, capsys, monkeypatch):
     # a failed descent check is a residual failure: exit 1, one stderr line
     # naming the base cell and the prism, and the JSON flag false
-    from prismal import primitive
+    from prismal import cli
     failed = []
 
     def fail_once(H, psi, descended):
@@ -330,7 +328,7 @@ def test_cmd_primitive_descent_failure_exits1(tmp_path, capsys, monkeypatch):
         failed.append((Simplex(psi.source.groups[0][1]), Simplex(psi.target.groups[0][1])))
         return False
 
-    monkeypatch.setattr(primitive, "check_descent", fail_once)
+    monkeypatch.setattr(cli, "check_descent", fail_once)
     cpath, mpath, wpath = _write_fixture_files(tmp_path)
     out = tmp_path / "h.json"
     code = main(["primitive", "--complex", str(cpath), "--morphism", str(mpath),
@@ -351,8 +349,8 @@ def test_cmd_primitive_residual_failure_exits1(tmp_path, capsys, monkeypatch):
     # a nonzero closing residual on one prism: exit 1, a stderr line naming
     # it, that prism's JSON flag false, the others true, and the failure
     # counted in the summary
-    from prismal import primitive
-    real, failed = primitive.verify_theodg, []
+    from prismal import cli
+    real, failed = cli.verify_theodg, []
 
     def fail_once(prim):
         if failed:
@@ -362,7 +360,7 @@ def test_cmd_primitive_residual_failure_exits1(tmp_path, capsys, monkeypatch):
         failed.append((prim.tau, sigma, residual))
         return {sigma: residual}
 
-    monkeypatch.setattr(primitive, "verify_theodg", fail_once)
+    monkeypatch.setattr(cli, "verify_theodg", fail_once)
     cpath, mpath, wpath = _write_fixture_files(tmp_path)
     out = tmp_path / "h.json"
     code = main(["primitive", "--complex", str(cpath), "--morphism", str(mpath),

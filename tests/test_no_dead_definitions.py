@@ -21,9 +21,6 @@ SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 ENTRY_POINT = "cli.main"  # [project.scripts] in pyproject.toml
 
 KEPT = {
-    "fixtures.collapse_edge": "a fixture of the pinned output digests",
-    "fixtures.cylinder_over_edge": "a fixture of the pinned output digests",
-    "fixtures.identity_on": "a fixture of the pinned output digests",
     "forms.integrate_top_form": "public API, checked against sympy by the oracle tests",
     "mesh.faces": "public API: the k-faces of a simplex",
     "sheaf.psi_morphism": "the paper's blow-down of the trivialized sheaf onto the "

@@ -16,11 +16,11 @@ from pathlib import Path
 import pytest
 
 from prismal.cli import main
-from prismal.fixtures import (collapse_edge, cylinder_over_edge, five_over_two,
-                              square_over_edge, tetra_pair_over_triangle, triangle_fan)
+from prismal.fixtures import (five_over_two, square_over_edge, tetra_pair_over_triangle,
+                              triangle_fan)
 from prismal.forms import Form, Poly, d, simplex_context
 from prismal.io import form_to_dict
-from _support import complex_to_dict, morphism_to_dict
+from _support import collapse_edge, complex_to_dict, cylinder_over_edge, morphism_to_dict
 from test_primitive import fibred_grid
 
 DIGESTS = json.loads((Path(__file__).parent / "data" / "output_digests.json").read_text())

@@ -5,8 +5,8 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from prismal.fixtures import (cylinder_over_edge, triangle_fan, five_over_two,
-                              square_over_edge, tetra_pair_over_triangle)
+from prismal.fixtures import (triangle_fan, five_over_two, square_over_edge,
+                              tetra_pair_over_triangle)
 from prismal import primitive
 from prismal.forms import (CoordSystem, Form, Poly, canonicalize, d, de_form,
                            equal_mod_relations, pi_context, pullback, relative_d,
@@ -22,6 +22,7 @@ from prismal.primitive import (ExactnessError, RelFace,
                                relative_faces, specialization_chart,
                                vertical_gluing, verify_theodg, whitney_combination)
 from prismal.sheaf import psi_coordinate_map
+from _support import cylinder_over_edge
 
 
 def S(*vs):

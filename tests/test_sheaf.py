@@ -2,15 +2,14 @@ from fractions import Fraction as Q
 
 import pytest
 
-from prismal.fixtures import (collapse_edge, cylinder_over_edge, triangle_fan,
-                              five_over_two, identity_on, square_over_edge,
+from prismal.fixtures import (triangle_fan, five_over_two, square_over_edge,
                               tetra_pair_over_triangle)
 from prismal.forms import Poly, equal_mod_relations, pullback
 from prismal.mesh import Prism, PrismalSet, Simplex
 from prismal.sheaf import (build_Pf, build_Sf, check_Pf_characterization,
                            check_Sf_characterization, pi_prism, psi_coordinate_map,
                            psi_morphism, sheaf_to_dict)
-from _support import compose, sheaf_from_dict
+from _support import collapse_edge, compose, cylinder_over_edge, identity_on, sheaf_from_dict
 from test_primitive import fibred_grid
 
 
