@@ -11,7 +11,7 @@ import math
 import sys
 
 from . import __version__
-from .forms import Form
+from .forms import Form, FormError
 from .io import (ValidationError, complex_from_dict, dump_json, forms_file_to_inputs,
                  load_json, morphism_from_dict)
 from .mesh import MeshError
@@ -105,7 +105,7 @@ def cmd_primitive(args) -> int:
     except ExactnessError as exc:
         print(f"exactness error: {exc}", file=sys.stderr)
         return 1
-    except (PrimitiveError, MeshError) as exc:
+    except (PrimitiveError, MeshError, FormError) as exc:
         return _validation_error(exc)
 
     out = {"degree": r, "base_cells": {}, "horizontal": [], "oracle": []}

@@ -36,15 +36,23 @@ multiply the denominators, sums and form-level operations bring theirs to
 an lcm, and `_lowest` cancels one gcd per result.  `Poly.terms` is a
 read-only view, each coefficient an int when integral and a `Fraction`
 otherwise.  Constructors and scalar operands take ints and Fractions only.
+
+Each monomial is one int key, the exponent of variable i in bits 16i to
+16i+15, so a product of monomials adds keys.  An exponent is at most 32767
+(`_BOUND`): the top bit of each field is a guard, so the sum of two in-bound
+keys cannot carry and its guard bits show a field past the bound.
+Construction, products and substitutions raise FormError there, never
+carrying into a neighbour.  `Poly.terms` is keyed by exponent tuples.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, index, sub
+from operator import index, or_
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -143,15 +151,42 @@ def pi_context(base: Simplex, fibers: Iterable[Simplex]) -> CoordSystem:
     return CoordSystem(tuple(groups))
 
 
-def _exponents(e) -> tuple[int, ...]:
-    """An exponent tuple as non-negative Python ints; anything else is rejected."""
+_W = 16  # bits per exponent field (struct's "H"); a field's top bit is its guard bit
+_FIELD = (1 << _W) - 1
+_BOUND = (1 << _W - 1) - 1
+_PAST_BOUND = f"an exponent passes the bound {_BOUND}"
+
+
+@functools.lru_cache(maxsize=1 << 10)
+def _layout(nvars: int) -> struct.Struct:
+    return struct.Struct(f"<{nvars}H")  # the bytes of a key: field i at bits 16i..16i+15
+
+
+def _pack(nvars: int, e) -> int:
+    """An exponent tuple as a key; anything but `nvars` ints in 0.._BOUND is rejected."""
     try:
         out = tuple(map(index, e))
     except TypeError:
         raise FormError(f"exponents must be integers, got {e!r}") from None
-    if any(n < 0 for n in out):
-        raise FormError(f"exponents must be non-negative, got {out!r}")
-    return out
+    if len(out) != nvars or not all(0 <= n <= _BOUND for n in out):
+        raise FormError(f"exponents must be {nvars} integers in 0..{_BOUND}, got {out!r}")
+    return int.from_bytes(_layout(nvars).pack(*out), "little")
+
+
+def _unpack(nvars: int, key: int) -> tuple[int, ...]:
+    s = _layout(nvars)
+    return s.unpack(key.to_bytes(s.size, "little"))
+
+
+@functools.lru_cache(maxsize=1 << 10)
+def _guards(nfields: int) -> int:
+    return (1 << _W * nfields) // _FIELD << _W - 1
+
+
+def _past_bound(top: int) -> int:
+    """Nonzero iff a field of `top`, the OR or the sum of two in-bound keys,
+    passes the bound: such a sum has no carry, so its guard bits tell."""
+    return top & _guards(top.bit_length() // _W + 1)
 
 
 def _rational(c):
@@ -161,15 +196,10 @@ def _rational(c):
     raise FormError(f"exact scalars are ints or Fractions, got {c!r}")
 
 
-def _clean(acc: dict) -> dict:
-    """The nonzero entries of an accumulator."""
-    return {e: c for e, c in acc.items() if c}
-
-
 def _lowest(acc: dict, den: int) -> tuple[dict, int]:
     """The int accumulator acc over den in lowest terms: its nonzero
     numerators and a denominator prime to their content (1 for zero)."""
-    num = _clean(acc)
+    num = {e: c for e, c in acc.items() if c}
     if den != 1:
         g = math.gcd(den, *num.values())  # den itself when num is empty
         if g != 1:
@@ -179,7 +209,7 @@ def _lowest(acc: dict, den: int) -> tuple[dict, int]:
 
 
 def _add_into(acc: dict, terms: Mapping, scale=1) -> None:
-    """acc += scale * terms, in place; `_clean` finishes the result."""
+    """acc += scale * terms, in place; `_lowest` finishes the result."""
     get = acc.get
     for e, c in terms.items():
         if scale != 1:
@@ -189,47 +219,53 @@ def _add_into(acc: dict, terms: Mapping, scale=1) -> None:
 
 
 def _mul_into(acc: dict, a: Mapping, b: Mapping, scale=1) -> None:
-    """acc += scale * a * b over exponent tuples, in place."""
+    """acc += scale * a * b, in place: a product's key is the sum of its
+    factors' keys.  The sum of the keys' ORs bounds every product field by
+    field; only when it passes the bound are the products checked."""
+    ors = functools.reduce(or_, a, 0) + functools.reduce(or_, b, 0)
+    if _past_bound(ors) and _past_bound(functools.reduce(or_, (e1 + e2 for e1 in a for e2 in b))):
+        raise FormError(_PAST_BOUND)
     get = acc.get
     b_items = list(b.items())
     for e1, c1 in a.items():
         if scale != 1:
             c1 = c1 * scale
         for e2, c2 in b_items:
-            e = tuple(map(add, e1, e2))
+            e = e1 + e2
             prev = get(e)
             acc[e] = c1 * c2 if prev is None else prev + c1 * c2
 
 
-def _substitute_monomial(num: Mapping, mono: Mapping, start: list[int]) -> tuple[dict, int]:
-    """The substitution of a monomial map into int numerators, with `start`
-    added to every output exponent: an int accumulator and the denominator
-    the images' coefficients put under it."""
+def _substitute_monomial(num: Mapping, m: "CoordMap", start: int = 0) -> tuple[dict, int]:
+    """The substitution of the monomial map `m` into int numerators: an int
+    accumulator and the denominator the images' coefficients put under it.
+    The output key start + sum n_i key_i is checked as it grows: n_i at most
+    the row's nmax, then each partial sum by its guard bits, before a carry."""
+    rows, guard, layout = m.monomials, _guards(m.source.nvars), _layout(m.target.nvars)
+    size, unpack = layout.size, layout.unpack
     acc: dict = {}
     get = acc.get
     over = []  # terms whose images carry a denominator
     for e, c in num.items():
-        out = start[:]
-        q = 1
-        for i, n in enumerate(e):
+        out, q = start, 1
+        for img, n in zip(rows, unpack(e.to_bytes(size, "little"))):
             if n:
-                img = mono[i]
                 if img is None:
                     break
-                sparse, ci, di = img
-                for j, k in sparse:
-                    out[j] += n * k
+                _, key, nmax, ci, di = img
+                out += n * key
+                if n > nmax or out & guard:
+                    raise FormError(_PAST_BOUND)
                 if ci != 1:
                     c = c * ci ** n
                 if di != 1:
                     q *= di ** n
         else:
-            e2 = tuple(out)
             if q != 1:
-                over.append((e2, c, q))
+                over.append((out, c, q))
                 continue
-            prev = get(e2)
-            acc[e2] = c if prev is None else prev + c
+            prev = get(out)
+            acc[out] = c if prev is None else prev + c
     if not over:
         return acc, 1
     den = math.lcm(*(q for _, _, q in over))
@@ -242,16 +278,16 @@ def _substitute_monomial(num: Mapping, mono: Mapping, start: list[int]) -> tuple
 class Poly:
     """Multivariate polynomial over Q in the variables of a CoordSystem.
 
-    `num` maps exponent tuples of non-negative ints to nonzero int
-    numerators over the positive denominator `den`, with gcd(den, content)
-    = 1.  `terms` is the read-only view with each coefficient an int when
-    integral and a Fraction otherwise.
+    `num` maps packed exponent keys to nonzero int numerators over the
+    positive denominator `den`, with gcd(den, content) = 1.  `terms` is the
+    read-only view by exponent tuple, each coefficient an int when integral
+    and a Fraction otherwise.
     """
 
     __slots__ = ("ctx", "num", "den", "_terms")
 
     def __init__(self, ctx: CoordSystem, terms: Mapping[tuple[int, ...], Fraction] | None = None):
-        items = [(_exponents(e), _rational(c)) for e, c in (terms or {}).items()]
+        items = [(_pack(ctx.nvars, e), _rational(c)) for e, c in (terms or {}).items()]
         den = math.lcm(1, *(c.denominator for _, c in items))
         self.ctx = ctx
         self.num, self.den = _lowest(
@@ -271,9 +307,10 @@ class Poly:
     @property
     def terms(self) -> Mapping[tuple[int, ...], int | Fraction]:
         if self._terms is None:
-            den = self.den
-            self._terms = MappingProxyType(self.num if den == 1 else {
-                e: c // den if c % den == 0 else Fraction(c, den)
+            den, s = self.den, _layout(self.ctx.nvars)
+            self._terms = MappingProxyType({
+                s.unpack(e.to_bytes(s.size, "little")):
+                    c if den == 1 else c // den if c % den == 0 else Fraction(c, den)
                 for e, c in self.num.items()})
         return self._terms
 
@@ -281,7 +318,7 @@ class Poly:
     @classmethod
     def const(cls, ctx: CoordSystem, c) -> "Poly":
         c = _rational(c)
-        return cls._make(ctx, {(0,) * ctx.nvars: c.numerator} if c else {}, c.denominator)
+        return cls._make(ctx, {0: c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def zero(cls, ctx: CoordSystem) -> "Poly":
@@ -289,9 +326,7 @@ class Poly:
 
     @classmethod
     def variable(cls, ctx: CoordSystem, i: int) -> "Poly":
-        e = [0] * ctx.nvars
-        e[i] = 1
-        return cls._make(ctx, {tuple(e): 1})
+        return cls._make(ctx, {1 << _W * i: 1})
 
     # -- ring operations ----------------------------------------------
     def _coerce(self, other) -> "Poly":
@@ -334,12 +369,7 @@ class Poly:
     def __pow__(self, n: int):
         if n < 0:
             raise FormError("negative powers are not polynomials")
-        if n == 0:
-            return Poly.const(self.ctx, 1)
-        out = self
-        for _ in range(n - 1):
-            out = out * self
-        return out
+        return math.prod([self] * n, start=Poly.const(self.ctx, 1))
 
     def __bool__(self):
         return bool(self.num)
@@ -358,10 +388,11 @@ class Poly:
     def diff(self, i: int) -> "Poly":
         # lowering e[i] is injective on the monomials with e[i] > 0
         t: dict = {}
+        sh = _W * i
         for e, c in self.num.items():
-            n = e[i]
+            n = e >> sh & _FIELD
             if n:
-                t[e[:i] + (n - 1,) + e[i + 1:]] = c * n
+                t[e - (1 << sh)] = c * n
         return Poly._make(self.ctx, *_lowest(t, self.den))
 
     def substitute(self, m: "CoordMap") -> "Poly":
@@ -370,19 +401,12 @@ class Poly:
         c' = c prod c_i^n_i."""
         if self.ctx != m.target:
             raise ContextError("polynomial context does not match the map's target")
-        acc, den = _substitute_monomial(self.num, m.monomials, [0] * m.source.nvars)
+        acc, den = _substitute_monomial(self.num, m)
         return Poly._make(m.source, *_lowest(acc, self.den * den))
 
     def evaluate(self, point: Iterable) -> Fraction:
         pt = [Q(x) for x in point]
-        total = Q(0)
-        for e, c in self.num.items():
-            v = c
-            for i, n in enumerate(e):
-                if n:
-                    v *= pt[i] ** n
-            total += v
-        return total / self.den
+        return sum((c * math.prod(map(pow, pt, e)) for e, c in self.terms.items()), Q(0))
 
     def evaluate_float(self, point) -> float:
         total = 0.0
@@ -398,7 +422,7 @@ class Poly:
         vs = tuple(vars_) if vars_ is not None else tuple(range(self.ctx.nvars))
         parts: dict[int, dict] = {}
         for e, c in self.num.items():
-            m = sum(e[i] for i in vs)
+            m = sum(e >> _W * i & _FIELD for i in vs)
             parts.setdefault(m, {})[e] = c
         return {m: Poly._make(self.ctx, *_lowest(t, self.den)) for m, t in parts.items()}
 
@@ -604,18 +628,21 @@ class CoordMap:
         return tuple(p for _, p in self.images)
 
     @functools.cached_property
-    def monomials(self) -> dict:
+    def monomials(self) -> tuple:
         """Each image by target index, as None (zero) or (sparse exponents,
-        numerator, denominator): the rows `_substitute_monomial` reads."""
-        out: dict = {}
-        for i, p in enumerate(self.image_list):
-            out[i] = None
+        key, the largest n with n * key in the bound, numerator,
+        denominator): the rows `_substitute_monomial` reads."""
+        out = []
+        for p in self.image_list:
+            out.append(None)
             for e, c in p.num.items():
-                out[i] = (tuple((j, n) for j, n in enumerate(e) if n), c, p.den)
-        return out
+                exps = _unpack(self.source.nvars, e)
+                out[-1] = (tuple((j, n) for j, n in enumerate(exps) if n), e,
+                           _BOUND // max((1, *exps)), c, p.den)
+        return tuple(out)
 
 
-def _exterior_minors(mono: Mapping, dv: tuple[int, ...], memo: dict) -> dict:
+def _exterior_minors(mono: tuple, dv: tuple[int, ...], memo: dict) -> dict:
     """The nonzero minors det A[dv, J] of the exponent matrix of a monomial
     map, as {bit mask of the source wedge J: int}; a zero or constant image
     has an empty row.  `memo` holds the minors of the prefixes met so far in
@@ -640,10 +667,10 @@ def _exterior_minors(mono: Mapping, dv: tuple[int, ...], memo: dict) -> dict:
 
 
 @functools.lru_cache(maxsize=1 << 16)
-def _wedge_of_mask(mask: int, nvars: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The sorted indices of a bit mask, and its 0/1 exponent tuple."""
-    e = tuple(mask >> i & 1 for i in range(nvars))
-    return tuple(i for i in range(nvars) if e[i]), e
+def _wedge_of_mask(mask: int, nvars: int) -> tuple[tuple[int, ...], int]:
+    """The sorted indices of a bit mask, and the key of their product."""
+    idx = tuple(i for i in range(nvars) if mask >> i & 1)
+    return idx, sum(1 << _W * i for i in idx)
 
 
 def pullback(m: CoordMap, a: Form) -> Form:
@@ -663,10 +690,10 @@ def pullback(m: CoordMap, a: Form) -> Form:
         minors = _exterior_minors(mono, dv, memo)
         if minors:
             # prod_{i in dv} image_i = scale x^shift over sden; shift starts the substitution
-            bump = _wedge_of_mask(sum(1 << i for i in dv), m.target.nvars)[1]
-            shifted, sden = _substitute_monomial({bump: 1}, mono, [0] * nvars)
+            bump = sum(1 << _W * i for i in dv)  # the key of prod_{i in dv} y_i
+            shifted, sden = _substitute_monomial({bump: 1}, m)
             [(shift, scale)] = shifted.items()
-            coeff, cden = _substitute_monomial(p.num, mono, list(shift))
+            coeff, cden = _substitute_monomial(p.num, m, shift)
             pieces.append((coeff, scale, p.den * sden * cden, minors))
     den = math.lcm(1, *(q for _, _, q, _ in pieces))
     acc: dict[tuple[int, ...], dict] = {}
@@ -677,7 +704,7 @@ def pullback(m: CoordMap, a: Form) -> Form:
             J, e_J = _wedge_of_mask(mask, nvars)
             dst = acc.setdefault(J, {})
             for e, c in scaled:
-                e = tuple(map(sub, e, e_J))
+                e -= e_J
                 dst[e] = dst.get(e, 0) + c * det
     return Form._from_acc(m.source, acc, den)
 
@@ -716,14 +743,13 @@ def _one_minus_power(group_vars: tuple[tuple[int, ...], ...], drop: int, k: int)
     variable.  Callers must not mutate the result.
     """
     if k == 0:
-        return {(0,) * sum(map(len, group_vars)): 1}
-    rest = [i for g in group_vars if drop in g for i in g if i != drop]
+        return {0: 1}
+    rest = [1 << _W * i for g in group_vars if drop in g for i in g if i != drop]
     acc: dict = {}
     for e, c in _one_minus_power(group_vars, drop, k - 1).items():
         acc[e] = acc.get(e, 0) + c
-        for i in rest:
-            e2 = e[:i] + (e[i] + 1,) + e[i + 1:]
-            acc[e2] = acc.get(e2, 0) - c
+        for x in rest:
+            acc[e + x] = acc.get(e + x, 0) - c
     return {e: c for e, c in acc.items() if c}
 
 
@@ -760,11 +786,12 @@ def _substitute_drops(ctx: CoordSystem, drops: tuple[int, ...], num: Mapping) ->
     """
     cur = num
     for i in drops:
+        sh = _W * i
         groups: dict[int, dict] = {}
         for e, c in cur.items():
-            k = e[i]
+            k = e >> sh & _FIELD
             if k:
-                e = e[:i] + (0,) + e[i + 1:]
+                e -= k << sh
             groups.setdefault(k, {})[e] = c
         if len(groups) == 1 and 0 in groups:
             continue
@@ -836,6 +863,7 @@ def equal_mod_relations(a: Form, b: Form) -> bool:
     return canonicalize(a - b).is_zero
 
 
+@functools.lru_cache(maxsize=1 << 12)  # a pipeline restricts along one pair many times
 def restriction_map(ctx: CoordSystem, face_ctx: CoordSystem) -> CoordMap:
     """Coordinate restriction onto a face: dropped variables (and their
     differentials) go to zero, kept variables map to themselves.  When
@@ -882,7 +910,7 @@ def whitney_form(ctx: CoordSystem, cell: Mapping[int, Iterable[int]] | None = No
     """
     if cell is None:
         cell = dict(enumerate(verts for _, verts in ctx.groups))
-    acc: dict[tuple[int, ...], dict] = {(): {(0,) * ctx.nvars: 1}}
+    acc: dict[tuple[int, ...], dict] = {(): {0: 1}}
     for g in sorted(cell):
         idx = [ctx.var(ctx.groups[g][0], v) for v in cell[g]]
         if not idx:
@@ -894,7 +922,7 @@ def whitney_form(ctx: CoordSystem, cell: Mapping[int, Iterable[int]] | None = No
             for k, i, dv_g, sign in block:
                 if dv_g is not None:
                     _add_into(nxt.setdefault(dv + dv_g, {}),
-                              {e[:i] + (e[i] + 1,) + e[i + 1:]: c for e, c in terms.items()},
+                              {e + (1 << _W * i): c for e, c in terms.items()},
                               sign * (-1) ** k * fact)
         acc = nxt
     return Form._from_acc(ctx, acc)
@@ -944,7 +972,13 @@ def base_volume_residual(a: Form) -> Form:
     differentials, so every term of a carrying a base differential dies
     against it; only the vertical part is reduced.
     """
-    return wedge(canonicalize(de_form(a.ctx)), canonicalize(vertical_part(a)))
+    return wedge(_canonical_de(a.ctx), canonicalize(vertical_part(a)))
+
+
+@functools.lru_cache(maxsize=1 << 10)
+def _canonical_de(ctx: CoordSystem) -> Form:
+    """canonicalize(de_form(ctx)), once per context; callers must not mutate it."""
+    return canonicalize(de_form(ctx))
 
 
 def is_fiberwise_zero(a: Form) -> bool:
@@ -981,7 +1015,8 @@ def _integrate(a: Form, groups: tuple[int, ...]) -> Poly:
     """
     ctx = a.ctx
     chart, full = _first_chart(ctx, groups)
-    rows = []  # (kept exponents, numerator, denominator) per monomial
+    keep = sum(_FIELD << _W * i for i in range(ctx.nvars) if i not in full)
+    rows = []  # (kept key, numerator, denominator) per monomial
     for dv, p in eliminate(a, chart).terms.items():
         if dv != full:
             raise DegreeError(f"not a top-degree form over groups {groups} "
@@ -989,9 +1024,9 @@ def _integrate(a: Form, groups: tuple[int, ...]) -> Poly:
         for e, n in p.num.items():
             q = p.den
             for g in groups:
-                dn, dd = _dirichlet(e[i] for i in ctx.group_vars[g][1:])
+                dn, dd = _dirichlet(e >> _W * i & _FIELD for i in ctx.group_vars[g][1:])
                 n, q = n * dn, q * dd
-            rows.append((tuple(0 if i in full else k for i, k in enumerate(e)), n, q))
+            rows.append((e & keep, n, q))
     den = math.lcm(1, *{q for _, _, q in rows})
     acc: dict = {}
     for key, n, q in rows:
@@ -1002,7 +1037,7 @@ def _integrate(a: Form, groups: tuple[int, ...]) -> Poly:
 def integrate_top_form(a: Form) -> Fraction:
     """Exact integral of a top-degree form over its cell."""
     integral = _integrate(a, tuple(range(len(a.ctx.groups))))
-    return Q(integral.num.get((0,) * a.ctx.nvars, 0), integral.den)
+    return Q(integral.num.get(0, 0), integral.den)
 
 
 def integrate_fiber(a: Form) -> Poly:
@@ -1045,8 +1080,10 @@ def poincare_primitive(a: Form) -> Form:
             for k, i in enumerate(dv):
                 if i in cone_vars:
                     rows.append((dv[:k] + dv[k + 1:],
-                                 {e[:i] + (e[i] + 1,) + e[i + 1:]: n for e, n in pm.num.items()},
+                                 {e + (1 << _W * i): n for e, n in pm.num.items()},
                                  (-1) ** k, pm.den * (m + r)))
+    if _past_bound(functools.reduce(or_, (e for _, num, _, _ in rows for e in num), 0)):
+        raise FormError(_PAST_BOUND)
     den = math.lcm(1, *{q for *_, q in rows})
     acc: dict[tuple[int, ...], dict] = {}
     for rest, num, sign, q in rows:
@@ -1060,7 +1097,5 @@ def whitney_antiboundary(s: Simplex) -> Form:
     r = s.dim
     if r < 1:
         raise DegreeError("needs dim >= 1")
-    out = Form.zero(simplex_context(s))
-    for face, sign in boundary_chain(s).items():
-        out = out + whitney_extended(face, s) * Q(sign, r + 1)
-    return out
+    return sum((whitney_extended(face, s) * Q(sign, r + 1)
+                for face, sign in boundary_chain(s).items()), Form.zero(simplex_context(s)))

@@ -21,7 +21,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .mesh import Simplex, SimplicialComplex, SimplicialMorphism, StructureError
-from .forms import CoordSystem, Form, Poly, simplex_context
+from .forms import _BOUND, CoordSystem, Form, Poly, simplex_context
 
 Q = Fraction
 
@@ -142,9 +142,9 @@ def poly_from_list(ctx: CoordSystem, items: list) -> Poly:
         for name, n in exp.items():
             if name not in ctx.index:
                 raise ValidationError(f"unknown variable {name!r} in polynomial")
-            if type(n) is not int or n < 0:
+            if type(n) is not int or not 0 <= n <= _BOUND:
                 raise ValidationError(
-                    f"exponent of {name!r} must be a non-negative integer, got {n!r}")
+                    f"exponent of {name!r} must be an integer in 0..{_BOUND}, got {n!r}")
             e[ctx.index[name]] = n
         terms[tuple(e)] = terms.get(tuple(e), Q(0)) + c
     return Poly(ctx, terms)

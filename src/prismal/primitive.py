@@ -47,8 +47,8 @@ from fractions import Fraction
 from typing import Iterable
 
 from .mesh import Simplex, SimplicialMorphism
-from .forms import (Chart, CoordMap, CoordSystem, Form, FormError, Poly, _mul_into,
-                    base_volume_residual, canonicalize, d, eliminate_poly,
+from .forms import (Chart, CoordMap, CoordSystem, Form, FormError, Poly, _W, _mul_into,
+                    _unpack, base_volume_residual, canonicalize, d, eliminate_poly,
                     elimination_chart, equal_mod_relations, restriction_map,
                     pi_context, poincare_primitive, pullback, restrict_to_face,
                     simplex_context, vertical_part, wedge, whitney_form)
@@ -83,11 +83,8 @@ def ode_solve(B: Poly, r: int, vars_: Iterable[int] | None = None) -> Poly:
     """
     if r < 1:
         raise PrimitiveError("degree parameter must be >= 1")
-    vs = tuple(vars_) if vars_ is not None else tuple(range(B.ctx.nvars))
-    out = Poly.zero(B.ctx)
-    for m, part in B.homogeneous_parts(vs).items():
-        out = out + part * Q(r, r + m)
-    return out
+    return sum((part * Q(r, r + m) for m, part in B.homogeneous_parts(vars_).items()),
+               Poly.zero(B.ctx))
 
 
 def homothety_operator(E: Poly, r: int, vars_: Iterable[int] | None = None) -> Poly:
@@ -149,11 +146,8 @@ def pair_with_face(eta: Form, phi: RelFace) -> Poly:
         first = Form.d_var(ctx, ctx.var("l", block[0]))
         for w in block[1:]:
             frame = wedge(frame, Form.d_var(ctx, ctx.var("l", w)) - first)
-    out = Poly.zero(ctx)
-    for dv, p in eta.terms.items():
-        if dv in frame.terms:
-            out = out + p * frame.terms[dv]
-    return out
+    return sum((p * frame.terms[dv] for dv, p in eta.terms.items() if dv in frame.terms),
+               Poly.zero(ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -175,12 +169,10 @@ def extract_A(eta: Form, psi: CoordMap, r: int) -> dict[RelFace, Poly]:
 
 
 def t_monomial(pctx: CoordSystem, dims: Iterable[int]) -> Poly:
-    """prod_j t_j^dims[j] over the base vertices of a trivial-prism context."""
-    base_tag, base_verts = pctx.groups[0]
-    out = Poly.const(pctx, 1)
-    for y, dd in zip(base_verts, dims):
-        out = out * Poly.variable(pctx, pctx.var(base_tag, y)) ** dd
-    return out
+    """prod_j t_j^dims[j] over the base vertices of a trivial-prism context,
+    the variables of its first group."""
+    dims = tuple(dims)
+    return Poly(pctx, {dims + (0,) * (pctx.nvars - len(dims)): 1})
 
 
 def compose_psi(A: dict[RelFace, Poly], psi: CoordMap) -> dict[RelFace, Poly]:
@@ -557,8 +549,8 @@ def descend_form(H: Form, sctx: CoordSystem) -> tuple[Form, tuple[int, ...]]:
         wedges[dv] = w
         lift = scale // p.den
         for e, c in p.num.items():
-            den, a, b = dv_den[:], [0] * nfib, [0] * sctx.nvars
-            for i, n in enumerate(e):
+            den, a, b = dv_den[:], [0] * nfib, 0
+            for i, n in enumerate(_unpack(pctx.nvars, e)):
                 if not n:
                     continue
                 if i in t_group:
@@ -566,8 +558,8 @@ def descend_form(H: Form, sctx: CoordSystem) -> tuple[Form, tuple[int, ...]]:
                 else:
                     j, x = lam[i]
                     den[j] += n
-                    b[x] += n
-            terms.append((dv, den, a, tuple(b), c * lift))
+                    b += n << _W * x  # the key of lambda^b, one mu per lambda
+            terms.append((dv, den, a, b, c * lift))
 
     if not terms:
         return Form.zero(sctx), (0,) * nfib

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prismal.mesh import Prism, Simplex, incidence_number
-from prismal.forms import (ContextError, CoordMap, DegreeError,
+from prismal.forms import (_BOUND, ContextError, CoordMap, DegreeError,
                            Form, FormError, Poly, base_volume_residual,
                            canonicalize, d, de_form,
                            eliminate, eliminate_poly, elimination_chart,
@@ -86,6 +86,62 @@ def test_poly_constructor_validates_exponents_and_coefficients():
     assert type(p.terms[(1, 2)]) is int
     with pytest.raises(FormError):
         lam(ctx, 0) ** -1
+
+
+# ---------------------------------------------------------------------------
+# packed exponents: one 16-bit field per variable, exponents in 0.._BOUND
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.dictionaries(
+    st.tuples(*[st.integers(0, _BOUND)] * CTX4.nvars),
+    st.one_of(st.integers(-50, 50), st.fractions(max_denominator=12)).filter(bool),
+    max_size=5))
+def test_packed_keys_round_trip(terms):
+    p = Poly(CTX4, terms)
+    assert p.terms == terms
+    assert all(type(k) is int for k in p.num)
+    assert_lowest(p)
+
+
+def test_exponent_past_the_bound_is_rejected_on_construction():
+    assert _BOUND == 2 ** 15 - 1
+    assert Poly(CTX3, {(_BOUND, 0, _BOUND): 1}).terms == {(_BOUND, 0, _BOUND): 1}
+    for e in ((_BOUND + 1, 0, 0), (0, 0, _BOUND + 1), (0, 1 << 16, 0)):
+        with pytest.raises(FormError, match=f"0..{_BOUND}"):
+            Poly(CTX3, {e: 1})
+
+
+def test_product_past_the_bound_raises():
+    x, y = lam(CTX3, 0), lam(CTX3, 1)
+    top = x ** 2 * x ** (_BOUND - 2) * y
+    assert top.terms == {(_BOUND, 1, 0): 1}  # the field is full; y's is untouched
+    with pytest.raises(FormError, match=str(_BOUND)):
+        top * x
+    with pytest.raises(FormError, match=str(_BOUND)):
+        wedge(Form.from_poly(top), Form.from_poly(x + y))
+    # the ORs of the keys overestimate, but no actual product passes the bound
+    half = 1 << 14
+    p = Poly(CTX3, {(half, 0, 0): 1, (1, 0, 0): 1}) * Poly(CTX3, {(half - 1, 0, 0): 1})
+    assert p.terms == {(_BOUND, 0, 0): 1, (half, 0, 0): 1}
+    # the cone raises x1 one degree
+    with pytest.raises(FormError, match=str(_BOUND)):
+        poincare_primitive(Form(CTX3, {(1,): Poly(CTX3, {(0, _BOUND, 0): 1})}))
+
+
+def test_substitution_past_the_bound_raises():
+    y = lam(CTX3, 0)
+    cube = CoordMap.build(CTX3, CTX3, {"l:0": y ** 3, "l:1": y, "l:2": y})
+    assert Poly(CTX3, {(_BOUND // 3, 1, 0): 1}).substitute(cube).terms == {
+        (_BOUND, 0, 0): 1}
+    for e in ((_BOUND // 3 + 1, 0, 0),  # n * k passes the bound
+              (30000, 0, 0),  # n * k would carry into l:1's field
+              (_BOUND // 3, 2, 0),  # the sum of two in-bound terms passes it
+              (10000, 20000, 30000)):  # checked only at the end, this would carry
+        with pytest.raises(FormError, match=str(_BOUND)):
+            Poly(CTX3, {e: 1}).substitute(cube)
+        with pytest.raises(FormError, match=str(_BOUND)):
+            pullback(cube, Form.from_poly(Poly(CTX3, {e: 1})))
 
 
 # ---------------------------------------------------------------------------
@@ -690,13 +746,15 @@ def model(obj):
 
 
 def assert_lowest(p):
-    """The stored invariant, and `.terms` as the view of num over den."""
+    """The stored invariant, and `.terms` as the view of num over den: the
+    key of an exponent tuple has its exponent of variable i in bits
+    16i .. 16i + 15."""
     assert type(p.den) is int and p.den >= 1
     assert all(type(c) is int and c for c in p.num.values())
     assert math.gcd(p.den, *p.num.values()) == 1
     for e, c in p.terms.items():
         assert type(c) is (int if Q(c).denominator == 1 else Q)
-        assert c == Q(p.num[e], p.den)
+        assert c == Q(p.num[sum(n << 16 * i for i, n in enumerate(e))], p.den)
     assert len(p.terms) == len(p.num)
 
 

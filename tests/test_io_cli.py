@@ -513,6 +513,8 @@ def _first_vertex(v):
                  id="1-exp3-exponent of 'l:0'"),
     pytest.param(_poly_item({"c": "1", "exp": {"l:0": "2"}}), "exponent of 'l:0'",
                  id="1-exp4-exponent of 'l:0'"),
+    pytest.param(_poly_item({"c": "1", "exp": {"l:0": 1 << 15}}),
+                 "exponent of 'l:0' must be an integer in 0..32767", id="exp-past-bound"),
     pytest.param(_poly_item({"exp": {"l:0": 1}}), "polynomial term needs 'c'", id="no-c"),
     pytest.param(_form_term(["l:0"]), "form term must be an object", id="term-not-object"),
     pytest.param(_first_vertex(0.5), "vertex labels must be integers, got 0.5",
