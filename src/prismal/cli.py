@@ -7,8 +7,8 @@ failure.  All outputs are JSON and deterministic given inputs and seed.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
+from fractions import Fraction
 
 from . import __version__
 from .forms import Form, FormError
@@ -88,8 +88,14 @@ def cmd_sheaf(args) -> int:
 def cmd_primitive(args) -> int:
     try:
         eps = args.oracle_eps
-        if eps is not None and not (math.isfinite(eps) and 0 < eps <= 1):
-            raise ValidationError(f"--oracle-eps must be finite and in (0, 1], got {eps}")
+        if eps is not None:
+            try:  # "1e-4" reads as 1/10000; a 5-digit exponent is refused, not expanded
+                eps = Fraction(eps) if len(eps.lower().partition("e")[2].lstrip("+-")) < 5 else 0
+            except (ValueError, ZeroDivisionError):
+                eps = 0
+            if not 0 < eps <= 1:
+                raise ValidationError(
+                    f"--oracle-eps must be a rational in (0, 1], got {args.oracle_eps}")
         f = _load_morphism(args)
         omega = forms_file_to_inputs(load_json(args.form), f.source)
         degrees = {deg for form in omega.values() for deg in form.degrees()}
@@ -100,8 +106,7 @@ def cmd_primitive(args) -> int:
     except (ValidationError, MeshError) as exc:
         return _validation_error(exc)
     try:
-        result = build_relative_primitive(f, omega, r=r,
-                                          check_horizontal_faces=args.check_horizontal)
+        result = build_relative_primitive(f, omega, r=r)
     except ExactnessError as exc:
         print(f"exactness error: {exc}", file=sys.stderr)
         return 1
@@ -141,7 +146,7 @@ def cmd_primitive(args) -> int:
                                     "descent_verified": descent_ok}
         out["base_cells"][",".join(map(str, tau.vertices))] = cell_out
     horizontal_failures = 0
-    for rep in result.horizontal:
+    for rep in result.horizontal if args.check_horizontal else ():
         entry = {"tau": list(rep.tau.vertices), "face": list(rep.tau_face.vertices),
                  "vanished_terms": rep.vanished_terms,
                  "surviving_terms": rep.surviving_terms, "ok": rep.ok}
@@ -153,19 +158,19 @@ def cmd_primitive(args) -> int:
                   + ", ".join(map(str, bad)), file=sys.stderr)
         out["horizontal"].append(entry)
 
-    if args.oracle_eps is not None:
-        worst = 0.0
+    if eps is not None:
+        worst = Fraction(0)
         for tau, prim in result.primitives.items():
             for sigma, pd in prim.prisms.items():
                 for phi in pd.A:
-                    est, exact = oracle_A(pd.eta, f, sigma, phi, eps=args.oracle_eps)
+                    est, exact = oracle_A(pd.eta, f, sigma, phi, eps=eps)
                     err = abs(est - exact)
                     worst = max(worst, err)
                     out["oracle"].append({
                         "sigma": list(sigma.vertices),
                         "phi": list(phi.vertices),
-                        "estimate": est, "exact": exact, "abs_error": err})
-        print(f"oracle worst absolute error: {worst:.3e}")
+                        "estimate": str(est), "exact": str(exact), "abs_error": str(err)})
+        print(f"oracle worst absolute error: {worst}")
 
     try:
         dump_json(args.out, out)
@@ -207,8 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--form", required=True)
     pr.add_argument("--out", required=True)
     pr.add_argument("--degree", type=int, default=None)
-    pr.add_argument("--check-horizontal", action="store_true")
-    pr.add_argument("--oracle-eps", type=float, default=None)
+    pr.add_argument("--check-horizontal", action="store_true",
+                    help="write and count the horizontal reports")
+    pr.add_argument("--oracle-eps", default=None,
+                    help="exact rational in (0, 1], such as 1/10000 or 1e-4")
     pr.set_defaults(fn=cmd_primitive)
     return ap
 

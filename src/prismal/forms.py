@@ -405,18 +405,9 @@ class Poly:
         return Poly._make(m.source, *_lowest(acc, self.den * den))
 
     def evaluate(self, point: Iterable) -> Fraction:
-        pt = [Q(x) for x in point]
+        """The value at a point of exact scalars (ints or Fractions)."""
+        pt = [_rational(x) for x in point]
         return sum((c * math.prod(map(pow, pt, e)) for e, c in self.terms.items()), Q(0))
-
-    def evaluate_float(self, point) -> float:
-        total = 0.0
-        for e, c in self.terms.items():
-            v = float(c)
-            for i, n in enumerate(e):
-                if n:
-                    v *= float(point[i]) ** n
-            total += v
-        return total
 
     def homogeneous_parts(self, vars_: Iterable[int] | None = None) -> dict[int, "Poly"]:
         vs = tuple(vars_) if vars_ is not None else tuple(range(self.ctx.nvars))
@@ -738,19 +729,24 @@ def elimination_chart(ctx: CoordSystem, drops: Iterable[int]) -> Chart:
 def _one_minus_power(group_vars: tuple[tuple[int, ...], ...], drop: int, k: int) -> dict:
     """(1 - sum of the other variables of drop's group)^k, int coefficients.
 
+    By the binomial and multinomial theorems, the monomial x^a of the other
+    variables has the coefficient (-1)^|a| k! / ((k - |a|)! prod a_i!),
+    built one variable at a time as a product of binomials (-1)^a_i C(left, a_i)
+    over the exponent left.
     Keyed on the group layout (`ctx.group_vars`), so contexts with the same
     group sizes share these powers, as do charts that drop the same
     variable.  Callers must not mutate the result.
     """
-    if k == 0:
-        return {0: 1}
-    rest = [1 << _W * i for g in group_vars if drop in g for i in g if i != drop]
-    acc: dict = {}
-    for e, c in _one_minus_power(group_vars, drop, k - 1).items():
-        acc[e] = acc.get(e, 0) + c
-        for x in rest:
-            acc[e + x] = acc.get(e + x, 0) - c
-    return {e: c for e, c in acc.items() if c}
+    terms = {0: (1, k)}  # key -> (coefficient, exponent left)
+    for i in next(g for g in group_vars if drop in g):
+        if i != drop:
+            step, nxt = 1 << _W * i, {}
+            for e, (c, left) in terms.items():
+                for a in range(left + 1):  # c (-1)^a C(left, a), one step at a time
+                    nxt[e + a * step] = (c, left - a)
+                    c = -c * (left - a) // (a + 1)
+            terms = nxt
+    return {e: c for e, (c, _) in terms.items()}
 
 
 @functools.lru_cache(maxsize=1 << 16)

@@ -8,9 +8,10 @@ Every JSON file the package writes goes through `dump_json`.  Its bytes are
 exactly those of `json.dumps(data, indent=1, sort_keys=True)` followed by a
 newline; object keys must be `str` (any other key is a `TypeError`, where
 `json` would coerce it).  A `Form` is a leaf: it is written exactly as
-`form_to_dict(form)` would be, without building that dict (no other
-non-JSON type is accepted).  The writer is a small recursion because with
-`indent` the standard library falls back to its pure-Python encoder.
+`form_to_dict(form)` would be, without building that dict.  Any other
+non-JSON type, a float included, is a `TypeError`: the package writes no
+floats.  The writer is a small recursion because with `indent` the
+standard library falls back to its pure-Python encoder.
 """
 
 from __future__ import annotations
@@ -213,19 +214,6 @@ def load_json(path) -> dict:
         raise ValidationError(f"{path}: {exc}") from exc
 
 
-_INF = float("inf")
-
-
-def _float_str(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == _INF:
-        return "Infinity"
-    if x == -_INF:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
 def _form_layout(ctx: CoordSystem, depth: int, newlines: list) -> tuple:
     """The fixed pieces of a form written at `depth`: its context header, its
     quoted variable names, their indices in name order ("m:0:12" before
@@ -274,8 +262,6 @@ def _encode(value, depth: int, out: list, newlines: list, layouts: dict) -> None
         out.append("false")
     elif isinstance(value, int):
         out.append(int.__repr__(value))
-    elif isinstance(value, float):
-        out.append(_float_str(value))
     elif isinstance(value, (list, tuple, dict)):
         if not value:
             out.append("{}" if isinstance(value, dict) else "[]")

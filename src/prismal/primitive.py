@@ -12,8 +12,9 @@ Pipeline, per base simplex tau and maximal source simplex sigma over it:
    primitive of `vertical_gluing`, glued across the prisms over the open
    base simplex by one breadth-first walk per component of their overlap
    graph;
-4. check the residual base-volume ^ (pullback(input) - d(primitive)) = 0
-   and compare specializations against the pipelines of the base faces.
+4. fix the r = 1 gauge on each base face, smallest first, where the
+   specialization must match the face's primitive (`check_horizontal`),
+   and check the residual base-volume ^ (pullback(input) - d(primitive)).
    Descent to the raw sheaf (`descend_form`, `check_descent`) runs on
    demand, when the output is written.
 
@@ -32,9 +33,9 @@ operator (also in the identity suites), `forms.base_volume_residual`
 computes both closing residuals (`verify_theodg` reports the last one), and
 `_restricted_difference` compares two primitives on a shared cell.
 
-All the exact arithmetic is rational; the only floating point lives in the
-optional shrinking-average oracle for the extracted coefficients, the one
-place that imports numpy (when it runs, so `import prismal` never loads it).
+All the arithmetic is rational, the optional shrinking-average oracle for
+the extracted coefficients included: it averages with the Grundmann-Moeller
+rule, whose nodes and weights are rational.
 """
 
 from __future__ import annotations
@@ -344,6 +345,14 @@ class PrismData:
     correction: Form
     H: Form
 
+    def shift(self, m: Form) -> Form:
+        """Add the nonzero base function m, read into the prism's context
+        (whose base group holds m's), to H and the correction; returns it."""
+        shift = Form.from_poly(m.terms[()].substitute(restriction_map(m.ctx, self.psi.source)))
+        self.H = self.H + shift
+        self.correction = self.correction + shift
+        return shift
+
 
 @dataclass
 class RelativePrimitive:
@@ -351,6 +360,7 @@ class RelativePrimitive:
 
     tau: Simplex
     prisms: dict[Simplex, PrismData]
+    overlaps: list[tuple[Simplex, Simplex, Simplex]]  # (sigma1, sigma2, shared cell)
 
 
 def build_primitive_over(f: SimplicialMorphism, omega: dict[Simplex, Form],
@@ -380,8 +390,7 @@ def build_primitive_over(f: SimplicialMorphism, omega: dict[Simplex, Form],
         cpart = c_part_form(C, psi)
         corr = vertical_gluing(fiber_defect(combo, cpart), sigma)
         prisms[sigma] = PrismData(sigma, psi, eta, pulled, A, C, corr, cpart + corr)
-    _match_across_prisms(f, tau, prisms, r)
-    return RelativePrimitive(tau, prisms)
+    return RelativePrimitive(tau, prisms, _match_across_prisms(f, tau, prisms, r))
 
 
 def restrict_input(omega: dict[Simplex, Form], sigma: Simplex) -> Form:
@@ -427,14 +436,14 @@ def validate_input_family(omega: dict[Simplex, Form]) -> None:
 
 
 def _match_across_prisms(f: SimplicialMorphism, tau: Simplex,
-                         prisms: dict[Simplex, PrismData], r: int) -> None:
+                         prisms: dict[Simplex, PrismData], r: int) -> list:
     """Glue the candidates so they agree on the shared cells over the open
     base simplex.  At r = 1 each is fixed up to a base function: one
     breadth-first walk per component of the overlap graph, from its first
     prism, shifts each prism it reaches by its difference to the prism it
     came from, zero included.  `_verify_overlaps` then checks every
     overlap, so an inconsistent cycle (a monodromy obstruction) raises
-    ExactnessError."""
+    ExactnessError.  Returns the overlaps (sigma1, sigma2, shared cell)."""
     sigmas = sorted(prisms)
     edges = []
     for i, s1 in enumerate(sigmas):
@@ -464,15 +473,11 @@ def _match_across_prisms(f: SimplicialMorphism, tau: Simplex,
                             f"over {tau}: prisms {known} and {new} differ on {inter} "
                             f"by {diff}, which is not fiberwise constant")
                     if not diff.is_zero:
-                        # the base groups of both contexts coincide
-                        pd = prisms[new]
-                        shift = Form.from_poly(diff.terms[()].substitute(
-                            restriction_map(diff.ctx, pd.psi.source)))
-                        pd.H = pd.H + shift
-                        pd.correction = pd.correction + shift
+                        prisms[new].shift(diff)  # the base groups coincide
                     reached.add(new)
                     walk.append(new)
     _verify_overlaps(tau, prisms, edges)
+    return edges
 
 
 def _restricted_difference(H1: Form, H2: Form, inter: Simplex) -> Form:
@@ -570,13 +575,16 @@ def descend_form(H: Form, sctx: CoordSystem) -> tuple[Form, tuple[int, ...]]:
         mons = groups.setdefault(dv, {}).setdefault(k, {})
         mons[b] = mons.get(b, 0) + c
 
-    power = functools.cache(lambda j, n: us[j] ** n)
-    # the cleared wedges and the powers of u have int coefficients (den 1)
+    # the ladder u_j^n = u_j^(n-1) u_j, up to the largest n met; the cleared
+    # wedges and the powers of u have int coefficients (den 1)
+    powers = [list(itertools.accumulate([u] * max(k[j] for by_k in groups.values() for k in by_k),
+                                        Poly.__mul__, initial=Poly.const(sctx, 1)))
+              for j, u in enumerate(us)]
     acc: dict[tuple[int, ...], dict] = {}
     for dv, by_k in groups.items():
         coeff: dict = {}
         for k, mons in by_k.items():
-            u_k = math.prod((power(j, n) for j, n in enumerate(k) if n), start=Poly.const(sctx, 1))
+            u_k = math.prod((powers[j][n] for j, n in enumerate(k) if n), start=Poly.const(sctx, 1))
             _mul_into(coeff, mons, u_k.num)
         for w, p in wedges[dv].terms.items():
             _mul_into(acc.setdefault(w, {}), p.num, coeff)
@@ -636,15 +644,22 @@ class HorizontalReport:
 
 def check_horizontal(f: SimplicialMorphism, prim: RelativePrimitive,
                      prim_face: RelativePrimitive) -> HorizontalReport:
-    """Compare the specialized primitive with the one built over a face.
+    """Compare the specialized primitive with the one built over a face F,
+    and fix the r = 1 gauge there.
 
-    `prim_face` is the primitive over a face of `prim`'s base simplex.
-    Terms whose t-monomial involves a lost vertex vanish on the face; the
-    surviving part must coincide with the face pipeline's primitive.
+    `prim_face` is the primitive over a proper face of `prim`'s base
+    simplex.  Terms whose t-monomial involves a lost vertex vanish on the
+    face; the surviving part must coincide with the face pipeline's
+    primitive.  A mismatch m that is a base function is homogenized in the
+    t of F to degree max(deg m, |F|), each part times (sum_{y in F} t_y)^k.
+    The result h equals m on F.  When every monomial of h holds every t_y of
+    F, h vanishes on each face missing a vertex of F, so H - h keeps the
+    matches of the smaller faces; the overlaps over tau are checked again.
     """
     tau, tau_face = prim.tau, prim_face.tau
     vanished = surviving = 0
     matches: dict[Simplex, bool] = {}
+    shifted = False
     for sigma, pd in prim.prisms.items():
         for drop in pd.C:
             dims = drop.phi.block_dims()
@@ -655,10 +670,21 @@ def check_horizontal(f: SimplicialMorphism, prim: RelativePrimitive,
             else:
                 surviving += 1
         sigma_f = f.restriction_to(sigma, tau_face)
-        specialized = pullback(specialization_chart(pd.psi.source, tau_face), pd.H)
+        chart = specialization_chart(pd.psi.source, tau_face)
         carrier = next(s for s in prim_face.prisms if sigma_f.vset <= s.vset)
-        matches[sigma] = _restricted_difference(
-            specialized, prim_face.prisms[carrier].H, sigma_f).is_zero
+        m = _restricted_difference(pullback(chart, pd.H), prim_face.prisms[carrier].H, sigma_f)
+        if not m.is_zero and _is_base_function(m):
+            ts = m.ctx.group_vars[0]  # the t of F
+            total = sum(map(functools.partial(Poly.variable, m.ctx), ts), Poly.zero(m.ctx))
+            parts = m.terms[()].homogeneous_parts(ts)
+            h = sum((part * total ** (max(*parts, len(ts)) - k) for k, part in parts.items()),
+                    Poly.zero(m.ctx))
+            if all(all(e[i] for i in ts) for e in h.terms):
+                m = canonicalize(m + pullback(chart, pd.shift(-Form.from_poly(h))))
+                shifted = True
+        matches[sigma] = m.is_zero
+    if shifted:
+        _verify_overlaps(tau, prim.prisms, prim.overlaps)
     return HorizontalReport(tau, tau_face, vanished, surviving, matches)
 
 
@@ -684,10 +710,11 @@ def verify_theodg(prim: RelativePrimitive) -> dict[Simplex, Form]:
 
 
 def build_relative_primitive(f: SimplicialMorphism, omega: dict[Simplex, Form],
-                             r: int = 1, check_horizontal_faces: bool = True
-                             ) -> PrimitiveResult:
+                             r: int = 1) -> PrimitiveResult:
     """Run the pipeline over every base simplex with sources over it.
 
+    Each base cell is built after its faces and gauged on them, smallest
+    first (`check_horizontal`); the reports come back in (tau, face) order.
     The degree must lie between 1 and the largest relative dimension of a
     source cell; otherwise no base cell would carry the primitive.
     """
@@ -699,90 +726,68 @@ def build_relative_primitive(f: SimplicialMorphism, omega: dict[Simplex, Form],
             f"degree {r} exceeds the largest relative dimension {top} of the morphism")
     validate_input_family(omega)
     prims: dict[Simplex, RelativePrimitive] = {}
-    for tau in sorted(f.target.cells):
+    horizontal: list[HorizontalReport] = []
+    for tau in sorted(f.target.cells, key=lambda c: (len(c.vertices), c)):
         if max(map(f.rel_dim, f.maximal_over(tau)), default=0) < r:
             continue
-        prims[tau] = build_primitive_over(f, omega, tau, r)
-    horizontal: list[HorizontalReport] = []
-    if check_horizontal_faces:
-        for tau, prim in prims.items():
-            for tau_face in sorted(f.target.cells):
-                if tau_face.vset < tau.vset and tau_face in prims:
-                    horizontal.append(check_horizontal(f, prim, prims[tau_face]))
-    return PrimitiveResult(prims, horizontal)
+        prim = build_primitive_over(f, omega, tau, r)
+        horizontal += [check_horizontal(f, prim, prims[face])
+                       for face in prims if face.vset < tau.vset]
+        prims[tau] = prim
+    horizontal.sort(key=lambda rep: (rep.tau, rep.tau_face))
+    return PrimitiveResult(dict(sorted(prims.items())), horizontal)
 
 
 # ---------------------------------------------------------------------------
-# Floating-point oracle for the extracted coefficients
+# Exact shrinking-average oracle for the extracted coefficients
 # ---------------------------------------------------------------------------
 
-def _gauss_legendre_01(n: int):
-    import numpy as np
-    x, w = np.polynomial.legendre.leggauss(n)
-    return (x + 1.0) / 2.0, w / 2.0
-
-
-def simplex_quadrature(dim: int, order: int = 8):
-    """Product Gauss rule mapped to the unit simplex by stick-breaking."""
-    import numpy as np
-    if dim == 0:
-        return np.zeros((1, 0)), np.ones(1)
-    x1, w1 = _gauss_legendre_01(order)
-    nodes = []
-    weights = []
-    for combo in itertools.product(range(order), repeat=dim):
-        pt = np.empty(dim)
-        wt = 1.0
-        remaining = 1.0
-        for k, idx in enumerate(combo):
-            u = x1[idx]
-            pt[k] = u * remaining
-            wt *= w1[idx] * remaining
-            remaining -= pt[k]
-        nodes.append(pt)
-        weights.append(wt)
-    return np.asarray(nodes), np.asarray(weights)
+def _grundmann_moeller(n: int, s: int) -> list[tuple[Fraction, tuple[Fraction, ...]]]:
+    """The Grundmann-Moeller rule of degree d = 2s + 1 on the n-simplex, as
+    (weight, barycentric node) pairs: it averages every polynomial of degree
+    at most d exactly.  For i = 0..s the nodes (2 beta + 1) / (d + n - 2i),
+    |beta| = s - i, carry the weight (-1)^i (d + n - 2i)^d n! /
+    (4^s i! (d + n - i)!); the weights sum to 1.
+    """
+    d = 2 * s + 1
+    rule = []
+    for i in range(s + 1):
+        k = d + n - 2 * i
+        w = Q((-1) ** i * k ** d * math.factorial(n),
+              4 ** s * math.factorial(i) * math.factorial(d + n - i))
+        for cut in itertools.combinations(range(s - i + n), n):  # stars and bars
+            beta = [b - a - 1 for a, b in zip((-1, *cut), (*cut, s - i + n))]
+            rule.append((w, tuple(Q(2 * b + 1, k) for b in beta)))
+    return rule
 
 
 def oracle_A(eta: Form, f: SimplicialMorphism, sigma: Simplex, phi: RelFace,
-             eps: float = 1e-4, order: int = 8) -> tuple[float, float]:
-    """Shrinking-average estimate of the working coefficient of phi.
+             eps: int | Fraction = Q(1, 10 ** 4)) -> tuple[Fraction, Fraction]:
+    """Shrinking-average value of the working coefficient of phi, exactly.
 
     Averages the contraction of eta with phi's fiber frame over the
     eps-homothety of phi's fiber slice, centered at the slice centroid over
-    the base barycenter.  Returns (estimate, exact value at the center).
+    the base barycenter, with the product of the blocks' Grundmann-Moeller
+    rules of the contraction's degree.  `eps` is an int or a Fraction (a
+    float is a FormError).  Returns (average, exact value at the center).
     """
-    import numpy as np
     sctx = simplex_context(sigma)
-    tau = f.image(sigma)
-    s = tau.dim
     g = pair_with_face(eta, phi)
     fact = phi.block_factorial()
-    # center: base barycenter, block centroids
-    tbar = Q(1, s + 1)
+    tbar = Q(1, f.image(sigma).dim + 1)
     center = [Q(0)] * sctx.nvars
     for block in phi.blocks:
         for v in block:
-            center[sctx.var("l", v)] = tbar * Q(1, len(block))
-    exact = float(g.evaluate(center)) / fact
-
-    # quadrature over the product of block simplices, scaled by eps around x
-    blocks = [b for b in phi.blocks]
-    rules = [simplex_quadrature(len(b) - 1, order) for b in blocks]
-    total = 0.0
-    wsum = 0.0
-    for combo in itertools.product(*(range(len(r[1])) for r in rules)):
-        pt = [float(c) for c in center]
-        wt = 1.0
-        for (nodes, weights), b, idx in zip(rules, blocks, combo):
-            wt *= weights[idx]
-            coords = nodes[idx]
-            tail = 1.0 - float(np.sum(coords))
-            full = [tail] + list(coords)
-            for v, cv in zip(b, full):
+            center[sctx.var("l", v)] = tbar / len(block)
+    degree = max((sum(e) for e in g.terms), default=0)
+    rules = [_grundmann_moeller(len(b) - 1, degree // 2) for b in phi.blocks]
+    total = Q(0)
+    for combo in itertools.product(*rules):
+        pt, wt = list(center), Q(1)
+        for (w, node), block in zip(combo, phi.blocks):
+            wt *= w
+            for v, x in zip(block, node):
                 i = sctx.var("l", v)
-                slice_pt = float(tbar) * cv
-                pt[i] = float(center[i]) + eps * (slice_pt - float(center[i]))
-        total += wt * g.evaluate_float(pt)
-        wsum += wt
-    return (total / wsum) / fact, exact
+                pt[i] = center[i] + eps * (tbar * x - center[i])
+        total += wt * g.evaluate(pt)
+    return total / fact, g.evaluate(center) / fact

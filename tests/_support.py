@@ -1,10 +1,14 @@
 """Tools the tests use to check the package: a chain boundary, orientation
-reversal, writers of CLI inputs, a reader of written forms, a sheaf reader,
-cell-map composition, and the morphisms only the tests build."""
+reversal, the oracle's average as a polynomial in eps, writers of CLI
+inputs, a reader of written forms, a sheaf reader, cell-map composition,
+and the morphisms only the tests build."""
+
+from fractions import Fraction as Q
 
 from prismal.forms import Form
 from prismal.io import context_from_dict, form_from_list
 from prismal.mesh import Prism, PrismalSet, Simplex, SimplicialComplex, SimplicialMorphism
+from prismal.primitive import oracle_A
 from prismal.sheaf import CellMorphism, PrismalSheaf
 
 
@@ -30,6 +34,28 @@ def reversed_orientation(s: Simplex) -> Simplex:
     v = list(s.vertices)
     v[0], v[1] = v[1], v[0]
     return Simplex(tuple(v))
+
+
+def interpolate(points) -> list:
+    """Coefficients, lowest degree first, of the polynomial of degree below
+    len(points) through the exact points (x, y): Lagrange's basis, expanded."""
+    coeffs = [Q(0)] * len(points)
+    for i, (xi, yi) in enumerate(points):
+        basis, scale = [Q(1)], Q(1)  # prod over j != i of (x - xj), and its value at xi
+        for j, (xj, _) in enumerate(points):
+            if j != i:
+                basis = [b - xj * a for a, b in zip(basis + [0], [0] + basis)]
+                scale *= xi - xj
+        coeffs = [c + yi * b / scale for c, b in zip(coeffs, basis)]
+    return coeffs
+
+
+def oracle_eps_terms(eta, f, sigma, phi) -> list:
+    """The oracle's average as a polynomial in eps, from deg eta + 1 rational
+    values of eps (at least two, so that the eps^1 term is read)."""
+    degree = max((sum(e) for p in eta.terms.values() for e in p.terms), default=0)
+    epsilons = [Q(1, k) for k in range(1, max(degree, 1) + 2)]
+    return interpolate([(eps, oracle_A(eta, f, sigma, phi, eps=eps)[0]) for eps in epsilons])
 
 
 # ---------------------------------------------------------------------------

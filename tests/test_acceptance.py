@@ -1,8 +1,8 @@
 """Acceptance criteria, one test per criterion.
 
 Each test prints one PASS/FAIL line; all identities are checked in exact
-rational arithmetic (zero canonical residual), the one numeric criterion
-uses the stated epsilon and tolerance.  Runtime bounds are asserted where
+rational arithmetic (zero canonical residual), the shrinking-average
+criterion too, at the stated epsilon and tolerance.  Runtime bounds are asserted where
 stated.
 """
 
@@ -26,7 +26,7 @@ from prismal.verify import (prism_universe, simplex_universe,
                             verify_iminve_suite, verify_lemcod,
                             verify_lemcod_basis, verify_satrap_suite,
                             verify_satrapaz_suite)
-from _support import chain_boundary
+from _support import chain_boundary, oracle_eps_terms
 
 UCTX_NAMES = tuple(range(6))
 
@@ -167,6 +167,15 @@ def test_criterion_09_end_to_end_primitive():
                      f"horizontal gluing on both fixtures ({elapsed:.1f}s < 60s)")
 
 
+def _oracle_holds(eta, f, sigma, phi) -> bool:
+    """Criterion 10 on one relative face: at eps = 1/10^4 the average is
+    within 1/10^6 of the exact value, and as a polynomial in eps its eps^0
+    term is that value and its eps^1 term is zero."""
+    est, exact = oracle_A(eta, f, sigma, phi, eps=Q(1, 10 ** 4))
+    terms = oracle_eps_terms(eta, f, sigma, phi)
+    return abs(est - exact) < Q(1, 10 ** 6) and terms[0] == exact and terms[1] == 0
+
+
 def test_criterion_10_numeric_oracle():
     f = triangle_fan()
     sigma = Simplex((0, 2, 3))
@@ -186,11 +195,20 @@ def test_criterion_10_numeric_oracle():
         which = rng.randrange(2)
         eta = Form(sc, {(sc.var("l", 2 if which else 3),): coeff})
         for phi in extract_A(eta, psi, 1):
-            est, exact = oracle_A(eta, f, sigma, phi, eps=1e-4)
             checked += 1
-            ok = ok and abs(est - exact) < 1e-6
-    _announce(10, ok, f"shrinking-average oracle at eps=1e-4 matches the exact "
-                      f"extraction within 1e-6 ({checked} evaluations)")
+            ok = ok and _oracle_holds(eta, f, sigma, phi)
+    # every relative face of the cube fiber at r = 2
+    f = five_over_two()
+    sigma = Simplex(tuple(range(6)))
+    sc = simplex_context(sigma)
+    l = lambda v: Poly.variable(sc, sc.var("l", v))
+    eta = d(Form(sc, {(sc.var("l", 5),): l(1) * l(3), (sc.var("l", 3),): l(1) * l(5) * l(5)}))
+    for phi in extract_A(eta, psi_coordinate_map(f, sigma), 2):
+        checked += 1
+        ok = ok and _oracle_holds(eta, f, sigma, phi)
+    _announce(10, ok, f"exact shrinking-average oracle at eps=1/10^4 matches the exact "
+                      f"extraction within 1/10^6, with eps^0 term the exact value and "
+                      f"eps^1 term 0 ({checked} evaluations)")
 
 
 def test_criterion_11_structural():

@@ -338,6 +338,17 @@ def test_canonicalize_relations():
     assert canonicalize(Form.from_poly(total) - Form.const(CTX3, 1)).is_zero
 
 
+def test_canonicalize_large_exponents():
+    # (1 - rest)^k in closed form: no recursion or product per degree
+    edge = simplex_context(S(0, 1))
+    got = canonicalize(Form.from_poly(Poly(edge, {(0, 2000): 1})))
+    assert dict(got.terms[()].terms) == {(j, 0): (-1) ** j * math.comb(2000, j)
+                                         for j in range(2001)}
+    x, y, z = (lam(CTX3, v) for v in (0, 1, 2))
+    got = canonicalize(Form.from_poly(z ** 40))
+    assert got.terms[()] == (1 - x - y) ** 40
+
+
 def test_canonical_volume_sign():
     # eliminating the last coordinate exposes the (-1)^p p! representative
     for p in (1, 2, 3):

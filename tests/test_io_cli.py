@@ -41,7 +41,7 @@ def test_rational_strings():
 _KEYS = st.text(max_size=6) | st.sampled_from(
     ['"', "\\", 'a"b\\c', "\x00\x1f\n\t", "\u00e9", "\u2028", "\U0001f600", ""])
 _SCALARS = (st.none() | st.booleans() | st.integers(-2 ** 200, 2 ** 200)
-            | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=8))
+            | st.text(max_size=8))
 _NESTED = st.recursive(
     _SCALARS,
     lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
@@ -115,8 +115,17 @@ def test_dump_json_rejects_non_str_keys_and_unknown_values(tmp_path):
             dump_json(tmp_path / "bad.json", bad)
 
 
+@pytest.mark.parametrize("leaf", [0.5, -0.0, 1e300, float("inf"), float("nan")])
+def test_dump_json_rejects_float_leaves(tmp_path, leaf):
+    # the package writes every rational as a "num/den" string, never a float
+    for tree in (leaf, [1, leaf], {"a": {"b": leaf}}):
+        with pytest.raises(TypeError):
+            dump_json(tmp_path / "bad.json", tree)
+    assert not (tmp_path / "bad.json").exists()
+
+
 def test_import_does_not_load_numpy():
-    # only the floating-point oracle needs numpy, and it imports it itself
+    # no package code imports numpy
     root = Path(__file__).resolve().parents[1]
     code = "import sys, prismal, prismal.cli; print('numpy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -592,7 +601,9 @@ def test_cmd_check_corrupted_fixture_exit2(tmp_path):
 
 
 def test_cmd_primitive_oracle(tmp_path, capsys):
-    cpath, mpath, wpath = _write_fixture_files(tmp_path, pairs=((2, 3),))
+    # d(l2 l3 + l2^2 l3): a quadratic contraction, so the average at eps
+    # differs from the center value by an eps^2 term
+    cpath, mpath, wpath = _write_fixture_files(tmp_path, pairs=((2, 3), (2, 2, 3)))
     out = tmp_path / "h.json"
     code = main(["primitive", "--complex", str(cpath), "--morphism", str(mpath),
                  "--form", str(wpath), "--out", str(out),
@@ -600,10 +611,15 @@ def test_cmd_primitive_oracle(tmp_path, capsys):
     assert code == 0
     data = json.loads(out.read_text())
     assert data["oracle"]
-    assert all(entry["abs_error"] < 1e-6 for entry in data["oracle"])
+    for entry in data["oracle"]:
+        # exact rationals, written as every other coefficient is
+        est, exact, err = (rational_from_str(entry[k]) for k in ("estimate", "exact", "abs_error"))
+        assert err == abs(est - exact) < Q(1, 10 ** 6)
+    assert {"sigma": [2, 3], "phi": [2, 3], "estimate": "-99999999/400000000",
+            "exact": "-1/4", "abs_error": "1/400000000"} in data["oracle"]
 
 
-@pytest.mark.parametrize("eps", ["nan", "inf", "0", "-0.5", "2"])
+@pytest.mark.parametrize("eps", ["nan", "inf", "0", "-0.5", "2", "abc", "1e-99999"])
 def test_cmd_primitive_rejects_oracle_eps_outside_unit_interval(tmp_path, capsys, eps):
     # max(worst, nan) keeps 0.0, and 0 used to skip the oracle: neither may
     # pass as a success
