@@ -14,7 +14,6 @@ one another (`preimage_maximal`); every other preimage query filters them.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -61,7 +60,7 @@ def reorder_sign(src: tuple, dst: tuple) -> int:
 class Simplex:
     """Oriented simplex: an ordered tuple of distinct vertex labels.
 
-    The empty simplex is allowed and has dimension -inf by convention; it is
+    The empty simplex is allowed and has dimension -1 by convention; it is
     a face of everything and contributes nothing to boundaries.
     """
 
@@ -80,8 +79,8 @@ class Simplex:
         return self._hash
 
     @property
-    def dim(self):
-        return len(self.vertices) - 1 if self.vertices else -math.inf
+    def dim(self) -> int:
+        return len(self.vertices) - 1
 
     @property
     def is_empty(self) -> bool:
@@ -135,7 +134,7 @@ def incidence_number(s: Simplex, f: Simplex) -> int:
     The face induced by deleting the vertex at position i carries the sign
     (-1)^i; the result compares f's stored orientation against that one.
     """
-    if s.is_empty or f.dim != s.dim - 1:
+    if f.is_empty or f.dim != s.dim - 1:
         raise IncidenceError(f"{f} is not a codim-1 face of {s}")
     missing = s.vset - f.vset
     if len(missing) != 1 or not f.vset <= s.vset:
@@ -270,8 +269,8 @@ class PrismalSet:
         return len(self.cells)
 
     @property
-    def dim(self):
-        return max((c.dim for c in self.cells), default=-math.inf)
+    def dim(self) -> int:
+        return max((c.dim for c in self.cells), default=-1)
 
     def __repr__(self):
         return f"PrismalSet({len(self.maximal)} maximal, {len(self.cells)} cells)"

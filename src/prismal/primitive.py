@@ -12,7 +12,7 @@ Pipeline, per base simplex tau and maximal source simplex sigma over it:
    primitive of `vertical_gluing`, glued across the prisms over the open
    base simplex by one breadth-first walk per component of their overlap
    graph;
-4. fix the r = 1 gauge on each base face, smallest first, where the
+4. fix the gauge on each base face, smallest first, where the
    specialization must match the face's primitive (`check_horizontal`),
    and check the residual base-volume ^ (pullback(input) - d(primitive)).
    Descent to the raw sheaf (`descend_form`, `check_descent`) runs on
@@ -320,18 +320,6 @@ def vertical_gluing(delta: Form, sigma: Simplex) -> Form:
         raise ExactnessError(f"fiber defect on {sigma}: {exc}") from exc
 
 
-def _is_base_function(form: Form) -> bool:
-    """True for canonical 0-forms whose coefficient uses base variables only."""
-    base_vars = {i for g in form.ctx.base_groups for i in form.ctx.group_vars[g]}
-    for dv, p in form.terms.items():
-        if dv:
-            return False
-        for e in p.terms:
-            if any(n and i not in base_vars for i, n in enumerate(e)):
-                return False
-    return True
-
-
 @dataclass
 class PrismData:
     """One prism's pipeline: `pulled` is psi* eta, `H` the glued primitive."""
@@ -345,10 +333,10 @@ class PrismData:
     correction: Form
     H: Form
 
-    def shift(self, m: Form) -> Form:
-        """Add the nonzero base function m, read into the prism's context
-        (whose base group holds m's), to H and the correction; returns it."""
-        shift = Form.from_poly(m.terms[()].substitute(restriction_map(m.ctx, self.psi.source)))
+    def shift(self, m: Form, lift: CoordMap) -> Form:
+        """Add m, read into the prism's context through the renaming `lift`,
+        to H and the correction; returns it."""
+        shift = pullback(lift, m)
         self.H = self.H + shift
         self.correction = self.correction + shift
         return shift
@@ -390,7 +378,7 @@ def build_primitive_over(f: SimplicialMorphism, omega: dict[Simplex, Form],
         cpart = c_part_form(C, psi)
         corr = vertical_gluing(fiber_defect(combo, cpart), sigma)
         prisms[sigma] = PrismData(sigma, psi, eta, pulled, A, C, corr, cpart + corr)
-    return RelativePrimitive(tau, prisms, _match_across_prisms(f, tau, prisms, r))
+    return RelativePrimitive(tau, prisms, _match_across_prisms(f, tau, prisms))
 
 
 def restrict_input(omega: dict[Simplex, Form], sigma: Simplex) -> Form:
@@ -424,7 +412,7 @@ def validate_input_family(omega: dict[Simplex, Form]) -> None:
             s2 = cells[j]
             common = tuple(v for v in s1.vertices if v in s2.vset)
             degrees = omega[s1].degrees() | omega[s2].degrees()
-            if len(common) - 1 < min(degrees, default=math.inf):
+            if not degrees or len(common) - 1 < min(degrees):
                 continue
             fctx = simplex_context(Simplex(common))
             r1 = restrict_to_face(omega[s1], fctx)
@@ -436,14 +424,14 @@ def validate_input_family(omega: dict[Simplex, Form]) -> None:
 
 
 def _match_across_prisms(f: SimplicialMorphism, tau: Simplex,
-                         prisms: dict[Simplex, PrismData], r: int) -> list:
+                         prisms: dict[Simplex, PrismData]) -> list:
     """Glue the candidates so they agree on the shared cells over the open
-    base simplex.  At r = 1 each is fixed up to a base function: one
+    base simplex.  Each is fixed up to a fiberwise closed form: one
     breadth-first walk per component of the overlap graph, from its first
-    prism, shifts each prism it reaches by its difference to the prism it
-    came from, zero included.  `_verify_overlaps` then checks every
-    overlap, so an inconsistent cycle (a monodromy obstruction) raises
-    ExactnessError.  Returns the overlaps (sigma1, sigma2, shared cell)."""
+    prism, shifts each prism it reaches by its difference (zero included)
+    to the prism it came from.  `_verify_overlaps` then checks every
+    overlap, so an inconsistent cycle raises ExactnessError.  Returns the
+    overlaps (sigma1, sigma2, shared cell)."""
     sigmas = sorted(prisms)
     edges = []
     for i, s1 in enumerate(sigmas):
@@ -452,30 +440,29 @@ def _match_across_prisms(f: SimplicialMorphism, tau: Simplex,
             if inter.is_empty or f.image(inter) != tau:
                 continue
             edges.append((s1, s2, inter))
-    if r == 1:
-        neighbours: dict[Simplex, list] = {s: [] for s in sigmas}
-        for s1, s2, inter in edges:
-            neighbours[s1].append((s2, inter))
-            neighbours[s2].append((s1, inter))
-        reached: set[Simplex] = set()
-        for root in sigmas:
-            if root in reached:
-                continue
-            reached.add(root)
-            walk = [root]
-            for known in walk:  # grows as the walk goes
-                for new, inter in neighbours[known]:
-                    if new in reached:
-                        continue
-                    diff = _restricted_difference(prisms[known].H, prisms[new].H, inter)
-                    if not _is_base_function(diff):
-                        raise ExactnessError(
-                            f"over {tau}: prisms {known} and {new} differ on {inter} "
-                            f"by {diff}, which is not fiberwise constant")
-                    if not diff.is_zero:
-                        prisms[new].shift(diff)  # the base groups coincide
-                    reached.add(new)
-                    walk.append(new)
+    neighbours: dict[Simplex, list] = {s: [] for s in sigmas}
+    for s1, s2, inter in edges:
+        neighbours[s1].append((s2, inter))
+        neighbours[s2].append((s1, inter))
+    reached: set[Simplex] = set()
+    for root in sigmas:
+        if root in reached:
+            continue
+        reached.add(root)
+        walk = [root]
+        for known in walk:  # grows as the walk goes
+            for new, inter in neighbours[known]:
+                if new in reached:
+                    continue
+                diff = _restricted_difference(prisms[known].H, prisms[new].H, inter)
+                if not vertical_part(d(diff)).is_zero:
+                    raise ExactnessError(
+                        f"over {tau}: prisms {known} and {new} differ on {inter} "
+                        f"by {diff}, which is not fiberwise closed")
+                if not diff.is_zero:
+                    prisms[new].shift(diff, restriction_map(diff.ctx, prisms[new].psi.source))
+                reached.add(new)
+                walk.append(new)
     _verify_overlaps(tau, prisms, edges)
     return edges
 
@@ -642,19 +629,29 @@ class HorizontalReport:
         return all(self.matches.values())
 
 
+def _unspecialize(chart: CoordMap, ctx: CoordSystem) -> CoordMap:
+    """The inverse of a specialization chart on its kept variables, onto
+    `ctx`, a part of the chart's source: each variable maps back to the one
+    prism variable whose image it is."""
+    back = {p: Poly.variable(chart.target, i) for i, p in enumerate(chart.image_list)}
+    return CoordMap.build(chart.target, ctx, {
+        n: back[Poly.variable(chart.source, chart.source.index[n])] for n in ctx.names})
+
+
 def check_horizontal(f: SimplicialMorphism, prim: RelativePrimitive,
                      prim_face: RelativePrimitive) -> HorizontalReport:
     """Compare the specialized primitive with the one built over a face F,
-    and fix the r = 1 gauge there.
+    and fix the gauge there.
 
     `prim_face` is the primitive over a proper face of `prim`'s base
     simplex.  Terms whose t-monomial involves a lost vertex vanish on the
     face; the surviving part must coincide with the face pipeline's
-    primitive.  A mismatch m that is a base function is homogenized in the
-    t of F to degree max(deg m, |F|), each part times (sum_{y in F} t_y)^k.
-    The result h equals m on F.  When every monomial of h holds every t_y of
-    F, h vanishes on each face missing a vertex of F, so H - h keeps the
-    matches of the smaller faces; the overlaps over tau are checked again.
+    primitive.  A fiberwise closed mismatch m is split by degree in the t
+    of F, across its wedges, and homogenized to degree max(deg m, |F|),
+    each part times (sum_{y in F} t_y)^k.  The result h equals m on F.
+    When every monomial of h holds every t_y of F, h vanishes on each face
+    missing a vertex of F, so H - h keeps the matches of the smaller faces;
+    the overlaps over tau are checked again.
     """
     tau, tau_face = prim.tau, prim_face.tau
     vanished = surviving = 0
@@ -673,14 +670,15 @@ def check_horizontal(f: SimplicialMorphism, prim: RelativePrimitive,
         chart = specialization_chart(pd.psi.source, tau_face)
         carrier = next(s for s in prim_face.prisms if sigma_f.vset <= s.vset)
         m = _restricted_difference(pullback(chart, pd.H), prim_face.prisms[carrier].H, sigma_f)
-        if not m.is_zero and _is_base_function(m):
+        if not m.is_zero and vertical_part(d(m)).is_zero:
             ts = m.ctx.group_vars[0]  # the t of F
             total = sum(map(functools.partial(Poly.variable, m.ctx), ts), Poly.zero(m.ctx))
-            parts = m.terms[()].homogeneous_parts(ts)
-            h = sum((part * total ** (max(*parts, len(ts)) - k) for k, part in parts.items()),
-                    Poly.zero(m.ctx))
-            if all(all(e[i] for i in ts) for e in h.terms):
-                m = canonicalize(m + pullback(chart, pd.shift(-Form.from_poly(h))))
+            parts = {dv: p.homogeneous_parts(ts) for dv, p in m.terms.items()}
+            top = max(len(ts), *(k for by_k in parts.values() for k in by_k))
+            h = Form(m.ctx, {dv: sum((q * total ** (top - k) for k, q in by_k.items()),
+                                     Poly.zero(m.ctx)) for dv, by_k in parts.items()})
+            if all(all(e[i] for i in ts) for p in h.terms.values() for e in p.terms):
+                m = canonicalize(m + pullback(chart, pd.shift(-h, _unspecialize(chart, m.ctx))))
                 shifted = True
         matches[sigma] = m.is_zero
     if shifted:

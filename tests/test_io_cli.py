@@ -293,9 +293,9 @@ def test_cmd_primitive_success(tmp_path, capsys):
         assert hs["descent_verified"]
 
 
-def test_cmd_primitive_horizontal_mismatch_names_prisms(tmp_path, capsys, monkeypatch):
-    # mark one prism of one horizontal report as mismatched: exit 1, one
-    # stderr line naming it, and the failing JSON entry lists it
+def _one_horizontal_mismatch(monkeypatch) -> list:
+    """Mark one prism of the first horizontal report as mismatched; the
+    returned list receives its (tau, face, sigma)."""
     from prismal import primitive
     real, flipped = primitive.check_horizontal, []
 
@@ -308,6 +308,13 @@ def test_cmd_primitive_horizontal_mismatch_names_prisms(tmp_path, capsys, monkey
         return rep
 
     monkeypatch.setattr(primitive, "check_horizontal", one_mismatch)
+    return flipped
+
+
+def test_cmd_primitive_horizontal_mismatch_names_prisms(tmp_path, capsys, monkeypatch):
+    # mark one prism of one horizontal report as mismatched: exit 1, one
+    # stderr line naming it, and the failing JSON entry lists it
+    flipped = _one_horizontal_mismatch(monkeypatch)
     cpath, mpath, wpath = _write_fixture_files(tmp_path)
     out = tmp_path / "h.json"
     code = main(["primitive", "--complex", str(cpath), "--morphism", str(mpath),
@@ -323,6 +330,22 @@ def test_cmd_primitive_horizontal_mismatch_names_prisms(tmp_path, capsys, monkey
                         "surviving_terms": failing[0]["surviving_terms"],
                         "ok": False, "mismatched": [list(sigma.vertices)]}]
     assert all("mismatched" not in h for h in data["horizontal"] if h["ok"])
+
+
+def test_cmd_primitive_horizontal_mismatch_fails_without_the_flag(tmp_path, capsys,
+                                                                  monkeypatch):
+    # without --check-horizontal the reports are not written, but a
+    # mismatch still exits 1 with its stderr line
+    flipped = _one_horizontal_mismatch(monkeypatch)
+    cpath, mpath, wpath = _write_fixture_files(tmp_path)
+    out = tmp_path / "h.json"
+    code = main(["primitive", "--complex", str(cpath), "--morphism", str(mpath),
+                 "--form", str(wpath), "--out", str(out)])
+    assert code == 1
+    [(tau, face, sigma)] = flipped
+    assert capsys.readouterr().err == (
+        f"horizontal mismatch over {tau} at face {face}: prisms {sigma}\n")
+    assert json.loads(out.read_text())["horizontal"] == []
 
 
 def test_cmd_primitive_descent_failure_exits1(tmp_path, capsys, monkeypatch):

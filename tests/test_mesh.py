@@ -3,8 +3,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prismal.mesh import (DimensionError, IncidenceError, Prism, PrismalSet, Simplex,
-                          SimplicialComplex, SimplicialMorphism, StructureError,
+from prismal.mesh import (EMPTY_SIMPLEX, DimensionError, IncidenceError, Prism, PrismalSet,
+                          Simplex, SimplicialComplex, SimplicialMorphism, StructureError,
                           boundary_chain, faces, incidence_number, join,
                           prism_boundary, prism_incidence)
 from _support import chain_boundary, reversed_orientation
@@ -37,7 +37,7 @@ def test_faces_out_of_range():
 
 def test_empty_simplex_conventions():
     e = Simplex(())
-    assert e.dim == float("-inf")
+    assert e.dim == -1 and PrismalSet([]).dim == -1
     assert S(0, 1).has_face(e)
 
 
@@ -65,6 +65,15 @@ def test_incidence_errors():
         incidence_number(S(0, 1, 2), S(0,))
     with pytest.raises(IncidenceError):
         incidence_number(S(0, 1, 2), S(0, 3))
+
+
+def test_empty_simplex_is_no_codim1_face():
+    # dim 0 - 1 = -1 is the empty simplex's dimension: the guard must still
+    # refuse it, as face and as cell
+    with pytest.raises(IncidenceError):
+        incidence_number(S(0), EMPTY_SIMPLEX)
+    with pytest.raises(IncidenceError):
+        incidence_number(EMPTY_SIMPLEX, EMPTY_SIMPLEX)
 
 
 def test_incidence_orientation_flip():
