@@ -21,7 +21,7 @@ def main():
     t0 = time.perf_counter()
     for name in SUITES:
         t = time.perf_counter()
-        reports = run_suite(name, max_dim=args.max_dim, seed=args.seed)
+        reports = run_suite(name, args.max_dim, args.seed)
         bad = [r for r in reports if not r.passed]
         total += len(reports)
         failures += len(bad)

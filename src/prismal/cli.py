@@ -19,7 +19,7 @@ from .primitive import (ExactnessError, PrimitiveError, build_relative_primitive
                         check_descent, descend_form, oracle_A, verify_theodg)
 from .sheaf import (build_Pf, build_Sf, check_Pf_characterization,
                     check_Sf_characterization, sheaf_to_dict)
-from .verify import SUITES, run_all, run_suite
+from .verify import SUITES, run_suite
 
 OPERATION_MAP_VERSION = "identity-map v1: " + ", ".join(SUITES)
 
@@ -33,10 +33,8 @@ def cmd_check(args) -> int:
     try:
         if args.max_dim < 1:
             raise ValidationError(f"--max-dim must be at least 1, got {args.max_dim}")
-        if args.suite == "all":
-            reports = run_all(max_dim=args.max_dim, seed=args.seed)
-        else:
-            reports = run_suite(args.suite, max_dim=args.max_dim, seed=args.seed)
+        names = SUITES if args.suite == "all" else (args.suite,)
+        reports = [r for name in names for r in run_suite(name, args.max_dim, args.seed)]
     except (ValidationError, MeshError) as exc:
         return _validation_error(exc)
     failed = [r for r in reports if not r.passed]
@@ -193,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     chk = sub.add_parser("check", help="run identity suites on built-in universes")
-    chk.add_argument("--suite", default="all", choices=("all",) + SUITES)
+    chk.add_argument("--suite", default="all", choices=("all", *SUITES))
     chk.add_argument("--max-dim", type=int, default=4)
     chk.add_argument("--seed", type=int, default=0)
     chk.add_argument("--json", default=None, help="write a JSON report")

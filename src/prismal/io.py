@@ -206,10 +206,12 @@ def forms_file_to_inputs(dd: dict, cx: SimplicialComplex) -> dict[Simplex, Form]
 def load_json(path) -> dict:
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text ({exc})") from exc
+    except ValueError as exc:  # a JSONDecodeError, or an integer past int's digit limit
+        raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
+    except RecursionError as exc:  # json's decoder recurses once per level
+        raise ValidationError(f"{path}: JSON nested too deeply") from exc
     except OSError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 

@@ -352,7 +352,7 @@ class RelativePrimitive:
 
 
 def build_primitive_over(f: SimplicialMorphism, omega: dict[Simplex, Form],
-                         tau: Simplex, r: int = 1) -> RelativePrimitive:
+                         tau: Simplex, r: int) -> RelativePrimitive:
     """Run the pipeline over one base simplex.
 
     `omega` gives the input form on each maximal source simplex, in its
@@ -478,11 +478,17 @@ def _restricted_difference(H1: Form, H2: Form, inter: Simplex) -> Form:
 
 
 def _verify_overlaps(tau, prisms, edges) -> None:
+    """The walk glued along a spanning tree, so a mismatch left on an overlap
+    is one around a cycle.  Between functions it is a period of the input on
+    the fiber; between forms it can remain on a globally exact input too."""
     for s1, s2, inter in edges:
-        if not _restricted_difference(prisms[s1].H, prisms[s2].H, inter).is_zero:
-            raise ExactnessError(
-                f"over {tau}: primitive candidates on {s1} and {s2} disagree on "
-                f"{inter}; the input is not fiberwise exact over the open base cell")
+        diff = _restricted_difference(prisms[s1].H, prisms[s2].H, inter)
+        if not diff.is_zero:
+            why = ("the input is not fiberwise exact over the open base cell"
+                   if diff.degrees() == {0} else "gluing along a spanning tree "
+                   "of the overlaps could not close a cycle of overlaps")
+            raise ExactnessError(f"over {tau}: primitive candidates on {s1} and "
+                                 f"{s2} disagree on {inter}; {why}")
 
 
 # ---------------------------------------------------------------------------
@@ -708,7 +714,7 @@ def verify_theodg(prim: RelativePrimitive) -> dict[Simplex, Form]:
 
 
 def build_relative_primitive(f: SimplicialMorphism, omega: dict[Simplex, Form],
-                             r: int = 1) -> PrimitiveResult:
+                             r: int) -> PrimitiveResult:
     """Run the pipeline over every base simplex with sources over it.
 
     Each base cell is built after its faces and gauged on them, smallest
@@ -760,7 +766,7 @@ def _grundmann_moeller(n: int, s: int) -> list[tuple[Fraction, tuple[Fraction, .
 
 
 def oracle_A(eta: Form, f: SimplicialMorphism, sigma: Simplex, phi: RelFace,
-             eps: int | Fraction = Q(1, 10 ** 4)) -> tuple[Fraction, Fraction]:
+             eps: int | Fraction) -> tuple[Fraction, Fraction]:
     """Shrinking-average value of the working coefficient of phi, exactly.
 
     Averages the contraction of eta with phi's fiber frame over the

@@ -38,7 +38,7 @@ class IdentityReport:
     identity: str
     case: str
     passed: bool
-    residual: str | None = None
+    residual: str | None
 
     def as_dict(self):
         out = {"identity": self.identity, "case": self.case,
@@ -65,16 +65,14 @@ def _canonical_prism(dims: tuple[int, ...]) -> Prism:
     return Prism(tuple(factors))
 
 
-def simplex_universe(max_dim: int = 4):
+def simplex_universe(max_dim: int):
     return [_canonical_simplex(p) for p in range(1, max_dim + 1)]
 
 
-def prism_universe(max_factor_dim: int = 2, max_factors: int = 3):
-    out = []
-    for k in range(1, max_factors + 1):
-        for dims in itertools.product(range(1, max_factor_dim + 1), repeat=k):
-            out.append(_canonical_prism(dims))
-    return out
+def prism_universe():
+    """Prisms of 1 to 3 factors, each of dimension 1 or 2."""
+    return [_canonical_prism(dims) for k in (1, 2, 3)
+            for dims in itertools.product((1, 2), repeat=k)]
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +106,7 @@ def _affine_coeff_forms(ctx: CoordSystem, degree: int):
     return basis
 
 
-def _form_vector(form: Form, ctx: CoordSystem, slots: dict) -> list[Fraction]:
+def _form_vector(form: Form, slots: dict) -> list[Fraction]:
     vec = [Q(0)] * len(slots)
     for dv, p in form.terms.items():
         for e, c in p.terms.items():
@@ -153,7 +151,7 @@ def verify_lemcod_basis(p: Prism) -> IdentityReport:
     fcs = list(prism_boundary(p))
     slots: dict = {}
     rows = [_form_vector(canonicalize(
-                whitney_form(ctx, dict(enumerate(f.vertices for f in q.factors)))), ctx, slots)
+                whitney_form(ctx, dict(enumerate(f.vertices for f in q.factors)))), slots)
             for q in fcs]
     rank = _rank(rows)
     if rank != len(fcs):
@@ -169,8 +167,8 @@ def verify_lemcod_basis(p: Prism) -> IdentityReport:
         slots_q: dict = {}
         restricted = [canonicalize(restrict_to_face(b, qctx)) for b in basis]
         wq = canonicalize(whitney_prism(q))
-        vecs = [_form_vector(rf, qctx, slots_q) for rf in restricted]
-        wvec = _form_vector(wq, qctx, slots_q)
+        vecs = [_form_vector(rf, slots_q) for rf in restricted]
+        wvec = _form_vector(wq, slots_q)
         width = len(slots_q)
         for slot in range(width):
             row = [Q(0)] * ncoef
@@ -185,33 +183,22 @@ def verify_lemcod_basis(p: Prism) -> IdentityReport:
     if sol_dim != len(fcs):
         return IdentityReport("lemcod.c", f"{p} span", False,
                               f"solution dim {sol_dim} != {len(fcs)}")
-    return IdentityReport("lemcod.c", f"{p}", True)
+    return IdentityReport("lemcod.c", f"{p}", True, None)
 
 
-def basis_universe(max_dim: int = 4, max_factor_dim: int = 2,
-                   max_factors: int = 3):
+def basis_universe(max_dim: int):
     """Cells for the basis check: simplices as one-factor prisms, plus the
     multi-factor prism universe."""
-    cells = [Prism((s,)) for s in simplex_universe(max_dim)]
-    cells += [p for p in prism_universe(max_factor_dim, max_factors)
-              if len(p.factors) > 1]
-    return cells
+    return ([Prism((s,)) for s in simplex_universe(max_dim)]
+            + [p for p in prism_universe() if len(p.factors) > 1])
 
 
-def verify_lemcod(max_dim: int = 4, max_factor_dim: int = 2,
-                  max_factors: int = 3, with_basis: bool = True):
-    reports = []
-    for s in simplex_universe(max_dim):
-        for face in boundary_chain(s):
-            reports.append(verify_lemcod_simplex(s, face))
-    for p in prism_universe(max_factor_dim, max_factors):
-        for q in prism_boundary(p):
-            reports.append(verify_lemcod_prism(p, q))
-    if with_basis:
-        for p in basis_universe(max_dim, max_factor_dim, max_factors):
-            if p.dim >= 1:
-                reports.append(verify_lemcod_basis(p))
-    return reports
+def verify_lemcod(max_dim: int, seed: int):
+    reports = [verify_lemcod_simplex(s, face) for s in simplex_universe(max_dim)
+               for face in boundary_chain(s)]
+    reports += [verify_lemcod_prism(p, q) for p in prism_universe()
+                for q in prism_boundary(p)]
+    return reports + [verify_lemcod_basis(p) for p in basis_universe(max_dim)]
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +210,7 @@ def verify_bord(s: Simplex) -> IdentityReport:
     return _report("bord", f"{s}", delta)
 
 
-def verify_bord_suite(max_dim: int = 4):
+def verify_bord_suite(max_dim: int, seed: int):
     return [verify_bord(s) for s in simplex_universe(max_dim)]
 
 
@@ -267,36 +254,38 @@ def verify_satrapaz(p: int, ell: int, E: Poly) -> IdentityReport:
     return _report("satrapaz", f"p={p} l={ell} E={E}", canonicalize(lhs - rhs))
 
 
-def random_poly(ctx: CoordSystem, rng: random.Random, max_degree: int = 3) -> Poly:
+def random_poly(ctx: CoordSystem, rng: random.Random) -> Poly:
+    """A seeded multiplier: 1 to 4 terms, each of degree at most 3."""
     terms = {}
     nv = ctx.nvars
     for _ in range(rng.randint(1, 4)):
         e = [0] * nv
-        for _ in range(rng.randint(0, max_degree)):
+        for _ in range(rng.randint(0, 3)):
             e[rng.randrange(nv)] += 1
         terms[tuple(e)] = Q(rng.randint(-6, 6), rng.randint(1, 4))
     return Poly(ctx, terms)
 
 
-def verify_satrap_suite(max_p: int = 4, max_ell: int = 2):
-    reports = []
-    for p in range(1, max_p + 1):
-        for ell in range(0, min(max_ell, p - 1) + 1):
-            reports.append(verify_satrap(p, ell))
-    return reports
+def _star_cases(max_dim: int) -> list[tuple[int, int]]:
+    """(p, l) for the star sums: 1 <= p <= max_dim and l <= min(2, p - 1)."""
+    return [(p, ell) for p in range(1, max_dim + 1) for ell in range(min(2, p - 1) + 1)]
 
 
-def verify_satrapaz_suite(max_p: int = 4, max_ell: int = 2, seed: int = 0,
-                          n_random: int = 20):
+def verify_satrap_suite(max_dim: int, seed: int):
+    return [verify_satrap(p, ell) for p, ell in _star_cases(max_dim)]
+
+
+def verify_satrapaz_suite(max_dim: int, seed: int):
+    """The multipliers 1 and the first coordinate on every case, then 20
+    seeded random multipliers on seeded cases."""
     reports = []
-    cases = [(p, ell) for p in range(1, max_p + 1)
-             for ell in range(0, min(max_ell, p - 1) + 1)]
+    cases = _star_cases(max_dim)
     for p, ell in cases:
         ctx = simplex_context(_canonical_simplex(p))
         reports.append(verify_satrapaz(p, ell, Poly.const(ctx, 1)))
         reports.append(verify_satrapaz(p, ell, Poly.variable(ctx, 0)))
     rng = random.Random(seed)
-    for k in range(n_random):
+    for _ in range(20):
         p, ell = cases[rng.randrange(len(cases))]
         ctx = simplex_context(_canonical_simplex(p))
         reports.append(verify_satrapaz(p, ell, random_poly(ctx, rng)))
@@ -325,12 +314,14 @@ def verify_iminve(f: SimplicialMorphism, sigma: Simplex) -> IdentityReport:
                    canonicalize(lhs - rhs))
 
 
-def verify_iminve_suite(max_p: int = 4, max_s: int = 2):
+def verify_iminve_suite(max_dim: int, seed: int):
+    """Every vertex map of a simplex of dimension <= max_dim onto a base
+    simplex of dimension <= 2."""
     reports = []
-    for p in range(1, max_p + 1):
+    for p in range(1, max_dim + 1):
         sigma = _canonical_simplex(p)
         delta = SimplicialComplex([sigma])
-        for s in range(0, min(max_s, p) + 1):
+        for s in range(min(2, p) + 1):
             base = SimplicialComplex([Simplex(tuple(range(100, 101 + s)))])
             for assignment in itertools.product(range(s + 1), repeat=p + 1):
                 if set(assignment) != set(range(s + 1)):
@@ -397,26 +388,22 @@ def verify_facepro(dims: tuple[int, ...]) -> IdentityReport:
     return _report("facepro", f"dims={dims}", canonicalize(lhs - rhs))
 
 
-def verify_faceface_suite(max_p: int = 4, max_q: int = 2,
-                          prism_dims=((1, 1), (1, 2), (2, 1), (2, 2))):
-    reports = []
-    for p in range(2, max_p + 1):
-        for q in range(0, min(max_q, p - 1) + 1):
-            if p - q - 1 < 0:
-                continue
-            reports.append(verify_faceface(p, q))
-    for p in range(1, max_p + 1):
-        reports.append(verify_facepri(p))
-    for dims in prism_dims:
-        reports.append(verify_facepro(dims))
-    return reports
+def verify_faceface_suite(max_dim: int, seed: int):
+    """Faces of dimension q <= 2 against their opposite faces, the facet
+    version in every dimension, and the four products of two factors of
+    dimension 1 or 2."""
+    reports = [verify_faceface(p, q) for p in range(2, max_dim + 1)
+               for q in range(min(2, p - 1) + 1)]
+    reports += [verify_facepri(p) for p in range(1, max_dim + 1)]
+    return reports + [verify_facepro(dims) for dims in ((1, 1), (1, 2), (2, 1), (2, 2))]
 
 
 # ---------------------------------------------------------------------------
 # Relative form identities on the trivialized sheaves
 # ---------------------------------------------------------------------------
 
-def verify_relative_suite():
+def verify_relative_suite(max_dim: int, seed: int):
+    """On the four built-in fixtures, whatever max_dim and seed."""
     reports = []
     for f in (fixture_mod.triangle_fan(), fixture_mod.square_over_edge(),
               fixture_mod.five_over_two(), fixture_mod.tetra_pair_over_triangle()):
@@ -503,26 +490,13 @@ def _lemrol_cases(f, sigma, tau, wrel):
 # ---------------------------------------------------------------------------
 
 # name -> runner(max_dim, seed), in report order
-_RUNNERS = {
-    "lemcod": lambda max_dim, seed: verify_lemcod(max_dim=max_dim),
-    "bord": lambda max_dim, seed: verify_bord_suite(max_dim=max_dim),
-    "satrap": lambda max_dim, seed: verify_satrap_suite(max_p=max_dim),
-    "satrapaz": lambda max_dim, seed: verify_satrapaz_suite(max_p=max_dim, seed=seed),
-    "iminve": lambda max_dim, seed: verify_iminve_suite(max_p=max_dim),
-    "faceface": lambda max_dim, seed: verify_faceface_suite(max_p=max_dim),
-    "relative": lambda max_dim, seed: verify_relative_suite(),
-}
-SUITES = tuple(_RUNNERS)
+SUITES = {"lemcod": verify_lemcod, "bord": verify_bord_suite,
+          "satrap": verify_satrap_suite, "satrapaz": verify_satrapaz_suite,
+          "iminve": verify_iminve_suite, "faceface": verify_faceface_suite,
+          "relative": verify_relative_suite}
 
 
-def run_suite(name: str, max_dim: int = 4, seed: int = 0):
-    if name not in _RUNNERS:
+def run_suite(name: str, max_dim: int, seed: int):
+    if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    return _RUNNERS[name](max_dim, seed)
-
-
-def run_all(max_dim: int = 4, seed: int = 0):
-    reports = []
-    for name in SUITES:
-        reports.extend(run_suite(name, max_dim=max_dim, seed=seed))
-    return reports
+    return SUITES[name](max_dim, seed)

@@ -21,11 +21,11 @@ from prismal.primitive import (build_relative_primitive, extract_A,
                                verify_theodg)
 from prismal.sheaf import (build_Pf, build_Sf, check_Pf_characterization,
                            check_Sf_characterization, psi_coordinate_map)
-from prismal.verify import (prism_universe, simplex_universe,
+from prismal.verify import (basis_universe, prism_universe, simplex_universe,
                             verify_bord_suite, verify_faceface_suite,
-                            verify_iminve_suite, verify_lemcod,
-                            verify_lemcod_basis, verify_satrap_suite,
-                            verify_satrapaz_suite)
+                            verify_iminve_suite, verify_lemcod_basis,
+                            verify_lemcod_prism, verify_lemcod_simplex,
+                            verify_satrap_suite, verify_satrapaz_suite)
 from _support import chain_boundary, oracle_eps_terms
 
 UCTX_NAMES = tuple(range(6))
@@ -38,8 +38,10 @@ def _announce(num, ok, text):
 
 def test_criterion_01_extension_differentials_runtime():
     t0 = time.time()
-    reports = verify_lemcod(max_dim=4, max_factor_dim=2, max_factors=3,
-                            with_basis=False)
+    reports = [verify_lemcod_simplex(s, face) for s in simplex_universe(4)
+               for face in boundary_chain(s)]
+    reports += [verify_lemcod_prism(p, q) for p in prism_universe()
+                for q in prism_boundary(p)]
     elapsed = time.time() - t0
     ok = all(r.passed for r in reports) and elapsed < 30
     _announce(1, ok, f"d w(face;cell) = [cell;face] w(cell) on the full universe "
@@ -47,37 +49,34 @@ def test_criterion_01_extension_differentials_runtime():
 
 
 def test_criterion_02_extended_forms_basis():
-    from prismal.verify import basis_universe
-    reports = [verify_lemcod_basis(p) for p in basis_universe(4, 2, 3)]
+    reports = [verify_lemcod_basis(p) for p in basis_universe(4)]
     ok = all(r.passed for r in reports)
     _announce(2, ok, f"extended codim-1 forms span with exact rank == face count "
                      f"({len(reports)} cells incl. simplices to dim 4)")
 
 
 def test_criterion_03_antiboundary():
-    reports = verify_bord_suite(max_dim=4)
+    reports = verify_bord_suite(4, 0)
     ok = all(r.passed for r in reports)
     _announce(3, ok, "d(antiboundary) = whitney for p = 1..4")
 
 
 def test_criterion_04_pullback_identity():
-    reports = verify_iminve_suite(max_p=4, max_s=2)
+    reports = verify_iminve_suite(4, 0)
     ok = all(r.passed for r in reports) and len(reports) > 100
     _announce(4, ok, f"blow-down pullback identity with signs, all vertex maps "
                      f"onto bases of dim <= 2 ({len(reports)} cases)")
 
 
 def test_criterion_05_star_sums():
-    reports = verify_satrap_suite(max_p=4, max_ell=2)
-    reports += verify_satrapaz_suite(max_p=4, max_ell=2, seed=0, n_random=20)
+    reports = verify_satrap_suite(4, 0) + verify_satrapaz_suite(4, 0)
     ok = all(r.passed for r in reports)
     _announce(5, ok, f"star sums and multiplier differentials, (p,l) <= (4,2) "
                      f"plus 20 seeded polynomials ({len(reports)} cases)")
 
 
 def test_criterion_06_face_factorizations():
-    reports = verify_faceface_suite(max_p=4, max_q=2,
-                                    prism_dims=((1, 1), (1, 2), (2, 1), (2, 2)))
+    reports = verify_faceface_suite(4, 0)
     ok = all(r.passed for r in reports)
     _announce(6, ok, f"opposite-face factorizations after denominator clearing "
                      f"({len(reports)} cases)")
@@ -220,7 +219,7 @@ def test_criterion_11_structural():
     for s in simplex_universe(4):
         if s.dim >= 2:
             ok = ok and chain_boundary(boundary_chain(s), boundary_chain) == {}
-    for p in prism_universe(2, 3):
+    for p in prism_universe():
         if p.dim >= 2:
             ok = ok and chain_boundary(prism_boundary(p), prism_boundary) == {}
     _announce(11, ok, "sheaf characterizations on all fixtures; "

@@ -444,7 +444,7 @@ def test_whitney_form_of_every_prism_cell():
     # to exactly 1 over its own cell
     from functools import reduce
     from prismal.verify import prism_universe
-    for p in prism_universe(2, 3):
+    for p in prism_universe():
         ctx = prism_context(p)
         whole = {g: f.vertices for g, f in enumerate(p.factors)}
         assert whitney_form(ctx) == whitney_form(ctx, whole)
@@ -653,8 +653,8 @@ def _prism_stokes(p, b):
 
 def test_stokes_prisms_low_dims():
     from prismal.verify import prism_universe
-    for p in prism_universe(2, 2):
-        if not 2 <= p.dim <= 3:
+    for p in prism_universe():
+        if len(p.factors) > 2 or not 2 <= p.dim <= 3:
             continue
         ctx = prism_context(p)
         cases = []

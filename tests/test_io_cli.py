@@ -235,7 +235,7 @@ def test_cmd_check_pass(capsys):
     assert "4/4" in out
 
 
-@pytest.mark.parametrize("suite", ("all",) + SUITES)
+@pytest.mark.parametrize("suite", ("all", *SUITES))
 @pytest.mark.parametrize("max_dim", [0, -1])
 def test_cmd_check_rejects_max_dim_below_one(capsys, suite, max_dim):
     # no universe has cells below dimension 1: an empty run is no success
@@ -749,39 +749,93 @@ def _json_paths(node, path=()):
         yield from _json_paths(child, path + (key,))
 
 
-# wrong types, unknown vertices and bad rationals
+class _Raw(str):
+    """JSON text written as it is: a number past int's 4300-digit limit, or
+    an unclosed nest of arrays."""
+
+
+class _Twice(tuple):
+    """The (junk, original) values of a key written twice; json keeps the
+    second."""
+
+
+# wrong types, unknown vertices, bad rationals, exponents just past the bound
+# and below zero, large coefficients and 5000-digit strings and numbers
 JUNK = [None, True, 1.5, -1, 999, "999", "x", "1/0", "1/2/3", "abc", "l:999",
-        [], {}, [999], [[0, 999]], {"x": 1}]
+        [], {}, [999], [[0, 999]], {"x": 1}, 32768, str(10 ** 40), f"-{10 ** 40}/7",
+        10 ** 40, "7" * 5000, _Raw("7" * 5000)]
+NESTED = _Raw("[" * 200000)
 
 
-def _mutate(data, path, drop, junk):
+def _dumps(node) -> str:
+    if isinstance(node, _Raw):
+        return node
+    if isinstance(node, dict):
+        return "{" + ", ".join(f"{json.dumps(key)}: {_dumps(value)}"
+                               for key, value in node.items()
+                               for value in (value if isinstance(value, _Twice) else [value])) + "}"
+    if isinstance(node, (list, tuple)):  # a key repeated twice over: an array
+        return "[" + ", ".join(map(_dumps, node)) + "]"
+    return json.dumps(node)
+
+
+def _mutate(data, path, op, junk):
+    """Replace, drop or repeat the node at `path`; a repeated key is written
+    twice, a repeated list item inserted twice."""
     if not path:
         return copy.deepcopy(junk)
     parent = data
     for key in path[:-1]:
         parent = parent[key]
-    if drop:
-        del parent[path[-1]]
+    key = path[-1]
+    if op == "drop":
+        del parent[key]
+    elif op == "repeat" and isinstance(parent, list):
+        parent.insert(key, copy.deepcopy(parent[key]))
+    elif op == "repeat":
+        parent[key] = _Twice((copy.deepcopy(junk), parent[key]))
     else:
-        parent[path[-1]] = copy.deepcopy(junk)
+        parent[key] = copy.deepcopy(junk)
     return data
 
 
-@settings(max_examples=50, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.lists(st.tuples(st.sampled_from(("complex", "morphism", "form")),
-                          st.integers(0, 1 << 16), st.booleans(), st.sampled_from(JUNK)),
+                          st.integers(0, 1 << 16),
+                          st.sampled_from(("replace", "drop", "repeat")),
+                          st.sampled_from(JUNK)),
                 min_size=1, max_size=3))
+@example([("complex", 0, "replace", NESTED)])
+@example([("form", 0, "replace", NESTED)])
 def test_cmd_primitive_fuzzed_inputs_never_raise(edits):
+    # the triangle-fan files with up to three mutations: both commands exit
+    # 0, 1 or 2 and raise nothing
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         paths = dict(zip(("complex", "morphism", "form"), _write_fixture_files(tmp)))
         files = {name: json.loads(path.read_text()) for name, path in paths.items()}
-        for name, pick, drop, junk in edits:
+        for name, pick, op, junk in edits:
             options = list(_json_paths(files[name]))
-            files[name] = _mutate(files[name], options[pick % len(options)], drop, junk)
+            files[name] = _mutate(files[name], options[pick % len(options)], op, junk)
         for name, path in paths.items():
-            path.write_text(json.dumps(files[name]))
-        code = main(["primitive", "--complex", str(paths["complex"]),
-                     "--morphism", str(paths["morphism"]), "--form", str(paths["form"]),
-                     "--out", str(tmp / "h.json")])
-    assert code in (0, 1, 2)
+            path.write_text(_dumps(files[name]))
+        inputs = ["--complex", str(paths["complex"]), "--morphism", str(paths["morphism"])]
+        codes = [main(["sheaf", *inputs]),
+                 main(["primitive", *inputs, "--form", str(paths["form"]),
+                       "--out", str(tmp / "h.json")])]
+    assert set(codes) <= {0, 1, 2}
+
+
+@pytest.mark.parametrize("command, flag", [("sheaf", "complex"), ("primitive", "form")])
+def test_cli_deeply_nested_input_exit2(tmp_path, capsys, command, flag):
+    # json's decoder recurses once per level: 200000 levels are a validation
+    # error that names the file, not a RecursionError
+    cpath, mpath, wpath = _write_fixture_files(tmp_path)
+    files = {"complex": cpath, "morphism": mpath, "form": wpath}
+    files[flag].write_text(NESTED)
+    argv = [command, "--complex", str(cpath), "--morphism", str(mpath)]
+    if command == "primitive":
+        argv += ["--form", str(wpath), "--out", str(tmp_path / "h.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"validation error: {files[flag]}:")

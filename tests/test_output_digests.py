@@ -1,11 +1,12 @@
 """Byte-level goldens of the three JSON outputs a refactor must keep.
 
 `prismal primitive --check-horizontal` and `prismal sheaf --dump-sheaf` run
-on inputs this file writes itself, and `prismal check --suite all --max-dim
-3 --seed 0 --json` on the built-in universes; the sha256 of every output
-file must match `data/output_digests.json`.  A change that alters the
-primitives on purpose (a new gauge or fiber homotopy) updates those digests
-in the same change and names the ones that moved.
+on inputs this file writes itself, and `prismal check --suite all --json`
+on the built-in universes at `--max-dim 3 --seed 0` and `--max-dim 5 --seed
+7`; the sha256 of every output file must match `data/output_digests.json`.
+A change that alters the primitives on purpose (a new gauge or fiber
+homotopy) updates those digests in the same change and names the ones that
+moved.
 """
 
 import hashlib
@@ -45,6 +46,10 @@ SHEAF_CASES = {f"sheaf/{fx.__name__}": fx for fx in (
     triangle_fan, collapse_edge, square_over_edge, five_over_two,
     tetra_pair_over_triangle, cylinder_over_edge)}
 SHEAF_CASES["sheaf/fibred_grid/2x3"] = lambda: fibred_grid(2, 3)
+
+# (max_dim, seed) of each pinned `prismal check --suite all`: the bounds
+# l <= 2 and q <= 2 only cut a suite's range from max_dim 4 up
+CHECK_CASES = ((3, 0), (5, 7))
 
 
 def _sha256(path: Path) -> str:
@@ -100,10 +105,11 @@ def output_digests(directory: Path) -> dict[str, tuple[int, str]]:
         target = case_dir / "sheaf.json"
         rc = main(["sheaf", *write_morphism(case_dir, fixture()), "--dump-sheaf", str(target)])
         out[name] = (rc, _sha256(target))
-    report = directory / "check.json"
-    rc = main(["check", "--suite", "all", "--max-dim", "3", "--seed", "0",
-               "--json", str(report)])
-    out["check/all/max-dim-3/seed-0"] = (rc, _sha256(report))
+    for max_dim, seed in CHECK_CASES:
+        report = directory / f"check-{max_dim}-{seed}.json"
+        rc = main(["check", "--suite", "all", "--max-dim", str(max_dim), "--seed", str(seed),
+                   "--json", str(report)])
+        out[f"check/all/max-dim-{max_dim}/seed-{seed}"] = (rc, _sha256(report))
     return out
 
 

@@ -849,9 +849,22 @@ def cylinder_cyclic_form(f):
 
 
 def test_cylinder_not_fiberwise_exact():
+    # at r = 1 the mismatch around a cycle of overlaps is a period of the
+    # input on the fiber circle
     f = cylinder_over_edge()
-    with pytest.raises(ExactnessError):
+    with pytest.raises(ExactnessError, match="the input is not fiberwise exact"):
         build_relative_primitive(f, cylinder_cyclic_form(f), r=1)
+
+
+def test_overlap_cycle_at_r2_does_not_blame_the_input():
+    # d(alpha) is globally exact: a cycle the tree walk cannot close is a
+    # limit of the gluing, not of the input
+    case = next(p for p in GLOBALLY_EXACT_CASES if p.id == "overlap-cycle-over-point-r2")
+    f, alpha, r = case.values
+    with pytest.raises(ExactnessError, match=r"^over <100>: primitive candidates .*; "
+                       "gluing along a spanning tree of the overlaps could not close a "
+                       "cycle of overlaps$"):
+        build_relative_primitive(f, exact_input(f, alpha), r)
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,7 @@ def test_satrapaz_examples():
 
 
 def test_iminve_small():
-    reports = verify_iminve_suite(max_p=2, max_s=1)
+    reports = verify_iminve_suite(2, 0)
     assert reports and all(r.passed for r in reports)
 
 
@@ -68,17 +68,17 @@ def test_faceface_family():
 
 def test_every_suite_passes():
     for name in SUITES:
-        reports = run_suite(name)
+        reports = run_suite(name, 4, 0)
         assert reports, name
         failed = [r for r in reports if not r.passed]
         assert not failed, (name, failed[:3])
 
 
 def test_reports_are_deterministic():
-    a = [r.as_dict() for r in run_suite("satrapaz", seed=5)]
-    b = [r.as_dict() for r in run_suite("satrapaz", seed=5)]
+    a = [r.as_dict() for r in run_suite("satrapaz", 4, 5)]
+    b = [r.as_dict() for r in run_suite("satrapaz", 4, 5)]
     assert a == b
-    c = [r.as_dict() for r in run_suite("satrapaz", seed=6)]
+    c = [r.as_dict() for r in run_suite("satrapaz", 4, 6)]
     assert [x["case"] for x in a] != [x["case"] for x in c]
 
 
@@ -90,4 +90,4 @@ def test_report_shape():
 
 def test_unknown_suite():
     with pytest.raises(ValueError):
-        run_suite("nope")
+        run_suite("nope", 4, 0)
