@@ -103,6 +103,20 @@ def cmd_primitive(args) -> int:
         r = args.degree if args.degree is not None else (degrees.pop() if degrees else 1)
     except (ValidationError, MeshError) as exc:
         return _validation_error(exc)
+    # Python refuses to convert an int past 4300 digits to str: a guard for
+    # parsing, under which the input was read.  A result may pass it, as a
+    # sum of fractions multiplies their denominators, so it is written whole.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # none before 3.10.7
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _build_and_write(args, f, omega, r, eps)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def _build_and_write(args, f, omega, r, eps) -> int:
     try:
         result = build_relative_primitive(f, omega, r=r)
     except ExactnessError as exc:

@@ -21,6 +21,12 @@ operator, its fiber-only variant, and the subface charts of the C
 coefficients.  The kernel accumulates the substitution x_drop = 1 - sum(rest)
 on the integer numerators, with cached powers of (1 - sum(rest)).
 
+A Whitney form is a function of its cell's index layout, the variable
+indices of each group's vertex subset: `whitney_form` builds its int terms
+once per layout, in a bounded module-level cache that `cache_clear` empties
+with the others, and wraps them in fresh Poly and Form objects for each
+context.  The canonical base volume is cached the same way, per group layout.
+
 Every coordinate map the package builds (the blow-down psi, face
 restrictions, horizontal specializations) is monomial: each target variable
 goes to a single term c_i x^a_i or to zero.  `Poly.substitute` maps such a
@@ -901,18 +907,34 @@ def whitney_form(ctx: CoordSystem, cell: Mapping[int, Iterable[int]] | None = No
     `cell` maps a group index to a vertex subset of that group; None means
     every group, whole.  The form is the wedge, in group order, of
     q! sum_k (-1)^k x_k dx_0 ^ ... ^ dx_k-hat ^ ... ^ dx_q over each subset,
-    and the constant 1 when no group is given.  Group variables ascend in
-    group order, so each product of terms keeps its wedges concatenated.
+    and the constant 1 when no group is given.  It depends on the cell's
+    index layout alone, so its terms come from `_whitney_terms`, and each
+    call wraps them in fresh Poly and Form objects for `ctx`.
     """
     if cell is None:
         cell = dict(enumerate(verts for _, verts in ctx.groups))
-    acc: dict[tuple[int, ...], dict] = {(): {0: 1}}
+    layout = []
     for g in sorted(cell):
-        idx = [ctx.var(ctx.groups[g][0], v) for v in cell[g]]
+        idx = tuple(ctx.var(ctx.groups[g][0], v) for v in cell[g])
         if not idx:
             raise FormError("empty vertex subset")
+        layout.append(idx)
+    return Form._make(ctx, {dv: Poly._make(ctx, num) for dv, num in _whitney_terms(tuple(layout))})
+
+
+# bounded and module-level, like `_one_minus_power`, so `cache_clear` resets it
+@functools.lru_cache(maxsize=1 << 12)
+def _whitney_terms(layout: tuple[tuple[int, ...], ...]) -> tuple:
+    """The (wedge, int numerators) terms of the Whitney form whose groups'
+    variable indices are `layout`, in group order.  Group variables ascend
+    in group order, so each product of terms keeps its wedges concatenated.
+    The numerators are shared by every form built from them: callers must
+    not mutate them.
+    """
+    acc: dict[tuple[int, ...], dict] = {(): {0: 1}}
+    for idx in layout:
         fact = math.factorial(len(idx) - 1)
-        block = [(k, i) + _sort_wedge(tuple(idx[:k] + idx[k + 1:])) for k, i in enumerate(idx)]
+        block = [(k, i) + _sort_wedge(idx[:k] + idx[k + 1:]) for k, i in enumerate(idx)]
         nxt: dict[tuple[int, ...], dict] = {}
         for dv, terms in acc.items():
             for k, i, dv_g, sign in block:
@@ -921,7 +943,7 @@ def whitney_form(ctx: CoordSystem, cell: Mapping[int, Iterable[int]] | None = No
                               {e + (1 << _W * i): c for e, c in terms.items()},
                               sign * (-1) ** k * fact)
         acc = nxt
-    return Form._from_acc(ctx, acc)
+    return tuple((dv, num) for dv, t in acc.items() if (num := {e: c for e, c in t.items() if c}))
 
 
 def whitney(s: Simplex) -> Form:
@@ -968,13 +990,20 @@ def base_volume_residual(a: Form) -> Form:
     differentials, so every term of a carrying a base differential dies
     against it; only the vertical part is reduced.
     """
-    return wedge(_canonical_de(a.ctx), canonicalize(vertical_part(a)))
+    ctx = a.ctx
+    de = {dv: Poly._make(ctx, num, den)
+          for dv, num, den in _canonical_de(ctx.group_vars, ctx.base_groups)}
+    return wedge(Form._make(ctx, de), canonicalize(vertical_part(a)))
 
 
 @functools.lru_cache(maxsize=1 << 10)
-def _canonical_de(ctx: CoordSystem) -> Form:
-    """canonicalize(de_form(ctx)), once per context; callers must not mutate it."""
-    return canonicalize(de_form(ctx))
+def _canonical_de(group_vars: tuple[tuple[int, ...], ...], base_groups: tuple[int, ...]) -> tuple:
+    """The (wedge, numerators, denominator) terms of canonicalize(de_form),
+    once per group layout, read on a context of that layout; callers must
+    not mutate the numerators."""
+    ctx = CoordSystem(tuple((BASE_TAG if g in base_groups else f"m:{g}", vs)
+                            for g, vs in enumerate(group_vars)))
+    return tuple((dv, p.num, p.den) for dv, p in canonicalize(de_form(ctx)).terms.items())
 
 
 def is_fiberwise_zero(a: Form) -> bool:

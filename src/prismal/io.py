@@ -17,6 +17,7 @@ standard library falls back to its pure-Python encoder.
 from __future__ import annotations
 
 import json
+import reprlib
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
@@ -31,6 +32,17 @@ class ValidationError(ValueError):
     pass
 
 
+# a message echoes a bad value at a bounded depth and width, not the whole file
+_ECHO = reprlib.Repr()
+_ECHO.maxlevel, _ECHO.maxstring, _ECHO.maxother, _ECHO.maxlist = 3, 60, 60, 12
+
+
+def _shown(value) -> str:
+    """The repr of a bad value as a message echoes it: at most 100 characters."""
+    text = _ECHO.repr(value)
+    return text if len(text) <= 100 else text[:97] + "..."
+
+
 def rational_from_str(s) -> Fraction:
     # a JSON boolean is not a number, though Python's bool is an int
     if type(s) is int:
@@ -41,13 +53,13 @@ def rational_from_str(s) -> Fraction:
             return Q(int(num), int(den)) if slash else Q(int(s))
         except (ValueError, ZeroDivisionError):
             pass
-    raise ValidationError(f"expected an exact rational, got {s!r}")
+    raise ValidationError(f"expected an exact rational, got {_shown(s)}")
 
 
 def _field(obj, key: str, what: str):
     """obj[key] of a JSON object, or a ValidationError naming `what`."""
     if not isinstance(obj, dict):
-        raise ValidationError(f"{what} must be an object, got {obj!r}")
+        raise ValidationError(f"{what} must be an object, got {_shown(obj)}")
     if key not in obj:
         raise ValidationError(f"{what} needs {key!r}")
     return obj[key]
@@ -56,7 +68,7 @@ def _field(obj, key: str, what: str):
 def _list(value, what: str) -> list:
     """A JSON list, or a ValidationError naming `what`."""
     if not isinstance(value, list):
-        raise ValidationError(f"{what} must be a list, got {value!r}")
+        raise ValidationError(f"{what} must be a list, got {_shown(value)}")
     return value
 
 
@@ -69,7 +81,7 @@ def _vertex(v) -> int:
             return int(v)
         except ValueError:
             pass
-    raise ValidationError(f"vertex labels must be integers, got {v!r}")
+    raise ValidationError(f"vertex labels must be integers, got {_shown(v)}")
 
 
 # ---------------------------------------------------------------------------
@@ -81,13 +93,13 @@ def complex_from_dict(dd: dict) -> SimplicialComplex:
     for raw in _list(_field(dd, "maximal_simplices", "complex file"), "maximal_simplices"):
         verts = tuple(map(_vertex, _list(raw, "a simplex")))
         if len(set(verts)) != len(verts):
-            raise ValidationError(f"repeated vertex in simplex {raw}")
+            raise ValidationError(f"repeated vertex in simplex {_shown(raw)}")
         cells.append(Simplex(verts))
     cx = SimplicialComplex(cells)
     declared = dd.get("vertices")
     if declared is not None and set(map(_vertex, _list(declared, "vertices"))) != set(cx.vertices):
         missing = set(map(_vertex, declared)) ^ set(cx.vertices)
-        raise ValidationError(f"vertex list disagrees with simplices at {sorted(missing)}")
+        raise ValidationError(f"vertex list disagrees with simplices at {_shown(sorted(missing))}")
     return cx
 
 
@@ -95,7 +107,7 @@ def morphism_from_dict(dd: dict, source: SimplicialComplex,
                        target: SimplicialComplex) -> SimplicialMorphism:
     vmap = _field(dd, "vertex_map", "morphism file")
     if not isinstance(vmap, dict):
-        raise ValidationError(f"'vertex_map' must be an object, got {vmap!r}")
+        raise ValidationError(f"'vertex_map' must be an object, got {_shown(vmap)}")
     vmap = {_vertex(k): _vertex(v) for k, v in vmap.items()}
     try:
         return SimplicialMorphism(source, target, vmap)
@@ -117,7 +129,7 @@ def context_from_dict(dd: dict) -> CoordSystem:
     for g in _list(_field(dd, "groups", "context"), "context groups"):
         tag = _field(g, "tag", "context group")
         if not isinstance(tag, str):
-            raise ValidationError(f"a context tag must be a string, got {tag!r}")
+            raise ValidationError(f"a context tag must be a string, got {_shown(tag)}")
         verts = _list(_field(g, "vertices", "context group"), "context vertices")
         groups.append((tag, tuple(map(_vertex, verts))))
     return CoordSystem(tuple(groups))
@@ -138,14 +150,14 @@ def poly_from_list(ctx: CoordSystem, items: list) -> Poly:
         c = rational_from_str(_field(item, "c", "polynomial term"))
         exp = item.get("exp", {})
         if not isinstance(exp, dict):
-            raise ValidationError(f"'exp' must be an object, got {exp!r}")
+            raise ValidationError(f"'exp' must be an object, got {_shown(exp)}")
         e = [0] * ctx.nvars
         for name, n in exp.items():
             if name not in ctx.index:
-                raise ValidationError(f"unknown variable {name!r} in polynomial")
+                raise ValidationError(f"unknown variable {_shown(name)} in polynomial")
             if type(n) is not int or not 0 <= n <= _BOUND:
                 raise ValidationError(
-                    f"exponent of {name!r} must be an integer in 0..{_BOUND}, got {n!r}")
+                    f"exponent of {name!r} must be an integer in 0..{_BOUND}, got {_shown(n)}")
             e[ctx.index[name]] = n
         terms[tuple(e)] = terms.get(tuple(e), Q(0)) + c
     return Poly(ctx, terms)
@@ -166,10 +178,10 @@ def form_from_list(ctx: CoordSystem, items: list) -> Form:
         dv = []
         for name in _list(_field(item, "dvars", "form term"), "dvars"):
             if not isinstance(name, str) or name not in ctx.index:
-                raise ValidationError(f"unknown differential {name!r}")
+                raise ValidationError(f"unknown differential {_shown(name)}")
             dv.append(ctx.index[name])
         if sorted(set(dv)) != dv:
-            raise ValidationError(f"dvars must be strictly increasing: {item['dvars']}")
+            raise ValidationError(f"dvars must be strictly increasing: {_shown(item['dvars'])}")
         # entries with a repeated wedge part accumulate
         poly = poly_from_list(ctx, _field(item, "poly", "form term"))
         out = out + Form(ctx, {tuple(dv): poly})
@@ -189,16 +201,16 @@ def forms_file_to_inputs(dd: dict, cx: SimplicialComplex) -> dict[Simplex, Form]
     for entry in entries:
         cell = Simplex(tuple(map(_vertex, _list(_field(entry, "cell", "form entry"), "cell"))))
         if cell not in cx:
-            raise ValidationError(f"form cell {list(cell.vertices)} is not in the complex")
+            raise ValidationError(f"form cell {_shown(list(cell.vertices))} is not in the complex")
         if cell.vset in seen:
-            raise ValidationError(f"form cell {list(cell.vertices)} is given twice")
+            raise ValidationError(f"form cell {_shown(list(cell.vertices))} is given twice")
         seen.add(cell.vset)
         ctx = simplex_context(cell)
         if "context" in entry:
             declared = context_from_dict(entry["context"])
             if declared != ctx:
                 raise ValidationError(
-                    f"context of {list(cell.vertices)} must be its simplex context")
+                    f"context of {_shown(list(cell.vertices))} must be its simplex context")
         out[cell] = form_from_list(ctx, entry.get("terms", []))
     return out
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .mesh import Prism, PrismalSet, Simplex, SimplicialComplex, SimplicialMorphism, join
-from .forms import CoordMap, Poly, pi_context, simplex_context
+from .forms import _W, CoordMap, Poly, pi_context, simplex_context
 
 
 @dataclass
@@ -182,9 +182,9 @@ def psi_coordinate_map(f: SimplicialMorphism, sigma: Simplex) -> CoordMap:
     sctx = simplex_context(sigma)
     images: dict[str, Poly] = {}
     for j, (y, fib) in enumerate(zip(tau.vertices, fibers)):
-        tj = Poly.variable(pctx, pctx.var("t", y))
+        tj = 1 << _W * pctx.var("t", y)  # the key of t_j; a product of monomials adds keys
         for v in fib.vertices:
-            images[f"l:{v}"] = tj * Poly.variable(pctx, pctx.var(f"m:{j}", v))
+            images[f"l:{v}"] = Poly._make(pctx, {tj + (1 << _W * pctx.var(f"m:{j}", v)): 1})
     return CoordMap.build(pctx, sctx, images)
 
 

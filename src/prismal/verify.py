@@ -119,27 +119,28 @@ def _form_vector(form: Form, slots: dict) -> list[Fraction]:
 
 
 def _rank(rows: list[list[Fraction]]) -> int:
-    if not rows:
-        return 0
-    width = max(len(r) for r in rows)
-    m = [r + [Q(0)] * (width - len(r)) for r in rows]
+    """The rank over Q, fraction-free: each row is cleared to ints by the lcm
+    of its denominators, and elimination sets row <- a row - b pivot, divided
+    by the gcd of its entries.  Ragged rows are padded with zeros."""
+    width = max(map(len, rows), default=0)
+    m = []
+    for r in rows:
+        den = math.lcm(1, *(x.denominator for x in r))
+        m.append([x.numerator * (den // x.denominator) for x in r] + [0] * (width - len(r)))
     rank = 0
-    col = 0
-    nrows = len(m)
-    while col < width and rank < nrows:
-        piv = next((r for r in range(rank, nrows) if m[r][col]), None)
+    for col in range(width):
+        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
         if piv is None:
-            col += 1
             continue
         m[rank], m[piv] = m[piv], m[rank]
-        inv = Q(1) / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(nrows):
-            if r != rank and m[r][col]:
-                fac = m[r][col]
-                m[r] = [a - fac * b for a, b in zip(m[r], m[rank])]
+        pivot, a = m[rank], m[rank][col]
+        for r in range(rank + 1, len(m)):
+            b = m[r][col]
+            if b:
+                row = [a * x - b * y for x, y in zip(m[r], pivot)]
+                g = math.gcd(*row)
+                m[r] = [x // g for x in row] if g > 1 else row
         rank += 1
-        col += 1
     return rank
 
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from fractions import Fraction as Q
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prismal.mesh import Prism, Simplex, incidence_number
-from prismal.forms import (_BOUND, ContextError, CoordMap, DegreeError,
+from prismal.forms import (_BOUND, ContextError, CoordMap, CoordSystem, DegreeError,
                            Form, FormError, Poly, base_volume_residual,
                            canonicalize, d, de_form,
                            eliminate, eliminate_poly, elimination_chart,
@@ -453,6 +454,56 @@ def test_whitney_form_of_every_prism_cell():
             w = whitney_form(ctx, cell)
             assert w == reduce(wedge, (whitney_form(ctx, {g: cell[g]}) for g in cell))
             assert integrate_top_form(restrict_to_face(w, prism_context(q))) == 1
+
+
+def _whitney_reference(ctx, cell):
+    """The wedge, in group order, of q! sum_k (-1)^k x_k dx_0 ^ ... ^ dx_q
+    (dx_k left out) over each vertex subset of `cell`."""
+    one = Form.const(ctx, 1)
+    out = one
+    for g in sorted(cell):
+        idx = [ctx.var(ctx.groups[g][0], v) for v in cell[g]]
+        block = Form.zero(ctx)
+        scale = math.factorial(len(idx) - 1)
+        for k, i in enumerate(idx):
+            rest = functools.reduce(wedge, map(functools.partial(Form.d_var, ctx),
+                                               idx[:k] + idx[k + 1:]), one)
+            block = block + rest * (Poly.variable(ctx, i) * ((-1) ** k * scale))
+        out = wedge(out, block)
+    return out
+
+
+def _group_cells(verts, reversed_too):
+    """Every nonempty vertex subset of a group in stored order, and reversed."""
+    subsets = [c for n in range(1, len(verts) + 1) for c in itertools.combinations(verts, n)]
+    return subsets + [c[::-1] for c in subsets if reversed_too and len(c) > 1]
+
+
+@pytest.mark.parametrize("ngroups", [1, 2, 3])
+def test_whitney_form_matches_the_written_formula_on_every_cell(ngroups):
+    # the form of a cell is read from its index layout; the reference builds
+    # it from the formula, by Poly.variable, Form.d_var and wedge.  Every
+    # cell of every context of 1 to 3 groups of 1 to 4 vertices, group sizes
+    # ascending and at most 8 vertices in all; with at most 2 groups, the
+    # vertex subsets are also taken in reversed order
+    for sizes in itertools.combinations_with_replacement(range(1, 5), ngroups):
+        if sum(sizes) > 8:
+            continue
+        groups = [("t", tuple(range(10, 10 + sizes[0])))]
+        groups += [(f"m:{j}", tuple(range(20 * (j + 1), 20 * (j + 1) + n)))
+                   for j, n in enumerate(sizes[1:])]
+        ctx = CoordSystem(tuple(groups))
+        choices = [[None] + _group_cells(verts, ngroups < 3) for _, verts in groups]
+        for pick in itertools.product(*choices):
+            cell = {g: c for g, c in enumerate(pick) if c is not None}
+            assert whitney_form(ctx, cell) == _whitney_reference(ctx, cell), cell
+
+
+def test_whitney_form_errors_on_a_bad_cell():
+    with pytest.raises(FormError, match="empty vertex subset"):
+        whitney_form(CTX3, {0: ()})
+    with pytest.raises(KeyError):  # no variable l:9 in the context
+        whitney_form(CTX3, {0: (0, 9)})
 
 
 def test_pi_whitney_splits_base_and_fiber():

@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -568,6 +569,80 @@ def test_cmd_primitive_malformed_polynomial_exit2(tmp_path, capsys, edit, messag
     assert message in capsys.readouterr().err
 
 
+LONG = "x" * 5000
+
+
+@pytest.mark.parametrize("edit, field", [
+    pytest.param(_poly_item({"c": LONG, "exp": {}}), "expected an exact rational", id="c"),
+    pytest.param(_poly_item({"c": "7" * 5000, "exp": {}}), "expected an exact rational",
+                 id="c-digits"),
+    pytest.param(_poly_item({"c": "1", "exp": LONG}), "'exp' must be an object", id="exp"),
+    pytest.param(_poly_item({"c": "1", "exp": {"l:0": LONG}}), "exponent of 'l:0'",
+                 id="exponent"),
+    pytest.param(_poly_item({"c": "1", "exp": {LONG: 1}}), "unknown variable", id="variable"),
+    pytest.param(_form_term({"dvars": [LONG], "poly": []}), "unknown differential", id="dvar"),
+    pytest.param(_form_term({"dvars": LONG, "poly": []}), "dvars must be a list", id="dvars"),
+    pytest.param(_form_term(LONG), "form term must be an object", id="term"),
+    pytest.param(_first_vertex(LONG), "vertex labels must be integers", id="vertex")])
+def test_validation_message_cuts_a_long_value(tmp_path, capsys, edit, field):
+    # a 5000-character bad value: the message names its field and echoes
+    # the value cut short
+    paths = dict(zip(("complex", "morphism", "form"), _write_fixture_files(tmp_path)))
+    files = {name: json.loads(path.read_text()) for name, path in paths.items()}
+    edit(files)
+    for name, path in paths.items():
+        path.write_text(json.dumps(files[name]))
+    code = main(["primitive", "--complex", str(paths["complex"]),
+                 "--morphism", str(paths["morphism"]), "--form", str(paths["form"]),
+                 "--out", str(tmp_path / "h.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and field in err
+    assert all(len(line.encode()) < 300 for line in err.splitlines())
+
+
+# every monomial written twice, once over each: each input literal stays
+# under int's 4300-digit limit, but their sums pass it
+LARGE_DENOMINATORS = (10 ** 2999 + 7, 10 ** 2999 + 9)
+
+
+def _enlarge(node) -> None:
+    """Write every monomial of each polynomial under `node` twice, once over
+    each of LARGE_DENOMINATORS, in place; junk that is no rational stays."""
+    children = node.values() if isinstance(node, dict) else node if isinstance(node, list) else ()
+    for child in children:
+        _enlarge(child)
+    if isinstance(node, dict) and isinstance(node.get("poly"), list):
+        try:
+            node["poly"] = [{**m, "c": str(Q(m["c"]) / q)}
+                            for m in node["poly"] for q in LARGE_DENOMINATORS]
+        except (TypeError, ValueError, KeyError, ZeroDivisionError):
+            pass
+
+
+@pytest.mark.parametrize("extra", [[], ["--oracle-eps", "1/2"]], ids=["plain", "oracle"])
+def test_cmd_primitive_past_the_digit_limit(tmp_path, capsys, extra):
+    # the fan's input with every coefficient over a 6000-digit denominator:
+    # int's limit on conversion to str guards the parsing only, so the
+    # primitive is built and written whole, and the limit holds afterwards
+    cpath, mpath, wpath = _write_fixture_files(tmp_path)
+    forms = json.loads(wpath.read_text())
+    _enlarge(forms)
+    wpath.write_text(json.dumps(forms))
+    out = tmp_path / "h.json"
+    limit = sys.get_int_max_str_digits()
+    code = main(["primitive", "--complex", str(cpath), "--morphism", str(mpath),
+                 "--form", str(wpath), "--out", str(out), *extra])
+    assert code == 0 and sys.get_int_max_str_digits() == limit
+    assert "Traceback" not in capsys.readouterr().err
+    text = out.read_text()
+    assert max(map(len, re.findall(r'"c": "([^"]*)"', text))) > 6000
+    data = json.loads(text)
+    for cell in data["base_cells"].values():
+        assert all(p["residual_zero"] for p in cell["prisms"].values())
+        assert all(h["descent_verified"] for h in cell["H_S"].values())
+
+
 def test_cmd_primitive_mixed_degrees_exit2(tmp_path, capsys):
     # a 2-form term next to the 1-form input, and no --degree to choose
     cpath, mpath, wpath = _write_fixture_files(tmp_path)
@@ -614,6 +689,31 @@ def test_cmd_primitive_tetra_pair_descent(tmp_path):
     verified = [hs["descent_verified"] for cell in data["base_cells"].values()
                 for hs in cell["H_S"].values()]
     assert verified and all(verified)
+
+
+def test_whitney_numerators_are_never_mutated(tmp_path, monkeypatch):
+    # whitney_form hands out the numerator dicts of one cache to every form
+    # it builds: after a full check and a primitive run, each still equals
+    # a deep copy taken when it was first handed out
+    from prismal import forms
+    cached = forms._whitney_terms
+    cached.cache_clear()
+    handed = {}
+
+    def recording(layout):
+        terms = cached(layout)
+        for _, num in terms:
+            handed.setdefault(id(num), (num, copy.deepcopy(num)))
+        return terms
+
+    monkeypatch.setattr(forms, "_whitney_terms", recording)
+    assert main(["check", "--suite", "all", "--max-dim", "3"]) == 0
+    cpath, mpath, wpath = _write_fixture_files(
+        tmp_path, pairs=((1, 2), (2, 3)), fixture=tetra_pair_over_triangle)
+    assert main(["primitive", "--complex", str(cpath), "--morphism", str(mpath),
+                 "--form", str(wpath), "--out", str(tmp_path / "h.json")]) == 0
+    assert len(handed) > 100
+    assert all(num == snapshot for num, snapshot in handed.values())
 
 
 def test_cmd_check_corrupted_fixture_exit2(tmp_path):
@@ -759,11 +859,19 @@ class _Twice(tuple):
     second."""
 
 
+class _Large:
+    """Not a value: the node's polynomials written with `_enlarge`, their
+    sums past int's 4300-digit limit."""
+
+
+LARGE = _Large()
+
 # wrong types, unknown vertices, bad rationals, exponents just past the bound
-# and below zero, large coefficients and 5000-digit strings and numbers
+# and below zero, large coefficients, 5000-digit strings and numbers, and
+# sums of coefficients past 4300 digits
 JUNK = [None, True, 1.5, -1, 999, "999", "x", "1/0", "1/2/3", "abc", "l:999",
         [], {}, [999], [[0, 999]], {"x": 1}, 32768, str(10 ** 40), f"-{10 ** 40}/7",
-        10 ** 40, "7" * 5000, _Raw("7" * 5000)]
+        10 ** 40, "7" * 5000, _Raw("7" * 5000), LARGE]
 NESTED = _Raw("[" * 200000)
 
 
@@ -781,7 +889,14 @@ def _dumps(node) -> str:
 
 def _mutate(data, path, op, junk):
     """Replace, drop or repeat the node at `path`; a repeated key is written
-    twice, a repeated list item inserted twice."""
+    twice, a repeated list item inserted twice.  LARGE, replacing or
+    repeated, enlarges the node's polynomials in place."""
+    if junk is LARGE and op != "drop":
+        node = data
+        for key in path:
+            node = node[key]
+        _enlarge(node)
+        return data
     if not path:
         return copy.deepcopy(junk)
     parent = data
@@ -807,6 +922,7 @@ def _mutate(data, path, op, junk):
                 min_size=1, max_size=3))
 @example([("complex", 0, "replace", NESTED)])
 @example([("form", 0, "replace", NESTED)])
+@example([("form", 0, "replace", LARGE)])
 def test_cmd_primitive_fuzzed_inputs_never_raise(edits):
     # the triangle-fan files with up to three mutations: both commands exit
     # 0, 1 or 2 and raise nothing

@@ -13,7 +13,7 @@ from prismal import primitive
 from prismal.forms import (CoordSystem, Form, Poly, _dirichlet, canonicalize, d, de_form,
                            equal_mod_relations, pi_context, pullback, relative_d,
                            simplex_context, vertical_part, wedge)
-from prismal.mesh import Simplex, SimplicialComplex, SimplicialMorphism
+from prismal.mesh import Simplex, SimplicialComplex, SimplicialMorphism, perm_sign
 from prismal.primitive import (ExactnessError, RelFace, _grundmann_moeller,
                                admissible_drops, assemble_C,
                                build_primitive_over, build_relative_primitive,
@@ -378,18 +378,19 @@ def test_single_prism_degree_two_roundtrip():
 
 def exact_input(f, alpha):
     """omega = d(alpha) on every maximal cell, for a global alpha given as
-    terms (c, monomial vertices, dvars vertices); a term lives on the cells
-    holding all its vertices."""
+    terms (c, monomial vertices, dvars vertices), the dvars in any order; a
+    term lives on the cells holding all its vertices."""
     omega = {}
     for s in f.source.maximal:
         sc = simplex_context(s)
         form = Form.zero(sc)
         for c, mono, dvars in alpha:
             if set(mono + dvars) <= s.vset:
-                coeff = Poly.const(sc, c)
+                idx = tuple(sc.var("l", w) for w in dvars)
+                coeff = Poly.const(sc, c * perm_sign(idx))
                 for v in mono:
                     coeff = coeff * Poly.variable(sc, sc.var("l", v))
-                form = form + Form(sc, {tuple(sc.var("l", w) for w in dvars): coeff})
+                form = form + Form(sc, {tuple(sorted(idx)): coeff})
         omega[s] = d(form)
     return omega
 
@@ -795,6 +796,19 @@ def test_small_globally_exact_inputs_close_at_r2(case):
         result = build_relative_primitive(f, exact_input(f, alpha), 2)
     except ExactnessError as err:
         assert any(str(err).startswith(f"over {tau}:") for tau in overlap_cycles(f, 2)), err
+        return
+    assert_glued(result)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(small_exact_inputs(r=3))
+def test_small_globally_exact_inputs_close_at_r3(case):
+    # as at r = 2, with alpha a 2-form whose dvars are drawn in any order
+    f, alpha = case
+    try:
+        result = build_relative_primitive(f, exact_input(f, alpha), 3)
+    except ExactnessError as err:
+        assert any(str(err).startswith(f"over {tau}:") for tau in overlap_cycles(f, 3)), err
         return
     assert_glued(result)
 

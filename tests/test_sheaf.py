@@ -134,6 +134,21 @@ def test_psi_coordinate_map_at_interior_points():
         assert psi_at(f, sigma, t, mus) == lam
 
 
+@pytest.mark.parametrize("make", [triangle_fan, square_over_edge, five_over_two,
+                                  tetra_pair_over_triangle])
+def test_psi_images_are_the_products_t_j_mu_v(make):
+    # each image is written as one monomial; it is the product t_j * mu_v
+    f = make()
+    for sigma in f.source.cells:
+        psi = psi_coordinate_map(f, sigma)
+        pctx = psi.source
+        for j, (y, fib) in enumerate(zip(f.image(sigma).vertices, f.fibers(sigma))):
+            for v in fib.vertices:
+                product = (Poly.variable(pctx, pctx.var("t", y))
+                           * Poly.variable(pctx, pctx.var(f"m:{j}", v)))
+                assert psi.image_list[psi.target.var("l", v)] == product
+
+
 def test_psi_jacobian_weight():
     # the blow-down chart map has Jacobian prod t_j^{dim fiber_j} (up to the
     # chart orientation sign): pull back the reduced coordinate volume

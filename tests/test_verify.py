@@ -1,8 +1,11 @@
+import random
+from fractions import Fraction as Q
+
 import pytest
 
 from prismal.forms import Poly, simplex_context
 from prismal.mesh import Prism, Simplex
-from prismal.verify import (IdentityReport, SUITES, prism_universe,
+from prismal.verify import (IdentityReport, SUITES, _rank, prism_universe,
                             run_suite, simplex_universe, verify_bord,
                             verify_faceface, verify_facepri, verify_facepro,
                             verify_iminve_suite, verify_lemcod_basis,
@@ -91,3 +94,43 @@ def test_report_shape():
 def test_unknown_suite():
     with pytest.raises(ValueError):
         run_suite("nope", 4, 0)
+
+
+def _rank_cases(rng, count):
+    """Seeded rational matrices: combinations of a few random rows (so often
+    rank-deficient), with zero rows, repeated rows, integer entries and
+    rows cut short (ragged: their missing entries read as zeros)."""
+    for _ in range(count):
+        width = rng.randint(0, 6)
+        basis = [[Q(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(width)]
+                 for _ in range(rng.randint(1, 4))]
+        rows = []
+        for _ in range(rng.randint(0, 7)):
+            kind = rng.random()
+            if kind < 0.15:
+                row = [Q(0)] * width
+            elif kind < 0.3 and rows:
+                row = list(rng.choice(rows))
+            else:
+                coeffs = [Q(rng.randint(-3, 3), rng.randint(1, 4)) for _ in basis]
+                row = [sum((c * b[k] for c, b in zip(coeffs, basis)), Q(0))
+                       for k in range(width)]
+            if rng.random() < 0.2:
+                row = [int(x) if x.denominator == 1 else x for x in row]
+            if rng.random() < 0.2:
+                row = row[:rng.randint(0, width)]
+            rows.append(row)
+        yield rows, width
+
+
+def test_fraction_free_rank_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    kinds = set()
+    for rows, width in _rank_cases(random.Random(26), 240):
+        padded = [list(r) + [0] * (width - len(r)) for r in rows]
+        flat = [sympy.Rational(x.numerator, x.denominator) for r in padded for x in r]
+        want = sympy.Matrix(len(rows), width, flat).rank()
+        assert _rank(rows) == want, rows
+        kinds.add(("deficient", want < min(len(rows), width)))
+        kinds.add(("ragged", any(len(r) < width for r in rows)))
+    assert kinds == {(k, b) for k in ("deficient", "ragged") for b in (True, False)}
