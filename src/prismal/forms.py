@@ -21,11 +21,12 @@ operator, its fiber-only variant, and the subface charts of the C
 coefficients.  The kernel accumulates the substitution x_drop = 1 - sum(rest)
 on the integer numerators, with cached powers of (1 - sum(rest)).
 
-A Whitney form is a function of its cell's index layout, the variable
-indices of each group's vertex subset: `whitney_form` builds its int terms
-once per layout, in a bounded module-level cache that `cache_clear` empties
-with the others, and wraps them in fresh Poly and Form objects for each
-context.  The canonical base volume is cached the same way, per group layout.
+Every Whitney form comes from one constructor, `whitney_form(ctx, cell)`,
+a function of the cell's index layout (the variable indices of each group's
+vertex subset): it builds the int terms once per layout, in a bounded
+module-level cache that `cache_clear` empties with the others, and wraps
+them in fresh Poly and Form objects for each context.  The canonical base
+volume is cached the same way, per group layout.
 
 Every coordinate map the package builds (the blow-down psi, face
 restrictions, horizontal specializations) is monomial: each target variable
@@ -62,7 +63,7 @@ from operator import index, or_
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .mesh import Prism, Simplex, StructureError, boundary_chain, perm_sign
+from .mesh import Prism, Simplex, boundary_chain, perm_sign
 
 Q = Fraction
 
@@ -134,7 +135,10 @@ class CoordSystem:
         return tuple(g for g, (tag, _) in enumerate(self.groups) if tag != BASE_TAG)
 
     def var(self, tag: str, vertex: int) -> int:
-        return self.index[f"{tag}:{vertex}"]
+        try:
+            return self.index[f"{tag}:{vertex}"]
+        except KeyError:
+            raise ContextError(f"no coordinate {tag}:{vertex} in {self!r}") from None
 
     def __repr__(self):
         return "Ctx[" + "; ".join(f"{t}:{v}" for t, v in self.groups) + "]"
@@ -909,7 +913,11 @@ def whitney_form(ctx: CoordSystem, cell: Mapping[int, Iterable[int]] | None = No
     q! sum_k (-1)^k x_k dx_0 ^ ... ^ dx_k-hat ^ ... ^ dx_q over each subset,
     and the constant 1 when no group is given.  It depends on the cell's
     index layout alone, so its terms come from `_whitney_terms`, and each
-    call wraps them in fresh Poly and Form objects for `ctx`.
+    call wraps them in fresh Poly and Form objects for `ctx`; a vertex
+    outside its group raises ContextError.  The package's cells: a simplex
+    or a prism is its own context whole, a face F extended to its simplex s
+    is {0: F.vertices} on s's context, the vertical Whitney form is every
+    fiber group whole and the base volume de every base group whole.
     """
     if cell is None:
         cell = dict(enumerate(verts for _, verts in ctx.groups))
@@ -946,35 +954,6 @@ def _whitney_terms(layout: tuple[tuple[int, ...], ...]) -> tuple:
     return tuple((dv, num) for dv, t in acc.items() if (num := {e: c for e, c in t.items() if c}))
 
 
-def whitney(s: Simplex) -> Form:
-    """Whitney volume form of a simplex in its own context."""
-    return whitney_form(simplex_context(s))
-
-
-def whitney_extended(face: Simplex, s: Simplex) -> Form:
-    """The written formula of the face's Whitney form, read on the cell."""
-    if not s.has_face(face):
-        raise StructureError(f"{face} is not a face of {s}")
-    return whitney_form(simplex_context(s), {0: face.vertices})
-
-
-def whitney_prism(p: Prism) -> Form:
-    """Product Whitney form: wedge of the per-factor forms, factor order."""
-    return whitney_form(prism_context(p))
-
-
-def whitney_relative(ctx: CoordSystem) -> Form:
-    """Vertical Whitney form: wedge of the fiber groups' Whitney forms."""
-    return whitney_form(ctx, {g: ctx.groups[g][1] for g in ctx.fiber_groups})
-
-
-def de_form(ctx: CoordSystem) -> Form:
-    """Pullback of the base volume form: wedge of base-group Whitney forms."""
-    if not ctx.base_groups:
-        raise ContextError("context has no base group")
-    return whitney_form(ctx, {g: ctx.groups[g][1] for g in ctx.base_groups})
-
-
 def vertical_part(a: Form) -> Form:
     """Drop every term whose wedge touches a base-group variable."""
     base = set(a.ctx.base_groups)
@@ -998,12 +977,15 @@ def base_volume_residual(a: Form) -> Form:
 
 @functools.lru_cache(maxsize=1 << 10)
 def _canonical_de(group_vars: tuple[tuple[int, ...], ...], base_groups: tuple[int, ...]) -> tuple:
-    """The (wedge, numerators, denominator) terms of canonicalize(de_form),
-    once per group layout, read on a context of that layout; callers must
-    not mutate the numerators."""
+    """The (wedge, numerators, denominator) terms of the canonical base
+    volume de, once per group layout, read on a context of that layout;
+    callers must not mutate the numerators."""
+    if not base_groups:
+        raise ContextError("context has no base group")
     ctx = CoordSystem(tuple((BASE_TAG if g in base_groups else f"m:{g}", vs)
                             for g, vs in enumerate(group_vars)))
-    return tuple((dv, p.num, p.den) for dv, p in canonicalize(de_form(ctx)).terms.items())
+    de = whitney_form(ctx, {g: group_vars[g] for g in base_groups})
+    return tuple((dv, p.num, p.den) for dv, p in canonicalize(de).terms.items())
 
 
 def is_fiberwise_zero(a: Form) -> bool:
@@ -1122,5 +1104,6 @@ def whitney_antiboundary(s: Simplex) -> Form:
     r = s.dim
     if r < 1:
         raise DegreeError("needs dim >= 1")
-    return sum((whitney_extended(face, s) * Q(sign, r + 1)
-                for face, sign in boundary_chain(s).items()), Form.zero(simplex_context(s)))
+    ctx = simplex_context(s)
+    return sum((whitney_form(ctx, {0: face.vertices}) * Q(sign, r + 1)
+                for face, sign in boundary_chain(s).items()), Form.zero(ctx))

@@ -118,16 +118,6 @@ class Simplex:
 EMPTY_SIMPLEX = Simplex(())
 
 
-def faces(s: Simplex, k: int) -> set[Simplex]:
-    """All k-dimensional faces, oriented by the subsequence order of `s`."""
-    if s.is_empty or not (0 <= k <= s.dim):
-        raise DimensionError(f"no {k}-faces of {s}")
-    return {
-        Simplex(comb)
-        for comb in itertools.combinations(s.vertices, k + 1)
-    }
-
-
 def incidence_number(s: Simplex, f: Simplex) -> int:
     """Incidence number [s; f] of a codimension-1 face.
 

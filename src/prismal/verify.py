@@ -18,12 +18,11 @@ from fractions import Fraction
 from .mesh import (Prism, Simplex, SimplicialComplex, SimplicialMorphism,
                    boundary_chain, incidence_number, prism_boundary,
                    prism_incidence)
-from .forms import (CoordSystem, Form, Poly, canonicalize, d, de_form,
-                    eliminate_poly, elimination_chart, integrate_fiber,
-                    is_fiberwise_zero, pi_context, prism_context, pullback,
-                    relative_d, restrict_to_face, simplex_context, wedge,
-                    whitney, whitney_antiboundary, whitney_extended,
-                    whitney_form, whitney_prism, whitney_relative)
+from .forms import (CoordSystem, Form, Poly, canonicalize, d, eliminate_poly,
+                    elimination_chart, integrate_fiber, is_fiberwise_zero,
+                    pi_context, prism_context, pullback, relative_d,
+                    restrict_to_face, simplex_context, wedge,
+                    whitney_antiboundary, whitney_form)
 from .primitive import homothety_operator, specialization_chart, t_monomial
 from .sheaf import psi_coordinate_map
 from . import fixtures as fixture_mod
@@ -81,15 +80,16 @@ def prism_universe():
 
 def verify_lemcod_simplex(s: Simplex, face: Simplex) -> IdentityReport:
     """d of the extended facet form equals the incidence-signed cell form."""
-    delta = canonicalize(d(whitney_extended(face, s))
-                         - whitney(s) * Q(incidence_number(s, face)))
+    ctx = simplex_context(s)
+    delta = canonicalize(d(whitney_form(ctx, {0: face.vertices}))
+                         - whitney_form(ctx) * Q(incidence_number(s, face)))
     return _report("lemcod.a", f"{s} face {face}", delta)
 
 
 def verify_lemcod_prism(p: Prism, q: Prism) -> IdentityReport:
-    ext = whitney_form(prism_context(p), dict(enumerate(f.vertices for f in q.factors)))
-    delta = canonicalize(d(ext)
-                         - whitney_prism(p) * Q(prism_incidence(p, q)))
+    ctx = prism_context(p)
+    ext = whitney_form(ctx, dict(enumerate(f.vertices for f in q.factors)))
+    delta = canonicalize(d(ext) - whitney_form(ctx) * Q(prism_incidence(p, q)))
     return _report("lemcod.b", f"{p} face {q}", delta)
 
 
@@ -167,7 +167,7 @@ def verify_lemcod_basis(p: Prism) -> IdentityReport:
         qctx = prism_context(q)
         slots_q: dict = {}
         restricted = [canonicalize(restrict_to_face(b, qctx)) for b in basis]
-        wq = canonicalize(whitney_prism(q))
+        wq = canonicalize(whitney_form(qctx))
         vecs = [_form_vector(rf, slots_q) for rf in restricted]
         wvec = _form_vector(wq, slots_q)
         width = len(slots_q)
@@ -207,7 +207,7 @@ def verify_lemcod(max_dim: int, seed: int):
 # ---------------------------------------------------------------------------
 
 def verify_bord(s: Simplex) -> IdentityReport:
-    delta = canonicalize(d(whitney_antiboundary(s)) - whitney(s))
+    delta = canonicalize(d(whitney_antiboundary(s)) - whitney_form(simplex_context(s)))
     return _report("bord", f"{s}", delta)
 
 
@@ -304,7 +304,7 @@ def verify_iminve(f: SimplicialMorphism, sigma: Simplex) -> IdentityReport:
     psi = psi_coordinate_map(f, sigma)
     pctx = psi.source
     p, s = sigma.dim, tau.dim
-    lhs = pullback(psi, whitney(sigma))
+    lhs = pullback(psi, whitney_form(simplex_context(sigma)))
     dims = [fib.dim for fib in f.fibers(sigma)]
     alpha = sum((s - j) * dims[j] for j in range(s)) + (
         0 if f.grouping_sign(sigma) == 1 else 1)
@@ -356,7 +356,7 @@ def verify_faceface(p: int, q: int) -> IdentityReport:
               math.factorial(q) * math.factorial(p - q - 1))
     rhs = wedge(wedge(whitney_form(ctx, {0: face1}),
                       whitney_form(ctx, {0: face2})), du) * coeff
-    lhs = whitney(s) * (u * (Poly.const(ctx, 1) - u))
+    lhs = whitney_form(ctx) * (u * (Poly.const(ctx, 1) - u))
     return _report("faceface", f"p={p} q={q}", canonicalize(lhs - rhs))
 
 
@@ -366,7 +366,7 @@ def verify_facepri(p: int) -> IdentityReport:
     s = _canonical_simplex(p)
     ctx = simplex_context(s)
     face = tuple(range(p))
-    lhs = whitney(s) * (Poly.const(ctx, 1) - Poly.variable(ctx, p))
+    lhs = whitney_form(ctx) * (Poly.const(ctx, 1) - Poly.variable(ctx, p))
     rhs = wedge(whitney_form(ctx, {0: face}), Form.d_var(ctx, p)) * Q(p)
     return _report("facepri", f"p={p}", canonicalize(lhs - rhs))
 
@@ -376,7 +376,7 @@ def verify_facepro(dims: tuple[int, ...]) -> IdentityReport:
     in every factor; denominators cleared so both sides are polynomial."""
     p = _canonical_prism(dims)
     ctx = prism_context(p)
-    lhs = whitney_prism(p)
+    lhs = whitney_form(ctx)
     rhs = Form.const(ctx, 1)
     for j, fj in enumerate(p.factors):
         pj = fj.dim
@@ -411,7 +411,7 @@ def verify_relative_suite(max_dim: int, seed: int):
         for tau in sorted(f.target.cells):
             for sigma in f.cells_over(tau):
                 ctx = pi_context(tau, f.fibers(sigma))
-                wrel = whitney_relative(ctx)
+                wrel = whitney_form(ctx, {g: ctx.groups[g][1] for g in ctx.fiber_groups})
                 # fiber integral is identically one
                 integral = integrate_fiber(wrel)
                 delta = canonicalize(Form.from_poly(integral) - Form.const(ctx, 1))
@@ -434,8 +434,9 @@ def verify_relative_suite(max_dim: int, seed: int):
 def _lecare_case(f, sigma, tau, wrel) -> IdentityReport:
     ok = True
     if tau.dim >= 1:
-        # multiples of the base volume form restrict to zero on fibers
-        ok = is_fiberwise_zero(wedge(de_form(wrel.ctx), wrel))
+        # multiples of the base volume form restrict to zero on fibers: the
+        # cell's Whitney form is de ^ wrel, base group first
+        ok = is_fiberwise_zero(whitney_form(wrel.ctx))
     if f.rel_dim(sigma) >= 1:
         ok = ok and not is_fiberwise_zero(wrel)
     return IdentityReport("relative.fiberwise_zero", f"{sigma} over {tau}", ok,
@@ -454,7 +455,8 @@ def _opicsh_case(f, sigma, tau, tau_f, wrel) -> IdentityReport:
                        f"{sigma} over {tau} -> {tau_f} (drops)", delta)
     sub = chart.source
     dims_f = [dd for dd, y in zip(dims, tau.vertices) if y in tau_f.vset]
-    direct = whitney_relative(sub) * t_monomial(sub, dims_f)
+    direct = (whitney_form(sub, {g: sub.groups[g][1] for g in sub.fiber_groups})
+              * t_monomial(sub, dims_f))
     delta = canonicalize(specialized - direct)
     return _report("relative.weights",
                    f"{sigma} over {tau} -> {tau_f} (equidim)", delta)

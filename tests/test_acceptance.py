@@ -14,7 +14,7 @@ from prismal.fixtures import (triangle_fan, five_over_two, square_over_edge,
                               tetra_pair_over_triangle)
 from prismal.forms import (Form, Poly, d, equal_mod_relations,
                            integrate_fiber, pi_context, simplex_context,
-                           whitney_relative)
+                           whitney_form)
 from prismal.mesh import Simplex, boundary_chain, prism_boundary
 from prismal.primitive import (build_relative_primitive, extract_A,
                                homothety_operator, oracle_A, ode_solve,
@@ -92,7 +92,8 @@ def test_criterion_07_fiber_integral_one():
                 if f.image(sigma) != tau:
                     continue
                 ctx = pi_context(tau, f.fibers(sigma))
-                val = integrate_fiber(whitney_relative(ctx))
+                wrel = whitney_form(ctx, {g: ctx.groups[g][1] for g in ctx.fiber_groups})
+                val = integrate_fiber(wrel)
                 ok = ok and equal_mod_relations(Form.from_poly(val),
                                                 Form.const(ctx, 1))
                 count += 1

@@ -9,16 +9,15 @@ from hypothesis import given, settings, strategies as st
 from prismal.mesh import Prism, Simplex, incidence_number
 from prismal.forms import (_BOUND, ContextError, CoordMap, CoordSystem, DegreeError,
                            Form, FormError, Poly, base_volume_residual,
-                           canonicalize, d, de_form,
+                           canonicalize, d,
                            eliminate, eliminate_poly, elimination_chart,
                            equal_mod_relations,
                            integrate_fiber,
                            integrate_top_form, is_fiberwise_zero, pi_context,
                            poincare_primitive, prism_context, pullback,
                            relative_d, restrict_to_face, restriction_map, simplex_context,
-                           vertical_part, wedge, whitney,
-                           whitney_antiboundary, whitney_extended,
-                           whitney_form, whitney_prism, whitney_relative)
+                           vertical_part, wedge, whitney_antiboundary,
+                           whitney_form)
 from _support import reversed_orientation
 
 
@@ -29,6 +28,8 @@ def S(*vs):
 CTX3 = simplex_context(S(0, 1, 2))
 CTX4 = simplex_context(S(0, 1, 2, 3))
 PCTX = pi_context(S(100, 101), (S(0,), S(1, 2)))
+PCTX_BASE = {0: (100, 101)}  # the cell of the base volume de on PCTX
+PCTX_FIBER = {1: (0,), 2: (1, 2)}  # the cell of the vertical Whitney form on PCTX
 
 
 def lam(ctx, v):
@@ -65,7 +66,7 @@ def test_d_whitney_formula():
         for k in range(1, p + 2):
             fact *= k
         expected = Form(ctx, {tuple(range(p + 1)): Poly.const(ctx, fact)})
-        assert d(whitney(s)) == expected
+        assert d(whitney_form(ctx)) == expected
 
 
 def test_d_constant_and_leibniz():
@@ -317,8 +318,8 @@ def test_staged_canonicalize_matches_the_one_pass_chart(a):
 @given(staged_forms())
 def test_base_volume_residual_reduces_only_the_vertical_part(a):
     ctx = a.ctx
-    assert_same_form(base_volume_residual(a),
-                     eliminate(wedge(de_form(ctx), a), full_chart(ctx)))
+    de = whitney_form(ctx, {g: ctx.groups[g][1] for g in ctx.base_groups})
+    assert_same_form(base_volume_residual(a), eliminate(wedge(de, a), full_chart(ctx)))
     assert_same_form(relative_d(a), vertical_part(eliminate(d(a), full_chart(ctx))))
 
 
@@ -359,7 +360,7 @@ def test_canonical_volume_sign():
         for k in range(1, p + 1):
             fact *= k
         expected = Form(ctx, {tuple(range(p)): Poly.const(ctx, (-1) ** p * fact)})
-        assert canonicalize(whitney(s)) == expected
+        assert canonicalize(whitney_form(ctx)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -369,20 +370,20 @@ def test_canonical_volume_sign():
 def test_restrict_extension_recovers_whitney():
     s = S(0, 1, 2, 3)
     for face in [S(0, 1), S(1, 3), S(0, 2, 3)]:
-        ext = whitney_extended(face, s)
+        ext = whitney_form(simplex_context(s), {0: face.vertices})
         got = restrict_to_face(ext, simplex_context(face))
-        assert equal_mod_relations(got, whitney(face))
+        assert equal_mod_relations(got, whitney_form(simplex_context(face)))
 
 
 def test_restrict_mutual_vanishing():
     s = S(0, 1, 2, 3)
-    ext = whitney_extended(S(0, 1), s)
+    ext = whitney_form(simplex_context(s), {0: (0, 1)})
     assert restrict_to_face(ext, simplex_context(S(2, 3))).is_zero
     assert restrict_to_face(ext, simplex_context(S(0, 2))).is_zero
 
 
 def test_restrict_identity_when_nothing_dropped():
-    a = whitney(S(0, 1, 2))
+    a = whitney_form(CTX3)
     assert restrict_to_face(a, CTX3) == a
 
 
@@ -391,12 +392,12 @@ def test_restrict_identity_when_nothing_dropped():
 # ---------------------------------------------------------------------------
 
 def test_whitney_low_dims():
-    pt = whitney(S(7,))
+    pt = whitney_form(simplex_context(S(7,)))
     assert equal_mod_relations(pt, Form.const(simplex_context(S(7,)), 1))
-    e = whitney(S(0, 1))
     ctx = simplex_context(S(0, 1))
+    e = whitney_form(ctx)
     assert e == Form(ctx, {(1,): lam(ctx, 0), (0,): -lam(ctx, 1)})
-    t = whitney(S(0, 1, 2))
+    t = whitney_form(CTX3)
     assert t == (wedge(dlam(CTX3, 1), dlam(CTX3, 2)) * (lam(CTX3, 0) * 2)
                  - wedge(dlam(CTX3, 0), dlam(CTX3, 2)) * (lam(CTX3, 1) * 2)
                  + wedge(dlam(CTX3, 0), dlam(CTX3, 1)) * (lam(CTX3, 2) * 2))
@@ -404,8 +405,8 @@ def test_whitney_low_dims():
 
 def test_whitney_support_variables():
     s = S(0, 1, 2, 3)
-    ext = whitney_extended(S(1, 2), s)
     ctx = simplex_context(s)
+    ext = whitney_form(ctx, {0: (1, 2)})
     seen = set()
     for dv, p in ext.terms.items():
         seen.update(dv)
@@ -415,14 +416,13 @@ def test_whitney_support_variables():
 
 
 def test_whitney_extended_trivial_case():
-    s = S(0, 1, 2)
-    assert whitney_extended(s, s) == whitney(s)
+    assert whitney_form(CTX3, {0: (0, 1, 2)}) == whitney_form(CTX3)
 
 
 def test_whitney_prism_square():
     p = Prism((S(0, 1), S(2, 3)))
     ctx = prism_context(p)
-    w = whitney_prism(p)
+    w = whitney_form(ctx)
     m = lambda j, v: Poly.variable(ctx, ctx.var(f"m:{j}", v))
     dm = lambda j, v: Form.d_var(ctx, ctx.var(f"m:{j}", v))
     left = dm(0, 1) * m(0, 0) - dm(0, 0) * m(0, 1)
@@ -433,8 +433,8 @@ def test_whitney_prism_square():
 def test_whitney_prism_single_factor_matches():
     s = S(0, 1, 2)
     p = Prism((s,))
-    w = whitney_prism(p)
-    ws = whitney(s)
+    w = whitney_form(prism_context(p))
+    ws = whitney_form(simplex_context(s))
     # same coefficients up to variable names
     assert [sorted(pp.terms.values()) for _, pp in sorted(w.terms.items())] == \
            [sorted(pp.terms.values()) for _, pp in sorted(ws.terms.items())]
@@ -502,12 +502,17 @@ def test_whitney_form_matches_the_written_formula_on_every_cell(ngroups):
 def test_whitney_form_errors_on_a_bad_cell():
     with pytest.raises(FormError, match="empty vertex subset"):
         whitney_form(CTX3, {0: ()})
-    with pytest.raises(KeyError):  # no variable l:9 in the context
+    with pytest.raises(ContextError, match=r"no coordinate l:9 in Ctx\[l:\(0, 1, 2\)\]"):
         whitney_form(CTX3, {0: (0, 9)})
+    # a face of another simplex is no cell of this one
+    with pytest.raises(ContextError, match="no coordinate l:3"):
+        whitney_form(CTX3, {0: (1, 3)})
+    with pytest.raises(ContextError, match="no coordinate m:1:0"):
+        whitney_form(PCTX, {2: (0, 1)})
 
 
 def test_pi_whitney_splits_base_and_fiber():
-    w = wedge(de_form(PCTX), whitney_relative(PCTX))
+    w = wedge(whitney_form(PCTX, PCTX_BASE), whitney_form(PCTX, PCTX_FIBER))
     full = whitney_form(PCTX)
     assert w == full
 
@@ -517,9 +522,18 @@ def test_pi_whitney_splits_base_and_fiber():
 # ---------------------------------------------------------------------------
 
 def test_de_form_and_fiberwise_zero():
-    de = de_form(PCTX)
-    assert is_fiberwise_zero(wedge(de, whitney_relative(PCTX)))
-    assert not is_fiberwise_zero(whitney_relative(PCTX))
+    de, wrel = whitney_form(PCTX, PCTX_BASE), whitney_form(PCTX, PCTX_FIBER)
+    assert is_fiberwise_zero(wedge(de, wrel))
+    assert not is_fiberwise_zero(wrel)
+
+
+def test_no_base_group_is_a_context_error():
+    # a plain simplex has no base volume, so neither test against it runs
+    a = whitney_form(CTX3)
+    with pytest.raises(ContextError, match="no base group"):
+        base_volume_residual(a)
+    with pytest.raises(ContextError, match="no base group"):
+        is_fiberwise_zero(a)
 
 
 def test_relative_d_kills_base_functions():
@@ -540,7 +554,7 @@ def test_relative_d_squared_zero():
 
 def test_integral_normalization():
     for p in range(1, 6):
-        assert integrate_top_form(whitney(S(*range(p + 1)))) == 1
+        assert integrate_top_form(whitney_form(simplex_context(S(*range(p + 1))))) == 1
 
 
 def test_integral_monomial_example():
@@ -551,7 +565,7 @@ def test_integral_monomial_example():
 
 def test_integral_prism_fubini():
     p = Prism((S(0, 1), S(2, 3)))
-    assert integrate_top_form(whitney_prism(p)) == 1
+    assert integrate_top_form(whitney_form(prism_context(p))) == 1
 
 
 def test_integral_degree_error():
@@ -560,7 +574,7 @@ def test_integral_degree_error():
 
 
 def test_integrate_fiber_constant_one():
-    val = integrate_fiber(whitney_relative(PCTX))
+    val = integrate_fiber(whitney_form(PCTX, PCTX_FIBER))
     assert equal_mod_relations(Form.from_poly(val), Form.const(PCTX, 1))
 
 
@@ -582,8 +596,9 @@ def test_stokes_exhaustive_low_dims():
         cases = []
         for comb in itertools.combinations(range(p + 1), p):
             face = Simplex(comb)
-            cases.append(whitney_extended(face, s))
-            cases.append(whitney_extended(face, s) * Poly.variable(ctx, 0))
+            ext = whitney_form(ctx, {0: face.vertices})
+            cases.append(ext)
+            cases.append(ext * Poly.variable(ctx, 0))
         for b in cases:
             assert _stokes_check(s, b)
 
@@ -601,7 +616,7 @@ def test_stokes_random_2simplex(b):
 def test_poincare_roundtrip():
     s = S(0, 1, 2, 3)
     for face in [S(0, 1), S(1, 2, 3)]:
-        a = d(whitney_extended(face, s))
+        a = d(whitney_form(simplex_context(s), {0: face.vertices}))
         b = poincare_primitive(a)
         assert equal_mod_relations(d(b), a)
 
@@ -644,13 +659,14 @@ def test_antiboundary_edge_explicit():
     ab = whitney_antiboundary(s)
     assert equal_mod_relations(
         ab, Form.from_poly((lam(ctx, 1) - lam(ctx, 0)) * Q(1, 2)))
-    assert equal_mod_relations(d(ab), whitney(s))
+    assert equal_mod_relations(d(ab), whitney_form(ctx))
 
 
 def test_antiboundary_derivative_and_flip():
     for p in (1, 2, 3, 4):
         s = S(*range(p + 1))
-        assert equal_mod_relations(d(whitney_antiboundary(s)), whitney(s))
+        assert equal_mod_relations(d(whitney_antiboundary(s)),
+                                   whitney_form(simplex_context(s)))
     s = S(0, 1, 2)
     ab = whitney_antiboundary(reversed_orientation(s))
     flipped = pullback(restriction_map(ab.ctx, CTX3), ab)  # by name into CTX3
@@ -658,7 +674,7 @@ def test_antiboundary_derivative_and_flip():
 
 
 def test_eliminate_first_vs_last_same_kernel():
-    a = whitney(S(0, 1, 2)) - whitney(S(0, 1, 2))
+    a = whitney_form(CTX3) - whitney_form(CTX3)
     b = Form.from_poly(lam(CTX3, 0) + lam(CTX3, 1) + lam(CTX3, 2) - Poly.const(CTX3, 1))
     assert canonicalize(b).is_zero and eliminate(b, elimination_chart(CTX3, (0,))).is_zero
     assert canonicalize(a).is_zero and eliminate(a, elimination_chart(CTX3, (0,))).is_zero
@@ -667,7 +683,7 @@ def test_eliminate_first_vs_last_same_kernel():
 def test_pullback_identity_map():
     images = {n: Poly.variable(CTX3, i) for n, i in CTX3.index.items()}
     ident = CoordMap.build(CTX3, CTX3, images)
-    a = whitney(S(0, 1, 2)) * lam(CTX3, 1)
+    a = whitney_form(CTX3) * lam(CTX3, 1)
     assert pullback(ident, a) == a
 
 
@@ -689,7 +705,7 @@ def test_pullback_coordinate_differential_expansion():
 
 def test_whitney_relative_all_points_is_one():
     ctx = pi_context(S(100, 101), (S(0,), S(1,)))
-    assert equal_mod_relations(whitney_relative(ctx), Form.const(ctx, 1))
+    assert equal_mod_relations(whitney_form(ctx, {1: (0,), 2: (1,)}), Form.const(ctx, 1))
 
 
 def _prism_stokes(p, b):

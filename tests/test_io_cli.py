@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from prismal.cli import main
 from prismal.fixtures import square_over_edge, tetra_pair_over_triangle, triangle_fan
-from prismal.forms import CoordSystem, Form, Poly, d, de_form, simplex_context
+from prismal.forms import CoordSystem, Form, Poly, d, simplex_context, whitney_form
 from prismal.io import (ValidationError, complex_from_dict, dump_json, form_to_dict,
                         forms_file_to_inputs, morphism_from_dict, rational_from_str)
 from prismal.mesh import Simplex
@@ -389,7 +389,8 @@ def test_cmd_primitive_residual_failure_exits1(tmp_path, capsys, monkeypatch):
         if failed:
             return real(prim)
         sigma = next(iter(prim.prisms))
-        residual = de_form(prim.prisms[sigma].psi.source)
+        pctx = prim.prisms[sigma].psi.source
+        residual = whitney_form(pctx, {g: pctx.groups[g][1] for g in pctx.base_groups})
         failed.append((prim.tau, sigma, residual))
         return {sigma: residual}
 
@@ -814,7 +815,7 @@ def test_cmd_primitive_incompatible_family_exit2(tmp_path):
 def test_primitive_output_is_self_contained(tmp_path):
     # the residual can be re-verified from the output file alone
     from fractions import Fraction
-    from prismal.forms import canonicalize, d, de_form, pullback, wedge
+    from prismal.forms import canonicalize, d, pullback, wedge
     from prismal.primitive import restrict_input
     from prismal.sheaf import psi_coordinate_map
 
@@ -831,8 +832,9 @@ def test_primitive_output_is_self_contained(tmp_path):
             H = form_from_dict(entry["H"])
             psi = psi_coordinate_map(f, sigma)
             eta = restrict_input(omega, sigma)
-            residual = canonicalize(
-                wedge(de_form(psi.source), pullback(psi, eta) - d(H)))
+            pctx = psi.source
+            de = whitney_form(pctx, {g: pctx.groups[g][1] for g in pctx.base_groups})
+            residual = canonicalize(wedge(de, pullback(psi, eta) - d(H)))
             assert residual.is_zero
 
 

@@ -3,9 +3,9 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prismal.mesh import (EMPTY_SIMPLEX, DimensionError, IncidenceError, Prism, PrismalSet,
+from prismal.mesh import (EMPTY_SIMPLEX, IncidenceError, Prism, PrismalSet,
                           Simplex, SimplicialComplex, SimplicialMorphism, StructureError,
-                          boundary_chain, faces, incidence_number, join,
+                          boundary_chain, incidence_number, join,
                           prism_boundary, prism_incidence)
 from _support import chain_boundary, reversed_orientation
 
@@ -15,24 +15,20 @@ def S(*vs):
 
 
 def test_faces_enumeration():
-    assert faces(S(0, 1, 2), 1) == {S(0, 1), S(0, 2), S(1, 2)}
-    assert faces(S(0, 1), 0) == {S(0,), S(1,)}
-    assert len(faces(S(0, 1, 2, 3), 2)) == 4
+    # every nonempty face, oriented by the subsequence order of the simplex
+    assert S(2, 0, 1).all_faces() == {S(2, 0, 1), S(2, 0), S(2, 1), S(0, 1),
+                                      S(2,), S(0,), S(1,)}
+    assert S(0, 1).all_faces() == {S(0, 1), S(0,), S(1,)}
+    assert EMPTY_SIMPLEX.all_faces() == set()
 
 
 def test_faces_cardinality():
     from math import comb
     for p in range(1, 5):
         s = S(*range(p + 1))
+        all_faces = s.all_faces()
         for k in range(0, p + 1):
-            assert len(faces(s, k)) == comb(p + 1, k + 1)
-
-
-def test_faces_out_of_range():
-    with pytest.raises(DimensionError):
-        faces(S(0, 1), 2)
-    with pytest.raises(DimensionError):
-        faces(S(0, 1), -1)
+            assert len({f for f in all_faces if f.dim == k}) == comb(p + 1, k + 1)
 
 
 def test_empty_simplex_conventions():

@@ -22,7 +22,6 @@ ENTRY_POINT = "cli.main"  # [project.scripts] in pyproject.toml
 
 KEPT = {
     "forms.integrate_top_form": "public API, checked against sympy by the oracle tests",
-    "mesh.faces": "public API: the k-faces of a simplex",
     "sheaf.psi_morphism": "the paper's blow-down of the trivialized sheaf onto the "
                           "raw one, which the factorization tests check",
 }

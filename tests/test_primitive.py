@@ -10,9 +10,9 @@ from hypothesis import assume, given, settings, strategies as st
 from prismal.fixtures import (triangle_fan, five_over_two, square_over_edge,
                               tetra_pair_over_triangle)
 from prismal import primitive
-from prismal.forms import (CoordSystem, Form, Poly, _dirichlet, canonicalize, d, de_form,
+from prismal.forms import (CoordSystem, Form, Poly, _dirichlet, canonicalize, d,
                            equal_mod_relations, pi_context, pullback, relative_d,
-                           simplex_context, vertical_part, wedge)
+                           simplex_context, vertical_part, wedge, whitney_form)
 from prismal.mesh import Simplex, SimplicialComplex, SimplicialMorphism, perm_sign
 from prismal.primitive import (ExactnessError, RelFace, _grundmann_moeller,
                                admissible_drops, assemble_C,
@@ -127,7 +127,6 @@ def test_extract_extended_whitney_unit_density():
     f = square_over_edge()
     sigma = S(0, 1, 2, 3)
     sc = simplex_context(sigma)
-    from prismal.forms import whitney_form
     # the relative extension of phi = ((0,1),(2)): block form times point mass
     eta = whitney_form(sc, {0: (0, 1)}) * Poly.variable(sc, sc.var("l", 2))
     psi = psi_coordinate_map(f, sigma)
@@ -182,7 +181,6 @@ def test_lemetb_projection_property():
     f = square_over_edge()
     sigma = S(0, 1, 2, 3)
     sc = simplex_context(sigma)
-    from prismal.forms import whitney_form
     combo = (whitney_form(sc, {0: (0, 1)}) * Poly.variable(sc, sc.var("l", 3))
              + whitney_form(sc, {0: (2, 3)}) * Poly.variable(sc, sc.var("l", 1)))
     psi = psi_coordinate_map(f, sigma)
@@ -347,8 +345,8 @@ def test_vertical_gluing_exactness_error():
     psi = psi_coordinate_map(f, sigma)
     pctx = psi.source
     # a vertical form that is not fiberwise closed against the candidate
-    from prismal.forms import whitney_relative
-    bad = whitney_relative(pctx) * Poly.variable(pctx, pctx.var("m:1", 2))
+    wrel = whitney_form(pctx, {g: pctx.groups[g][1] for g in pctx.fiber_groups})
+    bad = wrel * Poly.variable(pctx, pctx.var("m:1", 2))
     ok = Form.zero(pctx)
     # degree-1 difference whose fiber differential is nonzero: need degree 2
     f5 = five_over_two()
@@ -494,7 +492,9 @@ def test_negative_control_zero_H():
     f, sigma, sc = fig1_triangle()
     eta = d(Form.from_poly(Poly.variable(sc, sc.var("l", 2)) * Poly.variable(sc, sc.var("l", 3))))
     psi = psi_coordinate_map(f, sigma)
-    res = canonicalize(wedge(de_form(psi.source), pullback(psi, eta)))
+    pctx = psi.source
+    de = whitney_form(pctx, {g: pctx.groups[g][1] for g in pctx.base_groups})
+    res = canonicalize(wedge(de, pullback(psi, eta)))
     assert not res.is_zero
 
 
