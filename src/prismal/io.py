@@ -8,22 +8,24 @@ Every JSON file the package writes goes through `dump_json`.  Its bytes are
 exactly those of `json.dumps(data, indent=1, sort_keys=True)` followed by a
 newline; object keys must be `str` (any other key is a `TypeError`, where
 `json` would coerce it).  A `Form` is a leaf: it is written exactly as
-`form_to_dict(form)` would be, without building that dict.  Any other
-non-JSON type, a float included, is a `TypeError`: the package writes no
-floats.  The writer is a small recursion because with `indent` the
-standard library falls back to its pure-Python encoder.
+`form_to_dict(form)` would be, from its packed numerators, building neither
+that dict nor `Poly.terms`.  Any other non-JSON type, a float included, is
+a `TypeError`: the package writes no floats.  The writer is a small
+recursion because with `indent` the standard library falls back to its
+pure-Python encoder.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import reprlib
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .mesh import Simplex, SimplicialComplex, SimplicialMorphism, StructureError
-from .forms import _BOUND, CoordSystem, Form, Poly, simplex_context
+from .forms import _BOUND, CoordSystem, Form, Poly, _layout, simplex_context
 
 Q = Fraction
 
@@ -108,9 +110,13 @@ def morphism_from_dict(dd: dict, source: SimplicialComplex,
     vmap = _field(dd, "vertex_map", "morphism file")
     if not isinstance(vmap, dict):
         raise ValidationError(f"'vertex_map' must be an object, got {_shown(vmap)}")
-    vmap = {_vertex(k): _vertex(v) for k, v in vmap.items()}
+    out: dict[int, int] = {}
+    for k, v in vmap.items():  # "1" and "01" name one vertex
+        if _vertex(k) in out:
+            raise ValidationError(f"vertex {_vertex(k)} is named twice in 'vertex_map'")
+        out[_vertex(k)] = _vertex(v)
     try:
-        return SimplicialMorphism(source, target, vmap)
+        return SimplicialMorphism(source, target, out)
     except StructureError as exc:
         raise ValidationError(str(exc)) from exc
 
@@ -133,15 +139,6 @@ def context_from_dict(dd: dict) -> CoordSystem:
         verts = _list(_field(g, "vertices", "context group"), "context vertices")
         groups.append((tag, tuple(map(_vertex, verts))))
     return CoordSystem(tuple(groups))
-
-
-def poly_to_list(p: Poly) -> list:
-    out = []
-    names = p.ctx.names
-    for e, c in sorted(p.terms.items()):
-        exp = {names[i]: n for i, n in enumerate(e) if n}
-        out.append({"c": str(c), "exp": exp})
-    return out
 
 
 def poly_from_list(ctx: CoordSystem, items: list) -> Poly:
@@ -167,7 +164,9 @@ def form_to_dict(form: Form) -> dict:
     names = form.ctx.names
     terms = []
     for dv, p in sorted(form.terms.items(), key=lambda kv: (len(kv[0]), kv[0])):
-        terms.append({"dvars": [names[i] for i in dv], "poly": poly_to_list(p)})
+        poly = [{"c": str(c), "exp": {names[i]: n for i, n in enumerate(e) if n}}
+                for e, c in sorted(p.terms.items())]
+        terms.append({"dvars": [names[i] for i in dv], "poly": poly})
     return {"context": context_to_dict(form.ctx), "terms": terms}
 
 
@@ -215,12 +214,22 @@ def forms_file_to_inputs(dd: dict, cx: SimplicialComplex) -> dict[Simplex, Form]
     return out
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object; `json` would keep the last of two equal keys silently."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise ValidationError(f"key {_shown(key)} is repeated in an object")
+    return obj
+
+
 def load_json(path) -> dict:
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_object)
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text ({exc})") from exc
-    except ValueError as exc:  # a JSONDecodeError, or an integer past int's digit limit
+    except ValueError as exc:  # a JSONDecodeError, a repeated key or an int past the digit limit
         raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
     except RecursionError as exc:  # json's decoder recurses once per level
         raise ValidationError(f"{path}: JSON nested too deeply") from exc
@@ -231,7 +240,8 @@ def load_json(path) -> dict:
 def _form_layout(ctx: CoordSystem, depth: int, newlines: list) -> tuple:
     """The fixed pieces of a form written at `depth`: its context header, its
     quoted variable names, their indices in name order ("m:0:12" before
-    "m:0:3") and the separators of each nesting level below it."""
+    "m:0:3"), the separators of each nesting level below it, and a memo of
+    each packed key met so far: its exponent tuple and its "exp" object."""
     while len(newlines) <= depth + 6:
         newlines.append(newlines[-1] + " ")
     n = newlines[depth:depth + 7]
@@ -240,23 +250,36 @@ def _form_layout(ctx: CoordSystem, depth: int, newlines: list) -> tuple:
     names = ctx.names
     return ("{" + n[1] + '"context": ' + "".join(header) + "," + n[1] + '"terms": ',
             [_quote(name) for name in names],
-            sorted(range(len(names)), key=names.__getitem__), n)
+            sorted(range(len(names)), key=names.__getitem__), n, {})
 
 
 def _encode_form(form: Form, layout: tuple, out: list) -> None:
-    """Append `form` as `_encode(form_to_dict(form))` would, without the dicts."""
-    header, qnames, order, n = layout
+    """Append `form` as `_encode(form_to_dict(form))` would, without the dicts,
+    from its packed numerators: each coefficient c/den is written as
+    `str(Fraction)` writes it, in lowest terms."""
+    header, qnames, order, n, seen = layout
+    s = _layout(len(qnames))
+    head = f'{n[4]}{{{n[5]}"c": "'
     out.append(header)
     terms = []
     for dv, p in sorted(form.terms.items(), key=lambda kv: (len(kv[0]), kv[0])):
-        monos = []
-        for e, c in sorted(p.terms.items()):
-            exp = [f"{n[6]}{qnames[i]}: {e[i]}" for i in order if e[i]]
-            exp = "{" + ",".join(exp) + n[5] + "}" if exp else "{}"
-            monos.append(f'{n[4]}{{{n[5]}"c": "{c!s}",{n[5]}"exp": {exp}{n[4]}}}')
+        rows = []
+        for key, c in p.num.items():
+            if (known := seen.get(key)) is None:
+                e = s.unpack(key.to_bytes(s.size, "little"))
+                exp = [f"{n[6]}{qnames[i]}: {e[i]}" for i in order if e[i]]
+                exp = "{" + ",".join(exp) + n[5] + "}" if exp else "{}"
+                known = seen[key] = e, f'",{n[5]}"exp": {exp}{n[4]}}}'
+            rows.append((known, c))
+        rows.sort()  # by exponent tuple: no two are equal
+        den, mons = p.den, []
+        for (_, tail), c in rows:
+            g = math.gcd(c, den)
+            c = f"{c // g}/{den // g}" if g != den else c // g
+            mons.append(f"{head}{c}{tail}")
         dvars = "[" + ",".join(n[4] + qnames[i] for i in dv) + n[3] + "]" if dv else "[]"
         terms.append(f'{n[2]}{{{n[3]}"dvars": {dvars},{n[3]}"poly": '
-                     f'[{",".join(monos)}{n[3]}]{n[2]}}}')
+                     f'[{",".join(mons)}{n[3]}]{n[2]}}}')
     out.append("[" + ",".join(terms) + n[1] + "]" if terms else "[]")
     out.append(n[0] + "}")
 

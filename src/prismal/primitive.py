@@ -25,13 +25,15 @@ blow-down `psi`: `psi.source` is the prism context (group 0 the base, group
 context.  Each prism computes the pullback of the input, the compositions
 A_phi o psi and the Whitney combination once, and every stage reads those.
 
-One home per concept: `pair_with_face` contracts with a fiber frame by a
-wedge expansion and `RelFace.block_factorial` normalizes it (also in the
-oracle), `weighted_whitney` builds both t-weighted Whitney sums of step
-3 (the A combination and the C part), `homothety_operator` is the ODE's
-operator (also in the identity suites), `forms.base_volume_residual`
-computes both closing residuals (`verify_theodg` reports the last one), and
-`_restricted_difference` compares two primitives on a shared cell.
+One home per concept: `pair_with_face` contracts with a fiber frame, read
+as integer determinants from `_frame`, and `RelFace.block_factorial`
+normalizes it (also in the oracle), `weighted_whitney` builds both
+t-weighted Whitney sums of step 3 (the A combination and the C part),
+`homothety_operator` is the ODE's operator (also in the identity suites),
+`forms.base_volume_residual` computes both closing residuals
+(`verify_theodg` reports the last one), and `_restricted_difference`
+compares two primitives on a shared cell.  Each pipeline sum is one pass
+over int numerators, scalar factors folded in, and one `_lowest`.
 
 All the arithmetic is rational, the optional shrinking-average oracle for
 the extracted coefficients included: it averages with the Grundmann-Moeller
@@ -48,11 +50,12 @@ from fractions import Fraction
 from typing import Iterable
 
 from .mesh import Simplex, SimplicialMorphism
-from .forms import (Chart, CoordMap, CoordSystem, Form, FormError, Poly, _W, _mul_into,
-                    _unpack, base_volume_residual, canonicalize, d, eliminate_poly,
+from .forms import (_FIELD, _W, Chart, CoordMap, CoordSystem, Form, FormError, Poly,
+                    _add_into, _lowest, _mul_into, _sort_wedge, _unpack, _whitney_terms,
+                    base_volume_residual, canonicalize, d, eliminate_poly,
                     elimination_chart, equal_mod_relations, restriction_map,
                     pi_context, poincare_primitive, pullback, restrict_to_face,
-                    simplex_context, vertical_part, wedge, whitney_form)
+                    simplex_context, vertical_part, wedge)
 from .sheaf import psi_coordinate_map
 
 Q = Fraction
@@ -84,17 +87,23 @@ def ode_solve(B: Poly, r: int, vars_: Iterable[int] | None = None) -> Poly:
     """
     if r < 1:
         raise PrimitiveError("degree parameter must be >= 1")
-    return sum((part * Q(r, r + m) for m, part in B.homogeneous_parts(vars_).items()),
-               Poly.zero(B.ctx))
+    return _ode_pass(B, r, range(B.ctx.nvars) if vars_ is None else tuple(vars_))
+
+
+def _ode_pass(B: Poly, r: int, vs, scale=1) -> Poly:
+    """scale * `ode_solve`(B, r, vs) in one pass over B's numerators, each
+    monomial of degree m in `vs` times r/(r+m) over one lcm denominator."""
+    degs = [sum(e >> _W * i & _FIELD for i in vs) for e in B.num]
+    big = math.lcm(1, *{r + m for m in degs})
+    k, q = Q(scale).as_integer_ratio()
+    acc = {e: c * k * r * (big // (r + m)) for (e, c), m in zip(B.num.items(), degs)}
+    return Poly._make(B.ctx, *_lowest(acc, B.den * big * q))
 
 
 def homothety_operator(E: Poly, r: int, vars_: Iterable[int] | None = None) -> Poly:
     """E + (1/r) sum_i u_i dE/du_i over `vars_` (default: all variables)."""
     vs = tuple(vars_) if vars_ is not None else tuple(range(E.ctx.nvars))
-    acc = E
-    for i in vs:
-        acc = acc + Poly.variable(E.ctx, i) * E.diff(i) * Q(1, r)
-    return acc
+    return sum((Poly.variable(E.ctx, i) * E.diff(i) * Q(1, r) for i in vs), E)
 
 
 # ---------------------------------------------------------------------------
@@ -141,14 +150,32 @@ def pair_with_face(eta: Form, phi: RelFace) -> Poly:
     sorted wedge, the determinant of the pairing as its (integer)
     coefficient; the contraction reads eta's coefficient there.
     """
+    return _contract(eta, phi, 1)
+
+
+def _contract(eta: Form, phi: RelFace, fact: int) -> Poly:
+    """`pair_with_face` / fact in one pass over eta's terms: each numerator
+    times the frame's determinant at its wedge, over one lcm denominator."""
     ctx = eta.ctx
-    frame = Form.const(ctx, 1)
-    for block in phi.blocks:
-        first = Form.d_var(ctx, ctx.var("l", block[0]))
-        for w in block[1:]:
-            frame = wedge(frame, Form.d_var(ctx, ctx.var("l", w)) - first)
-    return sum((p * frame.terms[dv] for dv, p in eta.terms.items() if dv in frame.terms),
-               Poly.zero(ctx))
+    frame = _frame(tuple(tuple(ctx.var("l", v) for v in block) for block in phi.blocks))
+    den, acc = eta.den, {}
+    for dv, p in eta.terms.items():
+        if dv in frame:
+            _add_into(acc, p.num, frame[dv] * (den // p.den))
+    return Poly._make(ctx, *_lowest(acc, den * fact))
+
+
+@functools.lru_cache(maxsize=1 << 12)  # keyed on blocks of variable indices
+def _frame(layout: tuple[tuple[int, ...], ...]) -> dict[tuple[int, ...], int]:
+    """The frame's dual wedge as {sorted wedge: int determinant}: per block,
+    the wedge of d x_w - d x_first over its later w is sum_k (-1)^k times
+    the block's wedge without its k-th variable.  Callers must not mutate it."""
+    frame = {}
+    for omit in itertools.product(*(range(len(b)) for b in layout)):
+        dv = tuple(i for b, k in zip(layout, omit) for i in b[:k] + b[k + 1:])
+        merged, sign = _sort_wedge(dv)
+        frame[merged] = sign * (-1) ** sum(omit)
+    return frame
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +192,7 @@ def extract_A(eta: Form, psi: CoordMap, r: int) -> dict[RelFace, Poly]:
     A prism with no relative face of degree r gets the empty family, and
     with it the zero candidate.
     """
-    return {phi: pair_with_face(eta, phi) * Q(1, phi.block_factorial())
-            for phi in relative_faces(psi, r)}
+    return {phi: _contract(eta, phi, phi.block_factorial()) for phi in relative_faces(psi, r)}
 
 
 def t_monomial(pctx: CoordSystem, dims: Iterable[int]) -> Poly:
@@ -184,13 +210,20 @@ def compose_psi(A: dict[RelFace, Poly], psi: CoordMap) -> dict[RelFace, Poly]:
 
 def weighted_whitney(pctx: CoordSystem, terms) -> Form:
     """sum of coeff * t^dims * w(blocks) over the (coeff, dims, blocks) of
-    `terms`: a t-weighted sum of relative Whitney forms on a trivial prism."""
-    out = Form.zero(pctx)
+    `terms`, a t-weighted sum of relative Whitney forms on a trivial prism,
+    in one pass: each Whitney form's int terms, shifted by the key of t^dims,
+    multiply into one accumulator per wedge over the lcm denominator."""
+    terms = list(terms)
+    den = math.lcm(1, *(coeff.den for coeff, _, _ in terms))
+    acc: dict[tuple[int, ...], dict] = {}
     for coeff, dims, blocks in terms:
-        t_mon = t_monomial(pctx, dims)
-        cell = dict(zip(pctx.fiber_groups, blocks, strict=True))
-        out = out + whitney_form(pctx, cell) * (coeff * t_mon)
-    return out
+        [t_key] = t_monomial(pctx, dims).num
+        layout = tuple(tuple(pctx.var(pctx.groups[g][0], v) for v in block)
+                       for g, block in zip(pctx.fiber_groups, blocks, strict=True))
+        for dv, num in _whitney_terms(layout):
+            _mul_into(acc.setdefault(dv, {}), {e + t_key: c for e, c in num.items()},
+                      coeff.num, den // coeff.den)
+    return Form._from_acc(pctx, acc, den)
 
 
 def whitney_combination(composed: dict[RelFace, Poly], psi: CoordMap) -> Form:
@@ -220,10 +253,8 @@ class FaceDrop:
     removed: int
 
     def gamma_blocks(self) -> tuple[tuple[int, ...], ...]:
-        out = []
-        for k, b in enumerate(self.phi.blocks):
-            out.append(tuple(v for v in b if not (k == self.j and v == self.removed)))
-        return tuple(out)
+        return tuple(tuple(v for v in b if not (k == self.j and v == self.removed))
+                     for k, b in enumerate(self.phi.blocks))
 
     def gamma_vertices(self) -> tuple[int, ...]:
         return tuple(v for v in self.phi.vertices if v != self.removed)
@@ -232,12 +263,7 @@ class FaceDrop:
 def admissible_drops(phi: RelFace) -> list[FaceDrop]:
     """All codim-1 subfaces with full image: one vertex removed from a
     block of positive dimension."""
-    out = []
-    for j, b in enumerate(phi.blocks):
-        if len(b) >= 2:
-            for v in b:
-                out.append(FaceDrop(phi, j, v))
-    return out
+    return [FaceDrop(phi, j, v) for j, b in enumerate(phi.blocks) if len(b) >= 2 for v in b]
 
 
 def _free_chart(pctx: CoordSystem, drop: "FaceDrop") -> tuple[Chart, list[int]]:
@@ -286,9 +312,8 @@ def assemble_C(A: dict[RelFace, Poly], r: int, psi: CoordMap,
         a_psi = composed[phi]
         for drop in drops:
             chart, scaled = _free_chart(pctx, drop)
-            flat = eliminate_poly(a_psi, chart)
             q = drop.phi.blocks[drop.j].index(drop.removed)
-            out[drop] = ode_solve(flat, r, scaled) * Q((-1) ** q, n)
+            out[drop] = _ode_pass(eliminate_poly(a_psi, chart), r, scaled, Q((-1) ** q, n))
     return out
 
 
@@ -520,12 +545,11 @@ def descend_form(H: Form, sctx: CoordSystem) -> tuple[Form, tuple[int, ...]]:
     for j, (tag, verts) in enumerate(fiber_groups):
         for v in verts:
             lam[pctx.index[f"{tag}:{v}"]] = (j, sctx.var("l", v))
-    us = [Poly.zero(sctx) for _ in range(nfib)]
-    dus = [Form.zero(sctx) for _ in range(nfib)]
-    for j, x in lam.values():
-        us[j] = us[j] + Poly.variable(sctx, x)
-        dus[j] = dus[j] + Form.d_var(sctx, x)
+    xs = [[sctx.var("l", v) for v in verts] for _, verts in fiber_groups]
+    us = [Poly._make(sctx, {1 << _W * x: 1 for x in g}) for g in xs]
+    dus = [Form._make(sctx, {(x,): Poly.const(sctx, 1) for x in g}) for g in xs]
 
+    @functools.cache
     def cleared_d(i: int) -> Form:
         if i in t_group:
             return dus[t_group[i]]
@@ -574,11 +598,14 @@ def descend_form(H: Form, sctx: CoordSystem) -> tuple[Form, tuple[int, ...]]:
                                         Poly.__mul__, initial=Poly.const(sctx, 1)))
               for j, u in enumerate(us)]
     acc: dict[tuple[int, ...], dict] = {}
+    u_ks: dict[tuple[int, ...], Poly] = {}  # u^k, once per exponent vector k
     for dv, by_k in groups.items():
         coeff: dict = {}
         for k, mons in by_k.items():
-            u_k = math.prod((powers[j][n] for j, n in enumerate(k) if n), start=Poly.const(sctx, 1))
-            _mul_into(coeff, mons, u_k.num)
+            if k not in u_ks:
+                u_ks[k] = math.prod((powers[j][n] for j, n in enumerate(k) if n),
+                                    start=Poly.const(sctx, 1))
+            _mul_into(coeff, mons, u_ks[k].num)
         for w, p in wedges[dv].terms.items():
             _mul_into(acc.setdefault(w, {}), p.num, coeff)
     return Form._from_acc(sctx, acc, scale), m
@@ -607,18 +634,12 @@ def specialization_chart(pctx: CoordSystem, tau_face: Simplex) -> CoordMap:
     renumber = {j: k for k, j in enumerate(keep)}
     images: dict[str, Poly] = {}
     for y in tau_verts:
-        name = f"{base_tag}:{y}"
-        if y in tau_face.vset:
-            images[name] = Poly.variable(src, src.index[name])
-        else:
-            images[name] = Poly.zero(src)
+        name, kept = f"{base_tag}:{y}", y in tau_face.vset
+        images[name] = Poly.variable(src, src.index[name]) if kept else Poly.zero(src)
     for j, (tag, verts) in enumerate(fibers):
         for v in verts:
-            name = f"{tag}:{v}"
-            if j in renumber:
-                images[name] = Poly.variable(src, src.var(f"m:{renumber[j]}", v))
-            else:
-                images[name] = Poly.const(src, Q(1, len(verts)))
+            images[f"{tag}:{v}"] = (Poly.variable(src, src.var(f"m:{renumber[j]}", v))
+                                    if j in renumber else Poly.const(src, Q(1, len(verts))))
     return CoordMap.build(src, pctx, images)
 
 
@@ -664,14 +685,9 @@ def check_horizontal(f: SimplicialMorphism, prim: RelativePrimitive,
     matches: dict[Simplex, bool] = {}
     shifted = False
     for sigma, pd in prim.prisms.items():
-        for drop in pd.C:
-            dims = drop.phi.block_dims()
-            lost = [dims[j] for j, y in enumerate(tau.vertices)
-                    if y not in tau_face.vset]
-            if any(dd > 0 for dd in lost):
-                vanished += 1
-            else:
-                surviving += 1
+        lost = [j for j, y in enumerate(tau.vertices) if y not in tau_face.vset]
+        gone = sum(any(drop.phi.block_dims()[j] for j in lost) for drop in pd.C)
+        vanished, surviving = vanished + gone, surviving + len(pd.C) - gone
         sigma_f = f.restriction_to(sigma, tau_face)
         chart = specialization_chart(pd.psi.source, tau_face)
         carrier = next(s for s in prim_face.prisms if sigma_f.vset <= s.vset)

@@ -15,7 +15,8 @@ from prismal.cli import main
 from prismal.fixtures import square_over_edge, tetra_pair_over_triangle, triangle_fan
 from prismal.forms import CoordSystem, Form, Poly, d, simplex_context, whitney_form
 from prismal.io import (ValidationError, complex_from_dict, dump_json, form_to_dict,
-                        forms_file_to_inputs, morphism_from_dict, rational_from_str)
+                        forms_file_to_inputs, load_json, morphism_from_dict,
+                        rational_from_str)
 from prismal.mesh import Simplex
 from prismal.verify import SUITES
 from _support import complex_to_dict, cylinder_over_edge, form_from_dict, morphism_to_dict
@@ -66,7 +67,10 @@ _WRITER_CONTEXTS = (
     CoordSystem((("t", (3, 1)), ("m:0", (12, 3, 2)), ("m:1", (5, 10)))),
     CoordSystem((("l", (0,)),)),
 )
-_COEFFS = (st.integers(-7, 7) | st.fractions(-3, 3, max_denominator=6)).filter(bool)
+# small rationals, and integers and fractions of 30 digits or more, either sign
+_BIG = st.integers(10 ** 29, 10 ** 45) | st.integers(-10 ** 45, -10 ** 29)
+_COEFFS = (st.integers(-7, 7) | st.fractions(-3, 3, max_denominator=6) | _BIG
+           | st.builds(Q, _BIG, st.integers(2, 10 ** 35))).filter(bool)
 
 
 @st.composite
@@ -91,6 +95,12 @@ def _form_dicts(tree):
 
 _ZERO_FORM = Form.zero(_WRITER_CONTEXTS[1])
 _CONSTANT_FORM = Form.from_poly(Poly.const(_WRITER_CONTEXTS[1], Q(-5, 3)))
+# num {a: 2, b: 1} over 2: an integral coefficient "1" beside "1/2"
+_MIXED_POLY = Poly(_WRITER_CONTEXTS[0], {(1, 0, 0): 1, (0, 2, 1): Q(1, 2)})
+# two wedges with the same monomials, negative fractions among them
+_SHARED_FORM = Form(_WRITER_CONTEXTS[1], {
+    (0, 2): Poly(_WRITER_CONTEXTS[1], {(1, 0, 2, 0, 0, 1, 0): Q(-7, 4), (0,) * 7: -3}),
+    (3,): Poly(_WRITER_CONTEXTS[1], {(1, 0, 2, 0, 0, 1, 0): Q(-1, 6), (0,) * 7: Q(5, 9)})})
 
 
 @settings(max_examples=150, deadline=None, derandomize=True,
@@ -101,11 +111,27 @@ _CONSTANT_FORM = Form.from_poly(Poly.const(_WRITER_CONTEXTS[1], Q(-5, 3)))
                     max_leaves=6))
 @example([_ZERO_FORM, {"c": _CONSTANT_FORM, "z": [[_ZERO_FORM]]}])
 @example(_CONSTANT_FORM)
+@example({"a": Form.from_poly(_MIXED_POLY), "b": Form(_MIXED_POLY.ctx, {(0,): _MIXED_POLY * -3})})
+@example([_SHARED_FORM, {"deeper": [_SHARED_FORM, -_SHARED_FORM]}, _CONSTANT_FORM])
+@example(Form.from_poly(Poly(_WRITER_CONTEXTS[2],
+                             {(4,): Q(-10 ** 40 - 1, 10 ** 31), (0,): 10 ** 30})))
 def test_dump_json_writes_form_leaves_as_form_to_dict(tmp_path, tree):
     path = tmp_path / "out.json"
     dump_json(path, tree)
     want = json.dumps(_form_dicts(tree), indent=1, sort_keys=True) + "\n"
     assert path.read_bytes() == want.encode()
+
+
+def test_dump_json_writes_from_the_numerators(tmp_path):
+    # the writer never builds a polynomial's tuple-and-Fraction view
+    tree = [_SHARED_FORM, {"m": Form.from_poly(_MIXED_POLY)}, _SHARED_FORM]
+    polys = [p for form in (_SHARED_FORM, tree[1]["m"]) for p in form.terms.values()]
+    for p in polys:
+        p._terms = None
+    dump_json(tmp_path / "out.json", tree)
+    assert all(p._terms is None for p in polys)
+    assert '"c": "1/2"' in (tmp_path / "out.json").read_text()
+    assert '"c": "1",' in (tmp_path / "out.json").read_text()
 
 
 def test_dump_json_rejects_non_str_keys_and_unknown_values(tmp_path):
@@ -158,6 +184,43 @@ def test_morphism_roundtrip_and_validation():
         morphism_from_dict(bad, f.source, f.target)
 
 
+def test_a_vertex_is_named_once(tmp_path):
+    # "01" reads as vertex 1, and json keeps the last of two equal keys: either
+    # way one vertex would get two images, and the file's last one would win
+    f = triangle_fan()
+    dd = morphism_to_dict(f)
+    dd["vertex_map"]["01"] = "101"
+    with pytest.raises(ValidationError, match="vertex 1 is named twice in 'vertex_map'"):
+        morphism_from_dict(dd, f.source, f.target)
+    dd["vertex_map"]["01"] = "100"  # an alias is refused even when the images agree
+    with pytest.raises(ValidationError, match="vertex 1 is named twice"):
+        morphism_from_dict(dd, f.source, f.target)
+    path = tmp_path / "twice.json"
+    path.write_text('{"a": [{"b": 1, "c": 2}, {"b": 1, "b": 2}]}')
+    with pytest.raises(ValidationError) as info:
+        load_json(path)
+    assert str(path) in str(info.value) and "key 'b' is repeated" in str(info.value)
+
+
+@pytest.mark.parametrize("command", ["sheaf", "primitive"])
+@pytest.mark.parametrize("alias, message", [
+    ('"01": "101"', "vertex 1 is named twice in 'vertex_map'"),
+    ('"1": "101"', "key '1' is repeated in an object")], ids=["leading-zero", "repeated-key"])
+def test_cli_refuses_a_vertex_named_twice(tmp_path, capsys, command, alias, message):
+    cpath, mpath, wpath = _write_fixture_files(tmp_path)
+    text = mpath.read_text()
+    assert text.count('"1": "100"') == 1
+    mpath.write_text(text.replace('"1": "100"', '"1": "100", ' + alias))
+    argv = [command, "--complex", str(cpath), "--morphism", str(mpath)]
+    if command == "primitive":
+        argv += ["--form", str(wpath), "--out", str(tmp_path / "h.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and message in err
+    assert str(mpath) in err or alias.startswith('"01"')
+    assert not (tmp_path / "h.json").exists()
+
+
 def test_form_roundtrip():
     sc = simplex_context(S(0, 1, 2))
     form = d(Form.from_poly(Poly.variable(sc, 0) * Poly.variable(sc, 1) * Q(1, 3)))
@@ -195,7 +258,9 @@ def test_forms_file_referential_integrity():
 # ---------------------------------------------------------------------------
 
 def _write_fixture_files(tmp_path, pairs=((2, 3), (3, 4), (0, 3), (3, 5)),
-                         fixture=triangle_fan):
+                         fixture=triangle_fan, power=0):
+    """The input d(sum of prod l_v over each pair) on every cell; with a
+    `power` k, plus the exact l_3^k dl_3 on each cell holding vertex 3."""
     f = fixture()
     omega = {}
     for s in f.source.maximal:
@@ -208,6 +273,9 @@ def _write_fixture_files(tmp_path, pairs=((2, 3), (3, 4), (0, 3), (3, 5)),
                     term = term * Poly.variable(sc, sc.var("l", v))
                 poly = poly + term
         omega[s] = d(Form.from_poly(poly))
+        if power and 3 in s.vertices:
+            l3 = sc.var("l", 3)
+            omega[s] = omega[s] + Form.d_var(sc, l3) * Poly.variable(sc, l3) ** power
     return _write_input_files(tmp_path, f, omega)
 
 
@@ -690,6 +758,31 @@ def test_cmd_primitive_tetra_pair_descent(tmp_path):
     verified = [hs["descent_verified"] for cell in data["base_cells"].values()
                 for hs in cell["H_S"].values()]
     assert verified and all(verified)
+
+
+def _check_a_large_exponent(tmp_path, k):
+    """`prismal primitive --check-horizontal` on the triangle fan's input plus
+    l_3^k dl_3 (every triangle holds 3) exits 0 with every descent verified."""
+    cpath, mpath, wpath = _write_fixture_files(tmp_path, power=k)
+    out = tmp_path / "h.json"
+    assert main(["primitive", "--complex", str(cpath), "--morphism", str(mpath),
+                 "--form", str(wpath), "--out", str(out), "--check-horizontal"]) == 0
+    data = json.loads(out.read_text())
+    verified = [hs["descent_verified"] for cell in data["base_cells"].values()
+                for hs in cell["H_S"].values()]
+    assert verified and all(verified)
+
+
+def test_primitive_with_a_large_exponent(tmp_path):
+    # the descent expands every power of the fiber masses densely: k = 130
+    # takes about 1.6 s on a 2-core VM, and k = 140 already 2 s
+    _check_a_large_exponent(tmp_path, 130)
+
+
+@pytest.mark.slow
+def test_primitive_with_exponent_1000(tmp_path):
+    # minutes and over a GB, not seconds: kept out of tier-1 (-m slow runs it)
+    _check_a_large_exponent(tmp_path, 1000)
 
 
 def test_whitney_numerators_are_never_mutated(tmp_path, monkeypatch):

@@ -11,8 +11,8 @@ from prismal.fixtures import (triangle_fan, five_over_two, square_over_edge,
                               tetra_pair_over_triangle)
 from prismal import primitive
 from prismal.forms import (CoordSystem, Form, Poly, _dirichlet, canonicalize, d,
-                           equal_mod_relations, pi_context, pullback, relative_d,
-                           simplex_context, vertical_part, wedge, whitney_form)
+                           eliminate_poly, equal_mod_relations, pi_context, pullback,
+                           relative_d, simplex_context, vertical_part, wedge, whitney_form)
 from prismal.mesh import Simplex, SimplicialComplex, SimplicialMorphism, perm_sign
 from prismal.primitive import (ExactnessError, RelFace, _grundmann_moeller,
                                admissible_drops, assemble_C,
@@ -21,7 +21,8 @@ from prismal.primitive import (ExactnessError, RelFace, _grundmann_moeller,
                                compose_psi, descend_form, extract_A,
                                fiber_defect, decomposition_residual,
                                homothety_operator, ode_solve, oracle_A,
-                               relative_faces, specialization_chart,
+                               pair_with_face, relative_faces, specialization_chart,
+                               t_monomial,
                                vertical_gluing, verify_theodg, whitney_combination)
 from prismal.sheaf import psi_coordinate_map
 from _support import cylinder_over_edge, oracle_eps_terms
@@ -94,6 +95,25 @@ def test_ode_residual_random(raw, r):
     B = Poly(UCTX, terms)
     E = ode_solve(B, r)
     assert not homothety_operator(E, r) - B
+
+
+def _chained_ode_solve(B, r, vars_=None):
+    """`ode_solve` as a sum of scaled homogeneous parts, one Poly per step."""
+    return sum((part * Q(r, r + m) for m, part in B.homogeneous_parts(vars_).items()),
+               Poly.zero(B.ctx))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_ode_solve_matches_the_chained_sum(seed):
+    # one pass over one lcm denominator gives the normalized sum of parts
+    rng = random.Random(seed)
+    for _ in range(6):
+        B = Poly(UCTX, {tuple(rng.randint(0, 4) for _ in range(6)):
+                        Q(rng.randint(-30, 30), rng.randint(1, 12))
+                        for _ in range(rng.randint(0, 7))})
+        vars_ = rng.choice([None, [0], [1, 3, 4], range(6)])
+        for r in (1, 2, 3, 5):
+            assert ode_solve(B, r, vars_) == _chained_ode_solve(B, r, vars_)
 
 
 # ---------------------------------------------------------------------------
@@ -989,3 +1009,94 @@ def test_pipeline_all_relative_degrees_on_cube_fibers():
     for r, eta in cases.items():
         res = build_relative_primitive(f, {sigma: eta}, r=r)
         assert residuals_zero(res), f"degree {r}"
+
+
+# ---------------------------------------------------------------------------
+# one-pass sums against the chained-operator bodies they replaced
+# ---------------------------------------------------------------------------
+
+def _chained_pair_with_face(eta, phi):
+    """`pair_with_face` with the frame wedged from `Form.d_var` differences."""
+    ctx = eta.ctx
+    frame = Form.const(ctx, 1)
+    for block in phi.blocks:
+        first = Form.d_var(ctx, ctx.var("l", block[0]))
+        for w in block[1:]:
+            frame = wedge(frame, Form.d_var(ctx, ctx.var("l", w)) - first)
+    return sum((p * frame.terms[dv] for dv, p in eta.terms.items() if dv in frame.terms),
+               Poly.zero(ctx))
+
+
+def _chained_weighted_whitney(pctx, terms):
+    """`weighted_whitney` as a running Form sum of Whitney forms times polynomials."""
+    out = Form.zero(pctx)
+    for coeff, dims, blocks in terms:
+        cell = dict(zip(pctx.fiber_groups, blocks, strict=True))
+        out = out + whitney_form(pctx, cell) * (coeff * t_monomial(pctx, dims))
+    return out
+
+
+def _chained_C(A, r, psi, composed):
+    """`assemble_C` with the chained ODE solution scaled afterwards."""
+    out = {}
+    for phi in A:
+        drops = admissible_drops(phi)
+        for drop in drops:
+            if phi not in composed:
+                out[drop] = Poly.zero(psi.source)
+                continue
+            chart, scaled = primitive._free_chart(psi.source, drop)
+            q = phi.blocks[drop.j].index(drop.removed)
+            out[drop] = (_chained_ode_solve(eliminate_poly(composed[phi], chart), r, scaled)
+                         * Q((-1) ** q, len(drops)))
+    return out
+
+
+def _seeded_form(rng, ctx, r):
+    """An r-form with one to three seeded rational terms at every wedge."""
+    def poly():
+        return Poly(ctx, {tuple(rng.randint(0, 2) for _ in range(ctx.nvars)):
+                          Q(rng.randint(-9, 9), rng.randint(1, 6))
+                          for _ in range(rng.randint(1, 3))})
+    return Form(ctx, {dv: poly() for dv in itertools.combinations(range(ctx.nvars), r)})
+
+
+def triangle_block_over_edge():
+    """A tetrahedron over an edge with three vertices over 101: a fiber
+    block of dimension 2, whose factorial the four fixtures never reach."""
+    return SimplicialMorphism(SimplicialComplex([S(0, 1, 2, 3)]), SimplicialComplex([S(100, 101)]),
+                              {0: 100, 1: 101, 2: 101, 3: 101})
+
+
+@pytest.mark.parametrize("fixture", [triangle_fan, tetra_pair_over_triangle,
+                                     square_over_edge, five_over_two,
+                                     triangle_block_over_edge],
+                         ids=lambda fx: fx.__name__)
+def test_one_pass_sums_match_the_chained_bodies(fixture):
+    # pair_with_face on every relative face at r = 1..3, extract_A's folded
+    # factorials, weighted_whitney for both of its callers and assemble_C's
+    # folded signs equal the chained bodies, normalized Poly for Poly
+    rng = random.Random(fixture.__name__)
+    f = fixture()
+    faces = []
+    for sigma in sorted(f.source.maximal):
+        psi = psi_coordinate_map(f, sigma)
+        for r in (1, 2, 3):
+            eta = _seeded_form(rng, simplex_context(sigma), r)
+            A = extract_A(eta, psi, r)
+            for phi in relative_faces(psi, r):
+                want = _chained_pair_with_face(eta, phi)
+                assert want and pair_with_face(eta, phi) == want
+                assert A[phi] == want * Q(1, phi.block_factorial())
+                faces.append(phi)
+            composed = compose_psi(A, psi)
+            C = assemble_C(A, r, psi, composed)
+            assert C == _chained_C(A, r, psi, composed)
+            assert whitney_combination(composed, psi) == _chained_weighted_whitney(
+                psi.source, ((c, phi.block_dims(), phi.blocks) for phi, c in composed.items()))
+            assert c_part_form(C, psi) == _chained_weighted_whitney(
+                psi.source, ((c, drop.phi.block_dims(), drop.gamma_blocks())
+                             for drop, c in C.items() if c))
+    assert len(faces) >= len(f.source.maximal)
+    if fixture is triangle_block_over_edge:
+        assert any(phi.block_factorial() > 1 for phi in faces)
