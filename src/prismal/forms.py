@@ -544,12 +544,6 @@ class Form:
     def degrees(self) -> set[int]:
         return {len(dv) for dv in self.terms}
 
-    def degree(self) -> int:
-        degs = self.degrees()
-        if len(degs) > 1:
-            raise DegreeError(f"mixed degrees {degs}")
-        return degs.pop() if degs else 0
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -610,7 +604,7 @@ class CoordMap:
 
     source: CoordSystem
     target: CoordSystem
-    images: tuple[tuple[str, Poly], ...]  # target variable name -> Poly over source
+    images: tuple[Poly, ...]  # over source, in the order of target.names
 
     @classmethod
     def build(cls, source: CoordSystem, target: CoordSystem,
@@ -622,11 +616,7 @@ class CoordMap:
         if wide:
             raise ContextError(f"images of {wide} have more than one term; "
                                f"a coordinate map is monomial")
-        return cls(source, target, tuple((n, images[n]) for n in target.names))
-
-    @functools.cached_property
-    def image_list(self) -> tuple[Poly, ...]:
-        return tuple(p for _, p in self.images)
+        return cls(source, target, tuple(images[n] for n in target.names))
 
     @functools.cached_property
     def monomials(self) -> tuple:
@@ -634,7 +624,7 @@ class CoordMap:
         key, the largest n with n * key in the bound, numerator,
         denominator): the rows `_substitute_monomial` reads."""
         out = []
-        for p in self.image_list:
+        for p in self.images:
             out.append(None)
             for e, c in p.num.items():
                 exps = _unpack(self.source.nvars, e)

@@ -45,6 +45,15 @@ def _shown(value) -> str:
     return text if len(text) <= 100 else text[:97] + "..."
 
 
+def _int(s: str) -> int:
+    """The int `s` spells as `str` writes it, else a ValueError: `int` also
+    reads spaces, '+', '_', leading zeros and non-ASCII digits."""
+    n = int(s)
+    if str(n) != s:
+        raise ValueError(s)
+    return n
+
+
 def rational_from_str(s) -> Fraction:
     # a JSON boolean is not a number, though Python's bool is an int
     if type(s) is int:
@@ -52,8 +61,10 @@ def rational_from_str(s) -> Fraction:
     if isinstance(s, str):
         num, slash, den = s.partition("/")
         try:
-            return Q(int(num), int(den)) if slash else Q(int(s))
-        except (ValueError, ZeroDivisionError):
+            q = _int(den) if slash else 1
+            if q > 0:
+                return Q(_int(num), q)
+        except ValueError:
             pass
     raise ValidationError(f"expected an exact rational, got {_shown(s)}")
 
@@ -75,12 +86,12 @@ def _list(value, what: str) -> list:
 
 
 def _vertex(v) -> int:
-    """A vertex label: an integer, or a string holding one."""
+    """A vertex label: an integer, or a string spelling one as `str` does."""
     if type(v) is int:
         return v
     if isinstance(v, str):
         try:
-            return int(v)
+            return _int(v)
         except ValueError:
             pass
     raise ValidationError(f"vertex labels must be integers, got {_shown(v)}")
@@ -110,11 +121,7 @@ def morphism_from_dict(dd: dict, source: SimplicialComplex,
     vmap = _field(dd, "vertex_map", "morphism file")
     if not isinstance(vmap, dict):
         raise ValidationError(f"'vertex_map' must be an object, got {_shown(vmap)}")
-    out: dict[int, int] = {}
-    for k, v in vmap.items():  # "1" and "01" name one vertex
-        if _vertex(k) in out:
-            raise ValidationError(f"vertex {_vertex(k)} is named twice in 'vertex_map'")
-        out[_vertex(k)] = _vertex(v)
+    out = {_vertex(k): _vertex(v) for k, v in vmap.items()}  # one spelling per vertex
     try:
         return SimplicialMorphism(source, target, out)
     except StructureError as exc:
@@ -194,7 +201,7 @@ def forms_file_to_inputs(dd: dict, cx: SimplicialComplex) -> dict[Simplex, Form]
     "context" is honored but must match.  A cell may be given once, in any
     vertex order.
     """
-    entries = _list(dd["forms"], "forms") if isinstance(dd, dict) and "forms" in dd else [dd]
+    entries = _list(_field(dd, "forms", "forms file"), "forms")
     out: dict[Simplex, Form] = {}
     seen: set[frozenset[int]] = set()
     for entry in entries:

@@ -258,10 +258,6 @@ class PrismalSet:
     def __len__(self):
         return len(self.cells)
 
-    @property
-    def dim(self) -> int:
-        return max((c.dim for c in self.cells), default=-1)
-
     def __repr__(self):
         return f"PrismalSet({len(self.maximal)} maximal, {len(self.cells)} cells)"
 
@@ -302,10 +298,6 @@ class SimplicialComplex:
         if key not in self._index:
             raise StructureError(f"no cell on vertices {sorted(key)}")
         return self._index[key]
-
-    @property
-    def dim(self) -> int:
-        return max(c.dim for c in self.maximal)
 
     def __iter__(self):
         return iter(sorted(self.cells))

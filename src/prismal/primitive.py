@@ -25,15 +25,15 @@ blow-down `psi`: `psi.source` is the prism context (group 0 the base, group
 context.  Each prism computes the pullback of the input, the compositions
 A_phi o psi and the Whitney combination once, and every stage reads those.
 
-One home per concept: `pair_with_face` contracts with a fiber frame, read
-as integer determinants from `_frame`, and `RelFace.block_factorial`
-normalizes it (also in the oracle), `weighted_whitney` builds both
-t-weighted Whitney sums of step 3 (the A combination and the C part),
-`homothety_operator` is the ODE's operator (also in the identity suites),
-`forms.base_volume_residual` computes both closing residuals
-(`verify_theodg` reports the last one), and `_restricted_difference`
-compares two primitives on a shared cell.  Each pipeline sum is one pass
-over int numerators, scalar factors folded in, and one `_lowest`.
+One home per concept: `pair_with_face` is A_phi, the contraction with a
+fiber frame (integer determinants from `_frame`) over the block factorial,
+read by `extract_A` and the oracle; `ode_solve` is the one body of the
+homothety ODE, whose operator is `homothety_operator` (also in the identity
+suites); `weighted_whitney` builds both t-weighted Whitney sums of step 3
+(the A combination and the C part), `forms.base_volume_residual` computes
+both closing residuals (`verify_theodg` reports the last one), and
+`_restricted_difference` compares two primitives on a shared cell.  Each
+pipeline sum is one pass over int numerators and one `_lowest`.
 
 All the arithmetic is rational, the optional shrinking-average oracle for
 the extracted coefficients included: it averages with the Grundmann-Moeller
@@ -87,17 +87,11 @@ def ode_solve(B: Poly, r: int, vars_: Iterable[int] | None = None) -> Poly:
     """
     if r < 1:
         raise PrimitiveError("degree parameter must be >= 1")
-    return _ode_pass(B, r, range(B.ctx.nvars) if vars_ is None else tuple(vars_))
-
-
-def _ode_pass(B: Poly, r: int, vs, scale=1) -> Poly:
-    """scale * `ode_solve`(B, r, vs) in one pass over B's numerators, each
-    monomial of degree m in `vs` times r/(r+m) over one lcm denominator."""
+    vs = range(B.ctx.nvars) if vars_ is None else tuple(vars_)
     degs = [sum(e >> _W * i & _FIELD for i in vs) for e in B.num]
     big = math.lcm(1, *{r + m for m in degs})
-    k, q = Q(scale).as_integer_ratio()
-    acc = {e: c * k * r * (big // (r + m)) for (e, c), m in zip(B.num.items(), degs)}
-    return Poly._make(B.ctx, *_lowest(acc, B.den * big * q))
+    acc = {e: c * r * (big // (r + m)) for (e, c), m in zip(B.num.items(), degs)}
+    return Poly._make(B.ctx, *_lowest(acc, B.den * big))
 
 
 def homothety_operator(E: Poly, r: int, vars_: Iterable[int] | None = None) -> Poly:
@@ -143,26 +137,22 @@ def relative_faces(psi: CoordMap, r: int) -> list[RelFace]:
 
 
 def pair_with_face(eta: Form, phi: RelFace) -> Poly:
-    """Contract an r-form with the constant fiber r-frame of phi: per block,
-    the differences from the block's first vertex.
+    """A_phi: the contraction of an r-form with the constant fiber r-frame
+    of phi (per block, the differences from the block's first vertex) over
+    `phi.block_factorial()`.
 
     The wedge of the frame's dual 1-forms d l_w - d l_block[0] has, at each
     sorted wedge, the determinant of the pairing as its (integer)
-    coefficient; the contraction reads eta's coefficient there.
+    coefficient; one pass over eta's terms multiplies each numerator by the
+    determinant at its wedge, over one lcm denominator.
     """
-    return _contract(eta, phi, 1)
-
-
-def _contract(eta: Form, phi: RelFace, fact: int) -> Poly:
-    """`pair_with_face` / fact in one pass over eta's terms: each numerator
-    times the frame's determinant at its wedge, over one lcm denominator."""
     ctx = eta.ctx
     frame = _frame(tuple(tuple(ctx.var("l", v) for v in block) for block in phi.blocks))
     den, acc = eta.den, {}
     for dv, p in eta.terms.items():
         if dv in frame:
             _add_into(acc, p.num, frame[dv] * (den // p.den))
-    return Poly._make(ctx, *_lowest(acc, den * fact))
+    return Poly._make(ctx, *_lowest(acc, den * phi.block_factorial()))
 
 
 @functools.lru_cache(maxsize=1 << 12)  # keyed on blocks of variable indices
@@ -186,13 +176,11 @@ def extract_A(eta: Form, psi: CoordMap, r: int) -> dict[RelFace, Poly]:
     """Canonical fiberwise coefficients {A_phi} of an r-form on sigma, in
     face order, zeros included (`psi` is sigma's blow-down).
 
-    A_phi is the contraction of eta with the constant fiber frame of phi,
-    divided by the product of the block factorials; this is the pointwise
-    value of the shrinking-average limit, up to the stated normalization.
-    A prism with no relative face of degree r gets the empty family, and
-    with it the zero candidate.
+    A_phi is `pair_with_face`, the pointwise value of the shrinking-average
+    limit.  A prism with no relative face of degree r gets the empty family,
+    and with it the zero candidate.
     """
-    return {phi: _contract(eta, phi, phi.block_factorial()) for phi in relative_faces(psi, r)}
+    return {phi: pair_with_face(eta, phi) for phi in relative_faces(psi, r)}
 
 
 def t_monomial(pctx: CoordSystem, dims: Iterable[int]) -> Poly:
@@ -309,11 +297,11 @@ def assemble_C(A: dict[RelFace, Poly], r: int, psi: CoordMap,
             for drop in drops:
                 out[drop] = Poly.zero(pctx)
             continue
-        a_psi = composed[phi]
+        a_psi = composed[phi] * Q(1, n)
         for drop in drops:
             chart, scaled = _free_chart(pctx, drop)
-            q = drop.phi.blocks[drop.j].index(drop.removed)
-            out[drop] = _ode_pass(eliminate_poly(a_psi, chart), r, scaled, Q((-1) ** q, n))
+            ctil = ode_solve(eliminate_poly(a_psi, chart), r, scaled)
+            out[drop] = -ctil if phi.blocks[drop.j].index(drop.removed) % 2 else ctil
     return out
 
 
@@ -660,7 +648,7 @@ def _unspecialize(chart: CoordMap, ctx: CoordSystem) -> CoordMap:
     """The inverse of a specialization chart on its kept variables, onto
     `ctx`, a part of the chart's source: each variable maps back to the one
     prism variable whose image it is."""
-    back = {p: Poly.variable(chart.target, i) for i, p in enumerate(chart.image_list)}
+    back = {p: Poly.variable(chart.target, i) for i, p in enumerate(chart.images)}
     return CoordMap.build(chart.target, ctx, {
         n: back[Poly.variable(chart.source, chart.source.index[n])] for n in ctx.names})
 
@@ -785,15 +773,14 @@ def oracle_A(eta: Form, f: SimplicialMorphism, sigma: Simplex, phi: RelFace,
              eps: int | Fraction) -> tuple[Fraction, Fraction]:
     """Shrinking-average value of the working coefficient of phi, exactly.
 
-    Averages the contraction of eta with phi's fiber frame over the
-    eps-homothety of phi's fiber slice, centered at the slice centroid over
-    the base barycenter, with the product of the blocks' Grundmann-Moeller
-    rules of the contraction's degree.  `eps` is an int or a Fraction (a
-    float is a FormError).  Returns (average, exact value at the center).
+    Averages A_phi (`pair_with_face`) over the eps-homothety of phi's fiber
+    slice, centered at the slice centroid over the base barycenter, with the
+    product of the blocks' Grundmann-Moeller rules of A_phi's degree.  `eps`
+    is an int or a Fraction (a float is a FormError).  Returns (average,
+    exact value at the center).
     """
     sctx = simplex_context(sigma)
     g = pair_with_face(eta, phi)
-    fact = phi.block_factorial()
     tbar = Q(1, f.image(sigma).dim + 1)
     center = [Q(0)] * sctx.nvars
     for block in phi.blocks:
@@ -810,4 +797,4 @@ def oracle_A(eta: Form, f: SimplicialMorphism, sigma: Simplex, phi: RelFace,
                 i = sctx.var("l", v)
                 pt[i] = center[i] + eps * (tbar * x - center[i])
         total += wt * g.evaluate(pt)
-    return total / fact, g.evaluate(center) / fact
+    return total, g.evaluate(center)

@@ -228,10 +228,9 @@ def test_pullback_commutes_with_d(a):
 @settings(max_examples=20, deadline=None)
 @given(forms(CTX4), forms(CTX4))
 def test_wedge_graded_commutative(a, b):
-    try:
-        da, db = a.degree(), b.degree()
-    except DegreeError:
+    if len(a.degrees()) > 1 or len(b.degrees()) > 1:
         return
+    da, db = (max(x.degrees(), default=0) for x in (a, b))
     sign = (-1) ** (da * db)
     assert (wedge(a, b) - wedge(b, a) * sign).is_zero
 
@@ -892,13 +891,13 @@ def test_poly_kernel_matches_a_fraction_model(data):
 def test_substitute_matches_a_fraction_model(a, m):
     got = a.substitute(m)
     assert_lowest(got)
-    assert model(got) == r_subst(model(a), [model(p) for p in m.image_list], CTX3.nvars)
+    assert model(got) == r_subst(model(a), [model(p) for p in m.images], CTX3.nvars)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(kforms(CTX3), kforms(CTX3), kforms(CTX4), monomial_maps(CTX3, CTX4))
 def test_form_kernel_matches_a_fraction_model(x, y, z, m):
-    images = [model(p) for p in m.image_list]
+    images = [model(p) for p in m.images]
     # the chart dropping l:1 is the pullback through l:1 = 1 - l:0 - l:2
     chart_images = [{(1, 0, 0): Q(1)}, {(0, 0, 0): Q(1), (1, 0, 0): Q(-1), (0, 0, 1): Q(-1)},
                     {(0, 0, 1): Q(1)}]

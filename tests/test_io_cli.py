@@ -34,9 +34,16 @@ def test_rational_strings():
     assert rational_from_str("3/4") == Q(3, 4)
     assert rational_from_str("-2") == Q(-2)
     assert rational_from_str(7) == Q(7)
-    for bad in (1.5, "1/0", "abc", "1/2/3", True, False):
+    for bad in (1.5, "1/0", "abc", "1/2/3", True, False, "1_0/ 2", "1/-2", "1/02", "+1/2"):
         with pytest.raises(ValidationError):
             rational_from_str(bad)
+    # int() reads each of these, so two spellings could name one number or
+    # vertex: a number is read only as str() writes it
+    for bad in (" 7", "7 ", "+7", "7_0", "07", "-0", "\u0667", "\uff17"):
+        with pytest.raises(ValidationError, match="expected an exact rational"):
+            rational_from_str(bad)
+        with pytest.raises(ValidationError, match="vertex labels must be integers"):
+            complex_from_dict({"maximal_simplices": [[bad, "1"]]})
 
 
 # keys that exercise the escaping: quotes, backslashes, control and non-ASCII
@@ -185,15 +192,15 @@ def test_morphism_roundtrip_and_validation():
 
 
 def test_a_vertex_is_named_once(tmp_path):
-    # "01" reads as vertex 1, and json keeps the last of two equal keys: either
-    # way one vertex would get two images, and the file's last one would win
+    # only "1" spells vertex 1, and json keeps the last of two equal keys:
+    # otherwise one vertex could get two images, and the file's last one would win
     f = triangle_fan()
     dd = morphism_to_dict(f)
     dd["vertex_map"]["01"] = "101"
-    with pytest.raises(ValidationError, match="vertex 1 is named twice in 'vertex_map'"):
+    with pytest.raises(ValidationError, match="vertex labels must be integers, got '01'"):
         morphism_from_dict(dd, f.source, f.target)
     dd["vertex_map"]["01"] = "100"  # an alias is refused even when the images agree
-    with pytest.raises(ValidationError, match="vertex 1 is named twice"):
+    with pytest.raises(ValidationError, match="got '01'"):
         morphism_from_dict(dd, f.source, f.target)
     path = tmp_path / "twice.json"
     path.write_text('{"a": [{"b": 1, "c": 2}, {"b": 1, "b": 2}]}')
@@ -204,7 +211,7 @@ def test_a_vertex_is_named_once(tmp_path):
 
 @pytest.mark.parametrize("command", ["sheaf", "primitive"])
 @pytest.mark.parametrize("alias, message", [
-    ('"01": "101"', "vertex 1 is named twice in 'vertex_map'"),
+    ('"01": "101"', "vertex labels must be integers, got '01'"),
     ('"1": "101"', "key '1' is repeated in an object")], ids=["leading-zero", "repeated-key"])
 def test_cli_refuses_a_vertex_named_twice(tmp_path, capsys, command, alias, message):
     cpath, mpath, wpath = _write_fixture_files(tmp_path)
@@ -219,6 +226,22 @@ def test_cli_refuses_a_vertex_named_twice(tmp_path, capsys, command, alias, mess
     assert err.startswith("validation error:") and message in err
     assert str(mpath) in err or alias.startswith('"01"')
     assert not (tmp_path / "h.json").exists()
+
+
+@pytest.mark.parametrize("old, new", [
+    ('"0": "100"', '"0": "1_00"'), ('"1": "100"', '"1": " 100"'),
+    ('"2": "101"', '"2": "+101"'), ('"3": "101"', '"\u0663": "101"')],
+    ids=["underscore", "space", "plus", "arabic-indic"])
+def test_cli_refuses_a_noncanonical_vertex(tmp_path, capsys, old, new):
+    # int() reads each spelling as the vertex it replaces: only the rule of
+    # one spelling per number refuses it
+    cpath, mpath, _ = _write_fixture_files(tmp_path)
+    text = mpath.read_text()
+    assert text.count(old) == 1
+    mpath.write_text(text.replace(old, new), encoding="utf-8")
+    assert main(["sheaf", "--complex", str(cpath), "--morphism", str(mpath)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("validation error: vertex labels must be integers")
 
 
 def test_form_roundtrip():
@@ -622,7 +645,9 @@ def _first_vertex(v):
     pytest.param(_first_vertex(0.5), "vertex labels must be integers, got 0.5",
                  id="vertex-not-integer"),
     pytest.param(_poly_item({"c": True, "exp": {}}),
-                 "validation error: expected an exact rational, got True", id="c-true")])
+                 "validation error: expected an exact rational, got True", id="c-true"),
+    pytest.param(lambda files: files.update(form=files["form"]["forms"][0]),
+                 "validation error: forms file needs 'forms'\n", id="bare-form-entry")])
 def test_cmd_primitive_malformed_polynomial_exit2(tmp_path, capsys, edit, message):
     # one malformed item in an otherwise valid input: exit 2, no traceback
     paths = dict(zip(("complex", "morphism", "form"), _write_fixture_files(tmp_path)))
@@ -961,10 +986,12 @@ class _Large:
 
 LARGE = _Large()
 
-# wrong types, unknown vertices, bad rationals, exponents just past the bound
+# wrong types, unknown vertices, bad rationals, numbers that int() reads but
+# str() does not write, exponents just past the bound
 # and below zero, large coefficients, 5000-digit strings and numbers, and
 # sums of coefficients past 4300 digits
 JUNK = [None, True, 1.5, -1, 999, "999", "x", "1/0", "1/2/3", "abc", "l:999",
+        " 7", "+1", "1_0/ 2", "1/-2", "01", "\u0663",
         [], {}, [999], [[0, 999]], {"x": 1}, 32768, str(10 ** 40), f"-{10 ** 40}/7",
         10 ** 40, "7" * 5000, _Raw("7" * 5000), LARGE]
 NESTED = _Raw("[" * 200000)

@@ -33,7 +33,7 @@ def test_faces_cardinality():
 
 def test_empty_simplex_conventions():
     e = Simplex(())
-    assert e.dim == -1 and PrismalSet([]).dim == -1
+    assert e.dim == -1
     assert S(0, 1).has_face(e)
 
 

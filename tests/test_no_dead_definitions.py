@@ -7,6 +7,11 @@ read, as a name or as an attribute, somewhere outside its own body: in the
 package, in `scripts/`, or as a stage that `perfbench/layers.py` traces.
 `cli.main` is the console entry point.  Every other definition must be in
 KEPT with its reason, and KEPT must name nothing that has a caller.
+
+The match is by name alone, so a member whose name another attribute
+shares passes unseen: `Form.degree` (read as `args.degree`), and
+`PrismalSet.dim` and `SimplicialComplex.dim` (read as `Simplex.dim`) had
+no reader outside the tests before they were deleted.
 """
 
 import ast
@@ -24,8 +29,6 @@ KEPT = {
     "forms.integrate_top_form": "public API, checked against sympy by the oracle tests",
     "sheaf.psi_morphism": "the paper's blow-down of the trivialized sheaf onto the "
                           "raw one, which the factorization tests check",
-    "primitive.ode_solve": "public API, the homothety ODE of acceptance criterion 8; "
-                           "assemble_C runs its pass with the C scale folded in",
 }
 
 

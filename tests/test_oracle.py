@@ -200,7 +200,7 @@ def test_pullback_through_psi(f, sigma, data):
     a = data.draw(forms(psi.target, r))
     got = pullback(psi, a)
     assert_invariant(got)
-    images = [to_sym(p) for p in psi.image_list]
+    images = [to_sym(p) for p in psi.images]
     want = sym_pullback(images, symbols(psi.source), symbols(psi.target), form_to_sym(a))
     assert sym_equal(form_to_sym(got), want)
 
@@ -264,7 +264,7 @@ def test_integrate_fiber_dirichlet(ctx, data):
 def _check_pullback(m: CoordMap, a: Form):
     got = pullback(m, a)
     assert_invariant(got)
-    images = [to_sym(p) for p in m.image_list]
+    images = [to_sym(p) for p in m.images]
     want = sym_pullback(images, symbols(m.source), symbols(m.target), form_to_sym(a))
     assert sym_equal(form_to_sym(got), want)
 
@@ -297,7 +297,7 @@ def _psi(data):
 @given(data=st.data())
 def test_pullback_monomial_maps(build, data):
     m = build(data)
-    assert all(len(p.terms) <= 1 for p in m.image_list)
+    assert all(len(p.terms) <= 1 for p in m.images)
     r = data.draw(st.integers(0, 2))
     _check_pullback(m, data.draw(forms(m.target, r, 2, MIXED_DENS).filter(bool)))
 

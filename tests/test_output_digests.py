@@ -1,12 +1,12 @@
 """Byte-level goldens of the three JSON outputs a refactor must keep.
 
-`prismal primitive --check-horizontal` and `prismal sheaf --dump-sheaf` run
-on inputs this file writes itself, and `prismal check --suite all --json`
-on the built-in universes at `--max-dim 3 --seed 0` and `--max-dim 5 --seed
-7`; the sha256 of every output file must match `data/output_digests.json`.
-A change that alters the primitives on purpose (a new gauge or fiber
-homotopy) updates those digests in the same change and names the ones that
-moved.
+`prismal primitive --check-horizontal` (with `--oracle-eps 1/10000` on three
+of its inputs) and `prismal sheaf --dump-sheaf` run on inputs this file
+writes itself, and `prismal check --suite all --json` on the built-in
+universes at `--max-dim 3 --seed 0` and `--max-dim 5 --seed 7`; the sha256
+of every output file must match `data/output_digests.json`.  A change that
+alters the primitives on purpose (a new gauge or fiber homotopy) updates
+those digests in the same change and names the ones that moved.
 """
 
 import hashlib
@@ -21,8 +21,9 @@ from prismal.fixtures import (five_over_two, square_over_edge, tetra_pair_over_t
                               triangle_fan)
 from prismal.forms import Form, Poly, d, simplex_context
 from prismal.io import form_to_dict
+from prismal.mesh import SimplicialComplex, SimplicialMorphism
 from _support import collapse_edge, complex_to_dict, cylinder_over_edge, morphism_to_dict
-from test_primitive import fibred_grid
+from test_primitive import S, fibred_grid
 
 DIGESTS = json.loads((Path(__file__).parent / "data" / "output_digests.json").read_text())
 
@@ -39,6 +40,19 @@ PRIMITIVE_CASES = {
         (1, (1, 3), (5,)), (1, (1, 5, 5), (3,))]),
     "primitive/five_over_two/r3": (five_over_two, 3, [
         (1, (1, 1), (3, 5)), (1, (3,), (1, 5))]),
+}
+
+# name -> (fixture, degree r, alpha) of each `prismal primitive --oracle-eps
+# 1/10000`; over the point, a relative face of the tetra pair at r = 2 has a
+# fiber block of 3 vertices (block factorial 2), and its alpha gives nonzero
+# quadratic contractions there
+ORACLE_CASES = {
+    "oracle/triangle_fan/r1": PRIMITIVE_CASES["primitive/triangle_fan/r1"],
+    "oracle/five_over_two/r2": PRIMITIVE_CASES["primitive/five_over_two/r2"],
+    "oracle/tetra_pair_over_point/r2": (
+        lambda: SimplicialMorphism(SimplicialComplex([S(0, 1, 2, 3), S(1, 2, 3, 4)]),
+                                   SimplicialComplex([S(100)]), {v: 100 for v in range(5)}),
+        2, [(1, (1, 1, 2), (3,)), (-2, (2,), (4,))]),
 }
 
 # name -> morphism whose two sheaves `prismal sheaf --dump-sheaf` writes
@@ -92,11 +106,12 @@ def write_inputs(directory: Path, fixture, alpha) -> list[str]:
 def output_digests(directory: Path) -> dict[str, tuple[int, str]]:
     """(exit code, sha256 of the output file) of every pinned command."""
     out = {}
-    for name, (fixture, r, alpha) in PRIMITIVE_CASES.items():
+    for name, (fixture, r, alpha) in {**PRIMITIVE_CASES, **ORACLE_CASES}.items():
         case_dir = directory / name.replace("/", "_")
         case_dir.mkdir()
         target = case_dir / "primitive.json"
-        rc = main(["primitive", *write_inputs(case_dir, fixture, alpha),
+        oracle = ["--oracle-eps", "1/10000"] if name in ORACLE_CASES else []
+        rc = main(["primitive", *write_inputs(case_dir, fixture, alpha), *oracle,
                    "--out", str(target), "--degree", str(r), "--check-horizontal"])
         out[name] = (rc, _sha256(target))
     for name, fixture in SHEAF_CASES.items():

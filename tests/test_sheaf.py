@@ -22,7 +22,7 @@ def psi_at(f, sigma, t, mus):
     lambda_i = t_j mu_{j,i}."""
     psi = psi_coordinate_map(f, sigma)
     point = [*t, *(m for mu in mus for m in mu)]
-    return {v: psi.image_list[psi.target.var("l", v)].evaluate(point)
+    return {v: psi.images[psi.target.var("l", v)].evaluate(point)
             for v in sigma.vertices}
 
 
@@ -146,7 +146,7 @@ def test_psi_images_are_the_products_t_j_mu_v(make):
             for v in fib.vertices:
                 product = (Poly.variable(pctx, pctx.var("t", y))
                            * Poly.variable(pctx, pctx.var(f"m:{j}", v)))
-                assert psi.image_list[psi.target.var("l", v)] == product
+                assert psi.images[psi.target.var("l", v)] == product
 
 
 def test_psi_jacobian_weight():
