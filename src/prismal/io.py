@@ -122,6 +122,9 @@ def morphism_from_dict(dd: dict, source: SimplicialComplex,
     if not isinstance(vmap, dict):
         raise ValidationError(f"'vertex_map' must be an object, got {_shown(vmap)}")
     out = {_vertex(k): _vertex(v) for k, v in vmap.items()}  # one spelling per vertex
+    extra = sorted(out.keys() - set(source.vertices))
+    if extra:
+        raise ValidationError(f"vertex_map names {_shown(extra[0])}, not a vertex of the complex")
     try:
         return SimplicialMorphism(source, target, out)
     except StructureError as exc:

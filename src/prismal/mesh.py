@@ -207,12 +207,7 @@ def prism_boundary(p: Prism) -> dict[Prism, int]:
     for j, fj in enumerate(p.factors):
         if fj.dim >= 1:
             for face, sign in boundary_chain(fj).items():
-                q = Prism(p.factors[:j] + (face,) + p.factors[j + 1:])
-                c = out.get(q, 0) + (-1) ** offset * sign
-                if c:
-                    out[q] = c
-                else:
-                    out.pop(q, None)
+                out[Prism(p.factors[:j] + (face,) + p.factors[j + 1:])] = (-1) ** offset * sign
         offset += fj.dim
     return out
 

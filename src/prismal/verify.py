@@ -97,51 +97,39 @@ def _affine_coeff_forms(ctx: CoordSystem, degree: int):
     """Basis of forms of the given degree with affine coefficients, in the
     canonical chart (last variable of each group eliminated)."""
     reduced = [i for gvars in ctx.group_vars for i in gvars[:-1]]
-    basis = []
-    for dv in itertools.combinations(reduced, degree):
-        for coeff_var in [None] + reduced:
-            p = (Poly.const(ctx, 1) if coeff_var is None
-                 else Poly.variable(ctx, coeff_var))
-            basis.append(Form(ctx, {tuple(dv): p}))
-    return basis
+    coeffs = [Poly.const(ctx, 1)] + [Poly.variable(ctx, i) for i in reduced]
+    return [Form(ctx, {dv: c}) for dv in itertools.combinations(reduced, degree)
+            for c in coeffs]
 
 
-def _form_vector(form: Form, slots: dict) -> list[Fraction]:
-    vec = [Q(0)] * len(slots)
-    for dv, p in form.terms.items():
-        for e, c in p.terms.items():
-            key = (dv, e)
-            if key not in slots:
-                slots[key] = len(slots)
-                vec.append(Q(0))
-            vec[slots[key]] = c
-    return vec
+def _coefficients(form: Form, tag: int = 0) -> dict:
+    """The nonzero coefficients of a form, by column (tag, wedge, packed key)."""
+    return {(tag, dv, e): Q(c, p.den)
+            for dv, p in form.terms.items() for e, c in p.num.items()}
 
 
-def _rank(rows: list[list[Fraction]]) -> int:
-    """The rank over Q, fraction-free: each row is cleared to ints by the lcm
-    of its denominators, and elimination sets row <- a row - b pivot, divided
-    by the gcd of its entries.  Ragged rows are padded with zeros."""
-    width = max(map(len, rows), default=0)
-    m = []
+def _rank(rows) -> int:
+    """The rank over Q of sparse rows {column: rational}, fraction-free: each
+    row is cleared to ints by the lcm of its denominators, then reduced at its
+    lowest column against the pivot row there (row <- a row - b pivot, divided
+    by the gcd of its entries) until it is zero or opens a new pivot."""
+    pivots: dict = {}
     for r in rows:
-        den = math.lcm(1, *(x.denominator for x in r))
-        m.append([x.numerator * (den // x.denominator) for x in r] + [0] * (width - len(r)))
-    rank = 0
-    for col in range(width):
-        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pivot, a = m[rank], m[rank][col]
-        for r in range(rank + 1, len(m)):
-            b = m[r][col]
-            if b:
-                row = [a * x - b * y for x, y in zip(m[r], pivot)]
-                g = math.gcd(*row)
-                m[r] = [x // g for x in row] if g > 1 else row
-        rank += 1
-    return rank
+        den = math.lcm(1, *(x.denominator for x in r.values()))
+        row = {k: x.numerator * (den // x.denominator) for k, x in r.items() if x}
+        while row:
+            col = min(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                pivots[col] = row
+                break
+            a, b = pivot[col], row[col]
+            row = {k: x for k in row.keys() | pivot.keys()
+                   if (x := a * row.get(k, 0) - b * pivot.get(k, 0))}
+            g = math.gcd(*row.values())
+            if g > 1:
+                row = {k: x // g for k, x in row.items()}
+    return len(pivots)
 
 
 def verify_lemcod_basis(p: Prism) -> IdentityReport:
@@ -150,35 +138,22 @@ def verify_lemcod_basis(p: Prism) -> IdentityReport:
     restrictions are multiples of the facet volume forms."""
     ctx = prism_context(p)
     fcs = list(prism_boundary(p))
-    slots: dict = {}
-    rows = [_form_vector(canonicalize(
-                whitney_form(ctx, dict(enumerate(f.vertices for f in q.factors)))), slots)
-            for q in fcs]
-    rank = _rank(rows)
+    rank = _rank(_coefficients(canonicalize(
+                 whitney_form(ctx, dict(enumerate(f.vertices for f in q.factors)))))
+                 for q in fcs)
     if rank != len(fcs):
         return IdentityReport("lemcod.c", f"{p} independence", False,
                               f"rank {rank} != {len(fcs)}")
-    # dimension of the constrained space: solve the linear system
-    basis = _affine_coeff_forms(ctx, p.dim - 1)
-    conditions: list[list[Fraction]] = []
-    ncoef = len(basis) + len(fcs)
-    cond_slots_per_face = []
-    for fi, q in enumerate(fcs):
-        qctx = prism_context(q)
-        slots_q: dict = {}
-        restricted = [canonicalize(restrict_to_face(b, qctx)) for b in basis]
-        wq = canonicalize(whitney_form(qctx))
-        vecs = [_form_vector(rf, slots_q) for rf in restricted]
-        wvec = _form_vector(wq, slots_q)
-        width = len(slots_q)
-        for slot in range(width):
-            row = [Q(0)] * ncoef
-            for bi, v in enumerate(vecs):
-                row[bi] = v[slot] if slot < len(v) else Q(0)
-            row[len(basis) + fi] = -(wvec[slot] if slot < len(wvec) else Q(0))
-            conditions.append(row)
-    total_rank = _rank(conditions)
-    sol_dim = ncoef - total_rank
+    # dimension of the constrained space, one row per unknown: each affine
+    # form b with its restrictions to every facet, and each multiplier of a
+    # facet volume form w_q with -w_q on its facet
+    qctxs = [prism_context(q) for q in fcs]
+    unknowns = [{k: c for fi, qctx in enumerate(qctxs) for k, c in
+                 _coefficients(canonicalize(restrict_to_face(b, qctx)), fi).items()}
+                for b in _affine_coeff_forms(ctx, p.dim - 1)]
+    unknowns += [{k: -c for k, c in _coefficients(canonicalize(whitney_form(qctx)), fi).items()}
+                 for fi, qctx in enumerate(qctxs)]
+    sol_dim = len(unknowns) - _rank(unknowns)
     # forms with zero coefficients force zero multipliers, so the solution
     # space projects injectively onto the form part
     if sol_dim != len(fcs):

@@ -228,6 +228,21 @@ def test_cli_refuses_a_vertex_named_twice(tmp_path, capsys, command, alias, mess
     assert not (tmp_path / "h.json").exists()
 
 
+@pytest.mark.parametrize("command", ["sheaf", "primitive"])
+def test_cli_refuses_a_vertex_map_key_outside_the_complex(tmp_path, capsys, command):
+    # every vertex of the complex has its image: only the extra key is wrong
+    cpath, mpath, wpath = _write_fixture_files(tmp_path)
+    text = mpath.read_text()
+    mpath.write_text(text.replace('"1": "100"', '"1": "100", "99": "101"'))
+    argv = [command, "--complex", str(cpath), "--morphism", str(mpath)]
+    if command == "primitive":
+        argv += ["--form", str(wpath), "--out", str(tmp_path / "h.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "validation error: vertex_map names 99, not a vertex of the complex\n")
+    assert not (tmp_path / "h.json").exists()
+
+
 @pytest.mark.parametrize("old, new", [
     ('"0": "100"', '"0": "1_00"'), ('"1": "100"', '"1": " 100"'),
     ('"2": "101"', '"2": "+101"'), ('"3": "101"', '"\u0663": "101"')],
@@ -325,6 +340,21 @@ def test_cmd_check_pass(capsys):
     assert main(["check", "--suite", "bord"]) == 0
     out = capsys.readouterr().out
     assert "4/4" in out
+
+
+def test_cmd_check_failing_case_prints_its_residual_and_exits1(capsys, monkeypatch):
+    from prismal import verify
+    bord = verify.SUITES["bord"]
+    s = Simplex((0, 1))
+    broken = verify._report("bord", f"{s}", whitney_form(simplex_context(s)))
+
+    def one_case_broken(max_dim, seed):
+        return [broken] + bord(max_dim, seed)[1:]
+
+    monkeypatch.setitem(verify.SUITES, "bord", one_case_broken)
+    assert main(["check", "--suite", "bord"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"FAIL bord [{s}] residual={broken.residual}", "3/4 identity cases passed"]
 
 
 @pytest.mark.parametrize("suite", ("all", *SUITES))
@@ -597,6 +627,36 @@ def test_cli_non_utf8_input_exit2(tmp_path, capsys, command, flag):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("validation error:")
     assert str(files[flag]) in err[0]
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("sheaf", "complex"), ("sheaf", "morphism"), ("primitive", "form")])
+@pytest.mark.parametrize("kind, errno", [("missing", 2), ("directory", 21)])
+def test_cli_unreadable_input_exit2(tmp_path, capsys, command, flag, kind, errno):
+    cpath, mpath, wpath = _write_fixture_files(tmp_path)
+    files = {"complex": cpath, "morphism": mpath, "form": wpath}
+    files[flag].unlink()
+    if kind == "directory":
+        files[flag].mkdir()
+    argv = [command, "--complex", str(cpath), "--morphism", str(mpath)]
+    if command == "primitive":
+        argv += ["--form", str(wpath), "--out", str(tmp_path / "h.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"validation error: {files[flag]}: [Errno {errno}] ")
+
+
+def test_cmd_primitive_non_string_context_tag_exit2(tmp_path, capsys):
+    cpath, mpath, wpath = _write_fixture_files(tmp_path)
+    forms = json.loads(wpath.read_text())
+    forms["forms"][0]["context"]["groups"][0]["tag"] = 7
+    wpath.write_text(json.dumps(forms))
+    code = main(["primitive", "--complex", str(cpath), "--morphism", str(mpath),
+                 "--form", str(wpath), "--out", str(tmp_path / "h.json")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "validation error: a context tag must be a string, got 7\n")
 
 
 @pytest.mark.parametrize("spelling", [[0, 1, 3], [3, 1, 0]])

@@ -1,8 +1,9 @@
 """Every definition in the package has a caller outside itself.
 
-Each module of `src/prismal` except `__init__.py` (which only re-exports)
-is parsed, and its top-level functions and classes and the non-dunder
-methods of those classes are listed.  A definition is used when its name is
+Each module of `src/prismal` except `__init__.py` (which holds only the
+package docstring and `__version__`, see the last test) is parsed, and its
+top-level functions and classes and the non-dunder methods of those classes
+are listed.  A definition is used when its name is
 read, as a name or as an attribute, somewhere outside its own body: in the
 package, in `scripts/`, or as a stage that `perfbench/layers.py` traces.
 `cli.main` is the console entry point.  Every other definition must be in
@@ -80,3 +81,13 @@ def test_every_definition_has_a_caller_or_a_reason():
     assert all(KEPT.values())
     assert unused == set(KEPT), {"no caller": sorted(unused - set(KEPT)),
                                  "stale in KEPT": sorted(set(KEPT) - unused)}
+
+
+def test_package_init_holds_only_its_docstring_and_version():
+    """Each name has one import path, its module: `__init__.py` re-exports
+    nothing, so the public API cannot regrow there unseen."""
+    body = ast.parse((ROOT / "src" / "prismal" / "__init__.py").read_text()).body
+    assert [type(node) for node in body] == [ast.Expr, ast.Assign], \
+        [ast.dump(node) for node in body]
+    assert isinstance(body[0].value.value, str)
+    assert ast.unparse(body[1].targets[0]) == "__version__"

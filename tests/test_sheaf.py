@@ -272,6 +272,55 @@ def test_proppf_rejects_foreign_factor():
     assert not ok
 
 
+LEFT = S(100,)
+
+
+def _replace_maximal(F, c, cell):
+    """Put `cell` in place of the maximal cell c of the stalk over T1."""
+    F.stalks[T1] = PrismalSet([cell if m == c else m for m in F.stalk(T1).maximal])
+    return cell
+
+
+def _drop_image(F, h, c):
+    """Every cell that h sends where it sends c now has an empty image."""
+    img = h(c)
+    h.cells.update({k: None for k, v in h.cells.items() if v == img})
+
+
+# Each case mutates the triangle fan's sheaf F, or its specialization h from
+# T1 onto LEFT, at the cell c over the panel <0,1,3>.  In the witness, `new`
+# is the cell a mutation puts into the stalk and `img` is h(c) afterwards.
+@pytest.mark.parametrize("sheaf, mutate, witness", [
+    pytest.param("S", _drop_image, "specialization {T1}->{LEFT} not surjective",
+                 id="raw-drop-image"),
+    pytest.param("S", lambda F, h, c: h.cells.update({c: None}),
+                 "{c}: empty image but 2 vertices over {LEFT}", id="raw-empty-image"),
+    pytest.param("S", lambda F, h, c: h.vertex_images[c].update({(1,): (0,)}),
+                 "{c}: specialization not injective over {LEFT}", id="raw-two-to-one"),
+    pytest.param("S", lambda F, h, c: h.vertex_images[c].update({(1,): (4,)}),
+                 "{c}: specialization image differs from {img}", id="raw-other-image"),
+    pytest.param("P", lambda F, h, c: _replace_maximal(F, c, Prism(c.factors[:-1])),
+                 "cell {new} over {T1} is not tau x 2 fiber slots", id="trivialized-slot-count"),
+    pytest.param("P", lambda F, h, c: _replace_maximal(F, c, Prism((LEFT,) + c.factors[1:])),
+                 "cell {new} over {T1} does not have base factor {T1}",
+                 id="trivialized-base-factor"),
+    pytest.param("P", lambda F, h, c: h.cells.update({c: None}),
+                 "maximal cell {c} dies under {T1}->{LEFT}", id="trivialized-dies"),
+    pytest.param("P", lambda F, h, c: h.cells.update({c: Prism((LEFT, S(0)))}),
+                 "{c}: factor <0> of {img} is not a factor", id="trivialized-foreign-factor"),
+])
+def test_characterizations_name_each_failure(sheaf, mutate, witness):
+    f = triangle_fan()
+    if sheaf == "S":
+        F, check, c = build_Sf(f), check_Sf_characterization, Prism.from_simplex(S(0, 1, 3))
+    else:
+        F, check, c = build_Pf(f), check_Pf_characterization, pi_prism(f, S(0, 1, 3))
+    assert check(F) == (True, None)
+    h = F.spec(LEFT, T1)
+    new = mutate(F, h, c)
+    assert check(F) == (False, witness.format(c=c, new=new, img=h(c), T1=T1, LEFT=LEFT))
+
+
 # ---------------------------------------------------------------------------
 # the preimage rule
 # ---------------------------------------------------------------------------

@@ -99,7 +99,9 @@ def test_unknown_suite():
 def _rank_cases(rng, count):
     """Seeded rational matrices: combinations of a few random rows (so often
     rank-deficient), with zero rows, repeated rows, integer entries and
-    rows cut short (ragged: their missing entries read as zeros)."""
+    rows cut short (ragged: their missing entries read as zeros).  Each row
+    is a sparse {column: entry} dict, as `_rank` takes it; a row cut short
+    lacks its last columns."""
     for _ in range(count):
         width = rng.randint(0, 6)
         basis = [[Q(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(width)]
@@ -120,15 +122,14 @@ def _rank_cases(rng, count):
             if rng.random() < 0.2:
                 row = row[:rng.randint(0, width)]
             rows.append(row)
-        yield rows, width
+        yield [dict(enumerate(r)) for r in rows], width
 
 
 def test_fraction_free_rank_agrees_with_sympy():
     sympy = pytest.importorskip("sympy")
     kinds = set()
     for rows, width in _rank_cases(random.Random(26), 240):
-        padded = [list(r) + [0] * (width - len(r)) for r in rows]
-        flat = [sympy.Rational(x.numerator, x.denominator) for r in padded for x in r]
+        flat = [sympy.Rational(r.get(k, 0)) for r in rows for k in range(width)]
         want = sympy.Matrix(len(rows), width, flat).rank()
         assert _rank(rows) == want, rows
         kinds.add(("deficient", want < min(len(rows), width)))
