@@ -3,8 +3,8 @@
 
 Builds both sheaves of the five-triangle fixture, prints the fiber types
 over every base cell, then feeds a globally exact polynomial 1-form into
-the primitive pipeline and reports residuals, gluing corrections and the
-horizontal specialization behavior.
+the primitive pipeline and reports each prism's residual and descent
+verdicts, its gluing correction and the horizontal specialization behavior.
 
 Usage: python scripts/degenerating_family.py [--out primitive.json]
 """
@@ -15,7 +15,7 @@ from prismal.fixtures import triangle_fan
 from prismal.forms import Form, Poly, d, simplex_context
 from prismal.io import dump_json
 from prismal.mesh import Prism
-from prismal.primitive import build_relative_primitive, verify_theodg
+from prismal.primitive import build_relative_primitive
 from prismal.sheaf import (build_Pf, build_Sf, check_Pf_characterization,
                            check_Sf_characterization)
 
@@ -52,11 +52,10 @@ def main():
     result = build_relative_primitive(f, omega, r=1)
     print("\nprimitive pipeline:")
     for tau, prim in sorted(result.primitives.items()):
-        residuals = verify_theodg(prim)
         for sigma, pd in sorted(prim.prisms.items()):
             tag = "corrected" if not pd.correction.is_zero else "direct"
-            print(f"  over {tau}, cell {sigma}: residual "
-                  f"{'ZERO' if sigma not in residuals else residuals[sigma]} ({tag})")
+            print(f"  over {tau}, cell {sigma}: residual {pd.residual or 'ZERO'} ({tag}), "
+                  f"descent {'verified' if pd.descent_ok else 'FAILED'}")
     for rep in result.horizontal:
         print(f"  specialize {rep.tau} -> {rep.tau_face}: "
               f"{rep.vanished_terms} terms vanish, {rep.surviving_terms} survive, "

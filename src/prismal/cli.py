@@ -15,8 +15,7 @@ from .forms import Form, FormError
 from .io import (ValidationError, complex_from_dict, dump_json, forms_file_to_inputs,
                  load_json, morphism_from_dict)
 from .mesh import MeshError
-from .primitive import (ExactnessError, PrimitiveError, build_relative_primitive,
-                        check_descent, descend_form, oracle_A, verify_theodg)
+from .primitive import ExactnessError, PrimitiveError, build_relative_primitive, oracle_A
 from .sheaf import (build_Pf, build_Sf, check_Pf_characterization,
                     check_Sf_characterization, sheaf_to_dict)
 from .verify import SUITES, run_suite
@@ -129,7 +128,6 @@ def _build_and_write(args, f, omega, r, eps) -> int:
     residual_failures = descent_failures = 0
     for tau, prim in result.primitives.items():
         cell_out = {"prisms": {}, "H_S": {}}
-        residuals = verify_theodg(prim)
         for sigma, pd in prim.prisms.items():
             key = ",".join(map(str, sigma.vertices))
             cdict = {}
@@ -141,21 +139,20 @@ def _build_and_write(args, f, omega, r, eps) -> int:
                 "C": cdict,
                 "D": pd.correction,
                 "H": pd.H,
-                "residual_zero": sigma not in residuals,
+                "residual_zero": pd.residual is None,
             }
-            if sigma in residuals:
+            if pd.residual is not None:
                 residual_failures += 1
-                n_terms = sum(len(p.terms) for p in residuals[sigma].terms.values())
+                n_terms = sum(len(p.terms) for p in pd.residual.terms.values())
                 print(f"closing residual nonzero over {tau} on {sigma}: {n_terms} terms",
                       file=sys.stderr)
-            N, m = descended = descend_form(pd.H, pd.psi.target)
-            descent_ok = check_descent(pd.H, pd.psi, descended)
-            if not descent_ok:
+            if not pd.descent_ok:
                 descent_failures += 1
                 print(f"descent check failed over {tau} on {sigma}", file=sys.stderr)
+            N, m = pd.descended
             cell_out["H_S"][key] = {"numerator": N,
                                     "denominator_exponents": list(m),
-                                    "descent_verified": descent_ok}
+                                    "descent_verified": pd.descent_ok}
         out["base_cells"][",".join(map(str, tau.vertices))] = cell_out
     horizontal_failures = 0
     for rep in result.horizontal:

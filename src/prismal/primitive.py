@@ -14,9 +14,9 @@ Pipeline, per base simplex tau and maximal source simplex sigma over it:
    graph;
 4. fix the gauge on each base face, smallest first, where the
    specialization must match the face's primitive (`check_horizontal`),
-   and check the residual base-volume ^ (pullback(input) - d(primitive)).
-   Descent to the raw sheaf (`descend_form`, `check_descent`) runs on
-   demand, when the output is written.
+   then check each prism once, before the next cell is built: the residual
+   base-volume ^ (pullback(input) - d(primitive)) and the descent to the
+   raw sheaf (`descend_form`, `check_descent`), kept on its `PrismData`.
 
 `sheaf.psi_coordinate_map` is the one place where a pair (f, sigma) becomes
 coordinates.  Every later stage reads sigma's trivial prism from its
@@ -335,7 +335,7 @@ def vertical_gluing(delta: Form, sigma: Simplex) -> Form:
 
 @dataclass
 class PrismData:
-    """One prism's pipeline: `pulled` is psi* eta, `H` the glued primitive."""
+    """One prism's pipeline and verdicts: `pulled` is psi* eta, `H` the primitive."""
 
     sigma: Simplex
     psi: CoordMap
@@ -345,6 +345,9 @@ class PrismData:
     C: dict[FaceDrop, Poly]
     correction: Form
     H: Form
+    residual: Form | None = None  # the nonzero closing residual, else None
+    descended: tuple[Form, tuple[int, ...]] | None = None  # (N, m) of `descend_form`
+    descent_ok: bool = False  # `check_descent`
 
     def shift(self, m: Form, lift: CoordMap) -> Form:
         """Add m, read into the prism's context through the renaming `lift`,
@@ -721,8 +724,8 @@ def build_relative_primitive(f: SimplicialMorphism, omega: dict[Simplex, Form],
                              r: int) -> PrimitiveResult:
     """Run the pipeline over every base simplex with sources over it.
 
-    Each base cell is built after its faces and gauged on them, smallest
-    first (`check_horizontal`); the reports come back in (tau, face) order.
+    Each base cell is built after its faces, gauged on them, smallest first
+    (`check_horizontal`), and its prisms checked; reports in (tau, face) order.
     The degree must lie between 1 and the largest relative dimension of a
     source cell; otherwise no base cell would carry the primitive.
     """
@@ -741,6 +744,11 @@ def build_relative_primitive(f: SimplicialMorphism, omega: dict[Simplex, Form],
         prim = build_primitive_over(f, omega, tau, r)
         horizontal += [check_horizontal(f, prim, prims[face])
                        for face in prims if face.vset < tau.vset]
+        residuals = verify_theodg(prim)
+        for sigma, pd in prim.prisms.items():
+            pd.residual = residuals.get(sigma)
+            pd.descended = descend_form(pd.H, pd.psi.target)
+            pd.descent_ok = check_descent(pd.H, pd.psi, pd.descended)
         prims[tau] = prim
     horizontal.sort(key=lambda rep: (rep.tau, rep.tau_face))
     return PrimitiveResult(dict(sorted(prims.items())), horizontal)

@@ -17,8 +17,7 @@ from prismal.forms import (Form, Poly, d, equal_mod_relations,
                            whitney_form)
 from prismal.mesh import Simplex, boundary_chain, prism_boundary
 from prismal.primitive import (build_relative_primitive, extract_A,
-                               homothety_operator, oracle_A, ode_solve,
-                               verify_theodg)
+                               homothety_operator, oracle_A, ode_solve)
 from prismal.sheaf import (build_Pf, build_Sf, check_Pf_characterization,
                            check_Sf_characterization, psi_coordinate_map)
 from prismal.verify import (basis_universe, prism_universe, simplex_universe,
@@ -27,6 +26,7 @@ from prismal.verify import (basis_universe, prism_universe, simplex_universe,
                             verify_lemcod_prism, verify_lemcod_simplex,
                             verify_satrap_suite, verify_satrapaz_suite)
 from _support import chain_boundary, oracle_eps_terms
+from test_primitive import global_input, residuals_zero
 
 UCTX_NAMES = tuple(range(6))
 
@@ -127,36 +127,16 @@ def test_criterion_08_homothety_ode():
                      "zero is the only homogeneous solution")
 
 
-def _global_input(f, pairs):
-    omega = {}
-    for s in f.source.maximal:
-        sc = simplex_context(s)
-        poly = Poly.zero(sc)
-        for vs in pairs:
-            if all(v in s.vertices for v in vs):
-                term = Poly.const(sc, 1)
-                for v in vs:
-                    term = term * Poly.variable(sc, sc.var("l", v))
-                poly = poly + term
-        omega[s] = d(Form.from_poly(poly))
-    return omega
-
-
 def test_criterion_09_end_to_end_primitive():
     t0 = time.time()
-    ok = True
     f1 = triangle_fan()
-    omega1 = _global_input(f1, [(2, 3), (3, 4), (0, 3), (3, 5)])
+    omega1 = global_input(f1, [(2, 3), (3, 4), (0, 3), (3, 5)])
     res1 = build_relative_primitive(f1, omega1, r=1)
-    ok = ok and all(rep.ok for rep in res1.horizontal)
-    for tau, prim in res1.primitives.items():
-        ok = ok and not verify_theodg(prim)
     f2 = tetra_pair_over_triangle()
-    omega2 = _global_input(f2, [(1, 2), (2, 3), (2, 4)])
+    omega2 = global_input(f2, [(1, 2), (2, 3), (2, 4)])
     res2 = build_relative_primitive(f2, omega2, r=1)
-    ok = ok and all(rep.ok for rep in res2.horizontal)
-    for tau, prim in res2.primitives.items():
-        ok = ok and not verify_theodg(prim)
+    ok = all(residuals_zero(res) and all(rep.ok for rep in res.horizontal)
+             for res in (res1, res2))
     # face chains over the two-dimensional base were exercised
     chains = {(rep.tau, rep.tau_face) for rep in res2.horizontal}
     ok = ok and any(tau.dim == 2 and face.dim == 0 for tau, face in chains)

@@ -20,7 +20,7 @@ from prismal.io import (ValidationError, complex_from_dict, dump_json, form_to_d
 from prismal.mesh import Simplex
 from prismal.verify import SUITES
 from _support import complex_to_dict, cylinder_over_edge, form_from_dict, morphism_to_dict
-from test_primitive import cylinder_cyclic_form
+from test_primitive import cylinder_cyclic_form, global_input
 
 
 def S(*vs):
@@ -300,20 +300,12 @@ def _write_fixture_files(tmp_path, pairs=((2, 3), (3, 4), (0, 3), (3, 5)),
     """The input d(sum of prod l_v over each pair) on every cell; with a
     `power` k, plus the exact l_3^k dl_3 on each cell holding vertex 3."""
     f = fixture()
-    omega = {}
-    for s in f.source.maximal:
-        sc = simplex_context(s)
-        poly = Poly.zero(sc)
-        for vs in pairs:
-            if all(v in s.vertices for v in vs):
-                term = Poly.const(sc, 1)
-                for v in vs:
-                    term = term * Poly.variable(sc, sc.var("l", v))
-                poly = poly + term
-        omega[s] = d(Form.from_poly(poly))
+    omega = global_input(f, pairs)
+    for s, form in omega.items():
         if power and 3 in s.vertices:
+            sc = simplex_context(s)
             l3 = sc.var("l", 3)
-            omega[s] = omega[s] + Form.d_var(sc, l3) * Poly.variable(sc, l3) ** power
+            omega[s] = form + Form.d_var(sc, l3) * Poly.variable(sc, l3) ** power
     return _write_input_files(tmp_path, f, omega)
 
 
@@ -473,7 +465,7 @@ def test_cmd_primitive_horizontal_mismatch_fails_without_the_flag(tmp_path, caps
 def test_cmd_primitive_descent_failure_exits1(tmp_path, capsys, monkeypatch):
     # a failed descent check is a residual failure: exit 1, one stderr line
     # naming the base cell and the prism, and the JSON flag false
-    from prismal import cli
+    from prismal import primitive
     failed = []
 
     def fail_once(H, psi, descended):
@@ -482,7 +474,7 @@ def test_cmd_primitive_descent_failure_exits1(tmp_path, capsys, monkeypatch):
         failed.append((Simplex(psi.source.groups[0][1]), Simplex(psi.target.groups[0][1])))
         return False
 
-    monkeypatch.setattr(cli, "check_descent", fail_once)
+    monkeypatch.setattr(primitive, "check_descent", fail_once)
     cpath, mpath, wpath = _write_fixture_files(tmp_path)
     out = tmp_path / "h.json"
     code = main(["primitive", "--complex", str(cpath), "--morphism", str(mpath),
@@ -503,8 +495,8 @@ def test_cmd_primitive_residual_failure_exits1(tmp_path, capsys, monkeypatch):
     # a nonzero closing residual on one prism: exit 1, a stderr line naming
     # it, that prism's JSON flag false, the others true, and the failure
     # counted in the summary
-    from prismal import cli
-    real, failed = cli.verify_theodg, []
+    from prismal import primitive
+    real, failed = primitive.verify_theodg, []
 
     def fail_once(prim):
         if failed:
@@ -515,7 +507,7 @@ def test_cmd_primitive_residual_failure_exits1(tmp_path, capsys, monkeypatch):
         failed.append((prim.tau, sigma, residual))
         return {sigma: residual}
 
-    monkeypatch.setattr(cli, "verify_theodg", fail_once)
+    monkeypatch.setattr(primitive, "verify_theodg", fail_once)
     cpath, mpath, wpath = _write_fixture_files(tmp_path)
     out = tmp_path / "h.json"
     code = main(["primitive", "--complex", str(cpath), "--morphism", str(mpath),

@@ -418,9 +418,14 @@ def global_input(f, pairs):
     return exact_input(f, [(1, vs, ()) for vs in pairs])
 
 
+def prisms_of(result):
+    """The prisms of a `build_relative_primitive` result, base cell by base cell."""
+    return [pd for prim in result.primitives.values() for pd in prim.prisms.values()]
+
+
 def residuals_zero(result):
     """Every closing residual of a `build_relative_primitive` result is zero."""
-    return not any(verify_theodg(prim) for prim in result.primitives.values())
+    return all(pd.residual is None for pd in prisms_of(result))
 
 
 def test_descend_form_zero_input():
@@ -436,13 +441,7 @@ def test_descend_form_zero_input():
 def test_triangle_fan_end_to_end_with_descent():
     f = triangle_fan()
     omega = global_input(f, [(2, 3), (3, 4), (0, 3), (3, 5)])
-    result = build_relative_primitive(f, omega, r=1)
-    assert residuals_zero(result)
-    assert all(rep.ok for rep in result.horizontal)
-    for tau, prim in result.primitives.items():
-        for sigma, pd in prim.prisms.items():
-            assert check_descent(pd.H, pd.psi, descend_form(pd.H, pd.psi.target))
-            assert not verify_theodg(prim)
+    assert_glued(build_relative_primitive(f, omega, r=1))
 
 
 def test_descend_form_with_base_differentials():
@@ -539,38 +538,72 @@ def test_horizontal_chain_coherence():
     assert (S(100, 101), S(100,)) in chains
 
 
-@pytest.mark.parametrize("fixture", ["triangle_fan", "five_over_two"])
-def test_each_prism_quantity_is_computed_once(monkeypatch, fixture):
-    # psi* eta, the compositions A_phi o psi and the Whitney combination are
-    # built once per prism: one pullback through each prism's psi, of its
-    # eta; the residual check reuses them
+def computed_once_case(fixture):
+    """(f, r, omega): the fan at r = 1, or the cube fiber at r = 2."""
     if fixture == "triangle_fan":
-        f, r = triangle_fan(), 1
-        omega = global_input(f, [(2, 3), (3, 4), (0, 3), (3, 5)])
-    else:
-        f, r = five_over_two(), 2
-        sigma = S(0, 1, 2, 3, 4, 5)
-        sc = simplex_context(sigma)
-        lam = lambda v: Poly.variable(sc, sc.var("l", v))
-        omega = {sigma: d(Form(sc, {(sc.var("l", 5),): lam(1) * lam(3)}))}
-    calls = {name: [] for name in ("whitney_combination", "compose_psi", "pullback")}
+        f = triangle_fan()
+        return f, 1, global_input(f, [(2, 3), (3, 4), (0, 3), (3, 5)])
+    sigma = S(0, 1, 2, 3, 4, 5)
+    sc = simplex_context(sigma)
+    lam = lambda v: Poly.variable(sc, sc.var("l", v))
+    return five_over_two(), 2, {sigma: d(Form(sc, {(sc.var("l", 5),): lam(1) * lam(3)}))}
+
+
+def count_calls(monkeypatch, *names):
+    """{name: the argument tuples of each call} of the named `primitive` functions."""
+    calls = {name: [] for name in names}
     for name, log in calls.items():
         real = getattr(primitive, name)
         def counted(*args, _real=real, _log=log, **kwargs):
             _log.append(args)
             return _real(*args, **kwargs)
         monkeypatch.setattr(primitive, name, counted)
-    prisms = {}
-    for tau in sorted(f.target.cells):
-        if any(s.dim - tau.dim >= r for s in f.maximal_over(tau)):
-            prim = build_primitive_over(f, omega, tau, r)
-            assert not verify_theodg(prim)
-            prisms.update(prim.prisms)
-    assert len(prisms) > 1
-    assert len(calls["whitney_combination"]) == len(prisms)
-    assert len(calls["compose_psi"]) == len(prisms)
-    for pd in prisms.values():  # the gluing walk pulls back through other maps
-        assert [args[1] for args in calls["pullback"] if args[0] is pd.psi] == [pd.eta]
+    return calls
+
+
+@pytest.mark.parametrize("fixture", ["triangle_fan", "five_over_two"])
+def test_each_prism_quantity_is_computed_once(monkeypatch, fixture):
+    # psi* eta, the compositions A_phi o psi and the Whitney combination are
+    # built once per prism: through each prism's psi, one pullback of its eta
+    # and one of its descended numerator; the residual check reuses them
+    f, r, omega = computed_once_case(fixture)
+    calls = count_calls(monkeypatch, "whitney_combination", "compose_psi", "pullback")
+    result = build_relative_primitive(f, omega, r)
+    prisms = prisms_of(result)
+    assert len(prisms) > 1 and residuals_zero(result)
+    assert len(calls["whitney_combination"]) == len(calls["compose_psi"]) == len(prisms)
+    for pd in prisms:  # the gluing walk and the gauge pull back through other maps
+        assert [args[1] for args in calls["pullback"] if args[0] is pd.psi] == [
+            pd.eta, pd.descended[0]]
+
+
+@pytest.mark.parametrize("fixture", ["triangle_fan", "five_over_two"])
+def test_each_verdict_is_computed_once(monkeypatch, tmp_path, fixture):
+    # the result carries each prism's verdicts: one residual pass per base
+    # cell, one descent and one descent check per prism; the CLI only writes
+    # them, and a failed check shows in the library result
+    f, r, omega = computed_once_case(fixture)
+    calls = count_calls(monkeypatch, "verify_theodg", "descend_form", "check_descent")
+    result = build_relative_primitive(f, omega, r)
+    n = len(prisms_of(result))
+    once = {"verify_theodg": len(result.primitives), "descend_form": n, "check_descent": n}
+    assert n > 1 and {name: len(log) for name, log in calls.items()} == once
+    assert_glued(result)
+    if fixture == "triangle_fan":
+        from prismal.cli import main
+        from test_io_cli import _write_fixture_files
+        cpath, mpath, wpath = _write_fixture_files(tmp_path)
+        assert main(["primitive", "--complex", str(cpath), "--morphism", str(mpath),
+                     "--form", str(wpath), "--out", str(tmp_path / "h.json")]) == 0
+        assert {name: len(log) for name, log in calls.items()} == {
+            name: 2 * k for name, k in once.items()}
+    real, failed = primitive.check_descent, []
+    def fail_first(H, psi, descended):
+        failed.append(psi)
+        return len(failed) > 1 and real(H, psi, descended)
+    monkeypatch.setattr(primitive, "check_descent", fail_first)
+    result = build_relative_primitive(f, omega, r)
+    assert [pd.psi for pd in prisms_of(result) if not pd.descent_ok] == failed[:1]
 
 
 def fibred_grid(k, m):
@@ -766,9 +799,7 @@ def assert_glued(result):
     """Every closing residual is zero, every prism descends and every
     horizontal report holds."""
     assert residuals_zero(result)
-    for prim in result.primitives.values():
-        for pd in prim.prisms.values():
-            assert check_descent(pd.H, pd.psi, descend_form(pd.H, pd.psi.target))
+    assert all(pd.descent_ok for pd in prisms_of(result))
     assert all(rep.ok for rep in result.horizontal)
 
 
@@ -1027,17 +1058,7 @@ def test_pipeline_zero_residual_random_exact_inputs(coeffs):
     # any global polynomial gives a fiberwise-exact differential; the
     # pipeline must close it exactly on every prism
     f = triangle_fan()
-    omega = {}
-    for s in f.source.maximal:
-        sc = simplex_context(s)
-        poly = Poly.zero(sc)
-        for vs, c in coeffs.items():
-            if all(v in s.vertices for v in vs):
-                term = Poly.const(sc, c)
-                for v in vs:
-                    term = term * Poly.variable(sc, sc.var("l", v))
-                poly = poly + term
-        omega[s] = d(Form.from_poly(poly))
+    omega = exact_input(f, [(c, vs, ()) for vs, c in coeffs.items()])
     result = build_relative_primitive(f, omega, r=1)
     assert residuals_zero(result)
 

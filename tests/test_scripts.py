@@ -21,7 +21,8 @@ def test_degenerating_family_residuals_are_zero(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert ("fiber type over <100,101>: [<0>x<2,3>, <0,1>x<3>, <1>x<3,4>]"
             in proc.stdout.splitlines()), proc.stdout
-    residuals = [line for line in proc.stdout.splitlines() if ": residual " in line]
-    assert residuals
-    assert all(": residual ZERO (" in line for line in residuals), residuals
+    prisms = [line for line in proc.stdout.splitlines() if ": residual " in line]
+    assert prisms
+    assert all(": residual ZERO (" in line and line.endswith(", descent verified")
+               for line in prisms), prisms
     assert json.loads(out.read_text())

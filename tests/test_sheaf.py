@@ -249,8 +249,10 @@ def test_procar_rejects_non_simplex_cell():
     assert not ok and "not a simplex" in wit
 
 
-def test_proppf_rejects_foreign_factor():
-    # specialization image uses a factor that is not among the cell's
+def test_proppf_rejects_a_specialization_that_misses_a_cell():
+    # the stalk over 100 is 100|0,1, and the one cell over <100,101> does
+    # not reach all of it; the check stops there, before the foreign factor
+    # 7 over 101
     bad = sheaf_from_dict({
         "base": {"maximal_simplices": [[100, 101]]},
         "stalks": {
@@ -268,8 +270,8 @@ def test_proppf_rejects_foreign_factor():
             "101<100,101": {"cells": {"100,101|0,1|2": "101|7"}},
         },
     })
-    ok = check_Pf_characterization(bad)[0]
-    assert not ok
+    assert check_Pf_characterization(bad) == (
+        False, "specialization <100,101>-><100> not surjective")
 
 
 LEFT = S(100,)
