@@ -173,7 +173,7 @@ def _build_and_write(args, f, omega, r, eps) -> int:
         for tau, prim in result.primitives.items():
             for sigma, pd in prim.prisms.items():
                 for phi in pd.A:
-                    est, exact = oracle_A(pd.eta, f, sigma, phi, eps=eps)
+                    est, exact = oracle_A(pd.eta, phi, eps)
                     err = abs(est - exact)
                     worst = max(worst, err)
                     out["oracle"].append({

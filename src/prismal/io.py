@@ -97,18 +97,23 @@ def _vertex(v) -> int:
     raise ValidationError(f"vertex labels must be integers, got {_shown(v)}")
 
 
+def _cell(raw, what: str) -> Simplex:
+    """A simplex from a JSON list of vertex labels: nonempty, none repeated."""
+    verts = tuple(map(_vertex, _list(raw, what)))
+    if not verts:
+        raise ValidationError(f"{what} has no vertices")
+    if len(set(verts)) != len(verts):
+        raise ValidationError(f"repeated vertex in simplex {_shown(raw)}")
+    return Simplex(verts)
+
+
 # ---------------------------------------------------------------------------
 # Complexes and morphisms
 # ---------------------------------------------------------------------------
 
 def complex_from_dict(dd: dict) -> SimplicialComplex:
-    cells = []
-    for raw in _list(_field(dd, "maximal_simplices", "complex file"), "maximal_simplices"):
-        verts = tuple(map(_vertex, _list(raw, "a simplex")))
-        if len(set(verts)) != len(verts):
-            raise ValidationError(f"repeated vertex in simplex {_shown(raw)}")
-        cells.append(Simplex(verts))
-    cx = SimplicialComplex(cells)
+    cx = SimplicialComplex([_cell(raw, "a simplex") for raw in _list(
+        _field(dd, "maximal_simplices", "complex file"), "maximal_simplices")])
     declared = dd.get("vertices")
     if declared is not None and set(map(_vertex, _list(declared, "vertices"))) != set(cx.vertices):
         missing = set(map(_vertex, declared)) ^ set(cx.vertices)
@@ -208,7 +213,7 @@ def forms_file_to_inputs(dd: dict, cx: SimplicialComplex) -> dict[Simplex, Form]
     out: dict[Simplex, Form] = {}
     seen: set[frozenset[int]] = set()
     for entry in entries:
-        cell = Simplex(tuple(map(_vertex, _list(_field(entry, "cell", "form entry"), "cell"))))
+        cell = _cell(_field(entry, "cell", "form entry"), "a form cell")
         if cell not in cx:
             raise ValidationError(f"form cell {_shown(list(cell.vertices))} is not in the complex")
         if cell.vset in seen:

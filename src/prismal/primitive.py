@@ -36,8 +36,8 @@ both closing residuals (`verify_theodg` reports the last one), and
 pipeline sum is one pass over int numerators and one `_lowest`.
 
 All the arithmetic is rational, the optional shrinking-average oracle for
-the extracted coefficients included: it averages with the Grundmann-Moeller
-rule, whose nodes and weights are rational.
+the extracted coefficients included: it averages with the one integrator,
+`integrate_top_form` against the Whitney volume form of phi's blocks.
 """
 
 from __future__ import annotations
@@ -53,9 +53,9 @@ from .mesh import Simplex, SimplicialMorphism
 from .forms import (_FIELD, _W, Chart, CoordMap, CoordSystem, Form, FormError, Poly,
                     _add_into, _lowest, _mul_into, _sort_wedge, _unpack, _whitney_terms,
                     base_volume_residual, canonicalize, d, eliminate_poly,
-                    elimination_chart, equal_mod_relations, restriction_map,
-                    pi_context, poincare_primitive, pullback, restrict_to_face,
-                    simplex_context, vertical_part, wedge)
+                    elimination_chart, equal_mod_relations, integrate_top_form,
+                    restriction_map, pi_context, poincare_primitive, pullback,
+                    restrict_to_face, simplex_context, vertical_part, wedge, whitney_form)
 from .sheaf import psi_coordinate_map
 
 Q = Fraction
@@ -758,51 +758,25 @@ def build_relative_primitive(f: SimplicialMorphism, omega: dict[Simplex, Form],
 # Exact shrinking-average oracle for the extracted coefficients
 # ---------------------------------------------------------------------------
 
-def _grundmann_moeller(n: int, s: int) -> list[tuple[Fraction, tuple[Fraction, ...]]]:
-    """The Grundmann-Moeller rule of degree d = 2s + 1 on the n-simplex, as
-    (weight, barycentric node) pairs: it averages every polynomial of degree
-    at most d exactly.  For i = 0..s the nodes (2 beta + 1) / (d + n - 2i),
-    |beta| = s - i, carry the weight (-1)^i (d + n - 2i)^d n! /
-    (4^s i! (d + n - i)!); the weights sum to 1.
-    """
-    d = 2 * s + 1
-    rule = []
-    for i in range(s + 1):
-        k = d + n - 2 * i
-        w = Q((-1) ** i * k ** d * math.factorial(n),
-              4 ** s * math.factorial(i) * math.factorial(d + n - i))
-        for cut in itertools.combinations(range(s - i + n), n):  # stars and bars
-            beta = [b - a - 1 for a, b in zip((-1, *cut), (*cut, s - i + n))]
-            rule.append((w, tuple(Q(2 * b + 1, k) for b in beta)))
-    return rule
-
-
-def oracle_A(eta: Form, f: SimplicialMorphism, sigma: Simplex, phi: RelFace,
-             eps: int | Fraction) -> tuple[Fraction, Fraction]:
+def oracle_A(eta: Form, phi: RelFace, eps: int | Fraction) -> tuple[Fraction, Fraction]:
     """Shrinking-average value of the working coefficient of phi, exactly.
 
-    Averages A_phi (`pair_with_face`) over the eps-homothety of phi's fiber
-    slice, centered at the slice centroid over the base barycenter, with the
-    product of the blocks' Grundmann-Moeller rules of A_phi's degree.  `eps`
-    is an int or a Fraction (a float is a FormError).  Returns (average,
-    exact value at the center).
+    A_phi (`pair_with_face`) composed with the eps-homothety of phi's fiber
+    slice about its center, lambda_v = (1 - eps) tbar / |b| + eps tbar x_v on
+    a context with one group per block b (tbar = 1 / number of blocks), is
+    averaged against that context's Whitney volume form.  `eps` is an int or
+    a Fraction (a float is a FormError).  Returns (average, value at the center).
     """
-    sctx = simplex_context(sigma)
     g = pair_with_face(eta, phi)
-    tbar = Q(1, f.image(sigma).dim + 1)
-    center = [Q(0)] * sctx.nvars
-    for block in phi.blocks:
-        for v in block:
-            center[sctx.var("l", v)] = tbar / len(block)
-    degree = max((sum(e) for e in g.terms), default=0)
-    rules = [_grundmann_moeller(len(b) - 1, degree // 2) for b in phi.blocks]
-    total = Q(0)
-    for combo in itertools.product(*rules):
-        pt, wt = list(center), Q(1)
-        for (w, node), block in zip(combo, phi.blocks):
-            wt *= w
-            for v, x in zip(block, node):
-                i = sctx.var("l", v)
-                pt[i] = center[i] + eps * (tbar * x - center[i])
-        total += wt * g.evaluate(pt)
-    return total, g.evaluate(center)
+    ctx = CoordSystem(tuple(("l", b) for b in phi.blocks))
+    tbar = Q(1, len(phi.blocks))
+    center = [Q(0)] * eta.ctx.nvars
+    images = [Poly.zero(ctx)] * eta.ctx.nvars
+    for b in phi.blocks:
+        for v in b:
+            i = eta.ctx.var("l", v)
+            center[i] = tbar / len(b)
+            images[i] = (1 - eps) * center[i] + Poly.variable(ctx, ctx.var("l", v)) * (eps * tbar)
+    composed = sum((c * math.prod(map(pow, images, e), start=Poly.const(ctx, 1))
+                    for e, c in g.terms.items()), Poly.zero(ctx))
+    return integrate_top_form(whitney_form(ctx) * composed), g.evaluate(center)

@@ -50,12 +50,12 @@ def interpolate(points) -> list:
     return coeffs
 
 
-def oracle_eps_terms(eta, f, sigma, phi) -> list:
+def oracle_eps_terms(eta, phi) -> list:
     """The oracle's average as a polynomial in eps, from deg eta + 1 rational
     values of eps (at least two, so that the eps^1 term is read)."""
     degree = max((sum(e) for p in eta.terms.values() for e in p.terms), default=0)
     epsilons = [Q(1, k) for k in range(1, max(degree, 1) + 2)]
-    return interpolate([(eps, oracle_A(eta, f, sigma, phi, eps=eps)[0]) for eps in epsilons])
+    return interpolate([(eps, oracle_A(eta, phi, eps)[0]) for eps in epsilons])
 
 
 # ---------------------------------------------------------------------------

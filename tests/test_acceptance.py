@@ -147,12 +147,12 @@ def test_criterion_09_end_to_end_primitive():
                      f"horizontal gluing on both fixtures ({elapsed:.1f}s < 60s)")
 
 
-def _oracle_holds(eta, f, sigma, phi) -> bool:
+def _oracle_holds(eta, phi) -> bool:
     """Criterion 10 on one relative face: at eps = 1/10^4 the average is
     within 1/10^6 of the exact value, and as a polynomial in eps its eps^0
     term is that value and its eps^1 term is zero."""
-    est, exact = oracle_A(eta, f, sigma, phi, eps=Q(1, 10 ** 4))
-    terms = oracle_eps_terms(eta, f, sigma, phi)
+    est, exact = oracle_A(eta, phi, Q(1, 10 ** 4))
+    terms = oracle_eps_terms(eta, phi)
     return abs(est - exact) < Q(1, 10 ** 6) and terms[0] == exact and terms[1] == 0
 
 
@@ -176,7 +176,7 @@ def test_criterion_10_numeric_oracle():
         eta = Form(sc, {(sc.var("l", 2 if which else 3),): coeff})
         for phi in extract_A(eta, psi, 1):
             checked += 1
-            ok = ok and _oracle_holds(eta, f, sigma, phi)
+            ok = ok and _oracle_holds(eta, phi)
     # every relative face of the cube fiber at r = 2
     f = five_over_two()
     sigma = Simplex(tuple(range(6)))
@@ -185,7 +185,7 @@ def test_criterion_10_numeric_oracle():
     eta = d(Form(sc, {(sc.var("l", 5),): l(1) * l(3), (sc.var("l", 3),): l(1) * l(5) * l(5)}))
     for phi in extract_A(eta, psi_coordinate_map(f, sigma), 2):
         checked += 1
-        ok = ok and _oracle_holds(eta, f, sigma, phi)
+        ok = ok and _oracle_holds(eta, phi)
     _announce(10, ok, f"exact shrinking-average oracle at eps=1/10^4 matches the exact "
                       f"extraction within 1/10^6, with eps^0 term the exact value and "
                       f"eps^1 term 0 ({checked} evaluations)")

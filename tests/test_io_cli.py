@@ -682,6 +682,15 @@ def _first_vertex(v):
     return edit
 
 
+def _repeated_cell(file):
+    """The first cell of the complex or form file as its first vertex 2000 times."""
+    def edit(files):
+        cells = files["complex"]["maximal_simplices"] if file == "complex" else [
+            entry["cell"] for entry in files["form"]["forms"]]
+        cells[0][:] = [cells[0][0]] * 2000
+    return edit
+
+
 @pytest.mark.parametrize("edit, message", [
     pytest.param(_poly_item({"c": "1/0", "exp": {}}), "'1/0'", id="1/0-exp0-'1/0'"),
     pytest.param(_poly_item({"c": "abc", "exp": {}}), "'abc'", id="abc-exp1-'abc'"),
@@ -699,7 +708,10 @@ def _first_vertex(v):
     pytest.param(_poly_item({"c": True, "exp": {}}),
                  "validation error: expected an exact rational, got True", id="c-true"),
     pytest.param(lambda files: files.update(form=files["form"]["forms"][0]),
-                 "validation error: forms file needs 'forms'\n", id="bare-form-entry")])
+                 "validation error: forms file needs 'forms'\n", id="bare-form-entry"),
+    # the complex file is at fault, not the morphism that maps its vertices
+    pytest.param(lambda files: files["complex"].update(maximal_simplices=[[]]),
+                 "validation error: a simplex has no vertices\n", id="empty-simplex")])
 def test_cmd_primitive_malformed_polynomial_exit2(tmp_path, capsys, edit, message):
     # one malformed item in an otherwise valid input: exit 2, no traceback
     paths = dict(zip(("complex", "morphism", "form"), _write_fixture_files(tmp_path)))
@@ -729,7 +741,9 @@ LONG = "x" * 5000
     pytest.param(_form_term({"dvars": [LONG], "poly": []}), "unknown differential", id="dvar"),
     pytest.param(_form_term({"dvars": LONG, "poly": []}), "dvars must be a list", id="dvars"),
     pytest.param(_form_term(LONG), "form term must be an object", id="term"),
-    pytest.param(_first_vertex(LONG), "vertex labels must be integers", id="vertex")])
+    pytest.param(_first_vertex(LONG), "vertex labels must be integers", id="vertex"),
+    pytest.param(_repeated_cell("complex"), "repeated vertex in simplex", id="complex-cell"),
+    pytest.param(_repeated_cell("form"), "repeated vertex in simplex", id="form-cell")])
 def test_validation_message_cuts_a_long_value(tmp_path, capsys, edit, field):
     # a 5000-character bad value: the message names its field and echoes
     # the value cut short
@@ -837,23 +851,31 @@ def test_cmd_primitive_tetra_pair_descent(tmp_path):
     assert verified and all(verified)
 
 
-def _check_a_large_exponent(tmp_path, k):
+def _check_a_large_exponent(tmp_path, k, extra=()):
     """`prismal primitive --check-horizontal` on the triangle fan's input plus
-    l_3^k dl_3 (every triangle holds 3) exits 0 with every descent verified."""
+    l_3^k dl_3 (every triangle holds 3) exits 0 with every descent verified;
+    `extra` options go to the command.  Returns the written JSON."""
     cpath, mpath, wpath = _write_fixture_files(tmp_path, power=k)
     out = tmp_path / "h.json"
     assert main(["primitive", "--complex", str(cpath), "--morphism", str(mpath),
-                 "--form", str(wpath), "--out", str(out), "--check-horizontal"]) == 0
+                 "--form", str(wpath), "--out", str(out), "--check-horizontal", *extra]) == 0
     data = json.loads(out.read_text())
     verified = [hs["descent_verified"] for cell in data["base_cells"].values()
                 for hs in cell["H_S"].values()]
     assert verified and all(verified)
+    return data
 
 
 def test_primitive_with_a_large_exponent(tmp_path):
     # the descent expands every power of the fiber masses densely: k = 130
     # takes about 1.6 s on a 2-core VM, and k = 140 already 2 s
     _check_a_large_exponent(tmp_path, 130)
+
+
+def test_oracle_at_a_large_exponent(tmp_path):
+    # the oracle averages each A_phi of degree 130 by the Dirichlet formula:
+    # it adds well under a second to the run above
+    assert _check_a_large_exponent(tmp_path, 130, ("--oracle-eps", "1/10000"))["oracle"]
 
 
 @pytest.mark.slow

@@ -27,7 +27,6 @@ SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 ENTRY_POINT = "cli.main"  # [project.scripts] in pyproject.toml
 
 KEPT = {
-    "forms.integrate_top_form": "public API, checked against sympy by the oracle tests",
     "sheaf.psi_morphism": "the paper's blow-down of the trivialized sheaf onto the "
                           "raw one, which the factorization tests check",
 }

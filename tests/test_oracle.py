@@ -15,15 +15,17 @@ from hypothesis import given, settings, strategies as st
 sympy = pytest.importorskip("sympy")
 from sympy.combinatorics import Permutation  # noqa: E402
 
-from prismal.fixtures import five_over_two, triangle_fan  # noqa: E402
+from prismal.fixtures import five_over_two, tetra_pair_over_triangle, triangle_fan  # noqa: E402
 from prismal.forms import (CoordMap, CoordSystem, Form, Poly,  # noqa: E402
                            canonicalize, eliminate, eliminate_poly,
                            integrate_fiber, integrate_top_form, pi_context, prism_context,
                            pullback, restriction_map, simplex_context)
 from prismal.mesh import Prism, Simplex  # noqa: E402
-from prismal.primitive import specialization_chart  # noqa: E402
+from prismal.primitive import (oracle_A, pair_with_face, relative_faces,  # noqa: E402
+                               specialization_chart)
 from prismal.sheaf import psi_coordinate_map  # noqa: E402
 from test_forms import monomial_maps  # noqa: E402
+from test_primitive import triangle_block_over_edge  # noqa: E402
 
 ORACLE = settings(max_examples=30, deadline=None, derandomize=True)
 MIXED_DENS = st.sampled_from((1, 2, 3, 4, 5, 6, 9, 10))
@@ -259,6 +261,54 @@ def test_integrate_fiber_dirichlet(ctx, data):
     assert all(i in base_vars for e in got.terms for i, n in enumerate(e) if n)
     want = sym_integrate(ctx, form_to_sym(a), ctx.fiber_groups)
     assert sympy.expand(to_sym(got) - want) == 0
+
+
+def sym_slice_average(g: Poly, phi, eps):
+    """The average of g over the eps-slice of phi, by iterated integrals in
+    the slice's own coordinates: per block b, every lambda_v is at least
+    c = (1 - eps) tbar / |b| and they sum to tbar = 1 / (number of blocks);
+    the coordinates off phi are 0."""
+    xs = symbols(g.ctx)
+    tbar = sympy.Rational(1, len(phi.blocks))
+    eps = sympy.Rational(Q(eps).numerator, Q(eps).denominator)
+    subs, bounds = dict.fromkeys(xs, 0), []
+    for block in phi.blocks:
+        free = [xs[g.ctx.var("l", v)] for v in block[1:]]
+        c = (1 - eps) * tbar / len(block)
+        subs.update({x: x for x in free})
+        subs[xs[g.ctx.var("l", block[0])]] = tbar - sum(free)
+        # innermost first: each free coordinate leaves room c for every later one
+        bounds += [(x, c, tbar - c - sum(free[:k]) - (len(free) - 1 - k) * c)
+                   for k, x in reversed(list(enumerate(free)))]
+    integrals = [to_sym(g).subs(subs, simultaneous=True), sympy.Integer(1)]
+    for x, lower, upper in bounds:  # polynomial antiderivatives: sympy.integrate is slower
+        for k, expr in enumerate(integrals):
+            prim = sympy.Poly(expr, x).integrate().as_expr()
+            integrals[k] = sympy.expand(prim.subs(x, upper) - prim.subs(x, lower))
+    return integrals[0] / integrals[1]
+
+
+def _relative_cells(*fixtures):
+    for make in fixtures:
+        f = make()
+        for sigma in f.source.maximal:
+            psi = psi_coordinate_map(f, sigma)
+            for r in range(1, f.rel_dim(sigma) + 1):
+                yield pytest.param(psi.target, relative_faces(psi, r), r,
+                                   id=f"{make.__name__}-{sigma}-r{r}")
+
+
+@pytest.mark.parametrize("ctx, faces, r", _relative_cells(
+    triangle_fan, five_over_two, tetra_pair_over_triangle, triangle_block_over_edge))
+@settings(ORACLE, max_examples=10)
+@given(data=st.data())
+def test_oracle_average_over_the_slice(ctx, faces, r, data):
+    eta = data.draw(forms(ctx, r))
+    phi = data.draw(st.sampled_from(faces))
+    g = pair_with_face(eta, phi)
+    for eps in (1, Q(1, 2), Q(3, 7), Q(1, 10 ** 4)):
+        est = oracle_A(eta, phi, eps)[0]
+        assert sympy.Rational(est.numerator, est.denominator) == sym_slice_average(g, phi, eps)
 
 
 def _check_pullback(m: CoordMap, a: Form):

@@ -1,6 +1,5 @@
 import dataclasses
 import itertools
-import math
 import random
 from fractions import Fraction as Q
 
@@ -10,11 +9,11 @@ from hypothesis import assume, given, settings, strategies as st
 from prismal.fixtures import (triangle_fan, five_over_two, square_over_edge,
                               tetra_pair_over_triangle)
 from prismal import primitive
-from prismal.forms import (CoordSystem, Form, Poly, _dirichlet, canonicalize, d,
+from prismal.forms import (CoordSystem, Form, Poly, canonicalize, d,
                            eliminate_poly, equal_mod_relations, pi_context, pullback,
                            relative_d, simplex_context, vertical_part, wedge, whitney_form)
 from prismal.mesh import Simplex, SimplicialComplex, SimplicialMorphism, perm_sign
-from prismal.primitive import (ExactnessError, RelFace, _grundmann_moeller,
+from prismal.primitive import (ExactnessError, RelFace,
                                admissible_drops, assemble_C,
                                build_primitive_over, build_relative_primitive,
                                c_part_form, check_descent, check_horizontal,
@@ -1010,22 +1009,6 @@ def test_overlap_cycle_at_r2_does_not_blame_the_input():
 # shrinking-average oracle
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3])
-@pytest.mark.parametrize("s", [0, 1, 2, 3])
-def test_grundmann_moeller_is_exact(n, s):
-    # the rule averages every monomial of degree <= 2s + 1 in the n free
-    # barycentric coordinates as n! times its Dirichlet integral
-    rule = _grundmann_moeller(n, s)
-    assert sum(w for w, _ in rule) == 1
-    assert all(len(node) == n + 1 and sum(node) == 1 for _, node in rule)
-    for degree in range(2 * s + 2):
-        for cut in itertools.combinations(range(degree + n), n):
-            exps = [b - a - 1 for a, b in zip((-1, *cut), (*cut, degree + n))][1:]
-            got = sum(w * math.prod(x ** a for x, a in zip(node[1:], exps)) for w, node in rule)
-            num, den = _dirichlet(exps)
-            assert got == Q(math.factorial(n) * num, den), (exps, got)
-
-
 def test_oracle_matches_exact_extraction():
     f, sigma, sc = fig1_triangle()
     rng = random.Random(11)
@@ -1040,12 +1023,12 @@ def test_oracle_matches_exact_extraction():
         eta = Form(sc, {(sc.var("l", 3),): coeff})
         A = extract_A(eta, psi_coordinate_map(f, sigma), 1)
         for phi in A:
-            est, exact = oracle_A(eta, f, sigma, phi, eps=Q(1, 10 ** 4))
+            est, exact = oracle_A(eta, phi, Q(1, 10 ** 4))
             assert type(est) is type(exact) is Q
             assert abs(est - exact) < Q(1, 10 ** 6)
             # the average is a polynomial in eps: its eps^0 term is the exact
             # value and its eps^1 term vanishes, the center being the centroid
-            terms = oracle_eps_terms(eta, f, sigma, phi)
+            terms = oracle_eps_terms(eta, phi)
             assert terms[0] == exact and terms[1] == 0
 
 
