@@ -1,7 +1,10 @@
 """Command line front end: identity suites, sheaf dumps, primitives.
 
 Exit codes: 0 success, 1 identity/residual failure, 2 input validation
-failure.  All outputs are JSON and deterministic given inputs and seed.
+failure.  One home per concept: the commands return 0 or 1 and raise every
+other failure, and `main` alone maps it to its stderr line and code
+(`ExactnessError` to 1, `ValidationError` and `MeshError` to 2).  All
+outputs are JSON and deterministic given inputs and seed.
 """
 
 from __future__ import annotations
@@ -23,30 +26,18 @@ from .verify import SUITES, run_suite
 OPERATION_MAP_VERSION = "identity-map v1: " + ", ".join(SUITES)
 
 
-def _validation_error(exc) -> int:
-    print(f"validation error: {exc}", file=sys.stderr)
-    return 2
-
-
 def cmd_check(args) -> int:
-    try:
-        if args.max_dim < 1:
-            raise ValidationError(f"--max-dim must be at least 1, got {args.max_dim}")
-        names = SUITES if args.suite == "all" else (args.suite,)
-        reports = [r for name in names for r in run_suite(name, args.max_dim, args.seed)]
-    except (ValidationError, MeshError) as exc:
-        return _validation_error(exc)
+    if args.max_dim < 1:
+        raise ValidationError(f"--max-dim must be at least 1, got {args.max_dim}")
+    names = SUITES if args.suite == "all" else (args.suite,)
+    reports = [r for name in names for r in run_suite(name, args.max_dim, args.seed)]
     failed = [r for r in reports if not r.passed]
     for r in failed:
         print(f"FAIL {r.identity} [{r.case}] residual={r.residual}")
     print(f"{len(reports) - len(failed)}/{len(reports)} identity cases passed")
     if args.json:
-        try:
-            dump_json(args.json, {"suite": args.suite, "max_dim": args.max_dim,
-                                  "seed": args.seed,
-                                  "reports": [r.as_dict() for r in reports]})
-        except ValidationError as exc:
-            return _validation_error(exc)
+        dump_json(args.json, {"suite": args.suite, "max_dim": args.max_dim,
+                              "seed": args.seed, "reports": [r.as_dict() for r in reports]})
     return 1 if failed else 0
 
 
@@ -64,44 +55,35 @@ def _load_morphism(args):
 
 
 def cmd_sheaf(args) -> int:
-    try:
-        f = _load_morphism(args)
-        sf, pf = build_Sf(f), build_Pf(f)
-    except (ValidationError, MeshError) as exc:
-        return _validation_error(exc)
+    f = _load_morphism(args)
+    sf, pf = build_Sf(f), build_Pf(f)
     ok_s, wit_s = check_Sf_characterization(sf)
     ok_p, wit_p = check_Pf_characterization(pf)
     print(f"raw-preimage sheaf characterization: {'pass' if ok_s else 'FAIL: ' + str(wit_s)}")
     print(f"trivialized sheaf characterization: {'pass' if ok_p else 'FAIL: ' + str(wit_p)}")
     if args.dump_sheaf:
-        try:
-            dump_json(args.dump_sheaf, {"S": sheaf_to_dict(sf), "P": sheaf_to_dict(pf)})
-        except ValidationError as exc:
-            return _validation_error(exc)
+        dump_json(args.dump_sheaf, {"S": sheaf_to_dict(sf), "P": sheaf_to_dict(pf)})
         print(f"sheaf dump written to {args.dump_sheaf}")
     return 0 if (ok_s and ok_p) else 1
 
 
 def cmd_primitive(args) -> int:
-    try:
-        eps = args.oracle_eps
-        if eps is not None:
-            try:  # "1e-4" reads as 1/10000; a 5-digit exponent is refused, not expanded
-                eps = Fraction(eps) if len(eps.lower().partition("e")[2].lstrip("+-")) < 5 else 0
-            except (ValueError, ZeroDivisionError):
-                eps = 0
-            if not 0 < eps <= 1:
-                raise ValidationError(
-                    f"--oracle-eps must be a rational in (0, 1], got {args.oracle_eps}")
-        f = _load_morphism(args)
-        omega = forms_file_to_inputs(load_json(args.form), f.source)
-        degrees = {deg for form in omega.values() for deg in form.degrees()}
-        if args.degree is None and len(degrees) > 1:
+    eps = args.oracle_eps
+    if eps is not None:
+        try:  # "1e-4" reads as 1/10000; a 5-digit exponent is refused, not expanded
+            eps = Fraction(eps) if len(eps.lower().partition("e")[2].lstrip("+-")) < 5 else 0
+        except (ValueError, ZeroDivisionError):
+            eps = 0
+        if not 0 < eps <= 1:
             raise ValidationError(
-                f"input forms have mixed degrees {sorted(degrees)}; pass --degree")
-        r = args.degree if args.degree is not None else (degrees.pop() if degrees else 1)
-    except (ValidationError, MeshError) as exc:
-        return _validation_error(exc)
+                f"--oracle-eps must be a rational in (0, 1], got {args.oracle_eps}")
+    f = _load_morphism(args)
+    omega = forms_file_to_inputs(load_json(args.form), f.source)
+    degrees = {deg for form in omega.values() for deg in form.degrees()}
+    if args.degree is None and len(degrees) > 1:
+        raise ValidationError(
+            f"input forms have mixed degrees {sorted(degrees)}; pass --degree")
+    r = args.degree if args.degree is not None else (degrees.pop() if degrees else 1)
     # Python refuses to convert an int past 4300 digits to str: a guard for
     # parsing, under which the input was read.  A result may pass it, as a
     # sum of fractions multiplies their denominators, so it is written whole.
@@ -118,11 +100,10 @@ def cmd_primitive(args) -> int:
 def _build_and_write(args, f, omega, r, eps) -> int:
     try:
         result = build_relative_primitive(f, omega, r=r)
-    except ExactnessError as exc:
-        print(f"exactness error: {exc}", file=sys.stderr)
-        return 1
-    except (PrimitiveError, MeshError, FormError) as exc:
-        return _validation_error(exc)
+    except (PrimitiveError, FormError) as exc:  # bad input, unless not fiberwise exact
+        if isinstance(exc, ExactnessError):
+            raise
+        raise ValidationError(str(exc)) from exc
 
     out = {"degree": r, "base_cells": {}, "horizontal": [], "oracle": []}
     residual_failures = descent_failures = 0
@@ -182,10 +163,7 @@ def _build_and_write(args, f, omega, r, eps) -> int:
                         "estimate": str(est), "exact": str(exact), "abs_error": str(err)})
         print(f"oracle worst absolute error: {worst}")
 
-    try:
-        dump_json(args.out, out)
-    except ValidationError as exc:
-        return _validation_error(exc)
+    dump_json(args.out, out)
     ok = residual_failures == horizontal_failures == descent_failures == 0
     print(f"residual check: {len(out['base_cells'])} base cells, "
           f"{residual_failures} failures; horizontal: {horizontal_failures} failures")
@@ -232,7 +210,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ExactnessError as exc:
+        print(f"exactness error: {exc}", file=sys.stderr)
+        return 1
+    except (ValidationError, MeshError) as exc:
+        print(f"validation error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

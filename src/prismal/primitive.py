@@ -31,9 +31,11 @@ read by `extract_A` and the oracle; `ode_solve` is the one body of the
 homothety ODE, whose operator is `homothety_operator` (also in the identity
 suites); `weighted_whitney` builds both t-weighted Whitney sums of step 3
 (the A combination and the C part), `forms.base_volume_residual` computes
-both closing residuals (`verify_theodg` reports the last one), and
-`_restricted_difference` compares two primitives on a shared cell.  Each
-pipeline sum is one pass over int numerators and one `_lowest`.
+both closing residuals (`verify_theodg` reports the last one),
+`_restricted_difference` compares two primitives on a shared cell, and
+`PrismData.shift` is the one lift of a mismatch into a prism, for the walk
+and the face gauge alike.  Each pipeline sum is one pass over int
+numerators and one `_lowest`.
 
 All the arithmetic is rational, the optional shrinking-average oracle for
 the extracted coefficients included: it averages with the one integrator,
@@ -54,8 +56,8 @@ from .forms import (_FIELD, _W, Chart, CoordMap, CoordSystem, Form, FormError, P
                     _add_into, _lowest, _mul_into, _sort_wedge, _unpack, _whitney_terms,
                     base_volume_residual, canonicalize, d, eliminate_poly,
                     elimination_chart, equal_mod_relations, integrate_top_form,
-                    restriction_map, pi_context, poincare_primitive, pullback,
-                    restrict_to_face, simplex_context, vertical_part, wedge, whitney_form)
+                    pi_context, poincare_primitive, pullback, restrict_to_face,
+                    simplex_context, vertical_part, wedge, whitney_form)
 from .sheaf import psi_coordinate_map
 
 Q = Fraction
@@ -349,10 +351,16 @@ class PrismData:
     descended: tuple[Form, tuple[int, ...]] | None = None  # (N, m) of `descend_form`
     descent_ok: bool = False  # `check_descent`
 
-    def shift(self, m: Form, lift: CoordMap) -> Form:
-        """Add m, read into the prism's context through the renaming `lift`,
-        to H and the correction; returns it."""
-        shift = pullback(lift, m)
+    def shift(self, m: Form) -> Form:
+        """Add m, a mismatch of the walk or of the face gauge, to H and the
+        correction, and return it read into the prism by vertex: t:y as t:y,
+        and a fiber variable of v, whatever its group's tag, as v's variable
+        in the one fiber group of sigma that holds v (the fibers are disjoint)."""
+        pctx = self.psi.source
+        home = {v: tag for tag, verts in pctx.groups[1:] for v in verts}
+        shift = pullback(CoordMap.build(pctx, m.ctx, {
+            f"{tag}:{v}": Poly.variable(pctx, pctx.var(home[v] if g else tag, v))
+            for g, (tag, verts) in enumerate(m.ctx.groups) for v in verts}), m)
         self.H = self.H + shift
         self.correction = self.correction + shift
         return shift
@@ -476,7 +484,7 @@ def _match_across_prisms(f: SimplicialMorphism, tau: Simplex,
                         f"over {tau}: prisms {known} and {new} differ on {inter} "
                         f"by {diff}, which is not fiberwise closed")
                 if not diff.is_zero:
-                    prisms[new].shift(diff, restriction_map(diff.ctx, prisms[new].psi.source))
+                    prisms[new].shift(diff)
                 reached.add(new)
                 walk.append(new)
     _verify_overlaps(tau, prisms, edges)
@@ -647,15 +655,6 @@ class HorizontalReport:
         return all(self.matches.values())
 
 
-def _unspecialize(chart: CoordMap, ctx: CoordSystem) -> CoordMap:
-    """The inverse of a specialization chart on its kept variables, onto
-    `ctx`, a part of the chart's source: each variable maps back to the one
-    prism variable whose image it is."""
-    back = {p: Poly.variable(chart.target, i) for i, p in enumerate(chart.images)}
-    return CoordMap.build(chart.target, ctx, {
-        n: back[Poly.variable(chart.source, chart.source.index[n])] for n in ctx.names})
-
-
 def check_horizontal(f: SimplicialMorphism, prim: RelativePrimitive,
                      prim_face: RelativePrimitive) -> HorizontalReport:
     """Compare the specialized primitive with the one built over a face F,
@@ -675,8 +674,8 @@ def check_horizontal(f: SimplicialMorphism, prim: RelativePrimitive,
     vanished = surviving = 0
     matches: dict[Simplex, bool] = {}
     shifted = False
+    lost = [j for j, y in enumerate(tau.vertices) if y not in tau_face.vset]
     for sigma, pd in prim.prisms.items():
-        lost = [j for j, y in enumerate(tau.vertices) if y not in tau_face.vset]
         gone = sum(any(drop.phi.block_dims()[j] for j in lost) for drop in pd.C)
         vanished, surviving = vanished + gone, surviving + len(pd.C) - gone
         sigma_f = f.restriction_to(sigma, tau_face)
@@ -691,7 +690,7 @@ def check_horizontal(f: SimplicialMorphism, prim: RelativePrimitive,
             h = Form(m.ctx, {dv: sum((q * total ** (top - k) for k, q in by_k.items()),
                                      Poly.zero(m.ctx)) for dv, by_k in parts.items()})
             if all(all(e[i] for i in ts) for p in h.terms.values() for e in p.terms):
-                m = canonicalize(m + pullback(chart, pd.shift(-h, _unspecialize(chart, m.ctx))))
+                m = canonicalize(m + pullback(chart, pd.shift(-h)))
                 shifted = True
         matches[sigma] = m.is_zero
     if shifted:

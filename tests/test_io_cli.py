@@ -1,3 +1,4 @@
+import ast
 import copy
 import json
 import os
@@ -909,11 +910,33 @@ def test_whitney_numerators_are_never_mutated(tmp_path, monkeypatch):
     assert all(num == snapshot for num, snapshot in handed.values())
 
 
-def test_cmd_check_corrupted_fixture_exit2(tmp_path):
+def test_cmd_sheaf_corrupted_fixture_exit2(tmp_path, capsys):
     cpath = tmp_path / "c.json"
     cpath.write_text("{not json")
     code = main(["sheaf", "--complex", str(cpath), "--morphism", str(cpath)])
     assert code == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert re.fullmatch(rf"validation error: {re.escape(str(cpath))}: invalid JSON \(.+\)", line)
+
+
+def test_exit_codes_are_mapped_in_main():
+    # the commands raise; `main` alone turns a failure into its line and code
+    import prismal.cli
+    source = Path(prismal.cli.__file__).read_text()
+    tree = ast.parse(source)
+    [main_def] = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main"]
+    in_main = ast.get_source_segment(source, main_def)
+    for prefix in ("validation error: ", "exactness error: "):
+        assert source.count(prefix) == 1 and prefix in in_main
+
+    def mapped_handlers(node):
+        named = ({n.id for n in ast.walk(h.type) if isinstance(n, ast.Name)}
+                 for h in ast.walk(node) if isinstance(h, ast.ExceptHandler) and h.type)
+        return [names for names in named if names & {"ExactnessError", "ValidationError",
+                                                     "MeshError"}]
+
+    expected = [{"ExactnessError"}, {"ValidationError", "MeshError"}]
+    assert mapped_handlers(tree) == mapped_handlers(main_def) == expected
 
 
 def test_cmd_primitive_oracle(tmp_path, capsys):

@@ -11,7 +11,8 @@ from prismal.fixtures import (triangle_fan, five_over_two, square_over_edge,
 from prismal import primitive
 from prismal.forms import (CoordSystem, Form, Poly, canonicalize, d,
                            eliminate_poly, equal_mod_relations, pi_context, pullback,
-                           relative_d, simplex_context, vertical_part, wedge, whitney_form)
+                           relative_d, restrict_to_face, simplex_context, vertical_part,
+                           wedge, whitney_form)
 from prismal.mesh import Simplex, SimplicialComplex, SimplicialMorphism, perm_sign
 from prismal.primitive import (ExactnessError, RelFace,
                                admissible_drops, assemble_C,
@@ -535,6 +536,28 @@ def test_horizontal_chain_coherence():
     chains = [(rep.tau, rep.tau_face) for rep in result.horizontal]
     assert (S(100, 101, 102), S(100,)) in chains
     assert (S(100, 101), S(100,)) in chains
+
+
+def test_shift_lifts_a_face_mismatch_by_vertex():
+    # over F = <101> the prism's fiber group m:1 = <2,3> is renumbered m:0,
+    # the tag the prism gives the fiber <0,1> over 100: the lift goes by vertex
+    f, tau, face = square_over_edge(), S(100, 101), S(101,)
+    pd = build_primitive_over(f, global_input(f, [(0, 2)]), tau, 1).prisms[S(0, 1, 2, 3)]
+    chart = specialization_chart(pd.psi.source, face)
+    cell = f.restriction_to(pd.sigma, face)
+    base, *fibers = chart.source.groups
+    ctx = CoordSystem((base, *((tag, tuple(v for v in verts if v in cell.vset))
+                               for tag, verts in fibers)))
+    assert ctx.groups == (("t", (101,)), ("m:0", (2, 3)))
+    t, mu2, mu3 = (Poly.variable(ctx, i) for i in range(3))
+    m = Form(ctx, {(): t * mu3, (1,): t * mu2})
+    H, correction = pd.H, pd.correction
+    lifted = pd.shift(m)
+    pctx = pd.psi.source
+    T, M2, M3 = (Poly.variable(pctx, pctx.index[n]) for n in ("t:101", "m:1:2", "m:1:3"))
+    assert lifted == Form(pctx, {(): T * M3, (pctx.index["m:1:2"],): T * M2})
+    assert pd.H == H + lifted and pd.correction == correction + lifted
+    assert restrict_to_face(pullback(chart, lifted), ctx) == m
 
 
 def computed_once_case(fixture):
