@@ -16,7 +16,10 @@ Pipeline, per base simplex tau and maximal source simplex sigma over it:
    specialization must match the face's primitive (`check_horizontal`),
    then check each prism once, before the next cell is built: the residual
    base-volume ^ (pullback(input) - d(primitive)) and the descent to the
-   raw sheaf (`descend_form`, `check_descent`), kept on its `PrismData`.
+   raw sheaf, kept on its `PrismData`: `descend_form` writes H as one
+   numerator on sigma x tau over a power of the fiber masses u, never
+   expanding a power of u, and `check_descent` pulls it back through
+   (psi, pi) once f o psi = pi holds literally.
 
 `sheaf.psi_coordinate_map` is the one place where a pair (f, sigma) becomes
 coordinates.  Every later stage reads sigma's trivial prism from its
@@ -34,7 +37,8 @@ suites); `weighted_whitney` builds both t-weighted Whitney sums of step 3
 both closing residuals (`verify_theodg` reports the last one),
 `_restricted_difference` compares two primitives on a shared cell, and
 `PrismData.shift` is the one lift of a mismatch into a prism, for the walk
-and the face gauge alike.  Each pipeline sum is one pass over int
+and the face gauge alike, and `descend_form` the one descent, read by the
+writer and by `check_descent`.  Each pipeline sum is one pass over int
 numerators and one `_lowest`.
 
 All the arithmetic is rational, the optional shrinking-average oracle for
@@ -522,99 +526,93 @@ def _verify_overlaps(tau, prisms, edges) -> None:
 def descend_form(H: Form, sctx: CoordSystem) -> tuple[Form, tuple[int, ...]]:
     """Clear the blow-down substitution mu = lambda/u, t = u.
 
-    Returns (numerator N over the simplex context `sctx` of the source
-    cell, exponents m per fiber group) with pullback(psi, N) = t^m * H
-    modulo the relations: the simplex-side form N / prod u_j^{m_j} pulls
-    back to H.
+    Returns (numerator N, exponents m per fiber group): N / prod u_j^{m_j}
+    is H read on the raw sheaf.  N lives on sigma x tau, with the groups
+    ("l", the vertices of the simplex context `sctx` of the source cell) and
+    ("u", the base vertices); read on the graph of f, u:y is the fiber mass,
+    the sum of the l:v over y.
 
-    A term c t^a mu^b dv of H becomes c u^a lambda^b W_dv / u^den, where
+    A term c t^a mu^b dv of H becomes c u^(a + m - den) lambda^b W_dv, where
     W_dv wedges du_j for each dt_j and u_j dlambda - lambda du_j (the
-    cleared d(lambda/u_j), den 2) for each dmu.  Over the common
-    denominator u^m, the terms are grouped by dv and by their leftover
-    power u^(a + m - den), so each power of u expands once per group.  The
+    cleared d(lambda/u_j), den 2) for each dmu.  A term whose dv holds every
+    dmu of a fiber group is dropped: on the graph its W_dv is zero.  The
     products run on int numerators, over the lcm `scale` of the
     denominators of H, and N accumulates in one int dict per wedge.
     """
     pctx = H.ctx
-    base_tag, base_verts = pctx.groups[0]
-    fiber_groups = pctx.groups[1:]
+    (base_tag, base_verts), *fiber_groups = pctx.groups
     nfib = len(fiber_groups)
+    nctx = CoordSystem((sctx.groups[0], ("u", base_verts)))
+    us = [nctx.var("u", y) for y in base_verts]
     t_group = {pctx.var(base_tag, y): j for j, y in enumerate(base_verts)}
-    lam: dict[int, tuple[int, int]] = {}  # mu var -> (fiber group, lambda var)
-    for j, (tag, verts) in enumerate(fiber_groups):
-        for v in verts:
-            lam[pctx.index[f"{tag}:{v}"]] = (j, sctx.var("l", v))
-    xs = [[sctx.var("l", v) for v in verts] for _, verts in fiber_groups]
-    us = [Poly._make(sctx, {1 << _W * x: 1 for x in g}) for g in xs]
-    dus = [Form._make(sctx, {(x,): Poly.const(sctx, 1) for x in g}) for g in xs]
+    lam = {pctx.index[f"{tag}:{v}"]: (j, nctx.var("l", v))  # mu var -> (fiber group, lambda var)
+           for j, (tag, verts) in enumerate(fiber_groups) for v in verts}
 
     @functools.cache
     def cleared_d(i: int) -> Form:
         if i in t_group:
-            return dus[t_group[i]]
+            return Form.d_var(nctx, us[t_group[i]])
         j, x = lam[i]
-        return Form.d_var(sctx, x) * us[j] - dus[j] * Poly.variable(sctx, x)
+        return (Form.d_var(nctx, x) * Poly.variable(nctx, us[j])
+                - Form.d_var(nctx, us[j]) * Poly.variable(nctx, x))
 
     scale = H.den
-    wedges: dict[tuple[int, ...], Form] = {}
-    terms = []  # (dv, den, a, lambda exponents, scale * c)
+    terms = []  # (dv, den, key of u^a lambda^b, scale * c)
     for dv, p in H.terms.items():
-        w = Form.const(sctx, 1)
         dv_den = [0] * nfib
         for i in dv:
-            w = wedge(w, cleared_d(i))
             if i in lam:
                 dv_den[lam[i][0]] += 2
-        if w.is_zero:
-            continue
-        wedges[dv] = w
+        if any(n == 2 * len(verts) for n, (_, verts) in zip(dv_den, fiber_groups)):
+            continue  # every dmu of a fiber group: W_dv is zero on the graph
         lift = scale // p.den
         for e, c in p.num.items():
-            den, a, b = dv_den[:], [0] * nfib, 0
+            den, key = dv_den[:], 0
             for i, n in enumerate(_unpack(pctx.nvars, e)):
                 if not n:
                     continue
                 if i in t_group:
-                    a[t_group[i]] += n
+                    key += n << _W * us[t_group[i]]
                 else:
                     j, x = lam[i]
                     den[j] += n
-                    b += n << _W * x  # the key of lambda^b, one mu per lambda
-            terms.append((dv, den, a, b, c * lift))
+                    key += n << _W * x  # one mu per lambda
+            terms.append((dv, den, key, c * lift))
 
-    if not terms:
-        return Form.zero(sctx), (0,) * nfib
-    m = tuple(max(den[j] for _, den, _, _, _ in terms) for j in range(nfib))
-    groups: dict[tuple[int, ...], dict[tuple[int, ...], dict]] = {}
-    for dv, den, a, b, c in terms:
-        k = tuple(a[j] + m[j] - den[j] for j in range(nfib))
-        mons = groups.setdefault(dv, {}).setdefault(k, {})
-        mons[b] = mons.get(b, 0) + c
-
-    # the ladder u_j^n = u_j^(n-1) u_j, up to the largest n met; the cleared
-    # wedges and the powers of u have int coefficients (den 1)
-    powers = [list(itertools.accumulate([u] * max(k[j] for by_k in groups.values() for k in by_k),
-                                        Poly.__mul__, initial=Poly.const(sctx, 1)))
-              for j, u in enumerate(us)]
+    m = tuple(max((den[j] for _, den, _, _ in terms), default=0) for j in range(nfib))
+    by_dv: dict[tuple[int, ...], dict] = {}
+    for dv, den, key, c in terms:
+        key += sum((m[j] - den[j]) << _W * us[j] for j in range(nfib))  # u^(a + m - den)
+        mons = by_dv.setdefault(dv, {})
+        mons[key] = mons.get(key, 0) + c
     acc: dict[tuple[int, ...], dict] = {}
-    u_ks: dict[tuple[int, ...], Poly] = {}  # u^k, once per exponent vector k
-    for dv, by_k in groups.items():
-        coeff: dict = {}
-        for k, mons in by_k.items():
-            if k not in u_ks:
-                u_ks[k] = math.prod((powers[j][n] for j, n in enumerate(k) if n),
-                                    start=Poly.const(sctx, 1))
-            _mul_into(coeff, mons, u_ks[k].num)
-        for w, p in wedges[dv].terms.items():
-            _mul_into(acc.setdefault(w, {}), p.num, coeff)
-    return Form._from_acc(sctx, acc, scale), m
+    for dv, mons in by_dv.items():
+        w = functools.reduce(wedge, map(cleared_d, dv), Form.const(nctx, 1))
+        for wv, p in w.terms.items():  # the cleared wedges have int coefficients
+            _mul_into(acc.setdefault(wv, {}), p.num, mons)
+    return Form._from_acc(nctx, acc, scale), m
 
 
 def check_descent(H: Form, psi: CoordMap,
                   descended: tuple[Form, tuple[int, ...]]) -> bool:
-    """pullback of the descended numerator equals t^m * H, canonically."""
+    """The descended numerator N over sigma x tau pulls back to t^m * H,
+    canonically, through (psi, pi): lambda by psi, u:y to t:y.
+
+    First f o psi = pi: each fiber mass U_j, the sum of the lambda of
+    group j, pulls back by psi to t_j, canonically.  Since
+    `canonicalize` respects products and d, psi* of N with u expanded and
+    (psi, pi)* N then have the same canonical form."""
     N, m = descended
-    return canonicalize(pullback(psi, N) - H * t_monomial(psi.source, m)).is_zero
+    pctx, sctx = psi.source, psi.target
+    ts = [Poly.variable(pctx, i) for i in pctx.group_vars[0]]
+    for t, (_, verts) in zip(ts, pctx.groups[1:]):
+        U = sum((Poly.variable(sctx, sctx.var("l", v)) for v in verts), Poly.zero(sctx))
+        if not canonicalize(pullback(psi, Form.from_poly(U)) - Form.from_poly(t)).is_zero:
+            return False
+    images = dict(zip(sctx.names, psi.images))
+    images.update((f"u:{y}", t) for y, t in zip(pctx.groups[0][1], ts))
+    graph = CoordMap.build(pctx, N.ctx, images)
+    return canonicalize(pullback(graph, N) - H * t_monomial(pctx, m)).is_zero
 
 
 # ---------------------------------------------------------------------------

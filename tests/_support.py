@@ -1,11 +1,13 @@
 """Tools the tests use to check the package: a chain boundary, orientation
 reversal, the oracle's average as a polynomial in eps, writers of CLI
-inputs, a reader of written forms, a sheaf reader, cell-map composition,
-and the morphisms only the tests build."""
+inputs, a reader of written forms, the expansion of a written numerator, a
+sheaf reader, cell-map composition, and the morphisms only the tests build."""
 
+import hashlib
+import json
 from fractions import Fraction as Q
 
-from prismal.forms import Form
+from prismal.forms import CoordSystem, Form, Poly, d, wedge
 from prismal.io import context_from_dict, form_from_list
 from prismal.mesh import Prism, PrismalSet, Simplex, SimplicialComplex, SimplicialMorphism
 from prismal.primitive import oracle_A
@@ -74,6 +76,57 @@ def morphism_to_dict(f: SimplicialMorphism) -> dict:
 def form_from_dict(dd: dict) -> Form:
     """The form of a `form_to_dict` dump, such as an H of `prismal primitive`."""
     return form_from_list(context_from_dict(dd["context"]), dd.get("terms", []))
+
+
+def expand_numerator(N: Form, fibers: dict[int, tuple[int, ...]]) -> Form:
+    """A written H_S numerator on sigma's simplex context (N's "l" group),
+    with each fiber mass expanded: u:y becomes the sum of the l:v over
+    `fibers[y]` and d(u:y) the sum of their d l:v.  A numerator without a
+    "u" group comes back as it is."""
+    ctx = CoordSystem((N.ctx.groups[0],))
+    lam = lambda v: Poly.variable(ctx, ctx.var("l", v))
+    images = [lam(v) if tag == "l" else sum(map(lam, fibers[v]), Poly.zero(ctx))
+              for tag, verts in N.ctx.groups for v in verts]
+    powers = {}  # (variable, n) -> images[variable] ** n, built up one factor at a time
+
+    def power(i, n):
+        for k in range(1, n + 1):
+            if (i, k) not in powers:
+                powers[i, k] = powers[i, k - 1] * images[i] if k > 1 else images[i]
+        return powers[i, n]
+
+    out = Form.zero(ctx)
+    for dv, p in N.terms.items():
+        w = Form.const(ctx, 1)
+        for i in dv:
+            w = wedge(w, d(Form.from_poly(images[i])))
+        acc: dict = {}
+        for e, c in p.terms.items():
+            prod = Poly.const(ctx, c)
+            for i, n in enumerate(e):
+                if n:
+                    prod = prod * power(i, n)
+            for e2, c2 in prod.terms.items():
+                acc[e2] = acc.get(e2, 0) + c2
+        out = out + w * Poly(ctx, acc)
+    return out
+
+
+def numerator_digest(output: dict) -> str:
+    """sha256 of every expanded H_S numerator of a `prismal primitive`
+    output, as sorted (wedge names, exponents, coefficient) rows per prism;
+    the fiber over each base vertex is read from the context of the prism's H."""
+    names_rows = {}
+    for cell, entry in sorted(output["base_cells"].items()):
+        for key, hs in sorted(entry["H_S"].items()):
+            base, *fiber_groups = entry["prisms"][key]["H"]["context"]["groups"]
+            fibers = {y: tuple(g["vertices"]) for y, g in zip(base["vertices"], fiber_groups)}
+            N = expand_numerator(form_from_dict(hs["numerator"]), fibers)
+            names = N.ctx.names
+            names_rows[f"{cell}|{key}"] = sorted(
+                [[names[i] for i in dv], [[names[i], n] for i, n in enumerate(e) if n], str(c)]
+                for dv, p in N.terms.items() for e, c in p.terms.items())
+    return hashlib.sha256(json.dumps(names_rows, sort_keys=True).encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -867,21 +867,32 @@ def _check_a_large_exponent(tmp_path, k, extra=()):
     return data
 
 
+def _monomials(form: dict) -> int:
+    return sum(len(term["poly"]) for term in form["terms"])
+
+
 def test_primitive_with_a_large_exponent(tmp_path):
-    # the descent expands every power of the fiber masses densely: k = 130
-    # takes about 1.6 s on a 2-core VM, and k = 140 already 2 s
-    _check_a_large_exponent(tmp_path, 130)
+    # the descended numerator keeps each fiber mass u as a variable, so it
+    # grows with H, not with the powers of u: each N has at most 2^r times
+    # H's monomials, and k = 300 takes about 0.3 s on a 2-core VM and
+    # writes 1.4 MB
+    data = _check_a_large_exponent(tmp_path, 300)
+    assert (tmp_path / "h.json").stat().st_size < 2_000_000
+    for cell in data["base_cells"].values():
+        for key, hs in cell["H_S"].items():
+            H = cell["prisms"][key]["H"]
+            assert _monomials(hs["numerator"]) <= 2 ** data["degree"] * _monomials(H), key
 
 
 def test_oracle_at_a_large_exponent(tmp_path):
     # the oracle averages each A_phi of degree 130 by the Dirichlet formula:
-    # it adds well under a second to the run above
+    # the whole run takes well under a second
     assert _check_a_large_exponent(tmp_path, 130, ("--oracle-eps", "1/10000"))["oracle"]
 
 
 @pytest.mark.slow
 def test_primitive_with_exponent_1000(tmp_path):
-    # minutes and over a GB, not seconds: kept out of tier-1 (-m slow runs it)
+    # about 5 s and 175 MB on a 2-core VM: kept out of tier-1 (-m slow runs it)
     _check_a_large_exponent(tmp_path, 1000)
 
 

@@ -7,6 +7,12 @@ universes at `--max-dim 3 --seed 0` and `--max-dim 5 --seed 7`; the sha256
 of every output file must match `data/output_digests.json`.  A change that
 alters the primitives on purpose (a new gauge or fiber homotopy) updates
 those digests in the same change and names the ones that moved.
+
+The descended numerators have goldens of their own, independent of how they
+are written: every pinned primitive output, two fibred grids and the triangle
+fan with l_3^130 dl_3 are read back, each numerator is expanded into
+monomials of its simplex (`_support.numerator_digest`), and the sha256 of
+those rows must match `data/numerator_digests.json`.
 """
 
 import hashlib
@@ -22,10 +28,14 @@ from prismal.fixtures import (five_over_two, square_over_edge, tetra_pair_over_t
 from prismal.forms import Form, Poly, d, simplex_context
 from prismal.io import form_to_dict
 from prismal.mesh import SimplicialComplex, SimplicialMorphism
-from _support import collapse_edge, complex_to_dict, cylinder_over_edge, morphism_to_dict
+from _support import (collapse_edge, complex_to_dict, cylinder_over_edge, morphism_to_dict,
+                      numerator_digest)
+from test_io_cli import _check_a_large_exponent
 from test_primitive import S, fibred_grid
 
-DIGESTS = json.loads((Path(__file__).parent / "data" / "output_digests.json").read_text())
+DATA = Path(__file__).parent / "data"
+DIGESTS = json.loads((DATA / "output_digests.json").read_text())
+NUMERATOR_DIGESTS = json.loads((DATA / "numerator_digests.json").read_text())
 
 # name -> (fixture, degree r, alpha): omega = d(alpha), alpha a sum of
 # c * prod(l_v for v in monomial) * d l_w1 ^ ... over the listed dvars
@@ -53,6 +63,16 @@ ORACLE_CASES = {
         lambda: SimplicialMorphism(SimplicialComplex([S(0, 1, 2, 3), S(1, 2, 3, 4)]),
                                    SimplicialComplex([S(100)]), {v: 100 for v in range(5)}),
         2, [(1, (1, 1, 2), (3,)), (-2, (2,), (4,))]),
+}
+
+# name -> (fixture, degree r, alpha) of the fibred grids whose expanded
+# numerators are pinned, alpha a global polynomial (a monomial lives on the
+# cells holding all its vertices)
+GRID_CASES = {
+    "primitive/fibred_grid/2x3/r1": (lambda: fibred_grid(2, 3), 1, [
+        (1, (0, 5), ()), (Q(-2, 3), (1, 5, 6), ()), (3, (5, 5), ()), (1, (6,), ())]),
+    "primitive/fibred_grid/3x4/r1": (lambda: fibred_grid(3, 4), 1, [
+        (1, (0, 6), ()), (Q(-2, 3), (1, 6, 7), ()), (3, (6, 6), ()), (1, (12,), ())]),
 }
 
 # name -> morphism whose two sheaves `prismal sheaf --dump-sheaf` writes
@@ -103,16 +123,23 @@ def write_inputs(directory: Path, fixture, alpha) -> list[str]:
     return [*args, "--form", str(form)]
 
 
+def run_primitive(directory: Path, name: str, fixture, r, alpha, *extra) -> tuple[int, Path]:
+    """Exit code and output path of `prismal primitive --check-horizontal`
+    on d(alpha), run in a directory of its own."""
+    case_dir = directory / name.replace("/", "_")
+    case_dir.mkdir()
+    target = case_dir / "primitive.json"
+    rc = main(["primitive", *write_inputs(case_dir, fixture, alpha), *extra,
+               "--out", str(target), "--degree", str(r), "--check-horizontal"])
+    return rc, target
+
+
 def output_digests(directory: Path) -> dict[str, tuple[int, str]]:
     """(exit code, sha256 of the output file) of every pinned command."""
     out = {}
     for name, (fixture, r, alpha) in {**PRIMITIVE_CASES, **ORACLE_CASES}.items():
-        case_dir = directory / name.replace("/", "_")
-        case_dir.mkdir()
-        target = case_dir / "primitive.json"
         oracle = ["--oracle-eps", "1/10000"] if name in ORACLE_CASES else []
-        rc = main(["primitive", *write_inputs(case_dir, fixture, alpha), *oracle,
-                   "--out", str(target), "--degree", str(r), "--check-horizontal"])
+        rc, target = run_primitive(directory, name, fixture, r, alpha, *oracle)
         out[name] = (rc, _sha256(target))
     for name, fixture in SHEAF_CASES.items():
         case_dir = directory / name.replace("/", "_")
@@ -128,9 +155,34 @@ def output_digests(directory: Path) -> dict[str, tuple[int, str]]:
     return out
 
 
+def numerator_digests(directory: Path) -> dict[str, str]:
+    """`numerator_digest` of every primitive output `output_digests` wrote
+    in `directory`, of the fibred grids and of the large-exponent probe."""
+    outputs = {name: directory / name.replace("/", "_") / "primitive.json"
+               for name in {**PRIMITIVE_CASES, **ORACLE_CASES}}
+    for name, (fixture, r, alpha) in GRID_CASES.items():
+        rc, outputs[name] = run_primitive(directory, name, fixture, r, alpha)
+        assert rc == 0, name
+    out = {name: numerator_digest(json.loads(path.read_text())) for name, path in outputs.items()}
+    probe = directory / "large_exponent"
+    probe.mkdir()
+    out["primitive/triangle_fan/l3^130"] = numerator_digest(_check_a_large_exponent(probe, 130))
+    return out
+
+
 @pytest.fixture(scope="module")
-def digests(tmp_path_factory):
-    return output_digests(tmp_path_factory.mktemp("outputs"))
+def outputs(tmp_path_factory):
+    return tmp_path_factory.mktemp("outputs")
+
+
+@pytest.fixture(scope="module")
+def digests(outputs):
+    return output_digests(outputs)
+
+
+@pytest.fixture(scope="module")
+def numerators(outputs, digests):
+    return numerator_digests(outputs)
 
 
 @pytest.mark.parametrize("name", sorted(DIGESTS))
@@ -142,3 +194,12 @@ def test_output_bytes_match_the_golden_digest(digests, name):
 
 def test_every_pinned_command_has_a_digest(digests):
     assert sorted(digests) == sorted(DIGESTS)
+
+
+@pytest.mark.parametrize("name", sorted(NUMERATOR_DIGESTS))
+def test_expanded_numerator_matches_the_golden_digest(numerators, name):
+    assert numerators[name] == NUMERATOR_DIGESTS[name]
+
+
+def test_every_pinned_numerator_has_a_digest(numerators):
+    assert sorted(numerators) == sorted(NUMERATOR_DIGESTS)

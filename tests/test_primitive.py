@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from prismal.fixtures import (triangle_fan, five_over_two, square_over_edge,
                               tetra_pair_over_triangle)
 from prismal import primitive
-from prismal.forms import (CoordSystem, Form, Poly, canonicalize, d,
+from prismal.forms import (CoordMap, CoordSystem, Form, Poly, canonicalize, d,
                            eliminate_poly, equal_mod_relations, pi_context, pullback,
                            relative_d, restrict_to_face, simplex_context, vertical_part,
                            wedge, whitney_form)
@@ -435,7 +435,9 @@ def test_descend_form_zero_input():
     C = assemble_C(A, 1, psi, compose_psi(A, psi))
     H = c_part_form(C, psi) + vertical_gluing(Form.zero(psi.source), sigma)
     N, m = descend_form(H, sc)
-    assert H.is_zero and N.is_zero
+    assert H.is_zero and N.is_zero and m == (0, 0)
+    # a zero numerator has the sigma x tau context of every other
+    assert N.ctx == CoordSystem((("l", sigma.vertices), ("u", psi.source.groups[0][1])))
 
 
 def test_triangle_fan_end_to_end_with_descent():
@@ -459,27 +461,45 @@ def test_descend_form_with_base_differentials():
     assert check_descent(H, psi, descended)
 
 
-def test_check_descent_rejects_a_wrong_numerator_or_exponent():
-    # the fiber-chart-first reduction must still see a one-coefficient change
-    # of N and an exponent of u that is off by one
-    f = five_over_two()
+def cube_fiber_prism():
+    """The prism of the cube fiber at r = 2, and its descended (N, m)."""
     sigma = S(0, 1, 2, 3, 4, 5)
     sc = simplex_context(sigma)
     lam = lambda v: Poly.variable(sc, sc.var("l", v))
     alpha = Form(sc, {(sc.var("l", 5),): lam(1) * lam(3)})
-    prim = build_primitive_over(f, {sigma: d(alpha)}, S(100, 101, 102), 2)
-    pd = prim.prisms[sigma]
-    N, m = descend_form(pd.H, sc)
+    pd = build_primitive_over(five_over_two(), {sigma: d(alpha)}, S(100, 101, 102), 2).prisms[sigma]
+    return pd, descend_form(pd.H, sc)
+
+
+def test_check_descent_rejects_a_wrong_numerator_or_exponent():
+    # the check must still see a one-coefficient change of N, made in N's
+    # own sigma x tau context, and an exponent of u that is off by one
+    pd, (N, m) = cube_fiber_prism()
+    assert N.ctx == CoordSystem((("l", (0, 1, 2, 3, 4, 5)), ("u", (100, 101, 102))))
     assert check_descent(pd.H, pd.psi, (N, m))
     dv, p = next(iter(N.terms.items()))
     e = next(iter(p.terms))
-    bumped = N + Form(sc, {dv: Poly(sc, {e: Q(1, 3)})})
+    bumped = N + Form(N.ctx, {dv: Poly(N.ctx, {e: Q(1, 3)})})
     assert not check_descent(pd.H, pd.psi, (bumped, m))
     for j in range(len(m)):
         for step in (1, -1):
             off = tuple(mj + step * (k == j) for k, mj in enumerate(m))
             if min(off) >= 0:
                 assert not check_descent(pd.H, pd.psi, (N, off)), (j, step)
+
+
+def test_check_descent_rejects_a_psi_off_the_morphism(monkeypatch):
+    # a psi with two fiber variables swapped across groups (l:1 over 100,
+    # l:2 over 101) is no blow-down of f: the f o psi = pi step rejects it,
+    # before N is pulled back
+    pd, (N, m) = cube_fiber_prism()
+    images = list(pd.psi.images)
+    a, b = (pd.psi.target.var("l", v) for v in (1, 2))
+    images[a], images[b] = images[b], images[a]
+    swapped = CoordMap(pd.psi.source, pd.psi.target, tuple(images))
+    calls = count_calls(monkeypatch, "pullback")
+    assert not check_descent(pd.H, swapped, (N, m))
+    assert calls["pullback"] and all(args[1] is not N for args in calls["pullback"])
 
 
 def test_residual_reports_only_the_prism_with_a_vertical_defect():
@@ -586,8 +606,10 @@ def count_calls(monkeypatch, *names):
 @pytest.mark.parametrize("fixture", ["triangle_fan", "five_over_two"])
 def test_each_prism_quantity_is_computed_once(monkeypatch, fixture):
     # psi* eta, the compositions A_phi o psi and the Whitney combination are
-    # built once per prism: through each prism's psi, one pullback of its eta
-    # and one of its descended numerator; the residual check reuses them
+    # built once per prism, and the residual check reuses them.  Through each
+    # prism's psi, one pullback of its eta and one of each fiber mass U_j
+    # (the descent check's f o psi = pi); through (psi, pi), one of its
+    # descended numerator
     f, r, omega = computed_once_case(fixture)
     calls = count_calls(monkeypatch, "whitney_combination", "compose_psi", "pullback")
     result = build_relative_primitive(f, omega, r)
@@ -595,8 +617,14 @@ def test_each_prism_quantity_is_computed_once(monkeypatch, fixture):
     assert len(prisms) > 1 and residuals_zero(result)
     assert len(calls["whitney_combination"]) == len(calls["compose_psi"]) == len(prisms)
     for pd in prisms:  # the gluing walk and the gauge pull back through other maps
+        sc, pctx = pd.psi.target, pd.psi.source
+        masses = [Form.from_poly(sum((Poly.variable(sc, sc.var("l", v)) for v in verts),
+                                     Poly.zero(sc))) for _, verts in pctx.groups[1:]]
         assert [args[1] for args in calls["pullback"] if args[0] is pd.psi] == [
-            pd.eta, pd.descended[0]]
+            pd.eta, *masses]
+        N = pd.descended[0]
+        [graph] = [args[0] for args in calls["pullback"] if args[1] is N]
+        assert (graph.source, graph.target) == (pctx, N.ctx)
 
 
 @pytest.mark.parametrize("fixture", ["triangle_fan", "five_over_two"])
