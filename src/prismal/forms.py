@@ -25,7 +25,7 @@ Every Whitney form comes from one constructor, `whitney_form(ctx, cell)`,
 a function of the cell's index layout (the variable indices of each group's
 vertex subset): it builds the int terms once per layout, in a bounded
 module-level cache that `cache_clear` empties with the others, and wraps
-them in fresh Poly and Form objects for each context.  The canonical base
+them in a fresh Form for each context.  The canonical base
 volume is cached the same way, per group layout.
 
 Every coordinate map the package builds (the blow-down psi, face
@@ -38,11 +38,13 @@ once per wedge; the products accumulate on integer numerators.
 
 All coefficients are exact rationals, never floats.  A `Poly` stores int
 numerators over one positive denominator prime to their content (FLINT's
-fmpq_poly layout).  Kernel operations work on the numerators: products
-multiply the denominators, sums and form-level operations bring theirs to
-an lcm, and `_lowest` cancels one gcd per result.  `Poly.terms` is a
-read-only view, each coefficient an int when integral and a `Fraction`
-otherwise.  Constructors and scalar operands take ints and Fractions only.
+fmpq_poly layout), and a `Form` the numerators of all its wedges over one
+such denominator.  Kernel operations work on the numerators: products
+multiply the denominators, sums bring theirs to an lcm, and one gcd per
+result cancels.  `Poly.terms` is a read-only view, each coefficient an int
+when integral and a `Fraction` otherwise; `Form.terms`, built on first
+read, holds one such Poly per wedge.  Constructors and scalar operands take
+ints and Fractions only.
 
 Each monomial is one int key, the exponent of variable i in bits 16i to
 16i+15, so a product of monomials adds keys.  An exponent is at most 32767
@@ -208,8 +210,9 @@ def _rational(c):
 
 def _lowest(acc: dict, den: int) -> tuple[dict, int]:
     """The int accumulator acc over den in lowest terms: its nonzero
-    numerators and a denominator prime to their content (1 for zero)."""
-    num = {e: c for e, c in acc.items() if c}
+    numerators and a denominator prime to their content (1 for zero).  A
+    zero-free accumulator with nothing to cancel is returned, not copied."""
+    num = {e: c for e, c in acc.items() if c} if 0 in acc.values() else acc
     if den != 1:
         g = math.gcd(den, *num.values())  # den itself when num is empty
         if g != 1:
@@ -441,43 +444,67 @@ class Poly:
 
 
 class Form:
-    """Differential form with Poly coefficients; wedge part stored sorted."""
+    """Differential form over Q: `num` maps each sorted wedge to int
+    numerators by packed key over the one positive denominator `den`, with
+    no empty wedge, no zero numerator and gcd(den, every numerator) = 1.
+    `terms` is the read-only view by wedge, a Poly in lowest terms each."""
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "num", "den", "_terms")
 
     def __init__(self, ctx: CoordSystem, terms: Mapping[tuple[int, ...], Poly] | None = None):
+        polys = {}
+        for dv, p in (terms or {}).items():
+            dv = tuple(dv)
+            if list(dv) != sorted(set(dv)):
+                raise FormError(f"wedge indices must be strictly increasing: {dv}")
+            if p:
+                polys[dv] = p
+        # each Poly is in lowest terms, so no prime of the lcm divides every numerator
+        den = math.lcm(1, *(p.den for p in polys.values()))
         self.ctx = ctx
-        self.terms: dict[tuple[int, ...], Poly] = {}
-        if terms:
-            for dv, p in terms.items():
-                dv = tuple(dv)
-                if list(dv) != sorted(set(dv)):
-                    raise FormError(f"wedge indices must be strictly increasing: {dv}")
-                if p:
-                    self.terms[dv] = p
+        self.num = {dv: p.num if p.den == den else {e: c * (den // p.den) for e, c in p.num.items()}
+                    for dv, p in polys.items()}
+        self.den = den
+        self._terms = None
 
     @classmethod
-    def _make(cls, ctx: CoordSystem, terms: dict) -> "Form":
-        """Trusted constructor: sorted wedge keys, nonzero Poly values."""
+    def _make(cls, ctx: CoordSystem, num: dict, den: int = 1) -> "Form":
+        """Trusted constructor: `num` over `den` already has the layout."""
         f = object.__new__(cls)
         f.ctx = ctx
-        f.terms = terms
+        f.num = num
+        f.den = den
+        f._terms = None
         return f
 
     @classmethod
     def _from_acc(cls, ctx: CoordSystem, acc: dict, den: int = 1) -> "Form":
-        """A form from per-wedge int numerator accumulators over `den`."""
-        terms = {}
+        """A form from per-wedge int accumulators over `den`: zeros and empty
+        wedges go, and one gcd over the whole form cancels.  A zero-free
+        accumulator becomes a numerator itself, not a copy."""
+        num = {}
         for dv, t in acc.items():
-            num, pden = _lowest(t, den)
-            if num:
-                terms[dv] = Poly._make(ctx, num, pden)
-        return cls._make(ctx, terms)
+            if 0 in t.values():
+                t = {e: c for e, c in t.items() if c}
+            if t:
+                num[dv] = t
+        if den != 1:
+            g = den
+            for t in num.values():
+                g = math.gcd(g, *t.values())
+                if g == 1:
+                    break
+            if g != 1:  # den itself when num is empty
+                den //= g
+                num = {dv: {e: c // g for e, c in t.items()} for dv, t in num.items()}
+        return cls._make(ctx, num, den)
 
     @property
-    def den(self) -> int:
-        """The lcm of the coefficients' denominators."""
-        return math.lcm(1, *(p.den for p in self.terms.values()))
+    def terms(self) -> Mapping[tuple[int, ...], Poly]:
+        if self._terms is None:
+            self._terms = MappingProxyType({
+                dv: Poly._make(self.ctx, *_lowest(t, self.den)) for dv, t in self.num.items()})
+        return self._terms
 
     @classmethod
     def zero(cls, ctx: CoordSystem) -> "Form":
@@ -485,7 +512,7 @@ class Form:
 
     @classmethod
     def from_poly(cls, p: Poly) -> "Form":
-        return cls._make(p.ctx, {(): p} if p else {})
+        return cls._make(p.ctx, {(): p.num} if p else {}, p.den)
 
     @classmethod
     def const(cls, ctx: CoordSystem, c) -> "Form":
@@ -493,59 +520,65 @@ class Form:
 
     @classmethod
     def d_var(cls, ctx: CoordSystem, i: int) -> "Form":
-        return cls(ctx, {(i,): Poly.const(ctx, 1)})
+        return cls._make(ctx, {(i,): {0: 1}})
 
     def _chk(self, other: "Form"):
         if self.ctx != other.ctx:
             raise ContextError("forms live in different contexts")
 
-    def __add__(self, other: "Form") -> "Form":
+    def __add__(self, other: "Form", sign: int = 1) -> "Form":
+        """self + sign * other, over the lcm of the denominators."""
         self._chk(other)
-        t = dict(self.terms)
-        for dv, p in other.terms.items():
-            if dv in t:
-                s = t[dv] + p
-                if s:
-                    t[dv] = s
-                else:
-                    del t[dv]
-            else:
-                t[dv] = p
-        return Form._make(self.ctx, t)
+        den = math.lcm(self.den, other.den)
+        s, o = den // self.den, sign * (den // other.den)
+        acc = {dv: t if s == 1 else {e: c * s for e, c in t.items()} for dv, t in self.num.items()}
+        for dv, t in other.num.items():
+            mine = acc.get(dv)
+            if mine is None:
+                acc[dv] = t if o == 1 else {e: c * o for e, c in t.items()}
+                continue
+            if s == 1:  # self's own numerators: add into a copy
+                mine = acc[dv] = dict(mine)
+            _add_into(mine, t, o)
+        return Form._from_acc(self.ctx, acc, den)
+
+    def __sub__(self, other: "Form") -> "Form":
+        return self.__add__(other, -1)
 
     def __neg__(self):
-        return Form._make(self.ctx, {dv: -p for dv, p in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
+        return Form._make(self.ctx, {dv: {e: -c for e, c in t.items()}
+                                     for dv, t in self.num.items()}, self.den)
 
     def __mul__(self, scalar):
-        if not isinstance(scalar, Poly):
-            scalar = _rational(scalar)
-        terms = {}
-        for dv, p in self.terms.items():
-            q = p * scalar
-            if q:
-                terms[dv] = q
-        return Form._make(self.ctx, terms)
+        if isinstance(scalar, Poly):
+            if scalar.ctx is not self.ctx and scalar.ctx != self.ctx:
+                raise ContextError("polynomials live in different contexts")
+            acc: dict = {}
+            for dv, t in self.num.items():
+                _mul_into(acc.setdefault(dv, {}), t, scalar.num)
+            return Form._from_acc(self.ctx, acc, self.den * scalar.den)
+        k, q = _rational(scalar).as_integer_ratio()
+        return Form._from_acc(self.ctx, {dv: {e: c * k for e, c in t.items()}
+                                         for dv, t in self.num.items()}, self.den * q)
 
     __rmul__ = __mul__
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.num)
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def __eq__(self, other):
-        return isinstance(other, Form) and self.ctx == other.ctx and self.terms == other.terms
+        return (isinstance(other, Form) and self.ctx == other.ctx and self.den == other.den
+                and self.num == other.num)
 
     def degrees(self) -> set[int]:
-        return {len(dv) for dv in self.terms}
+        return {len(dv) for dv in self.num}
 
     def __repr__(self):
-        if not self.terms:
+        if not self.num:
             return "0"
         names = self.ctx.names
         bits = []
@@ -568,32 +601,36 @@ def _sort_wedge(dvars: tuple[int, ...]):
 def wedge(x: Form, y: Form) -> Form:
     """Graded-commutative exterior product."""
     x._chk(y)
-    dx, dy = x.den, y.den
     acc: dict[tuple[int, ...], dict] = {}
-    y_items = [(dv, p.num, dy // p.den) for dv, p in y.terms.items()]
-    for dv1, p1 in x.terms.items():
-        s1 = dx // p1.den
-        for dv2, n2, s2 in y_items:
+    y_items = list(y.num.items())
+    for dv1, n1 in x.num.items():
+        for dv2, n2 in y_items:
             merged, sign = _sort_wedge(dv1 + dv2)
-            if merged is None:
-                continue
-            _mul_into(acc.setdefault(merged, {}), p1.num, n2, sign * s1 * s2)
-    return Form._from_acc(x.ctx, acc, dx * dy)
+            if merged is not None:
+                _mul_into(acc.setdefault(merged, {}), n1, n2, sign)
+    return Form._from_acc(x.ctx, acc, x.den * y.den)
 
 
 def d(a: Form) -> Form:
-    """Formal exterior derivative, term by term."""
-    den = a.den
+    """Formal exterior derivative, term by term, on the numerators: d/dx_i
+    lowers the field of x_i, which is injective on the keys where it is set."""
     acc: dict[tuple[int, ...], dict] = {}
-    for dv, p in a.terms.items():
+    for dv, t in a.num.items():
+        present = functools.reduce(or_, t)
         for i in range(a.ctx.nvars):
+            sh = _W * i
+            if not present >> sh & _FIELD:
+                continue
             merged, sign = _sort_wedge((i,) + dv)
             if merged is None:
                 continue
-            dp = p.diff(i)
-            if dp:
-                _add_into(acc.setdefault(merged, {}), dp.num, sign * (den // dp.den))
-    return Form._from_acc(a.ctx, acc, den)
+            dst = acc.setdefault(merged, {})
+            for e, c in t.items():
+                n = e >> sh & _FIELD
+                if n:
+                    e -= 1 << sh
+                    dst[e] = dst.get(e, 0) + sign * n * c
+    return Form._from_acc(a.ctx, acc, a.den)
 
 
 @dataclass(frozen=True)
@@ -645,14 +682,14 @@ def _exterior_minors(mono: tuple, dv: tuple[int, ...], memo: dict) -> dict:
     minors = memo[dv[:k]]
     for n in range(k, len(dv)):
         img = mono[dv[n]]
-        row = img[0] if img is not None else ()
         nxt: dict[int, int] = {}
-        for J, det in minors.items():
-            for j, a in row:
-                if not J >> j & 1:  # dx_J ^ dx_j: dx_j passes the members of J above j
-                    sign = -1 if (J >> j).bit_count() & 1 else 1
-                    nxt[J | 1 << j] = nxt.get(J | 1 << j, 0) + sign * a * det
-        minors = {J: det for J, det in nxt.items() if det}
+        for j, a in img[0] if img is not None else ():
+            bit = 1 << j
+            for J, det in minors.items():
+                if not J & bit:  # dx_J ^ dx_j: dx_j passes the members of J above j
+                    signed = -a if (J >> j).bit_count() & 1 else a
+                    nxt[J | bit] = nxt.get(J | bit, 0) + signed * det
+        minors = {J: det for J, det in nxt.items() if det} if 0 in nxt.values() else nxt
         memo[dv[:n + 1]] = minors
     return minors
 
@@ -670,22 +707,22 @@ def pullback(m: CoordMap, a: Form) -> Form:
     For a monomial map, image_i = c_i x^a_i, d(image_i1) ^ ... over dv is
     (prod_{i in dv} image_i) sum_J det A[dv, J] x^-e_J dx_J, with the integer
     minors of `_exterior_minors`; the products accumulate on int numerators
-    over the lcm of the terms' denominators.
+    over the form's denominator times the lcm of the images'.
     """
     if a.ctx != m.target:
         raise ContextError("form context does not match the map's target")
     mono, nvars = m.monomials, m.source.nvars
     memo: dict = {(): {0: 1}}
     pieces = []
-    for dv, p in a.terms.items():
+    for dv, t in a.num.items():
         minors = _exterior_minors(mono, dv, memo)
         if minors:
             # prod_{i in dv} image_i = scale x^shift over sden; shift starts the substitution
             bump = sum(1 << _W * i for i in dv)  # the key of prod_{i in dv} y_i
             shifted, sden = _substitute_monomial({bump: 1}, m)
             [(shift, scale)] = shifted.items()
-            coeff, cden = _substitute_monomial(p.num, m, shift)
-            pieces.append((coeff, scale, p.den * sden * cden, minors))
+            coeff, cden = _substitute_monomial(t, m, shift)
+            pieces.append((coeff, scale, sden * cden, minors))
     den = math.lcm(1, *(q for _, _, q, _ in pieces))
     acc: dict[tuple[int, ...], dict] = {}
     for coeff, scale, q, minors in pieces:
@@ -697,7 +734,7 @@ def pullback(m: CoordMap, a: Form) -> Form:
             for e, c in scaled:
                 e -= e_J
                 dst[e] = dst.get(e, 0) + c * det
-    return Form._from_acc(m.source, acc, den)
+    return Form._from_acc(m.source, acc, a.den * den)
 
 
 # ---------------------------------------------------------------------------
@@ -801,22 +838,20 @@ def _substitute_drops(ctx: CoordSystem, drops: tuple[int, ...], num: Mapping) ->
 def eliminate(a: Form, chart: Chart) -> Form:
     """The form in the chart: each dropped variable becomes 1 - rest.
 
-    The substitution runs on the numerators, brought to the lcm of the
-    coefficients' denominators, so the whole form accumulates in ints.
+    The substitution runs on the numerators, over the form's one
+    denominator, so the whole form accumulates in ints.
     """
     ctx = a.ctx
     drops = tuple(i for i in chart if i is not None)
-    den = a.den
     acc: dict[tuple[int, ...], dict] = {}
-    for dv, p in a.terms.items():
+    for dv, t in a.num.items():
         expansion = _wedge_expansion(ctx.group_vars, chart, dv)
         if not expansion:
             continue
-        coeff = _substitute_drops(ctx, drops, p.num)
-        scale = den // p.den
+        coeff = _substitute_drops(ctx, drops, t)
         for dv2, sign in expansion:
-            _add_into(acc.setdefault(dv2, {}), coeff, sign * scale)
-    return Form._from_acc(ctx, acc, den)
+            _add_into(acc.setdefault(dv2, {}), coeff, sign)
+    return Form._from_acc(ctx, acc, a.den)
 
 
 def eliminate_poly(p: Poly, chart: Chart) -> Poly:
@@ -903,21 +938,19 @@ def whitney_form(ctx: CoordSystem, cell: Mapping[int, Iterable[int]] | None = No
     q! sum_k (-1)^k x_k dx_0 ^ ... ^ dx_k-hat ^ ... ^ dx_q over each subset,
     and the constant 1 when no group is given.  It depends on the cell's
     index layout alone, so its terms come from `_whitney_terms`, and each
-    call wraps them in fresh Poly and Form objects for `ctx`; a vertex
-    outside its group raises ContextError.  The package's cells: a simplex
+    call wraps their cached ints in a fresh Form for `ctx`; a vertex outside
+    its group raises ContextError.  The package's cells: a simplex
     or a prism is its own context whole, a face F extended to its simplex s
     is {0: F.vertices} on s's context, the vertical Whitney form is every
     fiber group whole and the base volume de every base group whole.
     """
     if cell is None:
-        cell = dict(enumerate(verts for _, verts in ctx.groups))
-    layout = []
-    for g in sorted(cell):
-        idx = tuple(ctx.var(ctx.groups[g][0], v) for v in cell[g])
-        if not idx:
-            raise FormError("empty vertex subset")
-        layout.append(idx)
-    return Form._make(ctx, {dv: Poly._make(ctx, num) for dv, num in _whitney_terms(tuple(layout))})
+        layout = ctx.group_vars
+    else:
+        layout = tuple(tuple(ctx.var(ctx.groups[g][0], v) for v in cell[g]) for g in sorted(cell))
+    if not all(layout):
+        raise FormError("empty vertex subset")
+    return Form._make(ctx, dict(_whitney_terms(layout)))
 
 
 # bounded and module-level, like `_one_minus_power`, so `cache_clear` resets it
@@ -945,11 +978,11 @@ def _whitney_terms(layout: tuple[tuple[int, ...], ...]) -> tuple:
 
 
 def vertical_part(a: Form) -> Form:
-    """Drop every term whose wedge touches a base-group variable."""
-    base = set(a.ctx.base_groups)
-    keep = {dv: p for dv, p in a.terms.items()
-            if not any(a.ctx.group_of[i] in base for i in dv)}
-    return Form._make(a.ctx, keep)
+    """Drop every term whose wedge touches a base-group variable; `a`
+    itself when none does."""
+    base = {i for g in a.ctx.base_groups for i in a.ctx.group_vars[g]}
+    keep = {dv: t for dv, t in a.num.items() if base.isdisjoint(dv)}
+    return a if len(keep) == len(a.num) else Form._from_acc(a.ctx, keep, a.den)
 
 
 def base_volume_residual(a: Form) -> Form:
@@ -960,22 +993,21 @@ def base_volume_residual(a: Form) -> Form:
     against it; only the vertical part is reduced.
     """
     ctx = a.ctx
-    de = {dv: Poly._make(ctx, num, den)
-          for dv, num, den in _canonical_de(ctx.group_vars, ctx.base_groups)}
-    return wedge(Form._make(ctx, de), canonicalize(vertical_part(a)))
+    de = Form._make(ctx, *_canonical_de(ctx.group_vars, ctx.base_groups))
+    return wedge(de, canonicalize(vertical_part(a)))
 
 
 @functools.lru_cache(maxsize=1 << 10)
 def _canonical_de(group_vars: tuple[tuple[int, ...], ...], base_groups: tuple[int, ...]) -> tuple:
-    """The (wedge, numerators, denominator) terms of the canonical base
-    volume de, once per group layout, read on a context of that layout;
-    callers must not mutate the numerators."""
+    """The numerators and the denominator of the canonical base volume de,
+    once per group layout, read on a context of that layout; callers must
+    not mutate the numerators."""
     if not base_groups:
         raise ContextError("context has no base group")
     ctx = CoordSystem(tuple((BASE_TAG if g in base_groups else f"m:{g}", vs)
                             for g, vs in enumerate(group_vars)))
-    de = whitney_form(ctx, {g: group_vars[g] for g in base_groups})
-    return tuple((dv, p.num, p.den) for dv, p in canonicalize(de).terms.items())
+    de = canonicalize(whitney_form(ctx, {g: group_vars[g] for g in base_groups}))
+    return de.num, de.den
 
 
 def is_fiberwise_zero(a: Form) -> bool:
@@ -1014,12 +1046,13 @@ def _integrate(a: Form, groups: tuple[int, ...]) -> Poly:
     chart, full = _first_chart(ctx, groups)
     keep = sum(_FIELD << _W * i for i in range(ctx.nvars) if i not in full)
     rows = []  # (kept key, numerator, denominator) per monomial
-    for dv, p in eliminate(a, chart).terms.items():
+    c = eliminate(a, chart)
+    for dv, t in c.num.items():
         if dv != full:
             raise DegreeError(f"not a top-degree form over groups {groups} "
                               f"(term {dv}, expected {full})")
-        for e, n in p.num.items():
-            q = p.den
+        for e, n in t.items():
+            q = 1
             for g in groups:
                 dn, dd = _dirichlet(e >> _W * i & _FIELD for i in ctx.group_vars[g][1:])
                 n, q = n * dn, q * dd
@@ -1028,7 +1061,7 @@ def _integrate(a: Form, groups: tuple[int, ...]) -> Poly:
     acc: dict = {}
     for key, n, q in rows:
         acc[key] = acc.get(key, 0) + n * (den // q)
-    return Poly._make(ctx, *_lowest(acc, den))
+    return Poly._make(ctx, *_lowest(acc, c.den * den))
 
 
 def integrate_top_form(a: Form) -> Fraction:
@@ -1066,26 +1099,24 @@ def poincare_primitive(a: Form) -> Form:
     check = relative_d(c)
     if not check.is_zero:
         raise FormError(f"form is not closed; no primitive exists: d residual {check}")
-    rows = []  # (wedge, x_i * part numerators, sign, denominator) per cone term
-    for dv, p in c.terms.items():
-        r = len([i for i in dv if i in cone_vars])
-        if r == 0:
+    rows = []  # (wedge, key of x_i * monomial, signed numerator, m + r) per cone term
+    for dv, t in c.num.items():
+        cone = [(k, 1 << _W * i) for k, i in enumerate(dv) if i in cone_vars]
+        if not cone:
             if not dv:
                 raise DegreeError("cannot take a primitive of a 0-form part")
             raise FormError("vertical homotopy requires vertical terms")
-        for m, pm in p.homogeneous_parts(kept).items():
-            for k, i in enumerate(dv):
-                if i in cone_vars:
-                    rows.append((dv[:k] + dv[k + 1:],
-                                 {e + (1 << _W * i): n for e, n in pm.num.items()},
-                                 (-1) ** k, pm.den * (m + r)))
-    if _past_bound(functools.reduce(or_, (e for _, num, _, _ in rows for e in num), 0)):
+        for e, n in t.items():
+            q = sum(e >> _W * i & _FIELD for i in kept) + len(cone)  # m + r
+            rows += [(dv[:k] + dv[k + 1:], e + step, -n if k & 1 else n, q) for k, step in cone]
+    if _past_bound(functools.reduce(or_, (key for _, key, _, _ in rows), 0)):
         raise FormError(_PAST_BOUND)
     den = math.lcm(1, *{q for *_, q in rows})
     acc: dict[tuple[int, ...], dict] = {}
-    for rest, num, sign, q in rows:
-        _add_into(acc.setdefault(rest, {}), num, sign * (den // q))
-    return Form._from_acc(ctx, acc, den)
+    for rest, key, n, q in rows:
+        dst = acc.setdefault(rest, {})
+        dst[key] = dst.get(key, 0) + n * (den // q)
+    return Form._from_acc(ctx, acc, c.den * den)
 
 
 def whitney_antiboundary(s: Simplex) -> Form:

@@ -9,7 +9,7 @@ exactly those of `json.dumps(data, indent=1, sort_keys=True)` followed by a
 newline; object keys must be `str` (any other key is a `TypeError`, where
 `json` would coerce it).  A `Form` is a leaf: it is written exactly as
 `form_to_dict(form)` would be, from its packed numerators, building neither
-that dict nor `Poly.terms`.  Any other non-JSON type, a float included, is
+that dict nor `Form.terms`.  Any other non-JSON type, a float included, is
 a `TypeError`: the package writes no floats.  The writer is a small
 recursion because with `indent` the standard library falls back to its
 pure-Python encoder.
@@ -277,9 +277,10 @@ def _encode_form(form: Form, layout: tuple, out: list) -> None:
     head = f'{n[4]}{{{n[5]}"c": "'
     out.append(header)
     terms = []
-    for dv, p in sorted(form.terms.items(), key=lambda kv: (len(kv[0]), kv[0])):
+    den = form.den
+    for dv, num in sorted(form.num.items(), key=lambda kv: (len(kv[0]), kv[0])):
         rows = []
-        for key, c in p.num.items():
+        for key, c in num.items():
             if (known := seen.get(key)) is None:
                 e = s.unpack(key.to_bytes(s.size, "little"))
                 exp = [f"{n[6]}{qnames[i]}: {e[i]}" for i in order if e[i]]
@@ -287,7 +288,7 @@ def _encode_form(form: Form, layout: tuple, out: list) -> None:
                 known = seen[key] = e, f'",{n[5]}"exp": {exp}{n[4]}}}'
             rows.append((known, c))
         rows.sort()  # by exponent tuple: no two are equal
-        den, mons = p.den, []
+        mons = []
         for (_, tail), c in rows:
             g = math.gcd(c, den)
             c = f"{c // g}/{den // g}" if g != den else c // g

@@ -18,8 +18,8 @@ Pipeline, per base simplex tau and maximal source simplex sigma over it:
    base-volume ^ (pullback(input) - d(primitive)) and the descent to the
    raw sheaf, kept on its `PrismData`: `descend_form` writes H as one
    numerator on sigma x tau over a power of the fiber masses u, never
-   expanding a power of u, and `check_descent` pulls it back through
-   (psi, pi) once f o psi = pi holds literally.
+   expanding a power of u, and `check_descent`, once f o psi = pi holds,
+   pulls it back through (psi, pi) and compares it with t^m H term by term.
 
 `sheaf.psi_coordinate_map` is the one place where a pair (f, sigma) becomes
 coordinates.  Every later stage reads sigma's trivial prism from its
@@ -150,15 +150,15 @@ def pair_with_face(eta: Form, phi: RelFace) -> Poly:
     The wedge of the frame's dual 1-forms d l_w - d l_block[0] has, at each
     sorted wedge, the determinant of the pairing as its (integer)
     coefficient; one pass over eta's terms multiplies each numerator by the
-    determinant at its wedge, over one lcm denominator.
+    determinant at its wedge, over the form's denominator.
     """
     ctx = eta.ctx
     frame = _frame(tuple(tuple(ctx.var("l", v) for v in block) for block in phi.blocks))
-    den, acc = eta.den, {}
-    for dv, p in eta.terms.items():
+    acc: dict = {}
+    for dv, num in eta.num.items():
         if dv in frame:
-            _add_into(acc, p.num, frame[dv] * (den // p.den))
-    return Poly._make(ctx, *_lowest(acc, den * phi.block_factorial()))
+            _add_into(acc, num, frame[dv])
+    return Poly._make(ctx, *_lowest(acc, eta.den * phi.block_factorial()))
 
 
 @functools.lru_cache(maxsize=1 << 12)  # keyed on blocks of variable indices
@@ -523,6 +523,15 @@ def _verify_overlaps(tau, prisms, edges) -> None:
 # Descent to the raw sheaf
 # ---------------------------------------------------------------------------
 
+def _on_graph(H: Form) -> Form:
+    """H without its terms whose wedge holds every dmu of a fiber group (a
+    group after the base): their cleared wedges are zero on the graph of f,
+    so `descend_form` drops them.  H itself when no term goes."""
+    full = [set(vs) for vs in H.ctx.group_vars[1:]]
+    keep = {dv: t for dv, t in H.num.items() if not any(vs.issubset(dv) for vs in full)}
+    return H if len(keep) == len(H.num) else Form._from_acc(H.ctx, keep, H.den)
+
+
 def descend_form(H: Form, sctx: CoordSystem) -> tuple[Form, tuple[int, ...]]:
     """Clear the blow-down substitution mu = lambda/u, t = u.
 
@@ -534,11 +543,11 @@ def descend_form(H: Form, sctx: CoordSystem) -> tuple[Form, tuple[int, ...]]:
 
     A term c t^a mu^b dv of H becomes c u^(a + m - den) lambda^b W_dv, where
     W_dv wedges du_j for each dt_j and u_j dlambda - lambda du_j (the
-    cleared d(lambda/u_j), den 2) for each dmu.  A term whose dv holds every
-    dmu of a fiber group is dropped: on the graph its W_dv is zero.  The
-    products run on int numerators, over the lcm `scale` of the
-    denominators of H, and N accumulates in one int dict per wedge.
+    cleared d(lambda/u_j), den 2) for each dmu.  The terms that `_on_graph`
+    drops are dropped.  The products run on the int numerators of H, over
+    its denominator, and N accumulates in one int dict per wedge.
     """
+    H = _on_graph(H)
     pctx = H.ctx
     (base_tag, base_verts), *fiber_groups = pctx.groups
     nfib = len(fiber_groups)
@@ -556,17 +565,13 @@ def descend_form(H: Form, sctx: CoordSystem) -> tuple[Form, tuple[int, ...]]:
         return (Form.d_var(nctx, x) * Poly.variable(nctx, us[j])
                 - Form.d_var(nctx, us[j]) * Poly.variable(nctx, x))
 
-    scale = H.den
-    terms = []  # (dv, den, key of u^a lambda^b, scale * c)
-    for dv, p in H.terms.items():
+    terms = []  # (dv, den, key of u^a lambda^b, c)
+    for dv, num in H.num.items():
         dv_den = [0] * nfib
         for i in dv:
             if i in lam:
                 dv_den[lam[i][0]] += 2
-        if any(n == 2 * len(verts) for n, (_, verts) in zip(dv_den, fiber_groups)):
-            continue  # every dmu of a fiber group: W_dv is zero on the graph
-        lift = scale // p.den
-        for e, c in p.num.items():
+        for e, c in num.items():
             den, key = dv_den[:], 0
             for i, n in enumerate(_unpack(pctx.nvars, e)):
                 if not n:
@@ -577,7 +582,7 @@ def descend_form(H: Form, sctx: CoordSystem) -> tuple[Form, tuple[int, ...]]:
                     j, x = lam[i]
                     den[j] += n
                     key += n << _W * x  # one mu per lambda
-            terms.append((dv, den, key, c * lift))
+            terms.append((dv, den, key, c))
 
     m = tuple(max((den[j] for _, den, _, _ in terms), default=0) for j in range(nfib))
     by_dv: dict[tuple[int, ...], dict] = {}
@@ -588,20 +593,21 @@ def descend_form(H: Form, sctx: CoordSystem) -> tuple[Form, tuple[int, ...]]:
     acc: dict[tuple[int, ...], dict] = {}
     for dv, mons in by_dv.items():
         w = functools.reduce(wedge, map(cleared_d, dv), Form.const(nctx, 1))
-        for wv, p in w.terms.items():  # the cleared wedges have int coefficients
-            _mul_into(acc.setdefault(wv, {}), p.num, mons)
-    return Form._from_acc(nctx, acc, scale), m
+        for wv, num in w.num.items():  # the cleared wedges have int coefficients
+            _mul_into(acc.setdefault(wv, {}), num, mons)
+    return Form._from_acc(nctx, acc, H.den), m
 
 
 def check_descent(H: Form, psi: CoordMap,
                   descended: tuple[Form, tuple[int, ...]]) -> bool:
-    """The descended numerator N over sigma x tau pulls back to t^m * H,
-    canonically, through (psi, pi): lambda by psi, u:y to t:y.
+    """The descended numerator N over sigma x tau pulls back through
+    (psi, pi), lambda by psi and u:y to t:y, to t^m * `_on_graph(H)`, literally.
 
     First f o psi = pi: each fiber mass U_j, the sum of the lambda of
-    group j, pulls back by psi to t_j, canonically.  Since
-    `canonicalize` respects products and d, psi* of N with u expanded and
-    (psi, pi)* N then have the same canonical form."""
+    group j, pulls back by psi to t_j, canonically.  Then a cleared
+    d(lambda_v/u_j) pulls back to t_j^2 dmu_v and du_j to dt_j, so a term
+    c u^(a + m - den) lambda^b W_dv of N becomes c t^(a + m) mu^b dv: no
+    relation is used, and over a base vertex an m off by one shows."""
     N, m = descended
     pctx, sctx = psi.source, psi.target
     ts = [Poly.variable(pctx, i) for i in pctx.group_vars[0]]
@@ -612,7 +618,7 @@ def check_descent(H: Form, psi: CoordMap,
     images = dict(zip(sctx.names, psi.images))
     images.update((f"u:{y}", t) for y, t in zip(pctx.groups[0][1], ts))
     graph = CoordMap.build(pctx, N.ctx, images)
-    return canonicalize(pullback(graph, N) - H * t_monomial(pctx, m)).is_zero
+    return pullback(graph, N) == _on_graph(H) * t_monomial(pctx, m)
 
 
 # ---------------------------------------------------------------------------

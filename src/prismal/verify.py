@@ -104,8 +104,7 @@ def _affine_coeff_forms(ctx: CoordSystem, degree: int):
 
 def _coefficients(form: Form, tag: int = 0) -> dict:
     """The nonzero coefficients of a form, by column (tag, wedge, packed key)."""
-    return {(tag, dv, e): Q(c, p.den)
-            for dv, p in form.terms.items() for e, c in p.num.items()}
+    return {(tag, dv, e): Q(c, form.den) for dv, num in form.num.items() for e, c in num.items()}
 
 
 def _rank(rows) -> int:

@@ -898,25 +898,34 @@ def test_primitive_with_exponent_1000(tmp_path):
 
 def test_whitney_numerators_are_never_mutated(tmp_path, monkeypatch):
     # whitney_form hands out the numerator dicts of one cache to every form
-    # it builds: after a full check and a primitive run, each still equals
-    # a deep copy taken when it was first handed out
+    # it builds, and base_volume_residual those of the cached canonical de:
+    # after a full check and two primitive runs, the fan's with the
+    # horizontal gauge, each still equals a deep copy taken when it was
+    # first handed out
     from prismal import forms
-    cached = forms._whitney_terms
-    cached.cache_clear()
     handed = {}
 
-    def recording(layout):
-        terms = cached(layout)
-        for _, num in terms:
-            handed.setdefault(id(num), (num, copy.deepcopy(num)))
-        return terms
+    def recording(cached, numerators):
+        cached.cache_clear()
 
-    monkeypatch.setattr(forms, "_whitney_terms", recording)
+        def record(*args):
+            out = cached(*args)
+            for num in numerators(out):
+                handed.setdefault(id(num), (num, copy.deepcopy(num)))
+            return out
+        return record
+
+    monkeypatch.setattr(forms, "_whitney_terms", recording(
+        forms._whitney_terms, lambda terms: [num for _, num in terms]))
+    monkeypatch.setattr(forms, "_canonical_de", recording(
+        forms._canonical_de, lambda de: de[0].values()))
     assert main(["check", "--suite", "all", "--max-dim", "3"]) == 0
-    cpath, mpath, wpath = _write_fixture_files(
-        tmp_path, pairs=((1, 2), (2, 3)), fixture=tetra_pair_over_triangle)
-    assert main(["primitive", "--complex", str(cpath), "--morphism", str(mpath),
-                 "--form", str(wpath), "--out", str(tmp_path / "h.json")]) == 0
+    for fixture, pairs, extra in ((tetra_pair_over_triangle, ((1, 2), (2, 3)), []),
+                                  (triangle_fan, ((2, 3), (3, 4), (0, 3), (3, 5)),
+                                   ["--check-horizontal"])):
+        cpath, mpath, wpath = _write_fixture_files(tmp_path, pairs=pairs, fixture=fixture)
+        assert main(["primitive", "--complex", str(cpath), "--morphism", str(mpath),
+                     "--form", str(wpath), "--out", str(tmp_path / "h.json"), *extra]) == 0
     assert len(handed) > 100
     assert all(num == snapshot for num, snapshot in handed.values())
 

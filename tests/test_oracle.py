@@ -3,10 +3,13 @@
 Every kernel result is recomputed with an independent sympy implementation
 (its own substitution, exterior derivative, wedge sign and iterated
 integrals) and must agree exactly.  Every output coefficient must also obey
-the kernel's invariant: an int when integral, otherwise a Fraction.
+the kernel's invariant: an int when integral, otherwise a Fraction; and
+every output form its layout: int numerators over one denominator, in
+lowest terms, with `.terms` their per-wedge view.
 """
 
 import itertools
+import math
 from fractions import Fraction as Q
 
 import pytest
@@ -17,9 +20,10 @@ from sympy.combinatorics import Permutation  # noqa: E402
 
 from prismal.fixtures import five_over_two, tetra_pair_over_triangle, triangle_fan  # noqa: E402
 from prismal.forms import (CoordMap, CoordSystem, Form, Poly,  # noqa: E402
-                           canonicalize, eliminate, eliminate_poly,
-                           integrate_fiber, integrate_top_form, pi_context, prism_context,
-                           pullback, restriction_map, simplex_context)
+                           canonicalize, d, eliminate, eliminate_poly,
+                           integrate_fiber, integrate_top_form, pi_context, poincare_primitive,
+                           prism_context, pullback, restrict_to_face, restriction_map,
+                           simplex_context, vertical_part, wedge)
 from prismal.mesh import Prism, Simplex  # noqa: E402
 from prismal.primitive import (oracle_A, pair_with_face, relative_faces,  # noqa: E402
                                specialization_chart)
@@ -57,6 +61,17 @@ def sym_equal(a: dict, b: dict) -> bool:
 
 
 def assert_invariant(obj):
+    if isinstance(obj, Form):
+        # no empty wedge, no zero numerator, one den prime to every numerator
+        assert type(obj.den) is int and obj.den > 0
+        assert all(t and 0 not in t.values() for t in obj.num.values())
+        assert math.gcd(obj.den, *(c for t in obj.num.values() for c in t.values())) == 1
+        # `.terms` is each wedge's numerators over den, in lowest terms
+        assert obj.terms.keys() == obj.num.keys()
+        for dv, t in obj.num.items():
+            g = math.gcd(obj.den, *t.values())
+            assert obj.terms[dv].den == obj.den // g
+            assert obj.terms[dv].num == {e: c // g for e, c in t.items()}
     polys = obj.terms.values() if isinstance(obj, Form) else [obj]
     for p in polys:
         for e, c in p.terms.items():
@@ -75,6 +90,14 @@ def sym_wedge(a: dict, b: dict) -> dict:
         sign = Permutation(order).signature() if len(k) > 1 else 1
         key = tuple(sorted(k))
         out[key] = out.get(key, 0) + sign * p * q
+    return out
+
+
+def sym_d(a: dict, xs: list) -> dict:
+    out: dict = {}
+    for j, x in enumerate(xs):
+        for k, v in sym_wedge({(j,): 1}, {dv: sympy.diff(c, x) for dv, c in a.items()}).items():
+            out[k] = out.get(k, 0) + v
     return out
 
 
@@ -309,6 +332,48 @@ def test_oracle_average_over_the_slice(ctx, faces, r, data):
     for eps in (1, Q(1, 2), Q(3, 7), Q(1, 10 ** 4)):
         est = oracle_A(eta, phi, eps)[0]
         assert sympy.Rational(est.numerator, est.denominator) == sym_slice_average(g, phi, eps)
+
+
+def sym_sum(a: dict, b: dict, scale=1) -> dict:
+    return {k: a.get(k, 0) + scale * b.get(k, 0) for k in set(a) | set(b)}
+
+
+@ORACLE
+@given(data=st.data())
+def test_form_operations_keep_the_layout(data):
+    # each operation on forms returns the layout (`assert_invariant`) and
+    # agrees with sympy; b = c - a makes a + b cancel down to c, zero included
+    xs = symbols(PCTX)
+    r = data.draw(st.integers(0, 2))
+    a = data.draw(forms(PCTX, r, 2, MIXED_DENS))
+    b = data.draw(forms(PCTX, r, 2, MIXED_DENS) | forms(PCTX, r).map(lambda c: c - a))
+    p = data.draw(polys(PCTX, 2, 3, MIXED_DENS))
+    k, q = data.draw(st.integers(-3, 3)), data.draw(st.builds(Q, st.integers(-6, 6), MIXED_DENS))
+    sa, sb = form_to_sym(a), form_to_sym(b)
+    base = set(PCTX.group_vars[0])
+    pick = lambda verts: tuple(sorted(data.draw(st.sets(st.sampled_from(verts), min_size=1))))
+    face = CoordSystem(tuple((tag, pick(verts)) for tag, verts in PCTX.groups))
+    face_images = [sympy.Symbol(f"x{face.index[n]}") if n in face.index else 0
+                   for n in PCTX.names]
+    checks = [(a + b, sym_sum(sa, sb)), (a - b, sym_sum(sa, sb, -1)), (-a, sym_sum({}, sa, -1)),
+              (a * k, sym_sum({}, sa, k)), (a * q, sym_sum({}, sa, sympy.Rational(q))),
+              (a * p, {dv: c * to_sym(p) for dv, c in sa.items()}),
+              (wedge(a, b), sym_wedge(sa, sb)), (d(a), sym_d(sa, xs)),
+              (canonicalize(a), sym_pullback(_elimination_images(PCTX), xs, xs, sa)),
+              (vertical_part(a), {dv: c for dv, c in sa.items() if base.isdisjoint(dv)}),
+              (restrict_to_face(a, face), sym_pullback(face_images, symbols(face), xs, sa))]
+    for got, want in checks:
+        assert_invariant(got)
+        assert sym_equal(form_to_sym(got), want)
+    # the cone primitive of a relatively exact form: its relative d is the
+    # form again, modulo the relations
+    closed = vertical_part(d(vertical_part(a)))
+    if closed:
+        got = poincare_primitive(closed)
+        assert_invariant(got)
+        rel_d = {dv: c for dv, c in sym_d(form_to_sym(got), xs).items() if base.isdisjoint(dv)}
+        assert sym_equal(sym_pullback(_elimination_images(PCTX), xs, xs, rel_d),
+                         sym_pullback(_elimination_images(PCTX), xs, xs, form_to_sym(closed)))
 
 
 def _check_pullback(m: CoordMap, a: Form):

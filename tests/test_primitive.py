@@ -486,6 +486,16 @@ def test_check_descent_rejects_a_wrong_numerator_or_exponent():
             off = tuple(mj + step * (k == j) for k, mj in enumerate(m))
             if min(off) >= 0:
                 assert not check_descent(pd.H, pd.psi, (N, off)), (j, step)
+    # over a base vertex t = 1 modulo the relations, so only a literal
+    # comparison sees m + 1: each prism of the fan over 101 with a nonzero H
+    f = triangle_fan()
+    result = build_relative_primitive(f, global_input(f, [(2, 3), (3, 4), (0, 3), (3, 5)]), r=1)
+    over_vertex = [pd for pd in result.primitives[S(101)].prisms.values() if not pd.H.is_zero]
+    assert len(over_vertex) == 2
+    for pd in over_vertex:
+        N, m = pd.descended
+        assert check_descent(pd.H, pd.psi, (N, m))
+        assert not check_descent(pd.H, pd.psi, (N, tuple(mj + 1 for mj in m))), pd.sigma
 
 
 def test_check_descent_rejects_a_psi_off_the_morphism(monkeypatch):
