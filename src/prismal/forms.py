@@ -6,20 +6,22 @@ in the redundant variables; equality, degree and integration questions go
 through `canonicalize`, which eliminates the last variable of every group:
 the fiber groups in one pass, then the base groups in a second.
 
-Wedge reorderings take their sign from `mesh.perm_sign` through
-`_sort_wedge`, the one permutation-sign routine of the package, and the
-base-volume test `de ^ a` of every closing residual and of the
-fiberwise-zero criterion is `base_volume_residual`.  Canonically `de` is a
-constant times the kept base differentials, so that test canonicalizes only
-the vertical part of `a`; `vertical_part` commutes with the canonical chart,
-so it is still the canonical form of `de ^ a`, term for term.
+A wedge of integer 1-forms (the chart rows, the exponent rows of a
+monomial map, a fiber frame) expands by its minors, `_exterior_minors`; a
+concatenated wedge is reordered by `_sort_wedge`.  The base-volume test
+`de ^ a` of every closing residual and of the fiberwise-zero criterion is
+`base_volume_residual`.  Canonically `de` is a constant times the kept
+base differentials, so that test canonicalizes only the vertical part of
+`a`; `vertical_part` commutes with the canonical chart, so it is still the
+canonical form of `de ^ a`, term for term.
 
 Every chart of the package is "one dropped variable per group" (or none,
 for a group kept whole), and one kernel, `eliminate`, applies them all: the
 canonical chart, the first-variable chart of integration and the cone
 operator, its fiber-only variant, and the subface charts of the C
 coefficients.  The kernel accumulates the substitution x_drop = 1 - sum(rest)
-on the integer numerators, with cached powers of (1 - sum(rest)).
+on the integer numerators, with cached powers of (1 - sum(rest)), and
+expands dx_drop = -sum(d rest) by the minors of the chart's rows.
 
 Every Whitney form comes from one constructor, `whitney_form(ctx, cell)`,
 a function of the cell's index layout (the variable indices of each group's
@@ -670,20 +672,20 @@ class CoordMap:
         return tuple(out)
 
 
-def _exterior_minors(mono: tuple, dv: tuple[int, ...], memo: dict) -> dict:
-    """The nonzero minors det A[dv, J] of the exponent matrix of a monomial
-    map, as {bit mask of the source wedge J: int}; a zero or constant image
-    has an empty row.  `memo` holds the minors of the prefixes met so far in
-    one pullback, starting from {(): {0: 1}}.
+def _exterior_minors(rows: list | tuple, dv: tuple[int, ...], memo: dict) -> dict:
+    """The nonzero minors det A[dv, J] of an integer matrix given by its
+    sparse rows, (column, entry) pairs each, as {bit mask of J: int}: by
+    Cauchy-Binet, the wedge over i in dv of sum_j A[i, j] dx_j is
+    sum_J det A[dv, J] dx_J.  `memo` holds the minors of the prefixes of dv
+    met so far, starting from {(): {0: 1}}; callers must not mutate them.
     """
     k = len(dv)
     while dv[:k] not in memo:
         k -= 1
     minors = memo[dv[:k]]
     for n in range(k, len(dv)):
-        img = mono[dv[n]]
         nxt: dict[int, int] = {}
-        for j, a in img[0] if img is not None else ():
+        for j, a in rows[dv[n]]:
             bit = 1 << j
             for J, det in minors.items():
                 if not J & bit:  # dx_J ^ dx_j: dx_j passes the members of J above j
@@ -692,6 +694,16 @@ def _exterior_minors(mono: tuple, dv: tuple[int, ...], memo: dict) -> dict:
         minors = {J: det for J, det in nxt.items() if det} if 0 in nxt.values() else nxt
         memo[dv[:n + 1]] = minors
     return minors
+
+
+@functools.lru_cache(maxsize=1 << 12)  # keyed on blocks of variable indices
+def _frame(layout: tuple[tuple[int, ...], ...]) -> dict[tuple[int, ...], int]:
+    """The wedge of a fiber frame's dual 1-forms d x_w - d x_first, over
+    each block's later w, as {sorted wedge: int determinant}: the exterior
+    minors of those rows.  Callers must not mutate it."""
+    rows = tuple(((b[0], -1), (w, 1)) for b in layout for w in b[1:])
+    minors = _exterior_minors(rows, tuple(range(len(rows))), {(): {0: 1}})
+    return {_wedge_of_mask(J, J.bit_length())[0]: det for J, det in minors.items()}
 
 
 @functools.lru_cache(maxsize=1 << 16)
@@ -706,16 +718,17 @@ def pullback(m: CoordMap, a: Form) -> Form:
 
     For a monomial map, image_i = c_i x^a_i, d(image_i1) ^ ... over dv is
     (prod_{i in dv} image_i) sum_J det A[dv, J] x^-e_J dx_J, with the integer
-    minors of `_exterior_minors`; the products accumulate on int numerators
-    over the form's denominator times the lcm of the images'.
+    minors of `_exterior_minors` on the exponent rows; the products
+    accumulate on int numerators over the form's denominator times the lcm
+    of the images'.
     """
     if a.ctx != m.target:
         raise ContextError("form context does not match the map's target")
-    mono, nvars = m.monomials, m.source.nvars
+    rows, nvars = [img[0] if img else () for img in m.monomials], m.source.nvars
     memo: dict = {(): {0: 1}}
     pieces = []
     for dv, t in a.num.items():
-        minors = _exterior_minors(mono, dv, memo)
+        minors = _exterior_minors(rows, dv, memo)
         if minors:
             # prod_{i in dv} image_i = scale x^shift over sden; shift starts the substitution
             bump = sum(1 << _W * i for i in dv)  # the key of prod_{i in dv} y_i
@@ -786,28 +799,16 @@ def _one_minus_power(group_vars: tuple[tuple[int, ...], ...], drop: int, k: int)
     return {e: c for e, (c, _) in terms.items()}
 
 
-@functools.lru_cache(maxsize=1 << 16)
-def _wedge_expansion(group_vars: tuple[tuple[int, ...], ...], chart: Chart,
-                     dv: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """The wedge dv in the chart, as (sorted wedge, int coefficient) pairs.
-
-    Keyed on the group layout (`ctx.group_vars`), like `_one_minus_power`.
+@functools.lru_cache(maxsize=1 << 12)
+def _chart_rows(group_vars: tuple[tuple[int, ...], ...], chart: Chart) -> tuple[tuple, dict]:
+    """The chart's rows by variable, dx_i or, for a dropped i, -sum d(rest
+    of its group), and the memo of their `_exterior_minors` by wedge
+    prefix.  Keyed on the group layout like `_one_minus_power`, so every
+    context of the layout shares both; the memo holds only the prefixes
+    they meet, and `cache_clear` drops it.  Callers must not mutate it.
     """
-    terms: dict[tuple[int, ...], int] = {(): 1}
-    for i in dv:
-        g = next(g for g, vs in enumerate(group_vars) if i in vs)
-        if chart[g] == i:
-            factors = [(j, -1) for j in group_vars[g] if j != i]
-        else:
-            factors = [(i, 1)]
-        nxt: dict[tuple[int, ...], int] = {}
-        for w, c in terms.items():
-            for j, s in factors:
-                merged, sign = _sort_wedge(w + (j,))
-                if merged is not None:
-                    nxt[merged] = nxt.get(merged, 0) + c * s * sign
-        terms = {w: c for w, c in nxt.items() if c}
-    return tuple(terms.items())
+    return tuple(tuple((j, -1) for j in vs if j != i) if i in chart else ((i, 1),)
+                 for vs in group_vars for i in vs), {(): {0: 1}}
 
 
 def _substitute_drops(ctx: CoordSystem, drops: tuple[int, ...], num: Mapping) -> Mapping:
@@ -842,15 +843,16 @@ def eliminate(a: Form, chart: Chart) -> Form:
     denominator, so the whole form accumulates in ints.
     """
     ctx = a.ctx
-    drops = tuple(i for i in chart if i is not None)
+    drops, nvars = tuple(i for i in chart if i is not None), ctx.nvars
+    rows, memo = _chart_rows(ctx.group_vars, chart)
     acc: dict[tuple[int, ...], dict] = {}
     for dv, t in a.num.items():
-        expansion = _wedge_expansion(ctx.group_vars, chart, dv)
-        if not expansion:
+        minors = _exterior_minors(rows, dv, memo)
+        if not minors:
             continue
         coeff = _substitute_drops(ctx, drops, t)
-        for dv2, sign in expansion:
-            _add_into(acc.setdefault(dv2, {}), coeff, sign)
+        for mask, det in minors.items():
+            _add_into(acc.setdefault(_wedge_of_mask(mask, nvars)[0], {}), coeff, det)
     return Form._from_acc(ctx, acc, a.den)
 
 

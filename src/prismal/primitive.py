@@ -29,12 +29,12 @@ context.  Each prism computes the pullback of the input, the compositions
 A_phi o psi and the Whitney combination once, and every stage reads those.
 
 One home per concept: `pair_with_face` is A_phi, the contraction with a
-fiber frame (integer determinants from `_frame`) over the block factorial,
-read by `extract_A` and the oracle; `ode_solve` is the one body of the
-homothety ODE, whose operator is `homothety_operator` (also in the identity
-suites); `weighted_whitney` builds both t-weighted Whitney sums of step 3
-(the A combination and the C part), `forms.base_volume_residual` computes
-both closing residuals (`verify_theodg` reports the last one),
+fiber frame (its rows' exterior minors, `forms._frame`) over the block
+factorial, read by `extract_A` and the oracle; `ode_solve` is the one body
+of the homothety ODE, whose operator is `homothety_operator` (also in the
+identity suites); `weighted_whitney` builds both t-weighted Whitney sums of
+step 3 (the A combination and the C part), `forms.base_volume_residual`
+computes both closing residuals (`verify_theodg` reports the last one),
 `_restricted_difference` compares two primitives on a shared cell, and
 `PrismData.shift` is the one lift of a mismatch into a prism, for the walk
 and the face gauge alike, and `descend_form` the one descent, read by the
@@ -57,7 +57,7 @@ from typing import Iterable
 
 from .mesh import Simplex, SimplicialMorphism
 from .forms import (_FIELD, _W, Chart, CoordMap, CoordSystem, Form, FormError, Poly,
-                    _add_into, _lowest, _mul_into, _sort_wedge, _unpack, _whitney_terms,
+                    _add_into, _frame, _lowest, _mul_into, _unpack, _whitney_terms,
                     base_volume_residual, canonicalize, d, eliminate_poly,
                     elimination_chart, equal_mod_relations, integrate_top_form,
                     pi_context, poincare_primitive, pullback, restrict_to_face,
@@ -148,9 +148,10 @@ def pair_with_face(eta: Form, phi: RelFace) -> Poly:
     `phi.block_factorial()`.
 
     The wedge of the frame's dual 1-forms d l_w - d l_block[0] has, at each
-    sorted wedge, the determinant of the pairing as its (integer)
-    coefficient; one pass over eta's terms multiplies each numerator by the
-    determinant at its wedge, over the form's denominator.
+    sorted wedge, the determinant of the pairing as its coefficient: the
+    integer exterior minor of the frame rows (`forms._frame`).  One pass over
+    eta's terms multiplies each numerator by the minor at its wedge, over the
+    form's denominator.
     """
     ctx = eta.ctx
     frame = _frame(tuple(tuple(ctx.var("l", v) for v in block) for block in phi.blocks))
@@ -159,19 +160,6 @@ def pair_with_face(eta: Form, phi: RelFace) -> Poly:
         if dv in frame:
             _add_into(acc, num, frame[dv])
     return Poly._make(ctx, *_lowest(acc, eta.den * phi.block_factorial()))
-
-
-@functools.lru_cache(maxsize=1 << 12)  # keyed on blocks of variable indices
-def _frame(layout: tuple[tuple[int, ...], ...]) -> dict[tuple[int, ...], int]:
-    """The frame's dual wedge as {sorted wedge: int determinant}: per block,
-    the wedge of d x_w - d x_first over its later w is sum_k (-1)^k times
-    the block's wedge without its k-th variable.  Callers must not mutate it."""
-    frame = {}
-    for omit in itertools.product(*(range(len(b)) for b in layout)):
-        dv = tuple(i for b, k in zip(layout, omit) for i in b[:k] + b[k + 1:])
-        merged, sign = _sort_wedge(dv)
-        frame[merged] = sign * (-1) ** sum(omit)
-    return frame
 
 
 # ---------------------------------------------------------------------------

@@ -339,6 +339,33 @@ def test_canonicalize_relations():
     assert canonicalize(Form.from_poly(total) - Form.const(CTX3, 1)).is_zero
 
 
+def test_canonicalize_shares_chart_rows_across_contexts_of_one_layout():
+    # a simplex's context and its one-factor prism context differ but have
+    # one group layout, so their canonical charts read one `_chart_rows`
+    # entry and its memo of minors: either context first, or a cleared
+    # cache, gives the same numerators
+    from prismal.forms import _chart_rows
+    s = S(0, 1, 2)
+    sctx, pctx = simplex_context(s), prism_context(Prism((s,)))
+    assert sctx != pctx and sctx.group_vars == pctx.group_vars
+
+    def canonical(ctx):
+        a = Form(ctx, {(2,): Poly(ctx, {(1, 1, 0): Q(1, 2)}),
+                       (0, 2): Poly(ctx, {(1, 0, 1): 1, (0, 2, 0): -3}),
+                       (1, 2): Poly(ctx, {(0, 0, 2): 3})})
+        c = canonicalize(a)
+        return c.num, c.den
+
+    _chart_rows.cache_clear()
+    want = canonical(sctx)
+    assert canonical(pctx) == want
+    assert _chart_rows.cache_info().currsize == 1
+    _chart_rows.cache_clear()
+    assert canonical(pctx) == want
+    assert canonical(sctx) == want
+    assert want[0]
+
+
 def test_canonicalize_large_exponents():
     # (1 - rest)^k in closed form: no recursion or product per degree
     edge = simplex_context(S(0, 1))

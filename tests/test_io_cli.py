@@ -890,9 +890,7 @@ def test_oracle_at_a_large_exponent(tmp_path):
     assert _check_a_large_exponent(tmp_path, 130, ("--oracle-eps", "1/10000"))["oracle"]
 
 
-@pytest.mark.slow
 def test_primitive_with_exponent_1000(tmp_path):
-    # about 5 s and 175 MB on a 2-core VM: kept out of tier-1 (-m slow runs it)
     _check_a_large_exponent(tmp_path, 1000)
 
 

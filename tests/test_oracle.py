@@ -18,9 +18,11 @@ from hypothesis import given, settings, strategies as st
 sympy = pytest.importorskip("sympy")
 from sympy.combinatorics import Permutation  # noqa: E402
 
-from prismal.fixtures import five_over_two, tetra_pair_over_triangle, triangle_fan  # noqa: E402
+from prismal.fixtures import (five_over_two, square_over_edge,  # noqa: E402
+                              tetra_pair_over_triangle, triangle_fan)
 from prismal.forms import (CoordMap, CoordSystem, Form, Poly,  # noqa: E402
-                           canonicalize, d, eliminate, eliminate_poly,
+                           _chart_rows, _exterior_minors, _frame, _sort_wedge,
+                           _wedge_of_mask, canonicalize, d, eliminate, eliminate_poly,
                            integrate_fiber, integrate_top_form, pi_context, poincare_primitive,
                            prism_context, pullback, restrict_to_face, restriction_map,
                            simplex_context, vertical_part, wedge)
@@ -424,3 +426,128 @@ def test_pullback_exterior_minors(m, a):
     # exponents above 1, fractional coefficients, zero and constant images:
     # the minors of the exponent matrix carry every a_ij and wedge sign
     _check_pullback(m, a)
+
+
+# ---------------------------------------------------------------------------
+# Exterior minors: the one expansion of a wedge of integer 1-forms
+# ---------------------------------------------------------------------------
+
+@st.composite
+def sparse_matrices(draw):
+    """Integer rows with entries in -3..3, zero rows included, as the sparse
+    (column, entry) rows `_exterior_minors` reads and as dense lists."""
+    ncols = draw(st.integers(1, 6))
+    dense = draw(st.lists(st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols)
+                          | st.just([0] * ncols), min_size=1, max_size=5))
+    sparse = tuple(tuple((j, a) for j, a in enumerate(row) if a) for row in dense)
+    return sparse, dense, ncols
+
+
+def _sym_minors(dense, ncols, dv):
+    """{bit mask of J: det A[dv, J]} over every J of |dv| columns, by sympy."""
+    out = {}
+    for J in itertools.combinations(range(ncols), len(dv)):
+        det = sympy.Matrix([[dense[i][j] for j in J] for i in dv]).det() if dv else 1
+        out[sum(1 << j for j in J)] = int(det)
+    return out
+
+
+@ORACLE
+@given(data=st.data())
+def test_exterior_minors_are_the_determinants(data):
+    # every returned minor is sympy's det A[dv, J], every absent J has det 0;
+    # dv may repeat a row, whose minors then all vanish
+    sparse, dense, ncols = data.draw(sparse_matrices())
+    row = st.integers(0, len(dense) - 1)
+    dv = tuple(data.draw(st.lists(row, max_size=4)))
+    got = _exterior_minors(sparse, dv, {(): {0: 1}})
+    want = _sym_minors(dense, ncols, dv)
+    assert 0 not in got.values()
+    assert got.keys() <= want.keys()
+    assert {J: got.get(J, 0) for J in want} == want
+    # a memo shared by two wedges with a common prefix gives what fresh memos give
+    other = dv[:data.draw(st.integers(0, len(dv)))] + tuple(data.draw(st.lists(row, max_size=2)))
+    memo = {(): {0: 1}}
+    first = _exterior_minors(sparse, dv, memo)
+    second = _exterior_minors(sparse, other, memo)
+    assert first == got
+    assert second == _exterior_minors(sparse, other, {(): {0: 1}})
+
+
+def test_exterior_minors_of_a_repeated_row_vanish():
+    rows = (((0, 2), (1, -1)), ((1, 3),))
+    assert _exterior_minors(rows, (0, 1, 0), {(): {0: 1}}) == {}
+    assert _exterior_minors(rows, (0, 1), {(): {0: 1}}) == {0b11: 6}
+
+
+# The sort-based expansions the charts and the fiber frames used before they
+# were read off `_exterior_minors`, kept as independent references.
+
+def _sorted_wedge_expansion(group_vars, chart, dv):
+    terms = {(): 1}
+    for i in dv:
+        g = next(g for g, vs in enumerate(group_vars) if i in vs)
+        if chart[g] == i:
+            factors = [(j, -1) for j in group_vars[g] if j != i]
+        else:
+            factors = [(i, 1)]
+        nxt = {}
+        for w, c in terms.items():
+            for j, s in factors:
+                merged, sign = _sort_wedge(w + (j,))
+                if merged is not None:
+                    nxt[merged] = nxt.get(merged, 0) + c * s * sign
+        terms = {w: c for w, c in nxt.items() if c}
+    return terms
+
+
+def _sorted_frame(layout):
+    frame = {}
+    for omit in itertools.product(*(range(len(b)) for b in layout)):
+        dv = tuple(i for b, k in zip(layout, omit) for i in b[:k] + b[k + 1:])
+        merged, sign = _sort_wedge(dv)
+        frame[merged] = sign * (-1) ** sum(omit)
+    return frame
+
+
+def _small_layouts(max_groups=3, max_vars=7):
+    for ngroups in range(1, max_groups + 1):
+        for sizes in itertools.product(range(1, max_vars + 1), repeat=ngroups):
+            if sum(sizes) <= max_vars:
+                starts = itertools.accumulate((0,) + sizes)
+                yield tuple(tuple(range(a, a + n)) for a, n in zip(starts, sizes))
+
+
+def test_chart_minors_match_the_sorted_expansion_on_every_small_layout():
+    # every chart of every layout of at most 3 groups and 7 variables, every
+    # wedge up to degree 4, each layout's memo shared across its wedges
+    seen = 0
+    for layout in _small_layouts():
+        nvars = layout[-1][-1] + 1
+        wedges = [dv for k in range(5) for dv in itertools.combinations(range(nvars), k)]
+        for chart in itertools.product(*((None,) + vs for vs in layout)):
+            rows, memo = _chart_rows(layout, chart)
+            for dv in wedges:
+                got = {_wedge_of_mask(J, nvars)[0]: det
+                       for J, det in _exterior_minors(rows, dv, memo).items()}
+                assert got == _sorted_wedge_expansion(layout, chart, dv), (layout, chart, dv)
+                seen += 1
+    assert seen > 50000
+
+
+def test_frame_minors_match_the_sorted_frame_on_the_fixtures():
+    # every fiber-frame layout of the fixtures' relative faces at r = 1..3
+    layouts = {r: set() for r in (1, 2, 3)}
+    for f in (triangle_fan(), square_over_edge(), five_over_two(), tetra_pair_over_triangle()):
+        for sigma in f.source:
+            if sigma.dim < 1:
+                continue
+            psi = psi_coordinate_map(f, sigma)
+            for r in layouts:
+                for phi in relative_faces(psi, r):
+                    layouts[r].add(tuple(tuple(psi.target.var("l", v) for v in block)
+                                         for block in phi.blocks))
+    assert all(layouts.values()), {r: len(ls) for r, ls in layouts.items()}
+    for r, ls in layouts.items():
+        for layout in sorted(ls):
+            assert _frame(layout) == _sorted_frame(layout), (r, layout)
