@@ -30,13 +30,15 @@ module-level cache that `cache_clear` empties with the others, and wraps
 them in a fresh Form for each context.  The canonical base
 volume is cached the same way, per group layout.
 
-Every coordinate map the package builds (the blow-down psi, face
-restrictions, horizontal specializations) is monomial: each target variable
-goes to a single term c_i x^a_i or to zero.  `Poly.substitute` maps such a
-monomial by exponent arithmetic alone, and `pullback` maps each wedge dy_dv
-through the integer minors det A[dv, J] of the exponent matrix, computed
-once per wedge; the products accumulate on integer numerators.
-`CoordMap.build` rejects a multi-term image.
+A face restriction and the lift of a mismatch into a prism rename
+variables: `_relabel` moves the packed fields of each key.  Every map that
+substitutes (the blow-down psi, the horizontal specializations, the
+descent's graph map) is monomial: each target variable goes to a single
+term c_i x^a_i or to zero.  `Poly.substitute` maps such a monomial by
+exponent arithmetic alone, and `pullback` maps each wedge dy_dv through the
+integer minors det A[dv, J] of the exponent matrix, computed once per
+wedge; the products accumulate on integer numerators.  `CoordMap.build`
+rejects a multi-term image.
 
 All coefficients are exact rationals, never floats.  A `Poly` stores int
 numerators over one positive denominator prime to their content (FLINT's
@@ -896,36 +898,52 @@ def equal_mod_relations(a: Form, b: Form) -> bool:
     return canonicalize(a - b).is_zero
 
 
-@functools.lru_cache(maxsize=1 << 12)  # a pipeline restricts along one pair many times
-def restriction_map(ctx: CoordSystem, face_ctx: CoordSystem) -> CoordMap:
-    """Coordinate restriction onto a face: dropped variables (and their
-    differentials) go to zero, kept variables map to themselves.  When
-    `face_ctx` has every name of `ctx`, this is the inclusion by name."""
-    images: dict[str, Poly] = {}
-    for n in ctx.names:
-        if n in face_ctx.index:
-            images[n] = Poly.variable(face_ctx, face_ctx.index[n])
+def _relabel(a: Form, ctx: CoordSystem, to: tuple) -> Form:
+    """`a` read in `ctx`: variable i as variable to[i], or as zero with its
+    differential when to[i] is None.  A wedge or key that holds a dropped
+    variable goes; the others re-sort with their sign and move their packed
+    fields run by run.  Dropped terms can change the content: one gcd."""
+    kept = [j for j in to if j is not None]
+    if len(set(kept)) != len(kept):
+        raise ContextError(f"a relabelling maps two variables to one: {to}")
+    dropped, runs = 0, []  # runs of consecutive fields: [source shift, mask, target shift]
+    for i, j in enumerate(to):
+        if j is None:
+            dropped |= _FIELD << _W * i
+        elif runs and to[i - 1] == j - 1:
+            runs[-1][1] = runs[-1][1] << _W | _FIELD
         else:
-            images[n] = Poly.zero(face_ctx)
-    return CoordMap.build(face_ctx, ctx, images)
+            runs.append([_W * i, _FIELD, _W * j])
+    acc: dict[tuple[int, ...], dict] = {}
+    for dv, t in a.num.items():
+        if None not in (image := tuple(to[i] for i in dv)):
+            wv, sign = _sort_wedge(image)
+            acc[wv] = {sum((e >> s & mask) << shift for s, mask, shift in runs): sign * c
+                       for e, c in t.items() if not e & dropped}
+    return Form._from_acc(ctx, acc, a.den)
 
 
-def restrict_to_face(a: Form, face_ctx: CoordSystem) -> Form:
-    """Restrict a form to the face described by `face_ctx`.
-
-    Every group of `face_ctx` must be a sub-tuple of the matching group of
-    the ambient context (same tags); missing variables are set to zero along
-    with their differentials.
-    """
-    if face_ctx == a.ctx:
-        return a
-    amb = dict(a.ctx.groups)
+@functools.lru_cache(maxsize=1 << 12)  # a pipeline restricts along one pair many times
+def _restriction_plan(ctx: CoordSystem, face_ctx: CoordSystem) -> tuple:
+    """The `_relabel` map of the restriction from `ctx` onto `face_ctx`, by
+    name: each variable's index in `face_ctx`, or None off the face."""
+    amb = dict(ctx.groups)
     for tag, verts in face_ctx.groups:
         if tag not in amb:
             raise ContextError(f"face group {tag} not present in ambient context")
         if not set(verts) <= set(amb[tag]):
             raise ContextError(f"face group {tag}:{verts} not inside {amb[tag]}")
-    return pullback(restriction_map(a.ctx, face_ctx), a)
+    return tuple(map(face_ctx.index.get, ctx.names))
+
+
+def restrict_to_face(a: Form, face_ctx: CoordSystem) -> Form:
+    """Restrict a form to the face described by `face_ctx`: each of its
+    groups a subset, in any order, of the ambient group of the same tag.
+    Variables match by name, so a reordered group re-sorts each wedge with
+    its sign; missing variables go to zero with their differentials."""
+    if face_ctx == a.ctx:
+        return a
+    return _relabel(a, face_ctx, _restriction_plan(a.ctx, face_ctx))
 
 
 # ---------------------------------------------------------------------------

@@ -35,11 +35,13 @@ of the homothety ODE, whose operator is `homothety_operator` (also in the
 identity suites); `weighted_whitney` builds both t-weighted Whitney sums of
 step 3 (the A combination and the C part), `forms.base_volume_residual`
 computes both closing residuals (`verify_theodg` reports the last one),
-`_restricted_difference` compares two primitives on a shared cell, and
+`_restricted_difference` compares two primitives on a shared cell,
 `PrismData.shift` is the one lift of a mismatch into a prism, for the walk
 and the face gauge alike, and `descend_form` the one descent, read by the
-writer and by `check_descent`.  Each pipeline sum is one pass over int
-numerators and one `_lowest`.
+writer and by `check_descent`.  A restriction or a lift renames variables
+(`forms._relabel`); `pullback` serves the maps that substitute: psi,
+`specialization_chart` and the descent's graph map.  Each pipeline sum is
+one pass over int numerators and one `_lowest`.
 
 All the arithmetic is rational, the optional shrinking-average oracle for
 the extracted coefficients included: it averages with the one integrator,
@@ -57,7 +59,7 @@ from typing import Iterable
 
 from .mesh import Simplex, SimplicialMorphism
 from .forms import (_FIELD, _W, Chart, CoordMap, CoordSystem, Form, FormError, Poly,
-                    _add_into, _frame, _lowest, _mul_into, _unpack, _whitney_terms,
+                    _add_into, _frame, _lowest, _mul_into, _relabel, _unpack, _whitney_terms,
                     base_volume_residual, canonicalize, d, eliminate_poly,
                     elimination_chart, equal_mod_relations, integrate_top_form,
                     pi_context, poincare_primitive, pullback, restrict_to_face,
@@ -350,9 +352,9 @@ class PrismData:
         in the one fiber group of sigma that holds v (the fibers are disjoint)."""
         pctx = self.psi.source
         home = {v: tag for tag, verts in pctx.groups[1:] for v in verts}
-        shift = pullback(CoordMap.build(pctx, m.ctx, {
-            f"{tag}:{v}": Poly.variable(pctx, pctx.var(home[v] if g else tag, v))
-            for g, (tag, verts) in enumerate(m.ctx.groups) for v in verts}), m)
+        shift = _relabel(m, pctx, tuple(pctx.var(home[v] if g else tag, v)
+                                        for g, (tag, verts) in enumerate(m.ctx.groups)
+                                        for v in verts))
         self.H = self.H + shift
         self.correction = self.correction + shift
         return shift

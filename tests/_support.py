@@ -1,13 +1,14 @@
 """Tools the tests use to check the package: a chain boundary, orientation
-reversal, the oracle's average as a polynomial in eps, writers of CLI
-inputs, a reader of written forms, the expansion of a written numerator, a
-sheaf reader, cell-map composition, and the morphisms only the tests build."""
+reversal, the oracle's average as a polynomial in eps, the reference
+restriction map, writers of CLI inputs, a reader of written forms, the
+expansion of a written numerator, a sheaf reader, cell-map composition,
+and the morphisms only the tests build."""
 
 import hashlib
 import json
 from fractions import Fraction as Q
 
-from prismal.forms import CoordSystem, Form, Poly, d, wedge
+from prismal.forms import CoordMap, CoordSystem, Form, Poly, d, wedge
 from prismal.io import context_from_dict, form_from_list
 from prismal.mesh import Prism, PrismalSet, Simplex, SimplicialComplex, SimplicialMorphism
 from prismal.primitive import oracle_A
@@ -58,6 +59,21 @@ def oracle_eps_terms(eta, phi) -> list:
     degree = max((sum(e) for p in eta.terms.values() for e in p.terms), default=0)
     epsilons = [Q(1, k) for k in range(1, max(degree, 1) + 2)]
     return interpolate([(eps, oracle_A(eta, phi, eps)[0]) for eps in epsilons])
+
+
+def restriction_map(ctx: CoordSystem, face_ctx: CoordSystem) -> CoordMap:
+    """The restriction onto a face as a monomial map, the reference that
+    `restrict_to_face` must agree with through `pullback`: dropped
+    variables (and their differentials) go to zero, kept variables map to
+    themselves by name.  When `face_ctx` has every name of `ctx`, this is
+    the inclusion by name."""
+    images: dict[str, Poly] = {}
+    for n in ctx.names:
+        if n in face_ctx.index:
+            images[n] = Poly.variable(face_ctx, face_ctx.index[n])
+        else:
+            images[n] = Poly.zero(face_ctx)
+    return CoordMap.build(face_ctx, ctx, images)
 
 
 # ---------------------------------------------------------------------------

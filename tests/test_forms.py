@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prismal.mesh import Prism, Simplex, incidence_number
-from prismal.forms import (_BOUND, ContextError, CoordMap, CoordSystem, DegreeError,
+from prismal.forms import (_BOUND, _relabel, ContextError, CoordMap, CoordSystem, DegreeError,
                            Form, FormError, Poly, base_volume_residual,
                            canonicalize, d,
                            eliminate, eliminate_poly, elimination_chart,
@@ -15,10 +15,10 @@ from prismal.forms import (_BOUND, ContextError, CoordMap, CoordSystem, DegreeEr
                            integrate_fiber,
                            integrate_top_form, is_fiberwise_zero, pi_context,
                            poincare_primitive, prism_context, pullback,
-                           relative_d, restrict_to_face, restriction_map, simplex_context,
+                           relative_d, restrict_to_face, simplex_context,
                            vertical_part, wedge, whitney_antiboundary,
                            whitney_form)
-from _support import reversed_orientation
+from _support import restriction_map, reversed_orientation
 
 
 def S(*vs):
@@ -411,6 +411,22 @@ def test_restrict_mutual_vanishing():
 def test_restrict_identity_when_nothing_dropped():
     a = whitney_form(CTX3)
     assert restrict_to_face(a, CTX3) == a
+
+
+@pytest.mark.parametrize("groups, message", [
+    ((("m", (0,)),), "face group m not present in ambient context"),
+    ((("l", (0, 5)),), r"face group l:\(0, 5\) not inside \(0, 1, 2\)")])
+def test_restrict_to_face_refuses_a_cell_off_the_face(groups, message):
+    for _ in range(2):  # a refused plan is not cached
+        with pytest.raises(ContextError, match=message):
+            restrict_to_face(whitney_form(CTX3), CoordSystem(groups))
+
+
+def test_relabel_refuses_to_merge_two_variables():
+    # a relabelling moves packed fields; a map that merges two variables
+    # would multiply them, which is a substitution for `pullback`
+    with pytest.raises(ContextError, match="maps two variables to one"):
+        _relabel(whitney_form(CTX3), CTX3, (0, 0, None))
 
 
 # ---------------------------------------------------------------------------

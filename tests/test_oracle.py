@@ -24,12 +24,13 @@ from prismal.forms import (CoordMap, CoordSystem, Form, Poly,  # noqa: E402
                            _chart_rows, _exterior_minors, _frame, _sort_wedge,
                            _wedge_of_mask, canonicalize, d, eliminate, eliminate_poly,
                            integrate_fiber, integrate_top_form, pi_context, poincare_primitive,
-                           prism_context, pullback, restrict_to_face, restriction_map,
+                           prism_context, pullback, restrict_to_face,
                            simplex_context, vertical_part, wedge)
 from prismal.mesh import Prism, Simplex  # noqa: E402
 from prismal.primitive import (oracle_A, pair_with_face, relative_faces,  # noqa: E402
                                specialization_chart)
 from prismal.sheaf import psi_coordinate_map  # noqa: E402
+from _support import restriction_map  # noqa: E402
 from test_forms import monomial_maps  # noqa: E402
 from test_primitive import triangle_block_over_edge  # noqa: E402
 
@@ -393,6 +394,33 @@ def _restriction(data):
         keep = data.draw(st.sets(st.sampled_from(verts), min_size=1))
         face.append((tag, tuple(v for v in verts if v in keep)))
     return restriction_map(ctx, CoordSystem(tuple(face)))
+
+
+@settings(ORACLE, max_examples=200)
+@given(data=st.data())
+def test_restrict_to_face_is_the_pullback_of_the_reference_map(data):
+    # a relabelling of the packed keys: each group of the face a subset of
+    # its group, in a drawn order, so wedges re-sort with their sign
+    ctx = pi_context(Simplex((100, 101)), (Simplex((0, 1, 2)), Simplex((3, 4))))
+    face = CoordSystem(tuple(
+        (tag, tuple(data.draw(st.lists(st.sampled_from(verts), min_size=1, unique=True))))
+        for tag, verts in ctx.groups))
+    a = data.draw(forms(ctx, data.draw(st.integers(0, 3)), 2, MIXED_DENS))
+    got = restrict_to_face(a, face)
+    assert_invariant(got)
+    assert got == pullback(restriction_map(ctx, face), a)
+
+
+def test_restrict_to_face_signs_and_content():
+    # a reversed edge flips dl:0 ^ dl:1; dropping l:2 drops the 1/3 and
+    # with it the 3 of the denominator
+    ctx, face = CTX3, CoordSystem((("l", (1, 0)),))
+    x0, x1, x2 = (Poly.variable(ctx, i) for i in range(3))
+    a = Form(ctx, {(0, 1): x0 * Q(1, 2) + x2 * Q(1, 3), (1, 2): x1})
+    got = restrict_to_face(a, face)
+    assert got.den == 2 and got == Form(face, {(0, 1): Poly.variable(face, 1) * Q(-1, 2)})
+    assert got == pullback(restriction_map(ctx, face), a)
+    assert_invariant(got)
 
 
 def _specialization(data):

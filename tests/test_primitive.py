@@ -568,6 +568,15 @@ def test_horizontal_chain_coherence():
     assert (S(100, 101), S(100,)) in chains
 
 
+def by_vertex(pctx, ctx):
+    """The reference lift of `PrismData.shift` as a monomial map: each
+    variable of `ctx` to the prism's variable of its vertex, t:y as t:y."""
+    home = {v: tag for tag, verts in pctx.groups[1:] for v in verts}
+    return CoordMap.build(pctx, ctx, {
+        f"{tag}:{v}": Poly.variable(pctx, pctx.var(home[v] if g else tag, v))
+        for g, (tag, verts) in enumerate(ctx.groups) for v in verts})
+
+
 def test_shift_lifts_a_face_mismatch_by_vertex():
     # over F = <101> the prism's fiber group m:1 = <2,3> is renumbered m:0,
     # the tag the prism gives the fiber <0,1> over 100: the lift goes by vertex
@@ -586,8 +595,28 @@ def test_shift_lifts_a_face_mismatch_by_vertex():
     pctx = pd.psi.source
     T, M2, M3 = (Poly.variable(pctx, pctx.index[n]) for n in ("t:101", "m:1:2", "m:1:3"))
     assert lifted == Form(pctx, {(): T * M3, (pctx.index["m:1:2"],): T * M2})
+    assert lifted == pullback(by_vertex(pctx, ctx), m)
     assert pd.H == H + lifted and pd.correction == correction + lifted
     assert restrict_to_face(pullback(chart, lifted), ctx) == m
+
+
+def test_shift_lifts_a_walk_mismatch_by_vertex():
+    # a mismatch of the walk lives on the shared cell <0,3> cut from the
+    # prism <0,2,3>; into <0,1,3> it skips m:0:1, so the lift moves the
+    # packed fields in two runs
+    f = triangle_fan()
+    prim = build_primitive_over(f, global_input(f, [(2, 3), (0, 3)]), S(100, 101), 1)
+    known, pd = prim.prisms[S(0, 2, 3)], prim.prisms[S(0, 1, 3)]
+    base, *fibers = known.H.ctx.groups
+    ctx = CoordSystem((base, *((tag, tuple(v for v in verts if v in (0, 3)))
+                               for tag, verts in fibers)))
+    assert ctx.names == ("t:100", "t:101", "m:0:0", "m:1:3")
+    assert pd.psi.source.names == ("t:100", "t:101", "m:0:0", "m:0:1", "m:1:3")
+    t0, t1, mu0, mu3 = (Poly.variable(ctx, i) for i in range(4))
+    m = Form(ctx, {(): t0 * mu3 * Q(1, 2), (1,): t1 * mu0 ** 2, (2, 3): t0 * Q(2, 3)})
+    H = pd.H
+    lifted = pd.shift(m)
+    assert lifted == pullback(by_vertex(pd.psi.source, ctx), m) and pd.H == H + lifted
 
 
 def computed_once_case(fixture):
